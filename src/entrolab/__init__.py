@@ -12,7 +12,6 @@ from .numkit import (
     critical_orbit_expr,
     exp2_enclosure,
     log2_enclosure,
-    orbit_value_expr,
     parse_rational,
     periodic_point_expr,
     root_isolate,

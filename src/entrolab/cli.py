@@ -12,14 +12,12 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .numkit import format_rational, parse_rational
 from .interval_maps import (
-    DEFAULT_NODE_CAP,
     PWLMap,
     QuadMap,
     constant_slope_map,
@@ -49,27 +47,6 @@ EXIT_BUDGET = 3
 
 class InputError(Exception):
     """Bad file or value supplied to a command."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide knobs shared by the cache-backed commands."""
-
-    bits: int
-    eps: Fraction
-    max_period: int
-    node_cap: int
-    budget_seconds: Optional[float]
-    cache_path: Optional[str]
-    output_format: str
-
-    def __post_init__(self) -> None:
-        if self.bits <= 0 or self.eps <= 0 or self.max_period <= 0 or self.node_cap <= 0:
-            raise InputError("numeric options must be positive")
-        if self.budget_seconds is not None and self.budget_seconds <= 0:
-            raise InputError("numeric options must be positive")
-        if self.output_format not in ("tsv", "json"):
-            raise InputError("format must be tsv or json")
 
 
 def _load_json(path: str) -> dict:
@@ -122,21 +99,17 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 
 def cmd_entropy_logistic(args: argparse.Namespace) -> int:
     r = _parse_fraction(args.r, "--r")
-    config = RunConfig(
-        bits=args.bits,
-        eps=_parse_fraction(args.eps, "--eps"),
-        max_period=args.max_period,
-        node_cap=DEFAULT_NODE_CAP,
-        budget_seconds=args.budget_seconds,
-        cache_path=args.cache_path,
-        output_format=args.format,
-    )
-    eps = config.eps
-    cache = CenterCache(resolve_cache_path(config.cache_path))
-    budget = SandwichBudget(max_period=config.max_period, seconds=config.budget_seconds)
+    eps = _parse_fraction(args.eps, "--eps")
+    seconds = args.budget_seconds
+    if args.bits <= 0 or eps <= 0 or args.max_period <= 0:
+        raise InputError("numeric options must be positive")
+    if seconds is not None and seconds <= 0:
+        raise InputError("numeric options must be positive")
+    cache = CenterCache(resolve_cache_path(args.cache_path))
+    budget = SandwichBudget(max_period=args.max_period, seconds=seconds)
     start = time.monotonic()
     code = EXIT_OK
-    center_eps = min(Fraction(1, 2**config.bits), eps / 4)
+    center_eps = min(Fraction(1, 2**args.bits), eps / 4)
     try:
         bound = logistic_entropy(r, eps, budget, cache=cache, center_eps=center_eps)
     except BudgetExceeded as exc:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .numkit import (
     RatInterval,
     dyadic_ceil,
     dyadic_floor,
     log2_enclosure,
+    logistic_orbit_enclosures,
 )
 from .interval_maps import (
     DEFAULT_NODE_CAP,
@@ -34,8 +35,8 @@ from .interval_maps import (
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# denominators beyond this many bits get rounded outward between iterates
-_QUAD_ROUND_BITS = 512
+# precision of the log2(p)/n enclosure of each streamed bound
+_BOUND_BITS = 32
 
 
 @dataclass(frozen=True)
@@ -112,48 +113,37 @@ class SearchBudget:
             raise ValueError("budget out of range")
 
 
-def _round_interval_if_big(iv: RatInterval) -> RatInterval:
-    size = max(
-        iv.lo.denominator.bit_length(),
-        iv.hi.denominator.bit_length(),
-    )
-    if size > 4 * _QUAD_ROUND_BITS:
-        return iv.outward(_QUAD_ROUND_BITS)
-    return iv
-
-
-def _quad_iterate_image(f: QuadMap, box: RatInterval, n: int) -> RatInterval:
-    x = box
-    for _ in range(n):
-        x = f.image_on(x)
-        x = _round_interval_if_big(x)
-    return x
-
-
-def _iterate_images(
-    f: IntervalMap, intervals: Sequence[RatInterval], n: int, node_cap: int
-) -> list[RatInterval]:
-    if isinstance(f, PWLMap):
-        g = compose_iterate(f, n, node_cap)
-        return [g.image_on(iv) for iv in intervals]
-    return [_quad_iterate_image(f, iv, n) for iv in intervals]
-
-
 def check_certificate(
     f: IntervalMap,
     cert: HorseshoeCert,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> bool:
-    """Exact check that every n-th iterate image strictly contains the hull.
+    """Check that the n-th iterate image of every J_i strictly contains the hull.
 
-    For piecewise-linear maps and exact quadratic parameters the images are
-    computed exactly, so both verdicts are definitive; for enclosure
-    parameters a True verdict is sound while False may be precision-limited.
+    Piecewise-linear maps are checked exactly on the composed iterate. For
+    quadratic maps only the endpoints of each J_i are iterated: the
+    enclosure of f^n at one endpoint must lie strictly below the hull and
+    the one at the other endpoint strictly above it. By the intermediate
+    value theorem that proves the containment for every parameter in the
+    map's enclosure, so a True verdict is sound for exact and enclosure
+    parameters alike. A False verdict may be precision-limited, and it
+    rejects a J_i that covers the hull only through an interior fold.
     """
     hull = cert.hull
-    images = _iterate_images(f, cert.intervals, cert.n, node_cap)
-    return all(img.lo < hull.lo and img.hi > hull.hi for img in images)
+    if isinstance(f, PWLMap):
+        g = compose_iterate(f, cert.n, node_cap)
+        images = [g.image_on(iv) for iv in cert.intervals]
+        return all(img.lo < hull.lo and img.hi > hull.hi for img in images)
+
+    def end_image(x: Fraction) -> RatInterval:
+        return logistic_orbit_enclosures(f.r, RatInterval.point(x), cert.n)[-1]
+
+    for iv in cert.intervals:
+        low, high = sorted((end_image(iv.lo), end_image(iv.hi)), key=lambda y: y.lo)
+        if not (low.hi < hull.lo and high.lo > hull.hi):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +378,6 @@ def search_lower_bounds(
     budget: SearchBudget = SearchBudget(),
     *,
     node_cap: int = DEFAULT_NODE_CAP,
-    bits: int = 32,
 ) -> Iterator[LowerBoundRecord]:
     """Stream verified certificates with strictly improving lower bounds.
 
@@ -410,7 +399,7 @@ def search_lower_bounds(
         else:
             candidates = _quad_candidates(f, n, budget)
         for p, intervals in candidates:
-            bound = log2_enclosure(RatInterval.point(p), bits) / n
+            bound = log2_enclosure(RatInterval.point(p), _BOUND_BITS) / n
             if bound.lo <= best:
                 break  # candidates are sorted by p descending
             cert = HorseshoeCert(intervals, n)

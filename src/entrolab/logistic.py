@@ -27,7 +27,6 @@ from .numkit import (
     RationalLike,
     critical_orbit_expr,
     logistic_orbit_enclosures,
-    logistic_step_range,
     parse_rational,
     periodic_point_expr,
     refine_root,
@@ -46,6 +45,8 @@ DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
 _SEPARATION_FLOOR = Fraction(1, 1 << 300)
 _COINCIDENCE_WIDTH = Fraction(1, 1 << 70)
+# attracting-cycle certificates refine periodic points to 2**-_CYCLE_BITS
+_CYCLE_BITS = 48
 
 
 class Verdict(Enum):
@@ -143,11 +144,8 @@ def _markov_data(
     r_enc: RatInterval, period: int
 ) -> tuple[tuple[RatInterval, ...], SFT, tuple[int, ...]]:
     # enclosures of f(c), ..., f^{p-1}(c); the closing point f^p(c) is c itself
-    orbit: list[tuple[int, RatInterval]] = []
-    x = RatInterval.point(_HALF)
-    for k in range(1, period):
-        x = logistic_step_range(r_enc, x).clamp(_ZERO, _ONE)
-        orbit.append((k, x))
+    steps = logistic_orbit_enclosures(r_enc, RatInterval.point(_HALF), period - 1)
+    orbit = list(enumerate(steps[1:], start=1))
     orbit.append((period, RatInterval.point(_HALF)))
     for _, iv in orbit:
         if iv.lo <= 0 or iv.hi >= 1:
@@ -296,10 +294,8 @@ def _proper_divisors(p: int) -> list[int]:
 
 
 def _exact_minimal_period(r: Fraction, p: int) -> int:
-    x = _HALF
     for k in range(1, p + 1):
-        x = r * x * (1 - x)
-        if x == _HALF:
+        if critical_orbit_expr(k).sign_at(r) == 0:
             return k
     raise AssertionError("exact root does not close up")
 
@@ -420,14 +416,10 @@ def enumerate_centers(
 def _cycle_multiplier(
     r: RatInterval, x: RatInterval, period: int
 ) -> RatInterval:
-    orbit = logistic_orbit_enclosures(r, x, period - 1)
-    mult = RatInterval.point(_ONE)
-    for xk in orbit:
-        mult = mult * (r * (RatInterval.point(_ONE) - xk * Fraction(2)))
-    return mult
+    return periodic_point_expr(r, period).derivative_enclosure(x) + 1
 
 
-def attracting_cycle_at(d: RationalLike, p: int, bits: int = 48) -> Verdict:
+def attracting_cycle_at(d: RationalLike, p: int) -> Verdict:
     """Does the parameter ``d`` carry an attracting cycle of primitive
     period ``p``?
 
@@ -441,9 +433,9 @@ def attracting_cycle_at(d: RationalLike, p: int, bits: int = 48) -> Verdict:
     iso = root_isolate(expr, RatInterval(_ZERO, _ONE), Fraction(1, 1 << 24))
     unresolved = bool(iso.unresolved)
     r_iv = RatInterval.point(d)
-    floor = Fraction(1, 1 << (4 * bits))
+    floor = Fraction(1, 1 << (4 * _CYCLE_BITS))
     for root in iso.roots:
-        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << bits))
+        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << _CYCLE_BITS))
         while True:
             mult = _cycle_multiplier(r_iv, x, p)
             attracting = -1 < mult.lo and mult.hi < 1
@@ -474,7 +466,7 @@ def attracting_cycle_at(d: RationalLike, p: int, bits: int = 48) -> Verdict:
     return Verdict.UNRESOLVED if unresolved else Verdict.NO
 
 
-def attracting_cycle_over(window: RatInterval, p: int, bits: int = 48) -> bool:
+def attracting_cycle_over(window: RatInterval, p: int) -> bool:
     """Certify an attracting cycle of period p for EVERY parameter in the
     window: a contraction-mapping certificate on an inflated orbit box.
 
@@ -485,9 +477,9 @@ def attracting_cycle_over(window: RatInterval, p: int, bits: int = 48) -> bool:
     mid = window.mid
     expr = periodic_point_expr(mid, p)
     iso = root_isolate(expr, RatInterval(_ZERO, _ONE), Fraction(1, 1 << 20))
-    w = max(window.width, Fraction(1, 1 << bits))
+    w = max(window.width, Fraction(1, 1 << _CYCLE_BITS))
     for root in iso.roots:
-        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << bits))
+        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << _CYCLE_BITS))
         # the right inflation depends on the (unknown) contraction rate,
         # so walk a geometric ladder; oversized boxes fail the multiplier
         # test and undersized ones fail containment, both harmlessly
@@ -509,7 +501,6 @@ def chain_certify(
     period: int,
     *,
     max_links: int = 256,
-    bits: int = 48,
 ) -> bool:
     """Certify that every parameter between ``start`` and ``target`` has an
     attracting period-``period`` cycle, by covering the gap with verified
@@ -529,7 +520,7 @@ def chain_certify(
         links += 1
         if links > max_links:
             return False
-        if attracting_cycle_over(piece, period, bits):
+        if attracting_cycle_over(piece, period):
             continue
         if piece.width <= Fraction(1, 1 << 40):
             return False
@@ -552,7 +543,6 @@ def collect_brackets(
     centers: Sequence[Center],
     *,
     chains: bool = False,
-    chain_bits: int = 48,
 ) -> list[BracketSample]:
     """Entropy samples on both sides of the query parameter.
 
@@ -575,13 +565,13 @@ def collect_brackets(
     if below:
         c = max(below, key=lambda c: c.r_enc.hi)
         d = c.r_enc.hi
-        if chains and chain_certify(c.r_enc, query.lo, c.period, bits=chain_bits):
+        if chains and chain_certify(c.r_enc, query.lo, c.period):
             d = query.lo
         samples.append(BracketSample(d, c.entropy, Side.BELOW, c.period))
     if above:
         c = min(above, key=lambda c: c.r_enc.lo)
         d = c.r_enc.lo
-        if chains and chain_certify(c.r_enc, query.hi, c.period, bits=chain_bits):
+        if chains and chain_certify(c.r_enc, query.hi, c.period):
             d = query.hi
         samples.append(BracketSample(d, c.entropy, Side.ABOVE, c.period))
     if query.lo >= 3:

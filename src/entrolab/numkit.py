@@ -6,6 +6,11 @@ outward dyadic rounding, enclosures of log2 and 2**x, and sign-change root
 isolation for iterated quadratic-family expressions evaluated step by step
 (never through expanded polynomial coefficients).
 
+Orbits of x -> r*x*(1-x) are enclosed by a single kernel,
+`logistic_orbit_enclosures`, which rounds outward to ENCLOSURE_BITS = 128
+dyadic bits after every step; exact signs come from one `Fraction` loop in
+`IterMapExpr.sign_at`.
+
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
 """
@@ -24,6 +29,9 @@ RationalLike = Union[Fraction, int, str]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
+
+# the one working precision of every orbit enclosure
+ENCLOSURE_BITS = 128
 
 
 class PrecisionError(ValueError):
@@ -356,13 +364,11 @@ def logistic_orbit_enclosures(
     r: RatInterval,
     x0: RatInterval,
     n: int,
-    bits: Optional[int] = None,
 ) -> list[RatInterval]:
     """Enclosures of x0, f(x0), ..., f^n(x0) for the family r*x*(1-x).
 
-    With ``bits`` set, endpoints are rounded outward to that dyadic
-    precision after every step, capping denominator growth; the enclosures
-    stay sound either way.
+    Endpoints are rounded outward to ENCLOSURE_BITS dyadic bits after every
+    step, which caps denominator growth and keeps the enclosures sound.
     """
     out = [x0]
     x = x0
@@ -370,24 +376,22 @@ def logistic_orbit_enclosures(
         x = logistic_step_range(r, x)
         if r.lo >= 0 and r.hi <= 4 and x0.lo >= 0 and x0.hi <= 1:
             x = x.clamp(_ZERO, _ONE)
-        if bits is not None:
-            x = x.outward(bits)
+        x = x.outward(ENCLOSURE_BITS)
         out.append(x)
     return out
 
 
-ExprKind = Literal["parameter", "state", "orbit"]
+ExprKind = Literal["parameter", "state"]
 
 
 @dataclass(frozen=True)
 class IterMapExpr:
-    """An iterated quadratic-family expression, evaluated without expansion.
+    """f_r^n(x0) - x0 for the quadratic family, evaluated without expansion.
 
-    kind "parameter": r -> f_r^n(base) - base, the defining expression for
-    parameters whose critical orbit closes up after n steps.
-    kind "state": x -> f_r^n(x) - x at a fixed parameter, whose roots are
-    the n-periodic points.
-    kind "orbit": x -> f_r^n(x), a plain iterate (no subtraction).
+    kind "parameter": the variable is r and x0 is the fixed ``base``; the
+    roots are parameters whose orbit of ``base`` closes up after n steps.
+    kind "state": the variable is x0 at the fixed parameter ``param``; the
+    roots are the n-periodic points.
     """
 
     kind: ExprKind
@@ -406,7 +410,7 @@ class IterMapExpr:
                 raise ValueError("base point must lie in [0, 1]")
         else:
             if self.param is None:
-                raise ValueError("state/orbit expressions need a parameter")
+                raise ValueError("state expressions need a parameter")
             p = self.param
             if not isinstance(p, RatInterval):
                 p = RatInterval.point(p)
@@ -418,80 +422,48 @@ class IterMapExpr:
     def domain(self) -> RatInterval:
         return RatInterval(0, 4) if self.kind == "parameter" else RatInterval(0, 1)
 
-    def evaluate(self, x: RatInterval, bits: Optional[int] = None) -> RatInterval:
-        """Interval enclosure of the expression over ``x``."""
-        if not self.domain.contains_interval(x):
-            raise ValueError(f"input {x} outside expression domain {self.domain}")
+    def _orbit_start(self, t: RatInterval) -> tuple[RatInterval, RatInterval]:
+        """(r, x0) for the variable enclosure ``t``."""
+        if not self.domain.contains_interval(t):
+            raise ValueError(f"input {t} outside expression domain {self.domain}")
         if self.kind == "parameter":
-            orbit = logistic_orbit_enclosures(x, RatInterval.point(self.base), self.iterations, bits)
-            return orbit[-1] - self.base
-        orbit = logistic_orbit_enclosures(self.param, x, self.iterations, bits)
-        if self.kind == "state":
-            return orbit[-1] - x
-        return orbit[-1]
+            return t, RatInterval.point(self.base)
+        return self.param, t
+
+    def evaluate(self, x: RatInterval) -> RatInterval:
+        """Interval enclosure of the expression over ``x``."""
+        r, x0 = self._orbit_start(x)
+        return logistic_orbit_enclosures(r, x0, self.iterations)[-1] - x0
 
     def sign_at(self, t: Fraction) -> int:
         """Exact sign of the expression at a rational point."""
         t = parse_rational(t)
         if self.kind == "parameter":
-            x = self.base
-            for _ in range(self.iterations):
-                x = t * x * (1 - x)
-            return _sign(x - self.base)
-        if not self.param.is_point:
+            r, x0 = t, self.base
+        elif self.param.is_point:
+            r, x0 = self.param.lo, t
+        else:
             raise ValueError("exact sign needs a point parameter")
-        r = self.param.lo
-        x = t
+        x = x0
         for _ in range(self.iterations):
             x = r * x * (1 - x)
-        if self.kind == "state":
-            return _sign(x - t)
-        return _sign(x)
+        return _sign(x - x0)
 
-    def value_at(self, t: Fraction) -> Fraction:
-        """Exact value at a rational point."""
-        t = parse_rational(t)
-        if self.kind == "parameter":
-            x = self.base
-            for _ in range(self.iterations):
-                x = t * x * (1 - x)
-            return x - self.base
-        if not self.param.is_point:
-            raise ValueError("exact value needs a point parameter")
-        r = self.param.lo
-        x = t
-        for _ in range(self.iterations):
-            x = r * x * (1 - x)
-        return x - t if self.kind == "state" else x
+    def derivative_enclosure(self, x: RatInterval) -> RatInterval:
+        """Enclosure of d(expr)/d(variable) over ``x``.
 
-    def derivative_enclosure(self, x: RatInterval, bits: Optional[int] = None) -> RatInterval:
-        """Enclosure of d(expr)/d(variable) over ``x``."""
-        if self.kind == "parameter":
-            r = x
-            xi = RatInterval.point(self.base)
-            u = RatInterval.point(0)
-            for _ in range(self.iterations):
-                gx = logistic_step_range(RatInterval.point(1), xi)  # x*(1-x)
-                one_minus_2x = RatInterval.point(1) - xi * Fraction(2)
-                u = gx + r * one_minus_2x * u
-                xi = logistic_step_range(r, xi).clamp(_ZERO, _ONE)
-                if bits is not None:
-                    u = u.outward(bits)
-                    xi = xi.outward(bits)
-            return u
-        r = self.param
-        xi = x
-        v = RatInterval.point(1)
-        for _ in range(self.iterations):
-            one_minus_2x = RatInterval.point(1) - xi * Fraction(2)
-            v = r * one_minus_2x * v
-            xi = logistic_step_range(r, xi).clamp(_ZERO, _ONE)
-            if bits is not None:
-                v = v.outward(bits)
-                xi = xi.outward(bits)
-        if self.kind == "state":
-            return v - 1
-        return v
+        Chain rule along the orbit: d <- r*(1 - 2*x_k)*d per step, plus
+        x_k*(1 - x_k) when the variable is r itself.
+        """
+        r, x0 = self._orbit_start(x)
+        by_param = self.kind == "parameter"
+        d = RatInterval.point(0 if by_param else 1)
+        for xk in logistic_orbit_enclosures(r, x0, self.iterations)[:-1]:
+            d = r * (RatInterval.point(1) - xk * Fraction(2)) * d
+            if by_param:
+                d = d + logistic_step_range(RatInterval.point(1), xk)
+            d = d.outward(ENCLOSURE_BITS)
+        return d if by_param else d - 1
 
 
 def critical_orbit_expr(period: int, base: RationalLike = Fraction(1, 2)) -> IterMapExpr:
@@ -505,13 +477,6 @@ def periodic_point_expr(r: Union[Fraction, RatInterval], period: int) -> IterMap
     if not isinstance(r, RatInterval):
         r = RatInterval.point(r)
     return IterMapExpr("state", period, param=r)
-
-
-def orbit_value_expr(r: Union[Fraction, RatInterval], n: int) -> IterMapExpr:
-    """x -> f_r^n(x), a plain iterate with no subtraction."""
-    if not isinstance(r, RatInterval):
-        r = RatInterval.point(r)
-    return IterMapExpr("orbit", n, param=r)
 
 
 # ---------------------------------------------------------------------------
@@ -534,11 +499,11 @@ class RootIsolation:
     unresolved: tuple[RatInterval, ...]
 
 
-def _scan_enclosure(expr: IterMapExpr, cell: RatInterval, bits: int) -> RatInterval:
-    plain = expr.evaluate(cell, bits)
+def _scan_enclosure(expr: IterMapExpr, cell: RatInterval) -> RatInterval:
+    plain = expr.evaluate(cell)
     mid = RatInterval.point(cell.mid)
     half = cell.width / 2
-    centered = expr.evaluate(mid, bits) + expr.derivative_enclosure(cell, bits) * RatInterval(-half, half)
+    centered = expr.evaluate(mid) + expr.derivative_enclosure(cell) * RatInterval(-half, half)
     lo = max(plain.lo, centered.lo)
     hi = min(plain.hi, centered.hi)
     if lo > hi:  # both sound, so a crossing order would be a bug
@@ -550,8 +515,6 @@ def root_isolate(
     expr: IterMapExpr,
     domain: RatInterval,
     min_width: Fraction,
-    *,
-    bits: int = 128,
 ) -> RootIsolation:
     """Isolate the sign-change roots of ``expr`` on ``domain``.
 
@@ -603,7 +566,7 @@ def root_isolate(
         a, b, sa, sb = stack.pop()
         if a >= b:
             continue
-        enc = _scan_enclosure(expr, RatInterval(a, b), bits)
+        enc = _scan_enclosure(expr, RatInterval(a, b))
         if enc.lo > 0 or enc.hi < 0:
             continue
         w = b - a

@@ -79,6 +79,20 @@ def test_pwl_horseshoe_stream(tent_file, capsys):
     assert parse_rational(first[2]) >= F(1, 2) - F(1, 1 << 20)
 
 
+def test_pwl_horseshoe_interval_parameter_through_zero_entropy(tmp_path, capsys):
+    # r = 7/2 lies in the enclosure and has entropy 0, so nothing may stream
+    quad = write_json(tmp_path / "quad.json", {"r": ["7/2", "4/1"]})
+    code = main(
+        ["entropy", "pwl", "--file", quad, "--method", "horseshoe", "--max-n", "4"]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines() == [
+        "p\tn\tbound_lo\tbound_hi",
+        "# no horseshoe found within budget (entropy may be 0)",
+    ]
+
+
 def test_identity_both_methods(tmp_path, capsys):
     ident = write_json(tmp_path / "id.json", {"nodes": [["0/1", "0/1"], ["1/1", "1/1"]]})
     assert main(["entropy", "pwl", "--file", ident, "--method", "variation"]) == 0
@@ -94,6 +108,14 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     assert main(["entropy", "pwl", "--file", missing, "--method", "variation"]) == 2
     assert main(["entropy", "logistic", "--r", "nope", "--eps", "1e-3"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--max-period", "--bits", "--budget-seconds"])
+def test_logistic_nonpositive_option_exit_2(tmp_path, capsys, flag):
+    argv = ["entropy", "logistic", "--r", "3.5", "--eps", "1/32"]
+    argv += [flag, "0", "--cache-path", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():

@@ -122,6 +122,16 @@ def test_quad_certificate_interval_parameter():
     assert check_certificate(q, cert) is True
 
 
+@pytest.mark.parametrize("lo", [F(1), F(3)])
+def test_quad_certificate_rejected_where_some_parameter_fails(lo):
+    # r = 1 and r = 3 have entropy 0, so no certificate may pass for an
+    # enclosure parameter containing them
+    q4 = QuadMap(RatInterval.point(4))
+    cert = next(r.cert for r in search_lower_bounds(q4, SearchBudget(max_n=2)) if r.n == 2)
+    assert check_certificate(QuadMap(RatInterval.point(lo)), cert) is False
+    assert check_certificate(QuadMap(RatInterval(lo, 4)), cert) is False
+
+
 def test_record_invariants():
     with pytest.raises(ValueError):
         LowerBoundRecord(TENT_CERT, RatInterval(F(-1, 2), F(1, 2)))

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entrolab.numkit import (
@@ -16,7 +16,6 @@ from entrolab.numkit import (
     format_rational,
     log2_enclosure,
     logistic_step_range,
-    orbit_value_expr,
     parse_rational,
     periodic_point_expr,
     refine_root,
@@ -119,9 +118,9 @@ def test_interval_eval_point_consistency():
     # expression r/4 - 1/2 at r = 2 is exactly zero
     expr = critical_orbit_expr(1)
     assert expr.evaluate(RatInterval.point(2)) == RatInterval.point(0)
-    # f_4^2(1/2): 1/2 -> 1 -> 0, as a plain iterate
-    orbit = orbit_value_expr(F(4), 2)
-    assert orbit.evaluate(RatInterval.point(F(1, 2))) == RatInterval.point(0)
+    # f_4^2(1/2) - 1/2: 1/2 -> 1 -> 0
+    expr = periodic_point_expr(F(4), 2)
+    assert expr.evaluate(RatInterval.point(F(1, 2))) == RatInterval.point(F(-1, 2))
 
 
 def test_interval_eval_p2_straddles_zero():
@@ -151,12 +150,46 @@ def test_inclusion_monotonicity(period, lo, w1, w2):
     assert big.lo <= small.lo and small.hi <= big.hi
 
 
+def exact_value(r, x0, n):
+    """f_r^n(x0) - x0 by a plain Fraction loop."""
+    x = x0
+    for _ in range(n):
+        x = r * x * (1 - x)
+    return x - x0
+
+
 @settings(max_examples=60, deadline=None)
 @given(period=st.integers(1, 5), q=st.fractions(min_value=0, max_value=4))
 def test_point_evaluation_matches_exact(period, q):
     expr = critical_orbit_expr(period)
     enc = expr.evaluate(RatInterval.point(q))
-    assert enc.lo == enc.hi == expr.value_at(q)
+    assert enc.contains(exact_value(q, F(1, 2), period))
+    assert enc.width <= period * F(1, 1 << 120)
+    if enc.lo > 0 or enc.hi < 0:
+        assert expr.sign_at(q) == (1 if enc.lo > 0 else -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(("parameter", "state")),
+    period=st.integers(1, 5),
+    r=st.fractions(min_value=0, max_value=4, max_denominator=1000),
+    u=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    v=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+)
+def test_derivative_enclosure_contains_difference_quotient(kind, period, r, u, v):
+    # by the mean value theorem (F(b) - F(a)) / (b - a) is F' somewhere in (a, b)
+    assume(u != v)
+    a, b = min(u, v), max(u, v)
+    if kind == "parameter":
+        a, b = 4 * a, 4 * b
+        expr = critical_orbit_expr(period)
+        values = [exact_value(t, F(1, 2), period) for t in (a, b)]
+    else:
+        expr = periodic_point_expr(r, period)
+        values = [exact_value(r, t, period) for t in (a, b)]
+    quotient = (values[1] - values[0]) / (b - a)
+    assert expr.derivative_enclosure(RatInterval(a, b)).contains(quotient)
 
 
 def test_root_isolate_p1():
