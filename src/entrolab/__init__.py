@@ -13,7 +13,6 @@ from .numkit import (
     exp2_enclosure,
     log2_enclosure,
     parse_rational,
-    periodic_point_expr,
     root_isolate,
 )
 from .symbolic import (
@@ -53,7 +52,6 @@ from .logistic import (
     Center,
     CenterCache,
     SandwichBudget,
-    attracting_cycle_at,
     collect_brackets,
     enumerate_centers,
     logistic_entropy,

@@ -18,6 +18,7 @@ from typing import Optional
 
 from .numkit import format_rational, parse_rational
 from .interval_maps import (
+    NodeCapExceeded,
     PWLMap,
     QuadMap,
     constant_slope_map,
@@ -137,10 +138,15 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
 
 def cmd_entropy_pwl(args: argparse.Namespace) -> int:
     f = _load_map(args.file)
+    if args.node_cap <= 0:
+        raise InputError("numeric options must be positive")
     if args.method == "variation":
         if not isinstance(f, PWLMap):
             raise InputError("the variation method needs a piecewise-linear map")
-        bound = entropy_via_variation(f, args.n_max, bits=args.bits)
+        try:
+            bound = entropy_via_variation(f, args.n_max, bits=args.bits, node_cap=args.node_cap)
+        except NodeCapExceeded as exc:
+            raise InputError(f"{exc}; raise --node-cap or lower --n-max") from exc
         payload = {
             "method": "variation",
             "n_max": args.n_max,
@@ -156,8 +162,6 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     budget = SearchBudget(max_n=args.max_n, max_p=args.max_p, grid_depth=args.grid_depth)
-    if args.node_cap <= 0:
-        raise InputError("numeric options must be positive")
     records = []
     if args.format != "json":
         print("p\tn\tbound_lo\tbound_hi")

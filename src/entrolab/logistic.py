@@ -1,7 +1,6 @@
 """The quadratic family pipeline: superattracting centers, critical-orbit
-Markov partitions, certified center entropies, attracting-cycle detection,
-and the bracketing ("sandwich") computation of the entropy at an arbitrary
-parameter.
+Markov partitions, certified center entropies, and the bracketing
+("sandwich") computation of the entropy at an arbitrary parameter.
 
 Centers are parameters where the critical orbit closes up; each one carries
 an induced subshift of finite type whose certified Perron bound gives the
@@ -28,7 +27,6 @@ from .numkit import (
     critical_orbit_expr,
     logistic_orbit_enclosures,
     parse_rational,
-    periodic_point_expr,
     refine_root,
     root_isolate,
 )
@@ -45,14 +43,6 @@ DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
 _SEPARATION_FLOOR = Fraction(1, 1 << 300)
 _COINCIDENCE_WIDTH = Fraction(1, 1 << 70)
-# attracting-cycle certificates refine periodic points to 2**-_CYCLE_BITS
-_CYCLE_BITS = 48
-
-
-class Verdict(Enum):
-    YES = "YES"
-    NO = "NO"
-    UNRESOLVED = "UNRESOLVED"
 
 
 class Side(Enum):
@@ -191,11 +181,6 @@ def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
     return points, sft
 
 
-def center_entropy(center: Center, eps: RationalLike) -> EntropyBound:
-    """Certified entropy of the center's induced subshift, width <= eps."""
-    return sft_entropy(center.sft, parse_rational(eps))
-
-
 # ---------------------------------------------------------------------------
 # Center cache
 # ---------------------------------------------------------------------------
@@ -206,7 +191,9 @@ class CenterCache:
 
     The first line is a schema header; subsequent lines are center records
     and per-period scan-complete markers. Reruns reuse complete periods and
-    never duplicate or rewrite existing lines.
+    never duplicate or rewrite existing lines. A final line without its
+    newline that does not parse is the torn tail of an interrupted append:
+    loading ignores it and the next append cuts it off.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -215,31 +202,51 @@ class CenterCache:
         self.scanned: dict[int, dict] = {}
         self.unresolved: list[RatInterval] = []
         self._keys: set[tuple] = set()
+        # (offset, text): where the next append must start and what it
+        # writes first, when the file does not end in a complete line
+        self._tail: Optional[tuple[int, str]] = None
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if first.strip():
-                header = json.loads(first)
-                if header.get("schema") != CACHE_SCHEMA:
-                    raise ValueError(f"unsupported cache schema in {self.path}")
-            for line in fh:
-                line = line.strip()
-                if not line:
+        end = 0  # offset just past the last line that parsed
+        raw = b"\n"
+        with open(self.path, "rb") as fh:
+            for number, raw in enumerate(fh):
+                try:
+                    data = json.loads(raw) if raw.strip() else None
+                except ValueError:
+                    if raw.endswith(b"\n"):
+                        raise
+                    # the torn tail of an interrupted append; the next append cuts it
+                    self._tail = (end, "")
+                    return
+                end += len(raw)
+                if data is None:
                     continue
-                data = json.loads(line)
-                if data.get("type") == "center":
-                    center = Center.from_json(data)
-                    key = self._key(center)
-                    if key not in self._keys:
-                        self._keys.add(key)
-                        self.centers.append(center)
-                elif data.get("type") == "scan":
-                    self.scanned[int(data["period"])] = data
-                    for iv in data.get("unresolved", []):
-                        self.unresolved.append(RatInterval.from_json(iv))
+                try:
+                    self._read_line(number, data)
+                except (AttributeError, KeyError, TypeError) as exc:
+                    raise ValueError(
+                        f"malformed line {number + 1} in {self.path}: {exc!r}"
+                    ) from exc
+        if not raw.endswith(b"\n"):
+            self._tail = (end, "\n")
+
+    def _read_line(self, number: int, data: dict) -> None:
+        if number == 0:
+            if data.get("schema") != CACHE_SCHEMA:
+                raise ValueError(f"unsupported cache schema in {self.path}")
+        elif data.get("type") == "center":
+            center = Center.from_json(data)
+            key = self._key(center)
+            if key not in self._keys:
+                self._keys.add(key)
+                self.centers.append(center)
+        elif data.get("type") == "scan":
+            self.scanned[int(data["period"])] = data
+            for iv in data.get("unresolved", []):
+                self.unresolved.append(RatInterval.from_json(iv))
 
     @staticmethod
     def _key(center: Center) -> tuple:
@@ -248,10 +255,15 @@ class CenterCache:
     def _append(self, record: dict) -> None:
         if self.path is None:
             return
-        new_file = not self.path.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        size = self.path.stat().st_size if self.path.exists() else 0
         with open(self.path, "a", encoding="utf-8") as fh:
-            if new_file:
+            if self._tail is not None:
+                size, lead = self._tail
+                fh.truncate(size)
+                fh.write(lead)
+                self._tail = None
+            if size == 0:
                 fh.write(json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n")
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
@@ -351,7 +363,6 @@ def enumerate_centers(
     p_max: int,
     *,
     eps: RationalLike = DEFAULT_EPS,
-    root_width: RationalLike = DEFAULT_ROOT_WIDTH,
     cache: Union[CenterCache, str, Path, None] = None,
     cap: int = DEFAULT_PERIOD_CAP,
 ) -> EnumerationResult:
@@ -369,14 +380,13 @@ def enumerate_centers(
     if p_max > cap:
         raise ValueError(f"p_max {p_max} exceeds the configured cap {cap}")
     eps = parse_rational(eps)
-    root_width = parse_rational(root_width)
     if not isinstance(cache, CenterCache):
         cache = CenterCache(resolve_cache_path(cache))
     for p in range(1, p_max + 1):
         if p in cache.scanned:
             continue
         expr = critical_orbit_expr(p)
-        iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), root_width)
+        iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
         unresolved = list(iso.unresolved)
         earlier = [c for c in cache.centers if c.period < p]
         for root in iso.roots:
@@ -409,128 +419,6 @@ def enumerate_centers(
 
 
 # ---------------------------------------------------------------------------
-# Attracting cycles and hyperbolic-window certificates
-# ---------------------------------------------------------------------------
-
-
-def _cycle_multiplier(
-    r: RatInterval, x: RatInterval, period: int
-) -> RatInterval:
-    return periodic_point_expr(r, period).derivative_enclosure(x) + 1
-
-
-def attracting_cycle_at(d: RationalLike, p: int) -> Verdict:
-    """Does the parameter ``d`` carry an attracting cycle of primitive
-    period ``p``?
-
-    YES and NO are certified; UNRESOLVED means some candidate orbit could
-    not be classified at the precision cap.
-    """
-    d = parse_rational(d)
-    if not (0 < d < 4):
-        raise ValueError("parameter must lie in (0, 4)")
-    expr = periodic_point_expr(d, p)
-    iso = root_isolate(expr, RatInterval(_ZERO, _ONE), Fraction(1, 1 << 24))
-    unresolved = bool(iso.unresolved)
-    r_iv = RatInterval.point(d)
-    floor = Fraction(1, 1 << (4 * _CYCLE_BITS))
-    for root in iso.roots:
-        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << _CYCLE_BITS))
-        while True:
-            mult = _cycle_multiplier(r_iv, x, p)
-            attracting = -1 < mult.lo and mult.hi < 1
-            repelling = mult.lo >= 1 or mult.hi <= -1
-            if attracting or repelling:
-                break
-            if x.is_point or x.width <= floor:
-                break
-            x = refine_root(expr, x, x.width / 16)
-        if repelling:
-            continue
-        if not attracting:
-            unresolved = True  # multiplier enclosure straddles the unit circle
-            continue
-        primitive = True
-        for q in _proper_divisors(p):
-            attempts = 0
-            xq = logistic_orbit_enclosures(r_iv, x, q)[-1]
-            while xq.intersects(x) and attempts < 6 and not x.is_point:
-                x = refine_root(expr, x, x.width / 8)
-                xq = logistic_orbit_enclosures(r_iv, x, q)[-1]
-                attempts += 1
-            if xq.intersects(x):
-                primitive = False
-                break
-        if primitive:
-            return Verdict.YES
-    return Verdict.UNRESOLVED if unresolved else Verdict.NO
-
-
-def attracting_cycle_over(window: RatInterval, p: int) -> bool:
-    """Certify an attracting cycle of period p for EVERY parameter in the
-    window: a contraction-mapping certificate on an inflated orbit box.
-
-    Success means each parameter in the window owns an attracting cycle
-    whose multiplier stays strictly inside (-1, 1), which pins the whole
-    window inside a single hyperbolic component.
-    """
-    mid = window.mid
-    expr = periodic_point_expr(mid, p)
-    iso = root_isolate(expr, RatInterval(_ZERO, _ONE), Fraction(1, 1 << 20))
-    w = max(window.width, Fraction(1, 1 << _CYCLE_BITS))
-    for root in iso.roots:
-        x = root if root.is_point else refine_root(expr, root, Fraction(1, 1 << _CYCLE_BITS))
-        # the right inflation depends on the (unknown) contraction rate,
-        # so walk a geometric ladder; oversized boxes fail the multiplier
-        # test and undersized ones fail containment, both harmlessly
-        for scale in (1, 4, 16, 64):
-            pad = max(x.width * 8, w * scale)
-            box = RatInterval(max(_ZERO, x.lo - pad), min(_ONE, x.hi + pad))
-            mult = _cycle_multiplier(window, box, p)
-            if not (-1 < mult.lo and mult.hi < 1):
-                break  # larger boxes only make the multiplier range worse
-            image = logistic_orbit_enclosures(window, box, p)[-1]
-            if box.lo < image.lo and image.hi < box.hi:
-                return True
-    return False
-
-
-def chain_certify(
-    start: RatInterval,
-    target: Fraction,
-    period: int,
-    *,
-    max_links: int = 256,
-) -> bool:
-    """Certify that every parameter between ``start`` and ``target`` has an
-    attracting period-``period`` cycle, by covering the gap with verified
-    subwindows. Success pins the whole stretch inside one hyperbolic
-    window, so the entropy at ``target`` equals the entropy at the center."""
-    target = parse_rational(target)
-    if start.contains(target):
-        return True
-    if target > start.hi:
-        segment = RatInterval(start.hi, target)
-    else:
-        segment = RatInterval(target, start.lo)
-    pending = [segment]
-    links = 0
-    while pending:
-        piece = pending.pop()
-        links += 1
-        if links > max_links:
-            return False
-        if attracting_cycle_over(piece, period):
-            continue
-        if piece.width <= Fraction(1, 1 << 40):
-            return False
-        mid = piece.mid
-        pending.append(RatInterval(piece.lo, mid))
-        pending.append(RatInterval(mid, piece.hi))
-    return True
-
-
-# ---------------------------------------------------------------------------
 # Bracket collection and the sandwich
 # ---------------------------------------------------------------------------
 
@@ -541,17 +429,12 @@ _EXACT_ONE = EntropyBound(_ONE, _ONE, Provenance.EXACT, certified=True)
 def collect_brackets(
     query: RatInterval,
     centers: Sequence[Center],
-    *,
-    chains: bool = False,
 ) -> list[BracketSample]:
     """Entropy samples on both sides of the query parameter.
 
     The nearest enumerated center on each side contributes a sample at its
     enclosure endpoint (sound by the monotonicity of the entropy in the
-    parameter). With ``chains`` enabled, the sample is pushed from the
-    center toward the query along a certified chain of attracting-cycle
-    windows, which transports the center's entropy enclosure unchanged.
-    Boundary records at 3 (entropy 0) and 4 (entropy 1) are always
+    parameter). Boundary records at 3 (entropy 0) and 4 (entropy 1) are always
     available.
     """
     if query.lo < 0 or query.hi > 4:
@@ -564,16 +447,10 @@ def collect_brackets(
             samples.append(BracketSample(query.lo, c.entropy, Side.AT, c.period))
     if below:
         c = max(below, key=lambda c: c.r_enc.hi)
-        d = c.r_enc.hi
-        if chains and chain_certify(c.r_enc, query.lo, c.period):
-            d = query.lo
-        samples.append(BracketSample(d, c.entropy, Side.BELOW, c.period))
+        samples.append(BracketSample(c.r_enc.hi, c.entropy, Side.BELOW, c.period))
     if above:
         c = min(above, key=lambda c: c.r_enc.lo)
-        d = c.r_enc.lo
-        if chains and chain_certify(c.r_enc, query.hi, c.period):
-            d = query.hi
-        samples.append(BracketSample(d, c.entropy, Side.ABOVE, c.period))
+        samples.append(BracketSample(c.r_enc.lo, c.entropy, Side.ABOVE, c.period))
     if query.lo >= 3:
         samples.append(BracketSample(Fraction(3), _EXACT_ZERO, Side.BELOW, 1))
     if query.hi <= 4:

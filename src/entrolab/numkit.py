@@ -3,8 +3,9 @@
 Everything certified in this package bottoms out here: arbitrary-precision
 rationals (`fractions.Fraction`), closed intervals with rational endpoints,
 outward dyadic rounding, enclosures of log2 and 2**x, and sign-change root
-isolation for iterated quadratic-family expressions evaluated step by step
-(never through expanded polynomial coefficients).
+isolation for the one iterated quadratic-family expression, the critical-orbit
+closing condition r -> f_r^n(1/2) - 1/2, evaluated step by step (never
+through expanded polynomial coefficients).
 
 Orbits of x -> r*x*(1-x) are enclosed by a single kernel,
 `logistic_orbit_enclosures`, which rounds outward to ENCLOSURE_BITS = 128
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Literal, Optional, Union
+from typing import Union
 
 Rational = Fraction
 
@@ -128,16 +129,6 @@ class RatInterval:
 
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def intersect(self, other: "RatInterval") -> "RatInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise ValueError("empty intersection")
-        return RatInterval(lo, hi)
-
-    def hull(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     def outward(self, bits: int) -> "RatInterval":
         """Round both endpoints outward to dyadics with denominator 2**bits."""
@@ -381,102 +372,57 @@ def logistic_orbit_enclosures(
     return out
 
 
-ExprKind = Literal["parameter", "state"]
-
-
 @dataclass(frozen=True)
 class IterMapExpr:
-    """f_r^n(x0) - x0 for the quadratic family, evaluated without expansion.
+    """The closing condition r -> f_r^n(1/2) - 1/2 of the critical orbit of
+    the quadratic family over r in [0, 4], evaluated without expansion.
 
-    kind "parameter": the variable is r and x0 is the fixed ``base``; the
-    roots are parameters whose orbit of ``base`` closes up after n steps.
-    kind "state": the variable is x0 at the fixed parameter ``param``; the
-    roots are the n-periodic points.
+    Its roots are the parameters whose critical orbit closes up after n
+    steps, that is, the superattracting centers of period dividing n.
     """
 
-    kind: ExprKind
     iterations: int
-    base: Optional[Fraction] = None
-    param: Optional[RatInterval] = None
+    domain = RatInterval(0, 4)  # the parameters r; a class constant, not a field
 
     def __post_init__(self) -> None:
         if self.iterations < 1:
             raise ValueError("iteration count must be >= 1")
-        if self.kind == "parameter":
-            if self.base is None:
-                raise ValueError("parameter-kind expression needs a base point")
-            object.__setattr__(self, "base", parse_rational(self.base))
-            if not (0 <= self.base <= 1):
-                raise ValueError("base point must lie in [0, 1]")
-        else:
-            if self.param is None:
-                raise ValueError("state expressions need a parameter")
-            p = self.param
-            if not isinstance(p, RatInterval):
-                p = RatInterval.point(p)
-            object.__setattr__(self, "param", p)
-            if p.lo < 0 or p.hi > 4:
-                raise ValueError("parameter must lie in [0, 4]")
 
-    @property
-    def domain(self) -> RatInterval:
-        return RatInterval(0, 4) if self.kind == "parameter" else RatInterval(0, 1)
+    def _orbit(self, r: RatInterval) -> list[RatInterval]:
+        """Enclosures of the critical orbit 1/2, ..., f_r^n(1/2) over ``r``."""
+        if not self.domain.contains_interval(r):
+            raise ValueError(f"input {r} outside expression domain {self.domain}")
+        return logistic_orbit_enclosures(r, RatInterval.point(_HALF), self.iterations)
 
-    def _orbit_start(self, t: RatInterval) -> tuple[RatInterval, RatInterval]:
-        """(r, x0) for the variable enclosure ``t``."""
-        if not self.domain.contains_interval(t):
-            raise ValueError(f"input {t} outside expression domain {self.domain}")
-        if self.kind == "parameter":
-            return t, RatInterval.point(self.base)
-        return self.param, t
-
-    def evaluate(self, x: RatInterval) -> RatInterval:
-        """Interval enclosure of the expression over ``x``."""
-        r, x0 = self._orbit_start(x)
-        return logistic_orbit_enclosures(r, x0, self.iterations)[-1] - x0
+    def evaluate(self, r: RatInterval) -> RatInterval:
+        """Interval enclosure of the expression over ``r``."""
+        return self._orbit(r)[-1] - _HALF
 
     def sign_at(self, t: Fraction) -> int:
         """Exact sign of the expression at a rational point."""
-        t = parse_rational(t)
-        if self.kind == "parameter":
-            r, x0 = t, self.base
-        elif self.param.is_point:
-            r, x0 = self.param.lo, t
-        else:
-            raise ValueError("exact sign needs a point parameter")
-        x = x0
+        r = parse_rational(t)
+        x = _HALF
         for _ in range(self.iterations):
             x = r * x * (1 - x)
-        return _sign(x - x0)
+        return _sign(x - _HALF)
 
-    def derivative_enclosure(self, x: RatInterval) -> RatInterval:
-        """Enclosure of d(expr)/d(variable) over ``x``.
+    def derivative_enclosure(self, r: RatInterval) -> RatInterval:
+        """Enclosure of d(expr)/dr over ``r``.
 
-        Chain rule along the orbit: d <- r*(1 - 2*x_k)*d per step, plus
-        x_k*(1 - x_k) when the variable is r itself.
+        Chain rule along the orbit: d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k).
         """
-        r, x0 = self._orbit_start(x)
-        by_param = self.kind == "parameter"
-        d = RatInterval.point(0 if by_param else 1)
-        for xk in logistic_orbit_enclosures(r, x0, self.iterations)[:-1]:
+        d = RatInterval.point(0)
+        for xk in self._orbit(r)[:-1]:
             d = r * (RatInterval.point(1) - xk * Fraction(2)) * d
-            if by_param:
-                d = d + logistic_step_range(RatInterval.point(1), xk)
+            d = d + logistic_step_range(RatInterval.point(1), xk)
             d = d.outward(ENCLOSURE_BITS)
-        return d if by_param else d - 1
+        return d
 
 
-def critical_orbit_expr(period: int, base: RationalLike = Fraction(1, 2)) -> IterMapExpr:
-    """r -> f_r^period(base) - base; roots are parameters where the orbit of
-    ``base`` closes up with period dividing ``period``."""
-    return IterMapExpr("parameter", period, base=parse_rational(base))
-
-
-def periodic_point_expr(r: Union[Fraction, RatInterval], period: int) -> IterMapExpr:
-    """x -> f_r^period(x) - x at a fixed parameter."""
-    if not isinstance(r, RatInterval):
-        r = RatInterval.point(r)
-    return IterMapExpr("state", period, param=r)
+def critical_orbit_expr(period: int) -> IterMapExpr:
+    """r -> f_r^period(1/2) - 1/2; roots are parameters where the critical
+    orbit closes up with period dividing ``period``."""
+    return IterMapExpr(period)
 
 
 # ---------------------------------------------------------------------------

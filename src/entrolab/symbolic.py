@@ -310,7 +310,7 @@ def _perron_bracket(rows: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
     raise ArithmeticError("Perron bracket did not converge")
 
 
-def sft_entropy(z: SFT, eps: Union[Fraction, str, int], *, provenance: Provenance = Provenance.SFT) -> EntropyBound:
+def sft_entropy(z: SFT, eps: Union[Fraction, str, int]) -> EntropyBound:
     """Certified enclosure of the entropy lim log2(N_n)/n, width <= eps.
 
     The value is log2 of the largest Perron root over the strongly
@@ -322,7 +322,7 @@ def sft_entropy(z: SFT, eps: Union[Fraction, str, int], *, provenance: Provenanc
         raise ValueError("eps must be positive")
     ess = essential_states(z)
     if not ess:
-        return EntropyBound(_ZERO, _ZERO, provenance, certified=True)
+        return EntropyBound(_ZERO, _ZERO, Provenance.SFT, certified=True)
     lam_lo = Fraction(1)
     lam_hi = Fraction(1)
     rel_gap = eps * Fraction(3, 10)
@@ -337,7 +337,7 @@ def sft_entropy(z: SFT, eps: Union[Fraction, str, int], *, provenance: Provenanc
     enc = log2_enclosure(RatInterval(lam_lo, lam_hi), bits)
     lo = max(_ZERO, enc.lo)
     hi = max(_ZERO, enc.hi)
-    bound = EntropyBound(lo, hi, provenance, certified=True)
+    bound = EntropyBound(lo, hi, Provenance.SFT, certified=True)
     if bound.width > eps:
         raise ArithmeticError("entropy enclosure wider than requested")
     return bound

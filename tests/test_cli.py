@@ -5,6 +5,7 @@ import pytest
 
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
+from entrolab.logistic import CenterCache
 from entrolab.numkit import parse_rational
 
 
@@ -91,6 +92,61 @@ def test_pwl_horseshoe_interval_parameter_through_zero_entropy(tmp_path, capsys)
         "p\tn\tbound_lo\tbound_hi",
         "# no horseshoe found within budget (entropy may be 0)",
     ]
+
+
+@pytest.mark.parametrize("cap", ["100", "0"])
+def test_pwl_variation_node_cap_exit_2(tmp_path, capsys, cap):
+    # the variation method honours --node-cap; an overrun is an input error
+    skew = write_json(
+        tmp_path / "skew.json",
+        {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]},
+    )
+    argv = ["entropy", "pwl", "--file", skew, "--method", "variation"]
+    assert main(argv + ["--n-max", "12", "--node-cap", cap]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "tail", ['{"type": "center", "period": 9, "r_', None], ids=["torn", "no-newline"]
+)
+def test_logistic_torn_cache_tail(tmp_path, capsys, tail):
+    # an interrupted append leaves a final line without its newline
+    clean, torn = tmp_path / "clean.jsonl", tmp_path / "torn.jsonl"
+    assert main(["centers", "--max-period", "1", "--cache-path", str(clean)]) == 0
+    text = clean.read_text(encoding="utf-8")
+    torn.write_text(text[:-1] if tail is None else text + tail, encoding="utf-8")
+    capsys.readouterr()
+    outputs = []
+    for path in (clean, torn):
+        argv = ["--format", "json", "entropy", "logistic", "--r", "3.2", "--eps", "1/100",
+                "--max-period", "2", "--cache-path", str(path)]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    # the run appended period 2 after cutting the tail, so the files agree
+    assert torn.read_bytes() == clean.read_bytes()
+    assert CenterCache(torn).scanned.keys() == {1, 2}
+
+
+def test_empty_cache_file_gets_header(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.touch()
+    assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
+    assert main(["centers", "--max-period", "2", "--cache-path", str(path)]) == 0
+    assert path.read_text(encoding="utf-8").startswith('{"schema": 1}\n')
+
+
+@pytest.mark.parametrize(
+    "line", ['{"type": "cen', '{"type": "center"}', "[1, 2]"], ids=["json", "keys", "shape"]
+)
+def test_logistic_malformed_cache_line_exit_2(tmp_path, capsys, line):
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
+    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+    path.write_text(header + "\n" + line + "\n" + rest, encoding="utf-8")
+    argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--cache-path", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_identity_both_methods(tmp_path, capsys):

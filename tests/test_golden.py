@@ -1,0 +1,99 @@
+"""Byte-identical JSON output on a fixed set of CLI calls.
+
+Each call runs ``cli.main(["--format", "json", ...])`` in process, on a
+center cache built fresh by ``centers --max-period 6``. The SHA-256 of
+every stdout, and of the cache file, must match the recorded digest. A
+change that moves any of them has changed what entrolab prints; if that is
+intended it bumps the cache schema or says so in CHANGES.md, and the
+digests here are re-recorded.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from entrolab.cli import main
+
+TENT = {"nodes": [["0/1", "0/1"], ["1/2", "1/1"], ["1/1", "0/1"]]}
+SKEW_TENT = {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]}
+FULL_LOGISTIC = {"r": "4/1"}
+GOLDEN_MEAN = {"alphabet": 2, "allowed": [[1, 1], [1, 0]]}
+
+CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
+CENTERS_CACHE = "098f27d8c7cf855728f19e1fd66b897e4536461b046d47fa121fbaabd5852090"
+
+# (r, eps, exit code, stdout digest) on the period-6 cache
+LOGISTIC = [
+    ("3.84", "1/100", 0, "52e662863f69362cdc4548e683cde18d7569946318a83f3fa8e06f7b38847979"),
+    ("3.2", "1/100", 0, "d7559d8b802ad6b461c3b7f8a24d6eb0fc23638132efdf87e0c805582a62dd68"),
+    ("7/2", "1/32", 3, "61f65eda718e506d423ee8e4364563c5d75239642119dd2f6e1f509d2a3a307c"),
+    ("3.83", "1/32", 3, "238a0b0d4bf9806253d87756eaec656a5b17f8a6902d76dbeca00196e06888ae"),
+    ("3.99", "1e-6", 3, "a0c5bb3fe460ccef3d8fb8a18371a453f4e4f3f4f5463788efee2b57cb1aef44"),
+]
+
+# (id, map or subshift, argv after the file, stdout digest)
+FILE_CALLS = [
+    ("tent-horseshoe", TENT, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
+     "4e2bdf6e821e1e4d4b30932564e87f0b67625d08f840625dd470df66bf0cec2d"),
+    ("r4-horseshoe", FULL_LOGISTIC, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "4"],
+     "3dee71cb706bcb04caa4dcaf6c29f9433f0ae0c1c20eeda03c41c430ee484bea"),
+    ("skew-tent-variation", SKEW_TENT, ["entropy", "pwl", "--method", "variation", "--n-max", "8"],
+     "ecfc6e5e30882ae12e469b40299fc70e301ed79f2b3005e8d383ddb5f39065e3"),
+    ("golden-mean-sft", GOLDEN_MEAN, ["sft", "entropy", "--eps", "1e-9"],
+     "b20e244e7a4505e1100785f4d3b916a4594862ecd44ee2be4e3bbdb8c37e9b46"),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_json(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["--format", "json", *argv])
+    return code, buf.getvalue()
+
+
+def check(code: int, out: str, want_code: int, want_sha: str) -> None:
+    assert (code, _sha(out.encode())) == (want_code, want_sha), (
+        f"exit {code}, stdout sha256 {_sha(out.encode())}:\n{out}"
+    )
+
+
+@pytest.fixture(scope="module")
+def centers_cache(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "centers.jsonl"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("ENTROLAB_CACHE", raising=False)
+        code, out = run_json(["centers", "--max-period", "6", "--cache-path", str(path)])
+    return path, code, out
+
+
+def test_golden_centers(centers_cache):
+    path, code, out = centers_cache
+    check(code, out, 0, CENTERS_STDOUT)
+    assert _sha(path.read_bytes()) == CENTERS_CACHE, path.read_text()
+
+
+@pytest.mark.parametrize("r, eps, want_code, want_sha", LOGISTIC, ids=[c[0] for c in LOGISTIC])
+def test_golden_logistic(centers_cache, r, eps, want_code, want_sha):
+    path = centers_cache[0]
+    argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--max-period", "6"]
+    code, out = run_json(argv + ["--cache-path", str(path)])
+    check(code, out, want_code, want_sha)
+    # every period up to 6 is already scanned, so nothing is appended
+    assert _sha(path.read_bytes()) == CENTERS_CACHE
+
+
+@pytest.mark.parametrize(
+    "payload, argv, want_sha", [c[1:] for c in FILE_CALLS], ids=[c[0] for c in FILE_CALLS]
+)
+def test_golden_file_commands(tmp_path, payload, argv, want_sha):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
+    code, out = run_json([*argv, "--file", str(path)])
+    check(code, out, 0, want_sha)

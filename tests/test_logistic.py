@@ -4,18 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from entrolab.numkit import RatInterval
-from entrolab.symbolic import Provenance
+from entrolab.symbolic import Provenance, sft_entropy
 from entrolab.logistic import (
     BracketSample,
     BudgetExceeded,
     CenterCache,
     SandwichBudget,
     Side,
-    Verdict,
-    attracting_cycle_at,
-    attracting_cycle_over,
-    center_entropy,
-    chain_certify,
     collect_brackets,
     enumerate_centers,
     logistic_entropy,
@@ -71,7 +66,7 @@ def test_period3_partition_runs_are_contiguous(centers3):
 
 
 def test_center_entropy_width(centers3):
-    e = center_entropy(centers3[2], F(1, 10**9))
+    e = sft_entropy(centers3[2].sft, F(1, 10**9))
     assert e.width <= F(1, 10**9)
     assert float(e.lo) <= PHI_LOG <= float(e.hi)
 
@@ -104,25 +99,6 @@ def test_cache_env_override(monkeypatch, tmp_path):
     assert resolve_cache_path(None) is None
 
 
-def test_attracting_cycle_detection():
-    assert attracting_cycle_at(F(2), 1) is Verdict.YES
-    assert attracting_cycle_at(F(16, 5), 2) is Verdict.YES
-    assert attracting_cycle_at(F(16, 5), 1) is Verdict.NO
-
-
-def test_attracting_cycle_over_window():
-    # a narrow stretch of the attracting-fixed-point region certifies whole
-    assert attracting_cycle_over(RatInterval(F(5, 2), F(51, 20)), 1) is True
-    # no interval through the first period-doubling can certify period 1
-    assert attracting_cycle_over(RatInterval(F(29, 10), F(31, 10)), 1) is False
-
-
-def test_chain_certify_fixed_point_window(centers3):
-    c1 = centers3[0]  # r = 2
-    assert chain_certify(c1.r_enc, F(29, 10), 1)
-    assert not chain_certify(c1.r_enc, F(34, 10), 1, max_links=64)
-
-
 def test_collect_brackets_at_exact_center(centers3):
     samples = collect_brackets(RatInterval.point(2), centers3)
     assert any(s.side is Side.AT and s.entropy.hi == 0 for s in samples)
@@ -138,14 +114,6 @@ def test_collect_brackets_sides(session_cache):
     # synthetic boundary record near 4
     near4 = collect_brackets(RatInterval.point(F(399, 100)), centers)
     assert any(s.d == 4 and s.entropy.lo == 1 for s in near4 if s.side is Side.ABOVE)
-
-
-def test_collect_brackets_with_chains(centers3):
-    samples = collect_brackets(
-        RatInterval.point(F(21, 10)), centers3[:1], chains=True
-    )
-    below = [s for s in samples if s.side is Side.BELOW and s.witness_period == 1]
-    assert below and below[0].d == F(21, 10)  # pushed from r=2 up to the query
 
 
 def test_sandwich_at_7_halves(session_cache):

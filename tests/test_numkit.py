@@ -17,7 +17,6 @@ from entrolab.numkit import (
     log2_enclosure,
     logistic_step_range,
     parse_rational,
-    periodic_point_expr,
     refine_root,
     root_isolate,
     simplest_rational_in,
@@ -119,8 +118,8 @@ def test_interval_eval_point_consistency():
     expr = critical_orbit_expr(1)
     assert expr.evaluate(RatInterval.point(2)) == RatInterval.point(0)
     # f_4^2(1/2) - 1/2: 1/2 -> 1 -> 0
-    expr = periodic_point_expr(F(4), 2)
-    assert expr.evaluate(RatInterval.point(F(1, 2))) == RatInterval.point(F(-1, 2))
+    expr = critical_orbit_expr(2)
+    assert expr.evaluate(RatInterval.point(4)) == RatInterval.point(F(-1, 2))
 
 
 def test_interval_eval_p2_straddles_zero():
@@ -171,25 +170,17 @@ def test_point_evaluation_matches_exact(period, q):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    kind=st.sampled_from(("parameter", "state")),
     period=st.integers(1, 5),
-    r=st.fractions(min_value=0, max_value=4, max_denominator=1000),
-    u=st.fractions(min_value=0, max_value=1, max_denominator=1000),
-    v=st.fractions(min_value=0, max_value=1, max_denominator=1000),
+    u=st.fractions(min_value=0, max_value=4, max_denominator=1000),
+    v=st.fractions(min_value=0, max_value=4, max_denominator=1000),
 )
-def test_derivative_enclosure_contains_difference_quotient(kind, period, r, u, v):
+def test_derivative_enclosure_contains_difference_quotient(period, u, v):
     # by the mean value theorem (F(b) - F(a)) / (b - a) is F' somewhere in (a, b)
     assume(u != v)
     a, b = min(u, v), max(u, v)
-    if kind == "parameter":
-        a, b = 4 * a, 4 * b
-        expr = critical_orbit_expr(period)
-        values = [exact_value(t, F(1, 2), period) for t in (a, b)]
-    else:
-        expr = periodic_point_expr(r, period)
-        values = [exact_value(r, t, period) for t in (a, b)]
+    values = [exact_value(t, F(1, 2), period) for t in (a, b)]
     quotient = (values[1] - values[0]) / (b - a)
-    assert expr.derivative_enclosure(RatInterval(a, b)).contains(quotient)
+    assert critical_orbit_expr(period).derivative_enclosure(RatInterval(a, b)).contains(quotient)
 
 
 def test_root_isolate_p1():
@@ -239,13 +230,12 @@ def test_refine_root():
     assert expr.sign_at(root.lo) * expr.sign_at(root.hi) < 0
 
 
-def test_state_expression_roots():
-    # fixed points of f_2: 0 and 1/2
-    expr = periodic_point_expr(F(2), 1)
-    iso = root_isolate(expr, RatInterval(0, 1), F(1, 1 << 16))
-    assert len(iso.roots) == 2
-    assert iso.roots[0].contains(F(0))
-    assert iso.roots[1].contains(F(1, 2))
+@pytest.mark.parametrize("domain", [RatInterval(2, 4), RatInterval(0, 2)], ids=["lo", "hi"])
+def test_root_isolate_exact_root_at_domain_endpoint(domain):
+    # r/4 - 1/2 vanishes exactly at r = 2, an endpoint of either domain
+    iso = root_isolate(critical_orbit_expr(1), domain, F(1, 1 << 16))
+    assert iso.roots == (RatInterval.point(2),)
+    assert not iso.unresolved
 
 
 def test_logistic_step_range_is_exact_image():
