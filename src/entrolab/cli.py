@@ -45,6 +45,11 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# the finest entropy precision accepted is 2^-MAX_PRECISION_BITS: the cost of
+# the Perron bracket grows with the bits asked for, and --bits 100000 ran for
+# minutes on one center
+MAX_PRECISION_BITS = 1024
+
 
 class InputError(Exception):
     """Bad file or value supplied to a command."""
@@ -85,6 +90,14 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
+def _check_precision(eps: Fraction, bits: int = 0) -> None:
+    # a nonpositive eps is left to the callers' own checks and messages
+    if bits > MAX_PRECISION_BITS or 0 < eps < Fraction(1, 2**MAX_PRECISION_BITS):
+        raise InputError(
+            f"precision finer than 2^-{MAX_PRECISION_BITS} is not supported"
+        )
+
+
 def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -106,6 +119,7 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
         raise InputError("numeric options must be positive")
     if seconds is not None and seconds <= 0:
         raise InputError("numeric options must be positive")
+    _check_precision(eps, args.bits)
     cache = CenterCache(resolve_cache_path(args.cache_path))
     budget = SandwichBudget(max_period=args.max_period, seconds=seconds)
     start = time.monotonic()
@@ -244,6 +258,7 @@ def cmd_sft_kappa(args: argparse.Namespace) -> int:
 
 def cmd_centers(args: argparse.Namespace) -> int:
     eps = _parse_fraction(args.eps, "--eps")
+    _check_precision(eps)
     cache = CenterCache(resolve_cache_path(args.cache_path))
     result = enumerate_centers(args.max_period, eps=eps, cache=cache)
     if args.format == "json":

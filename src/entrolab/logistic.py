@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
@@ -359,29 +359,10 @@ def _build_center(
 DEFAULT_PERIOD_CAP = 10
 
 
-def enumerate_centers(
-    p_max: int,
-    *,
-    eps: RationalLike = DEFAULT_EPS,
-    cache: Union[CenterCache, str, Path, None] = None,
-    cap: int = DEFAULT_PERIOD_CAP,
-) -> EnumerationResult:
-    """All superattracting centers of period <= p_max in (0, 4).
-
-    Roots of the closing condition are isolated per period, filtered down
-    to primitive periods by certified separation from shorter-period
-    centers, and each survivor is refined until its critical orbit is
-    certifiably simple, then assigned its induced subshift and a certified
-    entropy enclosure of width <= eps. Periods beyond ``cap`` are refused;
-    raise the cap knowingly, scan cost grows steeply with the period.
-    """
-    if p_max < 1:
-        raise ValueError("p_max must be >= 1")
-    if p_max > cap:
-        raise ValueError(f"p_max {p_max} exceeds the configured cap {cap}")
-    eps = parse_rational(eps)
-    if not isinstance(cache, CenterCache):
-        cache = CenterCache(resolve_cache_path(cache))
+def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[Center]:
+    """The stored centers of period <= p_max, sorted by (r_enc.lo, period),
+    after scanning every period the cache lacks; new centers get entropy
+    enclosures of width <= eps, stored ones are returned as stored."""
     for p in range(1, p_max + 1):
         if p in cache.scanned:
             continue
@@ -402,20 +383,49 @@ def enumerate_centers(
                 continue
             cache.add_center(center)
         cache.mark_scanned(p, unresolved)
-    centers = sorted(
+    return sorted(
         (c for c in cache.centers if c.period <= p_max),
         key=lambda c: (c.r_enc.lo, c.period),
     )
-    # serve entropies at the requested precision even from older cache lines
-    refreshed = []
-    for c in centers:
-        if c.entropy.width > eps:
-            refreshed.append(
-                Center(c.r_enc, c.period, c.orbit_order, c.sft, sft_entropy(c.sft, eps))
-            )
-        else:
-            refreshed.append(c)
-    return EnumerationResult(tuple(refreshed), tuple(cache.unresolved))
+
+
+def _refined(center: Center, eps: Fraction) -> Center:
+    """The center with an entropy enclosure of width <= eps. A coarser stored
+    enclosure is recomputed in memory; the cache line is left as it is."""
+    if center.entropy.width <= eps:
+        return center
+    return replace(center, entropy=sft_entropy(center.sft, eps))
+
+
+def enumerate_centers(
+    p_max: int,
+    *,
+    eps: RationalLike = DEFAULT_EPS,
+    cache: Union[CenterCache, str, Path, None] = None,
+    cap: int = DEFAULT_PERIOD_CAP,
+) -> EnumerationResult:
+    """All superattracting centers of period <= p_max in (0, 4).
+
+    Roots of the closing condition are isolated per period, filtered down
+    to primitive periods by certified separation from shorter-period
+    centers, and each survivor is refined until its critical orbit is
+    certifiably simple, then assigned its induced subshift. Every returned
+    center carries a certified entropy enclosure of width <= eps; stored
+    enclosures coarser than that are refined in memory and never written
+    back. Periods beyond ``cap`` are refused; raise the cap knowingly, scan
+    cost grows steeply with the period.
+    """
+    if p_max < 1:
+        raise ValueError("p_max must be >= 1")
+    if p_max > cap:
+        raise ValueError(f"p_max {p_max} exceeds the configured cap {cap}")
+    eps = parse_rational(eps)
+    if not isinstance(cache, CenterCache):
+        cache = CenterCache(resolve_cache_path(cache))
+    centers = _scan_centers(p_max, eps, cache)
+    return EnumerationResult(
+        tuple(_refined(c, eps) for c in centers), tuple(cache.unresolved)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,27 +439,33 @@ _EXACT_ONE = EntropyBound(_ONE, _ONE, Provenance.EXACT, certified=True)
 def collect_brackets(
     query: RatInterval,
     centers: Sequence[Center],
+    *,
+    eps: RationalLike,
 ) -> list[BracketSample]:
     """Entropy samples on both sides of the query parameter.
 
     The nearest enumerated center on each side contributes a sample at its
     enclosure endpoint (sound by the monotonicity of the entropy in the
-    parameter). Boundary records at 3 (entropy 0) and 4 (entropy 1) are always
-    available.
+    parameter), and an exact center at a point query contributes its own
+    value. Only these emitted centers get entropy enclosures of width <= eps,
+    refined in memory where the stored one is coarser. Boundary records at
+    3 (entropy 0) and 4 (entropy 1) are always available.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
+    eps = parse_rational(eps)
     samples: list[BracketSample] = []
     below = [c for c in centers if c.r_enc.hi < query.lo]
     above = [c for c in centers if c.r_enc.lo > query.hi]
     for c in centers:
         if c.exact and query.is_point and query.lo == c.r_enc.lo:
-            samples.append(BracketSample(query.lo, c.entropy, Side.AT, c.period))
+            entropy = _refined(c, eps).entropy
+            samples.append(BracketSample(query.lo, entropy, Side.AT, c.period))
     if below:
-        c = max(below, key=lambda c: c.r_enc.hi)
+        c = _refined(max(below, key=lambda c: c.r_enc.hi), eps)
         samples.append(BracketSample(c.r_enc.hi, c.entropy, Side.BELOW, c.period))
     if above:
-        c = min(above, key=lambda c: c.r_enc.lo)
+        c = _refined(min(above, key=lambda c: c.r_enc.lo), eps)
         samples.append(BracketSample(c.r_enc.lo, c.entropy, Side.ABOVE, c.period))
     if query.lo >= 3:
         samples.append(BracketSample(Fraction(3), _EXACT_ZERO, Side.BELOW, 1))
@@ -503,10 +519,8 @@ def logistic_entropy(
     hi_bound = _ONE
     target = eps * Fraction(9, 10)
     for p_max in range(1, budget.max_period + 1):
-        result = enumerate_centers(
-            p_max, eps=center_eps, cache=cache, cap=budget.max_period
-        )
-        brackets = collect_brackets(query, result.centers)
+        centers = _scan_centers(p_max, center_eps, cache)
+        brackets = collect_brackets(query, centers, eps=center_eps)
         for s in brackets:
             if s.side is Side.BELOW:
                 lo_bound = max(lo_bound, s.entropy.lo)

@@ -174,6 +174,27 @@ def test_logistic_nonpositive_option_exit_2(tmp_path, capsys, flag):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["entropy", "logistic", "--r", "3.7", "--eps", "1/32", "--bits", "100000"],
+        ["entropy", "logistic", "--r", "3.7", "--eps", "1e-309"],
+        ["centers", "--max-period", "1", "--eps", "1e-309"],
+    ],
+    ids=["logistic-bits", "logistic-eps", "centers-eps"],
+)
+def test_precision_beyond_cap_exit_2(tmp_path, capsys, argv):
+    # finer than 2^-1024 is refused before any Perron bracket runs
+    assert main(argv + ["--cache-path", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_logistic_precision_at_cap(tmp_path, capsys):
+    argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--bits", "1024"]
+    assert main(argv + ["--max-period", "4", "--cache-path", str(tmp_path / "c.jsonl")]) == 0
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["entropy", "logistic"])  # missing required flags

@@ -1,7 +1,9 @@
 """Byte-identical JSON output on a fixed set of CLI calls.
 
 Each call runs ``cli.main(["--format", "json", ...])`` in process, on a
-center cache built fresh by ``centers --max-period 6``. The SHA-256 of
+center cache built fresh by ``centers --max-period 6``, or by the same call
+with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
+center precision and so are refined in memory. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
 change that moves any of them has changed what entrolab prints; if that is
 intended it bumps the cache schema or says so in CHANGES.md, and the
@@ -34,6 +36,17 @@ LOGISTIC = [
     ("3.99", "1e-6", 3, "a0c5bb3fe460ccef3d8fb8a18371a453f4e4f3f4f5463788efee2b57cb1aef44"),
 ]
 
+COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
+COARSE_CACHE = "bafd9dd7f8bddd3460807e5e1d5106b1cea84012db7fd9c41d0b43a36cbb14e6"
+
+# (r, eps, exit code, stdout digest) on the period-6 cache at eps 1/1000
+COARSE_LOGISTIC = [
+    ("3.5", "1/32", 3, "61f65eda718e506d423ee8e4364563c5d75239642119dd2f6e1f509d2a3a307c"),
+    ("3.7", "1/128", 3, "355f9516073ae8e89ef3fe87eb8e6d3e30df76984978893ce3aba3928396b1cb"),
+    ("3.83", "1/128", 3, "e76c89daecfba5223e1eb70e37824b3ca3412e430d73eee36170a97f15468f6c"),
+    ("3.99", "1/128", 3, "6793b1edc99e74ad6f5a6ee5b9d33d8fef125b7bde8a7ad8c6e724e74e92bba8"),
+]
+
 # (id, map or subshift, argv after the file, stdout digest)
 FILE_CALLS = [
     ("tent-horseshoe", TENT, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
@@ -64,13 +77,23 @@ def check(code: int, out: str, want_code: int, want_sha: str) -> None:
     )
 
 
-@pytest.fixture(scope="module")
-def centers_cache(tmp_path_factory):
+def build_cache(tmp_path_factory, *eps: str) -> tuple:
     path = tmp_path_factory.mktemp("golden") / "centers.jsonl"
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("ENTROLAB_CACHE", raising=False)
-        code, out = run_json(["centers", "--max-period", "6", "--cache-path", str(path)])
+        argv = ["centers", "--max-period", "6", *eps, "--cache-path", str(path)]
+        code, out = run_json(argv)
     return path, code, out
+
+
+@pytest.fixture(scope="module")
+def centers_cache(tmp_path_factory):
+    return build_cache(tmp_path_factory)
+
+
+@pytest.fixture(scope="module")
+def coarse_cache(tmp_path_factory):
+    return build_cache(tmp_path_factory, "--eps", "1/1000")
 
 
 def test_golden_centers(centers_cache):
@@ -87,6 +110,24 @@ def test_golden_logistic(centers_cache, r, eps, want_code, want_sha):
     check(code, out, want_code, want_sha)
     # every period up to 6 is already scanned, so nothing is appended
     assert _sha(path.read_bytes()) == CENTERS_CACHE
+
+
+def test_golden_coarse_centers(coarse_cache):
+    path, code, out = coarse_cache
+    check(code, out, 0, COARSE_STDOUT)
+    assert _sha(path.read_bytes()) == COARSE_CACHE, path.read_text()
+
+
+@pytest.mark.parametrize(
+    "r, eps, want_code, want_sha", COARSE_LOGISTIC, ids=[c[0] for c in COARSE_LOGISTIC]
+)
+def test_golden_logistic_refined(coarse_cache, r, eps, want_code, want_sha):
+    path = coarse_cache[0]
+    argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--max-period", "6"]
+    code, out = run_json(argv + ["--cache-path", str(path)])
+    check(code, out, want_code, want_sha)
+    # entropies refined for the query are never written back
+    assert _sha(path.read_bytes()) == COARSE_CACHE
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ import pytest
 
 from entrolab.numkit import RatInterval
 from entrolab.symbolic import Provenance, sft_entropy
+import entrolab.logistic
 from entrolab.logistic import (
+    DEFAULT_EPS,
     BracketSample,
     BudgetExceeded,
     CenterCache,
@@ -100,20 +102,58 @@ def test_cache_env_override(monkeypatch, tmp_path):
 
 
 def test_collect_brackets_at_exact_center(centers3):
-    samples = collect_brackets(RatInterval.point(2), centers3)
+    samples = collect_brackets(RatInterval.point(2), centers3, eps=DEFAULT_EPS)
     assert any(s.side is Side.AT and s.entropy.hi == 0 for s in samples)
 
 
-def test_collect_brackets_sides(session_cache):
+def test_collect_brackets_sides(session_cache, tmp_path):
     centers = enumerate_centers(8, cache=session_cache).centers
-    samples = collect_brackets(RatInterval.point(F(7, 2)), centers)
+    samples = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
     below = [s for s in samples if s.side is Side.BELOW]
     above = [s for s in samples if s.side is Side.ABOVE]
     assert any(s.witness_period == 4 and s.entropy.hi == 0 for s in below)
     assert any(s.witness_period == 8 and s.entropy.hi == 0 for s in above)
     # synthetic boundary record near 4
-    near4 = collect_brackets(RatInterval.point(F(399, 100)), centers)
+    near4 = collect_brackets(RatInterval.point(F(399, 100)), centers, eps=DEFAULT_EPS)
     assert any(s.d == 4 and s.entropy.lo == 1 for s in near4 if s.side is Side.ABOVE)
+    # stored entropies coarser than eps are refined for every emitted sample
+    coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(tmp_path / "c.jsonl"))
+    assert any(c.entropy.width > DEFAULT_EPS for c in coarse.centers)
+    for r in (F(2), F(7, 2), F(383, 100)):
+        for s in collect_brackets(RatInterval.point(r), coarse.centers, eps=DEFAULT_EPS):
+            assert s.entropy.width <= DEFAULT_EPS
+
+
+def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
+    enumerate_centers(8, cache=session_cache)  # nothing left to scan below
+    calls = []
+    periods = []
+    sft_entropy_ = entrolab.logistic.sft_entropy
+    collect_brackets_ = entrolab.logistic.collect_brackets
+
+    def counted_sft_entropy(*args, **kwargs):
+        calls.append(args)
+        return sft_entropy_(*args, **kwargs)
+
+    def counted_collect_brackets(*args, **kwargs):
+        periods.append(args)
+        return collect_brackets_(*args, **kwargs)
+
+    monkeypatch.setattr(entrolab.logistic, "sft_entropy", counted_sft_entropy)
+    monkeypatch.setattr(entrolab.logistic, "collect_brackets", counted_collect_brackets)
+    try:
+        logistic_entropy(
+            F(383, 100),
+            F(1, 128),
+            SandwichBudget(max_period=8),
+            cache=session_cache,
+            center_eps=F(1, 2**40),  # finer than every stored enclosure
+        )
+    except BudgetExceeded:
+        pass
+    # one AT, one BELOW and one ABOVE sample per period iterated at most
+    assert 1 <= len(periods) <= 8
+    assert len(calls) <= 3 * len(periods)
 
 
 def test_sandwich_at_7_halves(session_cache):
