@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -285,6 +286,7 @@ def cmd_centers(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="entrolab",
@@ -316,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     pwl.add_argument("--max-n", type=int, default=8, help="horseshoe iterate budget")
     pwl.add_argument("--max-p", type=int, default=4096)
     pwl.add_argument("--grid-depth", type=int, default=3)
-    pwl.add_argument("--bits", type=int, default=32)
+    pwl.add_argument("--bits", type=int, default=32,
+                     help="--method variation only; horseshoe bounds use 32 bits")
     pwl.add_argument("--node-cap", type=int, default=1_000_000)
     pwl.set_defaults(func=cmd_entropy_pwl)
 

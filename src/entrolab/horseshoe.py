@@ -11,9 +11,10 @@ found, which is sound regardless.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .numkit import (
     RatInterval,
@@ -33,7 +34,6 @@ from .interval_maps import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # precision of the log2(p)/n enclosure of each streamed bound
 _BOUND_BITS = 32
@@ -121,7 +121,9 @@ def check_certificate(
 ) -> bool:
     """Check that the n-th iterate image of every J_i strictly contains the hull.
 
-    Piecewise-linear maps are checked exactly on the composed iterate. For
+    Piecewise-linear maps are checked exactly on the composed iterate f^n,
+    so (J, n) is a certificate for f exactly when (J, 1) is one for f^n;
+    the search checks its candidates that way, on the iterate it holds. For
     quadratic maps only the endpoints of each J_i are iterated: the
     enclosure of f^n at one endpoint must lie strictly below the hull and
     the one at the other endpoint strictly above it. By the intermediate
@@ -133,8 +135,7 @@ def check_certificate(
     hull = cert.hull
     if isinstance(f, PWLMap):
         g = compose_iterate(f, cert.n, node_cap)
-        images = [g.image_on(iv) for iv in cert.intervals]
-        return all(img.lo < hull.lo and img.hi > hull.hi for img in images)
+        return all(g.image_on(iv).strictly_contains(hull) for iv in cert.intervals)
 
     def end_image(x: Fraction) -> RatInterval:
         return logistic_orbit_enclosures(f.r, RatInterval.point(x), cert.n)[-1]
@@ -214,16 +215,16 @@ def _branch_preimage(g: PWLMap, br: _Branch, target: RatInterval) -> RatInterval
 def _pwl_candidates(
     g: PWLMap, budget: SearchBudget
 ) -> Iterator[tuple[int, tuple[RatInterval, ...]]]:
-    """Yield (p, intervals) candidates, largest p first, deterministically."""
+    """Yield (p, intervals) candidates, largest p first, deterministically.
+
+    The preimages of ``inner`` are ordered and disjoint: two picked branches
+    share at most a turning point x, and g(x), an extreme of both images,
+    lies outside ``inner``, which every image strictly contains.
+    """
     branches = _branches(g)
-    if not branches:
-        return
     # candidate targets: the distinct branch images (most frequent first),
     # then a coarse dyadic grid as a fallback
-    freq: dict[tuple[Fraction, Fraction], int] = {}
-    for br in branches:
-        key = (br.img.lo, br.img.hi)
-        freq[key] = freq.get(key, 0) + 1
+    freq = Counter((br.img.lo, br.img.hi) for br in branches)
     targets = [
         RatInterval(lo, hi)
         for (lo, hi), _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:64]
@@ -235,35 +236,29 @@ def _pwl_candidates(
             for j in range(i + 1, denom + 1):
                 targets.append(RatInterval(Fraction(i, denom), Fraction(j, denom)))
 
-    results: list[tuple[int, tuple[RatInterval, ...]]] = []
-    seen: set[tuple] = set()
+    # each target takes the first shrink level that picks two branches;
+    # candidates are grouped by p, and preimages are computed per group
+    groups: dict[int, list[tuple[RatInterval, list[_Branch]]]] = {}
     for target in targets:
-        if target.width == 0:
-            continue
         selected = [
             br
             for br in branches
             if br.img.contains_interval(target) and target.strictly_contains(br.dom)
-        ]
-        if len(selected) < 2:
-            continue
-        if len(selected) > budget.max_p:
-            selected = selected[: budget.max_p]
+        ][: budget.max_p]
         for shrink_bits in (8, 12, 16):
             eta = target.width / (1 << shrink_bits)
             inner = RatInterval(target.lo + eta, target.hi - eta)
             picked = [br for br in selected if inner.strictly_contains(br.dom)]
-            if len(picked) < 2:
-                continue
-            js = tuple(_branch_preimage(g, br, inner) for br in picked)
-            if all(a.hi < b.lo for a, b in zip(js, js[1:])):
-                key = tuple((iv.lo, iv.hi) for iv in js)
-                if key not in seen:
-                    seen.add(key)
-                    results.append((len(js), js))
+            if len(picked) >= 2:
+                groups.setdefault(len(picked), []).append((inner, picked))
                 break
-    results.sort(key=lambda item: (-item[0], [(iv.lo, iv.hi) for iv in item[1]]))
-    yield from results
+    for p in sorted(groups, reverse=True):
+        found = {
+            tuple(_branch_preimage(g, br, inner) for br in picked)
+            for inner, picked in groups[p]
+        }
+        for js in sorted(found, key=lambda js: [(iv.lo, iv.hi) for iv in js]):
+            yield p, js
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +382,7 @@ def search_lower_bounds(
     budget, which is the correct outcome for zero-entropy maps.
     """
     best: Fraction = _ZERO
-    g: Optional[PWLMap] = f if isinstance(f, PWLMap) else None
+    g = f
     for n in range(1, budget.max_n + 1):
         if isinstance(f, PWLMap):
             if n > 1:
@@ -403,7 +398,9 @@ def search_lower_bounds(
             if bound.lo <= best:
                 break  # candidates are sorted by p descending
             cert = HorseshoeCert(intervals, n)
-            if check_certificate(f, cert, node_cap=node_cap):
+            # an n-certificate for f is exactly a 1-certificate for g = f^n
+            on_g = HorseshoeCert(intervals, 1) if isinstance(f, PWLMap) else cert
+            if check_certificate(g, on_g, node_cap=node_cap):
                 yield LowerBoundRecord(cert, bound)
                 best = bound.lo
                 break

@@ -402,7 +402,6 @@ def enumerate_centers(
     *,
     eps: RationalLike = DEFAULT_EPS,
     cache: Union[CenterCache, str, Path, None] = None,
-    cap: int = DEFAULT_PERIOD_CAP,
 ) -> EnumerationResult:
     """All superattracting centers of period <= p_max in (0, 4).
 
@@ -412,13 +411,13 @@ def enumerate_centers(
     certifiably simple, then assigned its induced subshift. Every returned
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
-    back. Periods beyond ``cap`` are refused; raise the cap knowingly, scan
-    cost grows steeply with the period.
+    back. Periods beyond ``DEFAULT_PERIOD_CAP`` are refused: scan cost
+    grows steeply with the period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    if p_max > cap:
-        raise ValueError(f"p_max {p_max} exceeds the configured cap {cap}")
+    if p_max > DEFAULT_PERIOD_CAP:
+        raise ValueError(f"p_max {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
     eps = parse_rational(eps)
     if not isinstance(cache, CenterCache):
         cache = CenterCache(resolve_cache_path(cache))

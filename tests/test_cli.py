@@ -190,6 +190,13 @@ def test_precision_beyond_cap_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_centers_beyond_period_cap_exit_2(tmp_path, capsys):
+    # refused before any period is scanned
+    assert main(["centers", "--max-period", "11", "--cache-path", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.jsonl").exists()
+
+
 def test_logistic_precision_at_cap(tmp_path, capsys):
     argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--bits", "1024"]
     assert main(argv + ["--max-period", "4", "--cache-path", str(tmp_path / "c.jsonl")]) == 0

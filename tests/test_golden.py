@@ -3,7 +3,8 @@
 Each call runs ``cli.main(["--format", "json", ...])`` in process, on a
 center cache built fresh by ``centers --max-period 6``, or by the same call
 with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
-center precision and so are refined in memory. The SHA-256 of
+center precision and so are refined in memory, or on a map file written
+by ``realize`` or by the test itself. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
 change that moves any of them has changed what entrolab prints; if that is
 intended it bumps the cache schema or says so in CHANGES.md, and the
@@ -57,6 +58,16 @@ FILE_CALLS = [
      "ecfc6e5e30882ae12e469b40299fc70e301ed79f2b3005e8d383ddb5f39065e3"),
     ("golden-mean-sft", GOLDEN_MEAN, ["sft", "entropy", "--eps", "1e-9"],
      "b20e244e7a4505e1100785f4d3b916a4594862ecd44ee2be4e3bbdb8c37e9b46"),
+    # few branches per target: pins the max_p cut before the shrink levels
+    ("tent-horseshoe-max-p", TENT,
+     ["entropy", "pwl", "--method", "horseshoe", "--max-p", "8", "--grid-depth", "0"],
+     "de7f45ba938ac6aea3306bdfffd757b4de7b33cffad992c2fa96ff6104e7aa37"),
+]
+
+# (entropy target given to ``realize``, horseshoe argv after the file, stdout digest)
+REALIZED_CALLS = [
+    ("1", ["--max-n", "8"], "6096ef393be51fa2415051438471c89b2e3f1465025a336a95a94db74ebae840"),
+    ("0.6", ["--max-n", "6"], "e7fecc6fdea38c6d6ed88f9dbfe06e7744a2d3e22793682954fa9e36d7faac1b"),
 ]
 
 
@@ -137,4 +148,14 @@ def test_golden_file_commands(tmp_path, payload, argv, want_sha):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
     code, out = run_json([*argv, "--file", str(path)])
+    check(code, out, 0, want_sha)
+
+
+@pytest.mark.parametrize(
+    "h, argv, want_sha", REALIZED_CALLS, ids=[f"realize-{c[0]}-horseshoe" for c in REALIZED_CALLS]
+)
+def test_golden_realized_horseshoe(tmp_path, h, argv, want_sha):
+    path = tmp_path / "realized.json"
+    assert run_json(["realize", "--h", h, "--out", str(path)])[0] == 0
+    code, out = run_json(["entropy", "pwl", "--method", "horseshoe", *argv, "--file", str(path)])
     check(code, out, 0, want_sha)

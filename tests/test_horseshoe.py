@@ -1,10 +1,15 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entrolab import horseshoe, interval_maps
 from entrolab.numkit import RatInterval, log2_enclosure
 from entrolab.interval_maps import (
+    PWLMap,
     QuadMap,
+    compose_iterate,
     constant_slope_map,
     identity_map,
     tent_map,
@@ -13,6 +18,7 @@ from entrolab.horseshoe import (
     HorseshoeCert,
     LowerBoundRecord,
     SearchBudget,
+    _pwl_candidates,
     check_certificate,
     search_lower_bounds,
 )
@@ -71,6 +77,58 @@ def test_search_tent_stream():
     assert all(a < b for a, b in zip(los, los[1:]))
     for r in records:
         assert check_certificate(tent_map(), r.cert)
+
+
+@st.composite
+def pwl_maps(draw):
+    """Maps with at most five nodes at rationals of denominator <= 16."""
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+    inner = draw(st.lists(unit.filter(lambda x: 0 < x < 1), max_size=3, unique=True))
+    xs = [F(0), *sorted(inner), F(1)]
+    ys = draw(st.lists(unit, min_size=len(xs), max_size=len(xs)))
+    return PWLMap(tuple(zip(xs, ys)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    f=pwl_maps(),
+    n=st.integers(min_value=1, max_value=3),
+    max_p=st.sampled_from((2, 3, 4096)),
+    grid_depth=st.integers(min_value=0, max_value=3),
+)
+def test_pwl_candidates_are_certificates(f, n, max_p, grid_depth):
+    budget = SearchBudget(max_n=n, max_p=max_p, grid_depth=grid_depth)
+    sizes = []
+    for p, js in _pwl_candidates(compose_iterate(f, n), budget):
+        assert p == len(js) <= max_p
+        assert all(a.lo < a.hi < b.lo for a, b in zip(js, js[1:]))
+        # verified on the reference path, which composes f^n afresh
+        assert check_certificate(f, HorseshoeCert(js, n))
+        sizes.append(p)
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_pwl_search_composes_each_iterate_once(monkeypatch):
+    counts = {"compose": 0, "preimage": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(horseshoe, "compose", counted("compose", horseshoe.compose))
+    monkeypatch.setattr(interval_maps, "compose", counted("compose", interval_maps.compose))
+    monkeypatch.setattr(
+        horseshoe, "_branch_preimage", counted("preimage", horseshoe._branch_preimage)
+    )
+    records = list(search_lower_bounds(tent_map(), SearchBudget(max_n=9)))
+    assert records and records[-1].n == 9
+    # f^2..f^9 once each; verifying never recomposes an iterate
+    assert counts["compose"] == 8
+    # only the candidates of the largest p are pulled back
+    assert counts["preimage"] < 4000
 
 
 def test_search_identity_empty():
