@@ -356,13 +356,22 @@ def _build_center(
     return Center(r_enc, period, orbit_rank, sft, entropy)
 
 
-DEFAULT_PERIOD_CAP = 10
+# the highest period scanned, by `centers` and by the sandwich alike: the
+# number of centers, and with it the scan cost, roughly doubles per period
+DEFAULT_PERIOD_CAP = 12
+
+
+def _check_period_cap(p_max: int) -> None:
+    if p_max > DEFAULT_PERIOD_CAP:
+        raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
 def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[Center]:
     """The stored centers of period <= p_max, sorted by (r_enc.lo, period),
     after scanning every period the cache lacks; new centers get entropy
-    enclosures of width <= eps, stored ones are returned as stored."""
+    enclosures of width <= eps, stored ones are returned as stored. Periods
+    beyond ``DEFAULT_PERIOD_CAP`` are refused before any scan."""
+    _check_period_cap(p_max)
     for p in range(1, p_max + 1):
         if p in cache.scanned:
             continue
@@ -411,13 +420,11 @@ def enumerate_centers(
     certifiably simple, then assigned its induced subshift. Every returned
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
-    back. Periods beyond ``DEFAULT_PERIOD_CAP`` are refused: scan cost
-    grows steeply with the period.
+    back. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in the
+    sandwich: scan cost grows steeply with the period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
-    if p_max > DEFAULT_PERIOD_CAP:
-        raise ValueError(f"p_max {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
     eps = parse_rational(eps)
     if not isinstance(cache, CenterCache):
         cache = CenterCache(resolve_cache_path(cache))
@@ -495,8 +502,10 @@ def logistic_entropy(
     is exactly 0; at 4 the map is conjugate to the full tent map and the
     entropy is exactly 1. In between, enumerated centers bracket the query
     from both sides until the enclosure is tight enough. On an exhausted
-    budget a BudgetExceeded carrying the best sound enclosure is raised.
+    budget a BudgetExceeded carrying the best sound enclosure is raised. A
+    budget with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
     """
+    _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
         query = RatInterval.point(parse_rational(query))
     if query.lo < 0 or query.hi > 4:

@@ -8,9 +8,13 @@ closing condition r -> f_r^n(1/2) - 1/2, evaluated step by step (never
 through expanded polynomial coefficients).
 
 Orbits of x -> r*x*(1-x) are enclosed by a single kernel,
-`logistic_orbit_enclosures`, which rounds outward to ENCLOSURE_BITS = 128
-dyadic bits after every step; exact signs come from one `Fraction` loop in
-`IterMapExpr.sign_at`.
+`logistic_orbit_enclosures`, in Python integers: r is written as
+[a_lo, a_hi]/b, and each step forms its products exactly over one
+denominator and rounds outward once to ENCLOSURE_BITS = 128 dyadic bits;
+`IterMapExpr.derivative_enclosure` runs the chain rule the same way.
+`IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
+decides when it excludes 1/2, and otherwise an exact integer recurrence
+does.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Rational = Fraction
@@ -33,6 +37,8 @@ _HALF = Fraction(1, 2)
 
 # the one working precision of every orbit enclosure
 ENCLOSURE_BITS = 128
+_SCALE = 1 << ENCLOSURE_BITS
+_HALF_MANTISSA = _SCALE >> 1  # 1/2 over _SCALE
 
 
 class PrecisionError(ValueError):
@@ -54,14 +60,6 @@ def parse_rational(text: RationalLike) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" form with positive denominator."""
     return f"{q.numerator}/{q.denominator}"
-
-
-def _sign(q: Fraction) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
 
 
 def floor_log2(q: Fraction) -> int:
@@ -129,10 +127,6 @@ class RatInterval:
 
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def outward(self, bits: int) -> "RatInterval":
-        """Round both endpoints outward to dyadics with denominator 2**bits."""
-        return RatInterval(dyadic_floor(self.lo, bits), dyadic_ceil(self.hi, bits))
 
     def clamp(self, lo: Fraction, hi: Fraction) -> "RatInterval":
         return RatInterval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
@@ -331,24 +325,73 @@ def simplest_rational_in(lo: Fraction, hi: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+def _over_one_denominator(iv: RatInterval) -> tuple[int, int, int]:
+    """The endpoints of ``iv`` as integers (lo, hi) over their least common
+    denominator, returned third."""
+    lo, hi = iv.lo, iv.hi
+    den = lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+
+
+def _x_one_minus_x(lo: int, hi: int, den: int) -> tuple[int, int]:
+    """Exact range of x*(1-x) over x in [lo, hi]/den, as integers over
+    4*den**2: the endpoint values, and 1/4 at an interior vertex."""
+    g_lo, g_hi = 4 * lo * (den - lo), 4 * hi * (den - hi)
+    return min(g_lo, g_hi), den * den if 2 * lo <= den <= 2 * hi else max(g_lo, g_hi)
+
+
+def _mul(a_lo: int, a_hi: int, c_lo: int, c_hi: int) -> tuple[int, int]:
+    """Exact range of a*c over the box [a_lo, a_hi] x [c_lo, c_hi]."""
+    products = (a_lo * c_lo, a_lo * c_hi, a_hi * c_lo, a_hi * c_hi)
+    return min(products), max(products)
+
+
+def _round_outward(p_lo: int, p_hi: int, q: int) -> tuple[int, int]:
+    """[p_lo, p_hi]/q rounded outward to mantissas over 2**ENCLOSURE_BITS."""
+    return (p_lo << ENCLOSURE_BITS) // q, -((-p_hi << ENCLOSURE_BITS) // q)
+
+
 def logistic_step_range(r: RatInterval, x: RatInterval) -> RatInterval:
     """Exact range of r*x*(1-x) over the box r-by-x.
 
     The one-step image is exact because x*(1-x) has a single interior
     maximum at 1/2; only reuse of r across iterations introduces slack.
     """
+    a_lo, a_hi, b = _over_one_denominator(r)
+    lo, hi, den = _over_one_denominator(x)
+    p_lo, p_hi = _mul(a_lo, a_hi, *_x_one_minus_x(lo, hi, den))
+    q = 4 * b * den * den
+    return RatInterval(Fraction(p_lo, q), Fraction(p_hi, q))
 
-    def g(t: Fraction) -> Fraction:
-        return t * (1 - t)
 
-    glo_candidates = (g(x.lo), g(x.hi))
-    gmin = min(glo_candidates)
-    if x.lo <= _HALF <= x.hi:
-        gmax = Fraction(1, 4)
-    else:
-        gmax = max(glo_candidates)
-    grange = RatInterval(gmin, gmax)
-    return r * grange
+_CRITICAL_POINT = RatInterval.point(_HALF)
+
+
+def _orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, int]]:
+    """Integer mantissas over 2**ENCLOSURE_BITS of the enclosures of
+    f(x0), ..., f^n(x0) for the family r*x*(1-x).
+
+    With r = [a_lo, a_hi]/b and x = [lo, hi]/den, each step forms the exact
+    range of r*x*(1-x) as integers over 4*b*den**2, clamps it to [0, 1]
+    when r lies in [0, 4] and x0 in [0, 1], and rounds it outward once.
+    """
+    a_lo, a_hi, b = _over_one_denominator(r)
+    lo, hi, den = _over_one_denominator(x0)
+    clamp = a_lo >= 0 and a_hi <= 4 * b and lo >= 0 and hi <= den
+    out = []
+    for _ in range(n):
+        p_lo, p_hi = _mul(a_lo, a_hi, *_x_one_minus_x(lo, hi, den))
+        q = 4 * b * den * den
+        if clamp:
+            p_lo, p_hi = min(max(p_lo, 0), q), min(max(p_hi, 0), q)
+        lo, hi = _round_outward(p_lo, p_hi, q)
+        den = _SCALE
+        out.append((lo, hi))
+    return out
+
+
+def _from_mantissas(lo: int, hi: int) -> RatInterval:
+    return RatInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
 def logistic_orbit_enclosures(
@@ -358,18 +401,11 @@ def logistic_orbit_enclosures(
 ) -> list[RatInterval]:
     """Enclosures of x0, f(x0), ..., f^n(x0) for the family r*x*(1-x).
 
-    Endpoints are rounded outward to ENCLOSURE_BITS dyadic bits after every
-    step, which caps denominator growth and keeps the enclosures sound.
+    Each step is formed exactly and its endpoints are rounded outward once
+    to ENCLOSURE_BITS dyadic bits, which caps denominator growth and keeps
+    the enclosures sound.
     """
-    out = [x0]
-    x = x0
-    for _ in range(n):
-        x = logistic_step_range(r, x)
-        if r.lo >= 0 and r.hi <= 4 and x0.lo >= 0 and x0.hi <= 1:
-            x = x.clamp(_ZERO, _ONE)
-        x = x.outward(ENCLOSURE_BITS)
-        out.append(x)
-    return out
+    return [x0, *(_from_mantissas(lo, hi) for lo, hi in _orbit_mantissas(r, x0, n))]
 
 
 @dataclass(frozen=True)
@@ -388,35 +424,54 @@ class IterMapExpr:
         if self.iterations < 1:
             raise ValueError("iteration count must be >= 1")
 
-    def _orbit(self, r: RatInterval) -> list[RatInterval]:
-        """Enclosures of the critical orbit 1/2, ..., f_r^n(1/2) over ``r``."""
+    def _check_domain(self, r: RatInterval) -> None:
         if not self.domain.contains_interval(r):
             raise ValueError(f"input {r} outside expression domain {self.domain}")
-        return logistic_orbit_enclosures(r, RatInterval.point(_HALF), self.iterations)
 
     def evaluate(self, r: RatInterval) -> RatInterval:
         """Interval enclosure of the expression over ``r``."""
-        return self._orbit(r)[-1] - _HALF
+        self._check_domain(r)
+        lo, hi = _orbit_mantissas(r, _CRITICAL_POINT, self.iterations)[-1]
+        return _from_mantissas(lo - _HALF_MANTISSA, hi - _HALF_MANTISSA)
 
     def sign_at(self, t: Fraction) -> int:
-        """Exact sign of the expression at a rational point."""
+        """Exact sign of the expression at a rational point.
+
+        The point enclosure decides whenever it excludes 1/2; otherwise the
+        orbit x = N/D is iterated exactly, N <- a*N*(D - N), D <- b*D**2
+        for r = a/b, and 2*N is compared with D.
+        """
         r = parse_rational(t)
-        x = _HALF
+        lo, hi = _orbit_mantissas(RatInterval(r, r), _CRITICAL_POINT, self.iterations)[-1]
+        if lo > _HALF_MANTISSA:
+            return 1
+        if hi < _HALF_MANTISSA:
+            return -1
+        a, b = r.numerator, r.denominator
+        num, den = 1, 2
         for _ in range(self.iterations):
-            x = r * x * (1 - x)
-        return _sign(x - _HALF)
+            num, den = a * num * (den - num), b * den * den
+        return (2 * num > den) - (2 * num < den)
 
     def derivative_enclosure(self, r: RatInterval) -> RatInterval:
         """Enclosure of d(expr)/dr over ``r``.
 
-        Chain rule along the orbit: d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k).
+        Chain rule along the orbit: d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k),
+        each step formed exactly over 4*b*2**(2*ENCLOSURE_BITS) for
+        r = [a_lo, a_hi]/b and rounded outward once.
         """
-        d = RatInterval.point(0)
-        for xk in self._orbit(r)[:-1]:
-            d = r * (RatInterval.point(1) - xk * Fraction(2)) * d
-            d = d + logistic_step_range(RatInterval.point(1), xk)
-            d = d.outward(ENCLOSURE_BITS)
-        return d
+        self._check_domain(r)
+        a_lo, a_hi, b = _over_one_denominator(r)
+        orbit = _orbit_mantissas(r, _CRITICAL_POINT, self.iterations - 1)
+        q = 4 * b * _SCALE * _SCALE
+        d_lo = d_hi = 0
+        for x_lo, x_hi in [(_HALF_MANTISSA, _HALF_MANTISSA), *orbit]:
+            # r*(1 - 2x) over b*_SCALE, times d over b*_SCALE**2
+            rt_lo, rt_hi = _mul(a_lo, a_hi, _SCALE - 2 * x_hi, _SCALE - 2 * x_lo)
+            p_lo, p_hi = _mul(rt_lo, rt_hi, d_lo, d_hi)
+            g_min, g_max = _x_one_minus_x(x_lo, x_hi, _SCALE)
+            d_lo, d_hi = _round_outward(4 * p_lo + b * g_min, 4 * p_hi + b * g_max, q)
+        return _from_mantissas(d_lo, d_hi)
 
 
 def critical_orbit_expr(period: int) -> IterMapExpr:

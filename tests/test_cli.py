@@ -5,7 +5,7 @@ import pytest
 
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
-from entrolab.logistic import CenterCache
+from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache
 from entrolab.numkit import parse_rational
 
 
@@ -192,7 +192,18 @@ def test_precision_beyond_cap_exit_2(tmp_path, capsys, argv):
 
 def test_centers_beyond_period_cap_exit_2(tmp_path, capsys):
     # refused before any period is scanned
-    assert main(["centers", "--max-period", "11", "--cache-path", str(tmp_path / "c.jsonl")]) == 2
+    argv = ["centers", "--max-period", str(DEFAULT_PERIOD_CAP + 1)]
+    assert main(argv + ["--cache-path", str(tmp_path / "c.jsonl")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+def test_logistic_beyond_period_cap_exit_2(tmp_path, capsys):
+    # the sandwich obeys the same cap, before any scan, even at a query that
+    # periods 1 and 2 alone would settle
+    argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100"]
+    argv += ["--max-period", str(DEFAULT_PERIOD_CAP + 1), "--cache-path", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "c.jsonl").exists()
 

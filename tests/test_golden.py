@@ -4,7 +4,8 @@ Each call runs ``cli.main(["--format", "json", ...])`` in process, on a
 center cache built fresh by ``centers --max-period 6``, or by the same call
 with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
 center precision and so are refined in memory, or on a map file written
-by ``realize`` or by the test itself. The SHA-256 of
+by ``realize`` or by the test itself; ``centers --max-period 10`` also runs
+alone on a fresh cache. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
 change that moves any of them has changed what entrolab prints; if that is
 intended it bumps the cache schema or says so in CHANGES.md, and the
@@ -36,6 +37,11 @@ LOGISTIC = [
     ("3.83", "1/32", 3, "238a0b0d4bf9806253d87756eaec656a5b17f8a6902d76dbeca00196e06888ae"),
     ("3.99", "1e-6", 3, "a0c5bb3fe460ccef3d8fb8a18371a453f4e4f3f4f5463788efee2b57cb1aef44"),
 ]
+
+# ``centers --max-period 10`` on a fresh cache: every center the kernel finds
+# up to period 10, and every enclosure endpoint it rounds, byte for byte
+PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
+PERIOD_10_CACHE = "9e379321ce82dc177e077955a7bdaca22abd310d1927d601c6758e092d1c60d4"
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
 COARSE_CACHE = "bafd9dd7f8bddd3460807e5e1d5106b1cea84012db7fd9c41d0b43a36cbb14e6"
@@ -121,6 +127,13 @@ def test_golden_logistic(centers_cache, r, eps, want_code, want_sha):
     check(code, out, want_code, want_sha)
     # every period up to 6 is already scanned, so nothing is appended
     assert _sha(path.read_bytes()) == CENTERS_CACHE
+
+
+def test_golden_centers_period_10(tmp_path):
+    path = tmp_path / "centers.jsonl"
+    code, out = run_json(["centers", "--max-period", "10", "--cache-path", str(path)])
+    check(code, out, 0, PERIOD_10_STDOUT)
+    assert _sha(path.read_bytes()) == PERIOD_10_CACHE
 
 
 def test_golden_coarse_centers(coarse_cache):

@@ -8,6 +8,7 @@ from entrolab.symbolic import Provenance, sft_entropy
 import entrolab.logistic
 from entrolab.logistic import (
     DEFAULT_EPS,
+    DEFAULT_PERIOD_CAP,
     BracketSample,
     BudgetExceeded,
     CenterCache,
@@ -213,7 +214,9 @@ def test_sandwich_rejects_bad_inputs():
 
 def test_enumeration_period_cap():
     with pytest.raises(ValueError):
-        enumerate_centers(11)
+        enumerate_centers(DEFAULT_PERIOD_CAP + 1)
+    with pytest.raises(ValueError):
+        logistic_entropy(F(16, 5), F(1, 100), SandwichBudget(max_period=DEFAULT_PERIOD_CAP + 1))
     with pytest.raises(ValueError):
         enumerate_centers(0)
 

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entrolab.numkit import (
+    ENCLOSURE_BITS,
     IterMapExpr,
     RatInterval,
     critical_orbit_expr,
@@ -15,6 +16,7 @@ from entrolab.numkit import (
     floor_log2,
     format_rational,
     log2_enclosure,
+    logistic_orbit_enclosures,
     logistic_step_range,
     parse_rational,
     refine_root,
@@ -245,3 +247,96 @@ def test_logistic_step_range_is_exact_image():
     # max at the vertex, min at the endpoints (symmetric here)
     assert img.hi == F(7, 2) / 4
     assert img.lo == F(7, 2) * F(1, 4) * F(3, 4)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the plain Fraction reference
+# ---------------------------------------------------------------------------
+
+
+def rationals(lo, hi):
+    """Rationals in [lo, hi]: dyadic ones, as the root scan makes, and
+    others with small or large denominators, as in 383/100."""
+    dyadic = st.integers(0, 2 * ENCLOSURE_BITS).flatmap(
+        lambda e: st.integers(lo << e, hi << e).map(lambda m: F(m, 1 << e))
+    )
+    return st.one_of(
+        dyadic,
+        st.fractions(min_value=lo, max_value=hi, max_denominator=1000),
+        st.fractions(min_value=lo, max_value=hi, max_denominator=10**40),
+    )
+
+
+def intervals(lo, hi):
+    return st.one_of(
+        rationals(lo, hi).map(RatInterval.point),
+        st.tuples(rationals(lo, hi), rationals(lo, hi)).map(lambda ab: RatInterval(*sorted(ab))),
+    )
+
+
+def outward(lo, hi):
+    return RatInterval(dyadic_floor(lo, ENCLOSURE_BITS), dyadic_ceil(hi, ENCLOSURE_BITS))
+
+
+def reference_orbit(r, x0, n):
+    """Each step formed exactly in Fraction, clamped to [0, 1], then rounded outward."""
+    out = [x0]
+    for _ in range(n):
+        x = out[-1]
+        ends = (x.lo * (1 - x.lo), x.hi * (1 - x.hi))
+        g_max = F(1, 4) if x.lo <= F(1, 2) <= x.hi else max(ends)
+        products = [a * g for a in (r.lo, r.hi) for g in (min(ends), g_max)]
+        out.append(outward(min(max(min(products), 0), 1), min(max(max(products), 0), 1)))
+    return out
+
+
+def reference_derivative(r, n):
+    """The chain rule d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k) in RatInterval arithmetic."""
+    d = RatInterval.point(0)
+    for xk in reference_orbit(r, RatInterval.point(F(1, 2)), n)[:-1]:
+        d = r * (RatInterval.point(1) - xk * 2) * d
+        d = d + logistic_step_range(RatInterval.point(1), xk)
+        d = outward(d.lo, d.hi)
+    return d
+
+
+def reference_sign(r, n):
+    x = F(1, 2)
+    for _ in range(n):
+        x = r * x * (1 - x)
+    return (x > F(1, 2)) - (x < F(1, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(period=st.integers(1, 6), r=intervals(0, 4), x0=intervals(0, 1))
+def test_orbit_kernel_equals_fraction_reference(period, r, x0):
+    # equal, not merely contained: one exact step, one outward rounding
+    assert logistic_orbit_enclosures(r, x0, period) == reference_orbit(r, x0, period)
+    expr = critical_orbit_expr(period)
+    orbit = reference_orbit(r, RatInterval.point(F(1, 2)), period)
+    assert expr.evaluate(r) == orbit[-1] - F(1, 2)
+    assert expr.derivative_enclosure(r) == reference_derivative(r, period)
+    for t in (r.lo, r.hi):
+        assert expr.sign_at(t) == reference_sign(t, period)
+
+
+SQRT5_LO = F(math.isqrt(5 << 400), 1 << 200)  # sqrt(5) - 2^-200 < SQRT5_LO < sqrt(5)
+
+
+@pytest.mark.parametrize(
+    "period, r, want",
+    [
+        (1, F(2), 0),
+        (3, F(2), 0),
+        (2, 1 + SQRT5_LO, 1),
+        (2, 1 + SQRT5_LO + F(1, 1 << 200), -1),
+        (4, 1 + SQRT5_LO, 1),
+        (4, 1 + SQRT5_LO + F(1, 1 << 200), -1),
+    ],
+    ids=["r=2-p1", "r=2-p3", "below-1+sqrt5-p2", "above-1+sqrt5-p2", "below-p4", "above-p4"],
+)
+def test_sign_at_where_the_enclosure_cannot_decide(period, r, want):
+    # the 2^-128 point enclosure straddles the root, so the exact recurrence decides
+    expr = critical_orbit_expr(period)
+    assert expr.evaluate(RatInterval.point(r)).contains(0)
+    assert expr.sign_at(r) == reference_sign(r, period) == want
