@@ -47,7 +47,6 @@ from .horseshoe import (
     search_lower_bounds,
 )
 from .logistic import (
-    BracketSample,
     BudgetExceeded,
     Center,
     CenterCache,

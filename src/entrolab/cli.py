@@ -223,6 +223,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
 def cmd_sft_entropy(args: argparse.Namespace) -> int:
     z = _load_sft(args.file)
     eps = _parse_fraction(args.eps, "--eps")
+    _check_precision(eps)
     bound = sft_entropy(z, eps)
     payload = {
         "h": [format_rational(bound.lo), format_rational(bound.hi)],

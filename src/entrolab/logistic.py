@@ -15,7 +15,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -43,12 +42,6 @@ DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
 _SEPARATION_FLOOR = Fraction(1, 1 << 300)
 _COINCIDENCE_WIDTH = Fraction(1, 1 << 70)
-
-
-class Side(Enum):
-    BELOW = "BELOW"
-    ABOVE = "ABOVE"
-    AT = "AT"
 
 
 class RefinementBudgetError(RuntimeError):
@@ -98,21 +91,6 @@ class Center:
             SFT.from_json(data["sft"]),
             EntropyBound.from_json(data["entropy"]),
         )
-
-
-@dataclass(frozen=True)
-class BracketSample:
-    """A parameter with entropy information usable on one side of a query.
-
-    BELOW samples carry a valid lower bound for the entropy at any
-    parameter >= d (entropy.lo); ABOVE samples a valid upper bound for any
-    parameter <= d (entropy.hi). AT samples enclose the value itself.
-    """
-
-    d: Fraction
-    entropy: EntropyBound
-    side: Side
-    witness_period: int
 
 
 @dataclass(frozen=True)
@@ -190,17 +168,18 @@ class CenterCache:
     """Append-only JSON-lines store of computed centers.
 
     The first line is a schema header; subsequent lines are center records
-    and per-period scan-complete markers. Reruns reuse complete periods and
-    never duplicate or rewrite existing lines. A final line without its
-    newline that does not parse is the torn tail of an interrupted append:
-    loading ignores it and the next append cuts it off.
+    and per-period scan-complete markers, each with the period's unresolved
+    cells. Reruns reuse complete periods and never duplicate or rewrite
+    existing lines. A final line without its newline that does not parse is
+    the torn tail of an interrupted append: loading ignores it and the next
+    append cuts it off.
     """
 
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
         self.centers: list[Center] = []
-        self.scanned: dict[int, dict] = {}
-        self.unresolved: list[RatInterval] = []
+        # the unresolved cells of each scanned period
+        self.scanned: dict[int, tuple[RatInterval, ...]] = {}
         self._keys: set[tuple] = set()
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
@@ -244,9 +223,9 @@ class CenterCache:
                 self._keys.add(key)
                 self.centers.append(center)
         elif data.get("type") == "scan":
-            self.scanned[int(data["period"])] = data
-            for iv in data.get("unresolved", []):
-                self.unresolved.append(RatInterval.from_json(iv))
+            self.scanned[int(data["period"])] = tuple(
+                RatInterval.from_json(iv) for iv in data.get("unresolved", [])
+            )
 
     @staticmethod
     def _key(center: Center) -> tuple:
@@ -283,8 +262,7 @@ class CenterCache:
             "period": period,
             "unresolved": [iv.to_json() for iv in unresolved],
         }
-        self.scanned[period] = record
-        self.unresolved.extend(unresolved)
+        self.scanned[period] = tuple(unresolved)
         self._append(record)
 
 
@@ -420,8 +398,9 @@ def enumerate_centers(
     certifiably simple, then assigned its induced subshift. Every returned
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
-    back. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in the
-    sandwich: scan cost grows steeply with the period.
+    back. The unresolved cells are those of the scans of periods 1..p_max,
+    in period order. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
+    refused, as in the sandwich: scan cost grows steeply with the period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -430,7 +409,8 @@ def enumerate_centers(
         cache = CenterCache(resolve_cache_path(cache))
     centers = _scan_centers(p_max, eps, cache)
     return EnumerationResult(
-        tuple(_refined(c, eps) for c in centers), tuple(cache.unresolved)
+        tuple(_refined(c, eps) for c in centers),
+        tuple(iv for p in range(1, p_max + 1) for iv in cache.scanned[p]),
     )
 
 
@@ -447,38 +427,25 @@ def collect_brackets(
     centers: Sequence[Center],
     *,
     eps: RationalLike,
-) -> list[BracketSample]:
-    """Entropy samples on both sides of the query parameter.
+) -> tuple[Optional[Center], Optional[Center]]:
+    """The nearest center on each side of the query, as (below, above).
 
-    The nearest enumerated center on each side contributes a sample at its
-    enclosure endpoint (sound by the monotonicity of the entropy in the
-    parameter), and an exact center at a point query contributes its own
-    value. Only these emitted centers get entropy enclosures of width <= eps,
-    refined in memory where the stored one is coarser. Boundary records at
-    3 (entropy 0) and 4 (entropy 1) are always available.
+    ``below`` is the first center with the greatest r_enc.hi < query.lo,
+    ``above`` the first with the least r_enc.lo > query.hi, and a side
+    without one is None. By the monotonicity of the entropy in the
+    parameter, below.entropy.lo and above.entropy.hi bound the entropy at
+    the query. Only these two centers get entropy enclosures of width
+    <= eps, refined in memory where the stored one is coarser.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
     eps = parse_rational(eps)
-    samples: list[BracketSample] = []
     below = [c for c in centers if c.r_enc.hi < query.lo]
     above = [c for c in centers if c.r_enc.lo > query.hi]
-    for c in centers:
-        if c.exact and query.is_point and query.lo == c.r_enc.lo:
-            entropy = _refined(c, eps).entropy
-            samples.append(BracketSample(query.lo, entropy, Side.AT, c.period))
-    if below:
-        c = _refined(max(below, key=lambda c: c.r_enc.hi), eps)
-        samples.append(BracketSample(c.r_enc.hi, c.entropy, Side.BELOW, c.period))
-    if above:
-        c = _refined(min(above, key=lambda c: c.r_enc.lo), eps)
-        samples.append(BracketSample(c.r_enc.lo, c.entropy, Side.ABOVE, c.period))
-    if query.lo >= 3:
-        samples.append(BracketSample(Fraction(3), _EXACT_ZERO, Side.BELOW, 1))
-    if query.hi <= 4:
-        samples.append(BracketSample(Fraction(4), _EXACT_ONE, Side.ABOVE, 1))
-    samples.sort(key=lambda s: (s.d, s.side.value))
-    return samples
+    return (
+        _refined(max(below, key=lambda c: c.r_enc.hi), eps) if below else None,
+        _refined(min(above, key=lambda c: c.r_enc.lo), eps) if above else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -500,10 +467,12 @@ def logistic_entropy(
 
     Below 3 the map has at most one attracting fixed point and the entropy
     is exactly 0; at 4 the map is conjugate to the full tent map and the
-    entropy is exactly 1. In between, enumerated centers bracket the query
-    from both sides until the enclosure is tight enough. On an exhausted
-    budget a BudgetExceeded carrying the best sound enclosure is raised. A
-    budget with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
+    entropy is exactly 1. In between, for p = 1, 2, ... the centers of
+    period <= p are scanned, and the nearest one on each side of the query
+    (``collect_brackets``) tightens the bounds, until the enclosure is tight
+    enough. When max_period or the deadline is reached first, a
+    BudgetExceeded carrying the best sound enclosure is raised. A budget
+    with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
     """
     _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
@@ -528,23 +497,17 @@ def logistic_entropy(
     target = eps * Fraction(9, 10)
     for p_max in range(1, budget.max_period + 1):
         centers = _scan_centers(p_max, center_eps, cache)
-        brackets = collect_brackets(query, centers, eps=center_eps)
-        for s in brackets:
-            if s.side is Side.BELOW:
-                lo_bound = max(lo_bound, s.entropy.lo)
-            elif s.side is Side.ABOVE:
-                hi_bound = min(hi_bound, s.entropy.hi)
-            else:
-                lo_bound = max(lo_bound, s.entropy.lo)
-                hi_bound = min(hi_bound, s.entropy.hi)
+        below, above = collect_brackets(query, centers, eps=center_eps)
+        if below is not None:
+            lo_bound = max(lo_bound, below.entropy.lo)
+        if above is not None:
+            hi_bound = min(hi_bound, above.entropy.hi)
         if lo_bound > hi_bound:
             raise AssertionError("bracket soundness violated")
         if hi_bound - lo_bound <= target:
             return EntropyBound(lo_bound, hi_bound, Provenance.SANDWICH, certified=True)
         if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(
-                EntropyBound(lo_bound, hi_bound, Provenance.SANDWICH, certified=False)
-            )
+            break
     raise BudgetExceeded(
         EntropyBound(lo_bound, hi_bound, Provenance.SANDWICH, certified=False)
     )

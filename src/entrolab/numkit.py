@@ -500,16 +500,18 @@ class RootIsolation:
     unresolved: tuple[RatInterval, ...]
 
 
-def _scan_enclosure(expr: IterMapExpr, cell: RatInterval) -> RatInterval:
+def _scan_enclosure(expr: IterMapExpr, cell: RatInterval) -> tuple[RatInterval, RatInterval]:
+    """Enclosures of the expression and of its derivative over the cell."""
     plain = expr.evaluate(cell)
     mid = RatInterval.point(cell.mid)
     half = cell.width / 2
-    centered = expr.evaluate(mid) + expr.derivative_enclosure(cell) * RatInterval(-half, half)
+    slope = expr.derivative_enclosure(cell)
+    centered = expr.evaluate(mid) + slope * RatInterval(-half, half)
     lo = max(plain.lo, centered.lo)
     hi = min(plain.hi, centered.hi)
     if lo > hi:  # both sound, so a crossing order would be a bug
         raise AssertionError("inconsistent enclosures")
-    return RatInterval(lo, hi)
+    return RatInterval(lo, hi), slope
 
 
 def root_isolate(
@@ -520,7 +522,9 @@ def root_isolate(
     """Isolate the sign-change roots of ``expr`` on ``domain``.
 
     Certified interval bisection: cells whose enclosure excludes zero are
-    discarded; exact rational roots hit during bisection come back as
+    discarded, and so are cells with the same sign at both endpoints whose
+    derivative enclosure excludes zero, since the expression is strictly
+    monotone there; exact rational roots hit during bisection come back as
     degenerate [q, q] intervals.
     """
     min_width = parse_rational(min_width)
@@ -567,8 +571,10 @@ def root_isolate(
         a, b, sa, sb = stack.pop()
         if a >= b:
             continue
-        enc = _scan_enclosure(expr, RatInterval(a, b))
+        enc, slope = _scan_enclosure(expr, RatInterval(a, b))
         if enc.lo > 0 or enc.hi < 0:
+            continue
+        if sa == sb and (slope.lo > 0 or slope.hi < 0):
             continue
         w = b - a
         if w <= min_width:

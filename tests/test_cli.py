@@ -5,8 +5,8 @@ import pytest
 
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
-from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache
-from entrolab.numkit import parse_rational
+from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
+from entrolab.numkit import RatInterval, parse_rational
 
 
 def write_json(path, payload):
@@ -190,6 +190,12 @@ def test_precision_beyond_cap_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "c.jsonl").exists()
 
 
+def test_sft_precision_beyond_cap_exit_2(golden_file, capsys):
+    # the Perron bracket alone obeys the same 2^-1024 cap
+    assert main(["sft", "entropy", "--file", golden_file, "--eps", "1e-400"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_centers_beyond_period_cap_exit_2(tmp_path, capsys):
     # refused before any period is scanned
     argv = ["centers", "--max-period", str(DEFAULT_PERIOD_CAP + 1)]
@@ -265,3 +271,14 @@ def test_json_output_deterministic(golden_file, capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert set(payload) == {"eps", "h"}
+
+
+def test_unresolved_cells_stay_with_their_period(tmp_path, capsys):
+    # a scan record's cells are listed only up to a --max-period that reaches it
+    path = tmp_path / "c.jsonl"
+    cell = RatInterval(F(39, 10), F(391, 100))
+    CenterCache(path).mark_scanned(5, [cell])
+    assert enumerate_centers(1, cache=CenterCache(path)).unresolved == ()
+    assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
+    assert "UNRESOLVED" not in capsys.readouterr().out
+    assert enumerate_centers(5, cache=CenterCache(path)).unresolved == (cell,)

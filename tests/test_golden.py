@@ -5,7 +5,8 @@ center cache built fresh by ``centers --max-period 6``, or by the same call
 with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
 center precision and so are refined in memory, or on a map file written
 by ``realize`` or by the test itself; ``centers --max-period 10`` also runs
-alone on a fresh cache. The SHA-256 of
+alone on a fresh cache, and ``centers --max-period 11`` on a copy of that
+cache, so it adds only the period-11 scan. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
 change that moves any of them has changed what entrolab prints; if that is
 intended it bumps the cache schema or says so in CHANGES.md, and the
@@ -42,6 +43,10 @@ LOGISTIC = [
 # up to period 10, and every enclosure endpoint it rounds, byte for byte
 PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
 PERIOD_10_CACHE = "9e379321ce82dc177e077955a7bdaca22abd310d1927d601c6758e092d1c60d4"
+
+# ``centers --max-period 11`` on the period-10 cache
+PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
+PERIOD_11_CACHE = "23a8ddd062ba84bb2145f1208dc5cd8689b4412806c09fb21b561a983dd59112"
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
 COARSE_CACHE = "bafd9dd7f8bddd3460807e5e1d5106b1cea84012db7fd9c41d0b43a36cbb14e6"
@@ -94,23 +99,28 @@ def check(code: int, out: str, want_code: int, want_sha: str) -> None:
     )
 
 
-def build_cache(tmp_path_factory, *eps: str) -> tuple:
+def build_cache(tmp_path_factory, period: str, *eps: str) -> tuple:
     path = tmp_path_factory.mktemp("golden") / "centers.jsonl"
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("ENTROLAB_CACHE", raising=False)
-        argv = ["centers", "--max-period", "6", *eps, "--cache-path", str(path)]
+        argv = ["centers", "--max-period", period, *eps, "--cache-path", str(path)]
         code, out = run_json(argv)
     return path, code, out
 
 
 @pytest.fixture(scope="module")
 def centers_cache(tmp_path_factory):
-    return build_cache(tmp_path_factory)
+    return build_cache(tmp_path_factory, "6")
 
 
 @pytest.fixture(scope="module")
 def coarse_cache(tmp_path_factory):
-    return build_cache(tmp_path_factory, "--eps", "1/1000")
+    return build_cache(tmp_path_factory, "6", "--eps", "1/1000")
+
+
+@pytest.fixture(scope="module")
+def period_10_cache(tmp_path_factory):
+    return build_cache(tmp_path_factory, "10")
 
 
 def test_golden_centers(centers_cache):
@@ -129,11 +139,18 @@ def test_golden_logistic(centers_cache, r, eps, want_code, want_sha):
     assert _sha(path.read_bytes()) == CENTERS_CACHE
 
 
-def test_golden_centers_period_10(tmp_path):
-    path = tmp_path / "centers.jsonl"
-    code, out = run_json(["centers", "--max-period", "10", "--cache-path", str(path)])
+def test_golden_centers_period_10(period_10_cache):
+    path, code, out = period_10_cache
     check(code, out, 0, PERIOD_10_STDOUT)
     assert _sha(path.read_bytes()) == PERIOD_10_CACHE
+
+
+def test_golden_centers_period_11(period_10_cache, tmp_path):
+    path = tmp_path / "centers.jsonl"
+    path.write_bytes(period_10_cache[0].read_bytes())
+    code, out = run_json(["centers", "--max-period", "11", "--cache-path", str(path)])
+    check(code, out, 0, PERIOD_11_STDOUT)
+    assert _sha(path.read_bytes()) == PERIOD_11_CACHE
 
 
 def test_golden_coarse_centers(coarse_cache):

@@ -9,11 +9,9 @@ import entrolab.logistic
 from entrolab.logistic import (
     DEFAULT_EPS,
     DEFAULT_PERIOD_CAP,
-    BracketSample,
     BudgetExceeded,
     CenterCache,
     SandwichBudget,
-    Side,
     collect_brackets,
     enumerate_centers,
     logistic_entropy,
@@ -102,27 +100,18 @@ def test_cache_env_override(monkeypatch, tmp_path):
     assert resolve_cache_path(None) is None
 
 
-def test_collect_brackets_at_exact_center(centers3):
-    samples = collect_brackets(RatInterval.point(2), centers3, eps=DEFAULT_EPS)
-    assert any(s.side is Side.AT and s.entropy.hi == 0 for s in samples)
-
-
 def test_collect_brackets_sides(session_cache, tmp_path):
     centers = enumerate_centers(8, cache=session_cache).centers
-    samples = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
-    below = [s for s in samples if s.side is Side.BELOW]
-    above = [s for s in samples if s.side is Side.ABOVE]
-    assert any(s.witness_period == 4 and s.entropy.hi == 0 for s in below)
-    assert any(s.witness_period == 8 and s.entropy.hi == 0 for s in above)
-    # synthetic boundary record near 4
-    near4 = collect_brackets(RatInterval.point(F(399, 100)), centers, eps=DEFAULT_EPS)
-    assert any(s.d == 4 and s.entropy.lo == 1 for s in near4 if s.side is Side.ABOVE)
-    # stored entropies coarser than eps are refined for every emitted sample
+    below, above = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
+    assert below.period == 4 and below.entropy.hi == 0 and below.r_enc.hi < F(7, 2)
+    assert above.period == 8 and above.entropy.hi == 0 and above.r_enc.lo > F(7, 2)
+    # stored entropies coarser than eps are refined for both emitted centers
     coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(tmp_path / "c.jsonl"))
     assert any(c.entropy.width > DEFAULT_EPS for c in coarse.centers)
-    for r in (F(2), F(7, 2), F(383, 100)):
-        for s in collect_brackets(RatInterval.point(r), coarse.centers, eps=DEFAULT_EPS):
-            assert s.entropy.width <= DEFAULT_EPS
+    for r in (F(7, 2), F(383, 100)):
+        pair = collect_brackets(RatInterval.point(r), coarse.centers, eps=DEFAULT_EPS)
+        for c in pair:
+            assert c is not None and c.entropy.width <= DEFAULT_EPS
 
 
 def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
@@ -152,9 +141,9 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
         )
     except BudgetExceeded:
         pass
-    # one AT, one BELOW and one ABOVE sample per period iterated at most
+    # the nearest center below and above the query per period iterated at most
     assert 1 <= len(periods) <= 8
-    assert len(calls) <= 3 * len(periods)
+    assert len(calls) <= 2 * len(periods)
 
 
 def test_sandwich_at_7_halves(session_cache):

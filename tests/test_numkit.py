@@ -224,6 +224,16 @@ def test_root_isolate_sign_change_soundness():
         assert a.hi < b.lo
 
 
+def test_root_isolate_discards_monotone_cell():
+    # a floor-width cell next to a period-12 center near r = 3.99573: the
+    # closing condition is negative at both endpoints and its slope stays
+    # within [-7665, -7653], so the cell holds no root although its value
+    # enclosure still straddles 0
+    cell = RatInterval(F(8997579199158267, 2**51), F(4498789666687997, 2**50))
+    iso = root_isolate(critical_orbit_expr(12), cell, F(1, 1 << 24))
+    assert iso.roots == () and iso.unresolved == ()
+
+
 def test_refine_root():
     expr = critical_orbit_expr(2)
     iso = root_isolate(expr, RatInterval(3, 4), F(1, 100))
