@@ -7,7 +7,6 @@ rigorous enclosure.
 from .numkit import (
     IterMapExpr,
     RatInterval,
-    Rational,
     RootIsolation,
     critical_orbit_expr,
     exp2_enclosure,

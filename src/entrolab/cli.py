@@ -91,7 +91,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _check_precision(eps: Fraction, bits: int = 0) -> None:
+def _check_precision(eps: Fraction = Fraction(0), bits: int = 0) -> None:
     # a nonpositive eps is left to the callers' own checks and messages
     if bits > MAX_PRECISION_BITS or 0 < eps < Fraction(1, 2**MAX_PRECISION_BITS):
         raise InputError(
@@ -153,8 +153,9 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
 
 def cmd_entropy_pwl(args: argparse.Namespace) -> int:
     f = _load_map(args.file)
-    if args.node_cap <= 0:
+    if args.node_cap <= 0 or args.bits <= 0:
         raise InputError("numeric options must be positive")
+    _check_precision(bits=args.bits)
     if args.method == "variation":
         if not isinstance(f, PWLMap):
             raise InputError("the variation method needs a piecewise-linear map")
@@ -208,6 +209,9 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
 
 def cmd_realize(args: argparse.Namespace) -> int:
     h = _parse_fraction(args.h, "--h")
+    if args.bits <= 0:
+        raise InputError("numeric options must be positive")
+    _check_precision(bits=args.bits)
     f = constant_slope_map(h, bits=args.bits)
     out = Path(args.out)
     out.write_text(json.dumps(f.to_json(), sort_keys=True) + "\n", encoding="utf-8")

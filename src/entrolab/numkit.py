@@ -27,8 +27,6 @@ from fractions import Fraction
 from math import isqrt, lcm
 from typing import Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)

@@ -2,14 +2,16 @@
 prefix recoding onto the binary Cantor set, and the gluing combinator.
 
 An SFT is given by a 0/1 transition matrix (entry (a, b) = 1 iff the
-two-letter word ab is allowed). All entropy computations run on the
-essential subgraph -- the states lying on bi-infinite allowed paths -- and
-use exact integer arithmetic end to end; no floating-point eigensolvers.
+two-letter word ab is allowed). One transitive closure of that graph gives
+the essential states (those on bi-infinite allowed paths), the components
+that carry a cycle and the mixing test. All entropy computations run on
+those components and use exact integer arithmetic end to end; no
+floating-point eigensolvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
@@ -149,78 +151,42 @@ def str_to_word(text: str, alphabet_size: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _sccs(adj: Sequence[Sequence[int]], states: Sequence[int]) -> list[list[int]]:
-    """Strongly connected components (Kosaraju, iterative), over ``states``."""
-    state_set = set(states)
-    order: list[int] = []
-    seen: set[int] = set()
-    for s in states:
-        if s in seen:
-            continue
-        stack = [(s, iter([t for t in states if adj[s][t]]))]
-        seen.add(s)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append((t, iter([u for u in states if adj[t][u]])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    comp: dict[int, int] = {}
+def _reach(z: SFT) -> list[int]:
+    """Transitive closure of the transition graph (Warshall), one bitmask
+    per state: bit b of ``reach[a]`` is set iff an allowed path of one or
+    more steps leads from a to b, so a lies on a cycle iff bit a is set."""
+    k = z.alphabet_size
+    reach = [sum(1 << b for b in range(k) if row[b]) for row in z.allowed]
+    for m in range(k):
+        bit, via = 1 << m, reach[m]
+        for a in range(k):
+            if reach[a] & bit:
+                reach[a] |= via
+    return reach
+
+
+def _components(reach: list[int]) -> list[list[int]]:
+    """The strongly connected components that carry a cycle, each sorted."""
     comps: list[list[int]] = []
-    for s in reversed(order):
-        if s in comp:
-            continue
-        group = [s]
-        comp[s] = len(comps)
-        frontier = [s]
-        while frontier:
-            node = frontier.pop()
-            for t in states:
-                if adj[t][node] and t in state_set and t not in comp:
-                    comp[t] = len(comps)
-                    group.append(t)
-                    frontier.append(t)
-        comps.append(sorted(group))
+    placed: set[int] = set()
+    for a, row in enumerate(reach):
+        if row >> a & 1 and a not in placed:
+            comp = [b for b in range(len(reach)) if row >> b & 1 and reach[b] >> a & 1]
+            placed.update(comp)
+            comps.append(comp)
     return comps
-
-
-def _cycle_states(z: SFT) -> set[int]:
-    states = range(z.alphabet_size)
-    out = set()
-    for scc in _sccs(z.allowed, list(states)):
-        if len(scc) > 1 or z.allowed[scc[0]][scc[0]]:
-            out.update(scc)
-    return out
 
 
 def essential_states(z: SFT) -> tuple[int, ...]:
     """States that lie on some bi-infinite allowed path: reachable from a
     cycle and reaching a cycle."""
-    k = z.alphabet_size
-    cyc = _cycle_states(z)
-    fwd = set(cyc)  # reachable from a cycle
-    frontier = list(cyc)
-    while frontier:
-        a = frontier.pop()
-        for b in range(k):
-            if z.allowed[a][b] and b not in fwd:
-                fwd.add(b)
-                frontier.append(b)
-    bwd = set(cyc)  # reaches a cycle
-    frontier = list(cyc)
-    while frontier:
-        b = frontier.pop()
-        for a in range(k):
-            if z.allowed[a][b] and a not in bwd:
-                bwd.add(a)
-                frontier.append(a)
-    return tuple(sorted(fwd & bwd))
+    reach = _reach(z)
+    cycles = from_cycle = 0
+    for a, row in enumerate(reach):
+        if row >> a & 1:
+            cycles |= 1 << a
+            from_cycle |= row
+    return tuple(s for s, row in enumerate(reach) if from_cycle >> s & 1 and row & cycles)
 
 
 def language_contains(z: SFT, word: Sequence[int]) -> bool:
@@ -237,28 +203,18 @@ def count_words(z: SFT, n: int) -> int:
     if n < 1:
         raise ValueError("word length must be >= 1")
     ess = essential_states(z)
-    if not ess:
-        return 0
-    vec = {s: 1 for s in ess}
+    succ = [[j for j, b in enumerate(ess) if z.allowed[a][b]] for a in ess]
+    vec = [1] * len(ess)
     for _ in range(n - 1):
-        nxt = {s: 0 for s in ess}
-        for a in ess:
-            row = z.allowed[a]
-            total = 0
-            for b in ess:
-                if row[b]:
-                    total += vec[b]
-            nxt[a] = total
-        vec = nxt
-    return sum(vec.values())
+        vec = [sum(vec[j] for j in row) for row in succ]
+    return sum(vec)
 
 
 def check_mixing(z: SFT) -> MixingVerdict:
-    """MIXING iff the essential transition matrix is primitive."""
-    ess = essential_states(z)
-    if not ess:
-        return MixingVerdict.NOT_MIXING
-    comps = _sccs(z.allowed, list(ess))
+    """MIXING iff the essential transition matrix is primitive: exactly one
+    component carries a cycle (the essential graph is then that component)
+    and it is aperiodic."""
+    comps = _components(_reach(z))
     if len(comps) != 1:
         return MixingVerdict.NOT_MIXING
     states = comps[0]
@@ -287,18 +243,19 @@ def check_mixing(z: SFT) -> MixingVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _perron_bracket(rows: list[list[int]], rel_gap: Fraction) -> tuple[Fraction, Fraction]:
-    """Exact rational bracket of the Perron root of an irreducible 0/1 block.
+def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction, Fraction]:
+    """Exact rational bracket of the Perron root of an irreducible 0/1 block,
+    given as ascending successor lists.
 
     Power iteration on A + I (primitive whenever A is irreducible) with
     min/max Rayleigh-style ratios: for any positive integer vector x,
     min_i (Bx)_i / x_i <= lambda(B) <= max_i (Bx)_i / x_i, and the gap
     contracts geometrically. Everything stays in exact integers.
     """
-    m = len(rows)
+    m = len(succ)
     x = [1] * m
     for _ in range(200_000):
-        y = [x[i] + sum(x[j] for j in range(m) if rows[i][j]) for i in range(m)]
+        y = [x[i] + sum(x[j] for j in succ[i]) for i in range(m)]
         ratios = [Fraction(y[i], x[i]) for i in range(m)]
         lo, hi = min(ratios), max(ratios)
         if hi - lo <= lo * rel_gap:
@@ -314,23 +271,21 @@ def sft_entropy(z: SFT, eps: Union[Fraction, str, int]) -> EntropyBound:
     """Certified enclosure of the entropy lim log2(N_n)/n, width <= eps.
 
     The value is log2 of the largest Perron root over the strongly
-    connected components of the essential graph (0 when that graph is
-    empty or carries only isolated cycles).
+    connected components that carry a cycle, all of which are essential
+    (0 when there is none or each is a single cycle).
     """
     eps = parse_rational(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ess = essential_states(z)
-    if not ess:
+    comps = _components(_reach(z))
+    if not comps:
         return EntropyBound(_ZERO, _ZERO, Provenance.SFT, certified=True)
     lam_lo = Fraction(1)
     lam_hi = Fraction(1)
     rel_gap = eps * Fraction(3, 10)
-    for scc in _sccs(z.allowed, list(ess)):
-        if len(scc) == 1 and not z.allowed[scc[0]][scc[0]]:
-            continue
-        sub = [[z.allowed[a][b] for b in scc] for a in scc]
-        lo, hi = _perron_bracket(sub, rel_gap)
+    for comp in comps:
+        succ = [[j for j, b in enumerate(comp) if z.allowed[a][b]] for a in comp]
+        lo, hi = _perron_bracket(succ, rel_gap)
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     bits = max(8, -floor_log2(eps) + 3)
@@ -370,11 +325,13 @@ def prefix_encode(z: SFT, word: Union[str, Sequence[int]]) -> str:
     letters = str_to_word(word, 2) if isinstance(word, str) else tuple(word)
     if not language_contains(z, letters):
         raise ValueError("word is not in the language")
+    # the prefix before position k is a language word, so the flipped
+    # letter extends it iff it is essential and allowed after the previous
+    ess = essential_states(z)
     out = []
-    for k in range(len(letters)):
-        flipped = letters[:k] + (1 - letters[k],)
-        if language_contains(z, flipped):
-            out.append(str(letters[k]))
+    for k, a in enumerate(letters):
+        if 1 - a in ess and (k == 0 or z.allowed[letters[k - 1]][1 - a]):
+            out.append(str(a))
     return "".join(out)
 
 
@@ -417,7 +374,6 @@ def mixing_gap(z: SFT) -> int:
     configuration separated by exactly g symbols."""
     _require_admissible(z)
     ess = essential_states(z)
-    idx = {s: i for i, s in enumerate(ess)}
     m = len(ess)
     mat = [[z.allowed[a][b] for b in ess] for a in ess]
     power = [row[:] for row in mat]

@@ -23,6 +23,15 @@ def tent_file(tmp_path):
 
 
 @pytest.fixture()
+def skew_file(tmp_path):
+    # a tent map with its peak off center, so its slopes differ
+    return write_json(
+        tmp_path / "skew.json",
+        {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]},
+    )
+
+
+@pytest.fixture()
 def golden_file(tmp_path):
     return write_json(tmp_path / "golden.json", {"alphabet": 2, "allowed": [[1, 1], [1, 0]]})
 
@@ -95,13 +104,9 @@ def test_pwl_horseshoe_interval_parameter_through_zero_entropy(tmp_path, capsys)
 
 
 @pytest.mark.parametrize("cap", ["100", "0"])
-def test_pwl_variation_node_cap_exit_2(tmp_path, capsys, cap):
+def test_pwl_variation_node_cap_exit_2(skew_file, capsys, cap):
     # the variation method honours --node-cap; an overrun is an input error
-    skew = write_json(
-        tmp_path / "skew.json",
-        {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]},
-    )
-    argv = ["entropy", "pwl", "--file", skew, "--method", "variation"]
+    argv = ["entropy", "pwl", "--file", skew_file, "--method", "variation"]
     assert main(argv + ["--n-max", "12", "--node-cap", cap]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
@@ -174,20 +179,46 @@ def test_logistic_nonpositive_option_exit_2(tmp_path, capsys, flag):
     assert "must be positive" in capsys.readouterr().err
 
 
+# MAP stands for a piecewise-linear map file, OUT for a path that must stay unwritten
+_PWL_VARIATION = ["entropy", "pwl", "--file", "MAP", "--method", "variation"]
+
+
+def _fill(argv, map_file, out):
+    return [map_file if a == "MAP" else str(out) if a == "OUT" else a for a in argv]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["entropy", "logistic", "--r", "3.7", "--eps", "1/32", "--bits", "100000"],
-        ["entropy", "logistic", "--r", "3.7", "--eps", "1e-309"],
-        ["centers", "--max-period", "1", "--eps", "1e-309"],
+        ["entropy", "logistic", "--r", "3.7", "--eps", "1/32", "--bits", "100000",
+         "--cache-path", "OUT"],
+        ["entropy", "logistic", "--r", "3.7", "--eps", "1e-309", "--cache-path", "OUT"],
+        ["centers", "--max-period", "1", "--eps", "1e-309", "--cache-path", "OUT"],
+        ["realize", "--h", "0.6", "--bits", "1025", "--out", "OUT"],
+        _PWL_VARIATION + ["--bits", "1025"],
     ],
-    ids=["logistic-bits", "logistic-eps", "centers-eps"],
+    ids=["logistic-bits", "logistic-eps", "centers-eps", "realize-bits", "pwl-bits"],
 )
-def test_precision_beyond_cap_exit_2(tmp_path, capsys, argv):
-    # finer than 2^-1024 is refused before any Perron bracket runs
-    assert main(argv + ["--cache-path", str(tmp_path / "c.jsonl")]) == 2
+def test_precision_beyond_cap_exit_2(tmp_path, capsys, skew_file, argv):
+    # finer than 2^-1024 is refused before any Perron bracket runs or any
+    # file is written
+    out = tmp_path / "out"
+    assert main(_fill(argv, skew_file, out)) == 2
     assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "c.jsonl").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["realize", "--h", "0.6", "--out", "OUT"], _PWL_VARIATION],
+    ids=["realize", "pwl"],
+)
+def test_nonpositive_bits_exit_2(tmp_path, capsys, skew_file, argv, bits):
+    out = tmp_path / "out"
+    assert main(_fill(argv, skew_file, out) + ["--bits", bits]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sft_precision_beyond_cap_exit_2(golden_file, capsys):

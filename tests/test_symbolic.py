@@ -3,6 +3,8 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrolab.numkit import RatInterval, log2_enclosure
 from entrolab.symbolic import (
@@ -89,6 +91,18 @@ def test_entropy_exact_cases():
     empty = SFT(((0, 1), (0, 0)))  # no cycle at all
     e = sft_entropy(empty, F(1, 100))
     assert e.lo == e.hi == 0
+    # reducible: a full 2-shift block {0, 1} feeds the golden-mean block
+    # {3, 4} through the transient state 2; the dead end 5 leads out
+    joined = SFT((
+        (1, 1, 0, 0, 0, 0),
+        (1, 1, 1, 0, 0, 0),
+        (0, 0, 0, 1, 0, 0),
+        (0, 0, 0, 1, 1, 0),
+        (0, 0, 0, 1, 0, 1),
+        (0, 0, 0, 0, 0, 0),
+    ))
+    e = sft_entropy(joined, F(1, 100))
+    assert e.lo == e.hi == 1
 
 
 def test_entropy_period3_sft():
@@ -128,6 +142,69 @@ def test_mixing():
     # irreducible but periodic: a pure 2-cycle is not mixing
     assert check_mixing(SFT(((0, 1), (1, 0)))) is MixingVerdict.NOT_MIXING
     assert check_mixing(LOOP) is MixingVerdict.MIXING
+    # golden mean {0, 1} entered from the transient state 2, left to the
+    # dead end 3: neither is essential, so the shift still mixes
+    entered = SFT(((1, 1, 0, 0), (1, 0, 0, 1), (1, 0, 0, 0), (0, 0, 0, 0)))
+    assert essential_states(entered) == (0, 1)
+    assert check_mixing(entered) is MixingVerdict.MIXING
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _matpow(a, n):
+    out = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    while n:
+        if n & 1:
+            out = _matmul(out, a)
+        a, n = _matmul(a, a), n >> 1
+    return out
+
+
+def _log2_over(value, n):
+    return log2_enclosure(RatInterval.point(value), 40) / n
+
+
+square_01 = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=k, max_size=k
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mat=square_01)
+def test_graph_layer_matches_matrix_powers(mat):
+    z = SFT(tuple(map(tuple, mat)))
+    k = len(mat)
+    # s is essential iff paths of length k end at s and start from s
+    ak = _matpow(mat, k)
+    ess = tuple(s for s in range(k) if any(ak[s]) and any(row[s] for row in ak))
+    assert essential_states(z) == ess
+    # Wielandt: a primitive m-by-m matrix has a positive (m-1)^2+1 power
+    m = len(ess)
+    sub = [[mat[a][b] for b in ess] for a in ess]
+    primitive = m > 0 and all(all(row) for row in _matpow(sub, (m - 1) ** 2 + 1))
+    assert (check_mixing(z) is MixingVerdict.MIXING) == primitive
+    for n in range(1, 5):
+        words = [
+            w for w in product(range(k), repeat=n)
+            if any(row[w[0]] for row in ak) and any(ak[w[-1]])
+            and all(mat[a][b] for a, b in zip(w, w[1:]))
+        ]
+        assert count_words(z, n) == len(words)
+    # trace(A^n) <= k lambda^n and lambda^n <= max row sum of A^n
+    e = sft_entropy(z, F(1, 1000))
+    a64 = _matpow(mat, 64)
+    trace = sum(a64[i][i] for i in range(k))
+    if trace:
+        assert e.hi >= _log2_over(F(trace, k), 64).lo
+    top = max(sum(row) for row in a64)
+    if top:
+        assert e.lo <= _log2_over(top, 64).hi
+    else:
+        assert e.hi == 0
 
 
 def test_prefix_encode_hand_traces():
