@@ -11,6 +11,7 @@ found, which is sound regardless.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -237,14 +238,17 @@ def _pwl_candidates(
                 targets.append(RatInterval(Fraction(i, denom), Fraction(j, denom)))
 
     # each target takes the first shrink level that picks two branches;
-    # candidates are grouped by p, and preimages are computed per group
+    # candidates are grouped by p, and preimages are computed per group.
+    # Branch domains are ordered with both ends strictly increasing, so the
+    # domains strictly inside a target form one run, found by bisection.
+    dom_los = [br.dom.lo for br in branches]
+    dom_his = [br.dom.hi for br in branches]
     groups: dict[int, list[tuple[RatInterval, list[_Branch]]]] = {}
     for target in targets:
-        selected = [
-            br
-            for br in branches
-            if br.img.contains_interval(target) and target.strictly_contains(br.dom)
-        ][: budget.max_p]
+        run = branches[
+            bisect_right(dom_los, target.lo) : bisect_left(dom_his, target.hi)
+        ]
+        selected = [br for br in run if br.img.contains_interval(target)][: budget.max_p]
         for shrink_bits in (8, 12, 16):
             eta = target.width / (1 << shrink_bits)
             inner = RatInterval(target.lo + eta, target.hi - eta)

@@ -82,16 +82,6 @@ class Center:
             "entropy": self.entropy.to_json(),
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Center":
-        return cls(
-            RatInterval.from_json(data["r_enc"]),
-            int(data["period"]),
-            tuple(int(v) for v in data["orbit_order"]),
-            SFT.from_json(data["sft"]),
-            EntropyBound.from_json(data["entropy"]),
-        )
-
 
 @dataclass(frozen=True)
 class EnumerationResult:
@@ -164,6 +154,51 @@ def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
 # ---------------------------------------------------------------------------
 
 
+# the errors a malformed record raises, reported with its line
+_MALFORMED = (AttributeError, KeyError, TypeError)
+
+
+def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
+    return ValueError(f"malformed line {line} in {path}: {exc!r}")
+
+
+class _Stored:
+    """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
+    the rest of a loaded record is parsed by ``center()`` on first use, and
+    kept: this is the one place a stored center is read."""
+
+    __slots__ = ("period", "r_enc", "_center", "_line", "_path")
+
+    def __init__(
+        self,
+        period: int,
+        r_enc: RatInterval,
+        center: Union[Center, dict],  # a Center, or the record still to parse
+        line: int = 0,
+        path: Optional[Path] = None,
+    ):
+        self.period = period
+        self.r_enc = r_enc
+        self._center = center
+        self._line = line
+        self._path = path
+
+    def center(self) -> Center:
+        if not isinstance(self._center, Center):
+            data = self._center
+            try:
+                self._center = Center(
+                    self.r_enc,
+                    self.period,
+                    tuple(int(v) for v in data["orbit_order"]),
+                    SFT.from_json(data["sft"]),
+                    EntropyBound.from_json(data["entropy"]),
+                )
+            except _MALFORMED as exc:
+                raise _malformed(self._line, self._path, exc) from exc
+        return self._center
+
+
 class CenterCache:
     """Append-only JSON-lines store of computed centers.
 
@@ -173,14 +208,24 @@ class CenterCache:
     existing lines. A final line without its newline that does not parse is
     the torn tail of an interrupted append: loading ignores it and the next
     append cuts it off.
+
+    Loading checks every line's JSON, the header's schema, each record's
+    ``type``, a center's ``period`` and ``r_enc`` (the scan and the bracket
+    search read only these) and a scan marker's cells. A center's orbit
+    order, SFT and entropy are parsed when it is first used: for the at most
+    two centers per period that ``collect_brackets`` returns, and for every
+    center that ``enumerate_centers`` returns. A malformed line raises
+    ``ValueError`` naming the line, at load or at that first use.
     """
 
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
-        self.centers: list[Center] = []
+        # in the order stored; _is_primitive refines against them in this order
+        self.centers: list[_Stored] = []
         # the unresolved cells of each scanned period
         self.scanned: dict[int, tuple[RatInterval, ...]] = {}
         self._keys: set[tuple] = set()
+        self._sorted: Optional[list[_Stored]] = None
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
         self._tail: Optional[tuple[int, str]] = None
@@ -205,10 +250,8 @@ class CenterCache:
                     continue
                 try:
                     self._read_line(number, data)
-                except (AttributeError, KeyError, TypeError) as exc:
-                    raise ValueError(
-                        f"malformed line {number + 1} in {self.path}: {exc!r}"
-                    ) from exc
+                except _MALFORMED as exc:
+                    raise _malformed(number + 1, self.path, exc) from exc
         if not raw.endswith(b"\n"):
             self._tail = (end, "\n")
 
@@ -217,19 +260,34 @@ class CenterCache:
             if data.get("schema") != CACHE_SCHEMA:
                 raise ValueError(f"unsupported cache schema in {self.path}")
         elif data.get("type") == "center":
-            center = Center.from_json(data)
-            key = self._key(center)
+            stored = _Stored(
+                int(data["period"]),
+                RatInterval.from_json(data["r_enc"]),
+                data,
+                number + 1,
+                self.path,
+            )
+            key = self._key(stored)
             if key not in self._keys:
                 self._keys.add(key)
-                self.centers.append(center)
+                self.centers.append(stored)
         elif data.get("type") == "scan":
             self.scanned[int(data["period"])] = tuple(
                 RatInterval.from_json(iv) for iv in data.get("unresolved", [])
             )
 
     @staticmethod
-    def _key(center: Center) -> tuple:
+    def _key(center: Union[Center, _Stored]) -> tuple:
         return (center.period, center.r_enc.lo, center.r_enc.hi)
+
+    def sorted_centers(self) -> list[_Stored]:
+        """The stored centers sorted by (r_enc.lo, period); the sort is kept
+        until a center is added."""
+        if self._sorted is None:
+            self._sorted = sorted(
+                self.centers, key=lambda c: (c.r_enc.lo, c.period)
+            )
+        return self._sorted
 
     def _append(self, record: dict) -> None:
         if self.path is None:
@@ -251,7 +309,8 @@ class CenterCache:
         if key in self._keys:
             return
         self._keys.add(key)
-        self.centers.append(center)
+        self.centers.append(_Stored(center.period, center.r_enc, center))
+        self._sorted = None
         self._append(center.to_json())
 
     def mark_scanned(self, period: int, unresolved: Sequence[RatInterval]) -> None:
@@ -291,7 +350,7 @@ def _exact_minimal_period(r: Fraction, p: int) -> int:
 
 
 def _is_primitive(
-    root: RatInterval, p: int, expr: IterMapExpr, earlier: Sequence[Center]
+    root: RatInterval, p: int, expr: IterMapExpr, earlier: Sequence[_Stored]
 ) -> tuple[bool, RatInterval]:
     if root.is_point:
         return _exact_minimal_period(root.lo, p) == p, root
@@ -344,11 +403,12 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
-def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[Center]:
+def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
     """The stored centers of period <= p_max, sorted by (r_enc.lo, period),
     after scanning every period the cache lacks; new centers get entropy
-    enclosures of width <= eps, stored ones are returned as stored. Periods
-    beyond ``DEFAULT_PERIOD_CAP`` are refused before any scan."""
+    enclosures of width <= eps, stored ones are returned as stored and
+    unparsed. Periods beyond ``DEFAULT_PERIOD_CAP`` are refused before any
+    scan."""
     _check_period_cap(p_max)
     for p in range(1, p_max + 1):
         if p in cache.scanned:
@@ -370,15 +430,15 @@ def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[Center]
                 continue
             cache.add_center(center)
         cache.mark_scanned(p, unresolved)
-    return sorted(
-        (c for c in cache.centers if c.period <= p_max),
-        key=lambda c: (c.r_enc.lo, c.period),
-    )
+    return [c for c in cache.sorted_centers() if c.period <= p_max]
 
 
-def _refined(center: Center, eps: Fraction) -> Center:
-    """The center with an entropy enclosure of width <= eps. A coarser stored
-    enclosure is recomputed in memory; the cache line is left as it is."""
+def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
+    """The center, parsed, with an entropy enclosure of width <= eps. A
+    coarser stored enclosure is recomputed in memory; the cache line is left
+    as it is."""
+    if isinstance(center, _Stored):
+        center = center.center()
     if center.entropy.width <= eps:
         return center
     return replace(center, entropy=sft_entropy(center.sft, eps))
@@ -424,7 +484,7 @@ _EXACT_ONE = EntropyBound(_ONE, _ONE, Provenance.EXACT, certified=True)
 
 def collect_brackets(
     query: RatInterval,
-    centers: Sequence[Center],
+    centers: Sequence[Union[Center, _Stored]],
     *,
     eps: RationalLike,
 ) -> tuple[Optional[Center], Optional[Center]]:
@@ -434,7 +494,8 @@ def collect_brackets(
     ``above`` the first with the least r_enc.lo > query.hi, and a side
     without one is None. By the monotonicity of the entropy in the
     parameter, below.entropy.lo and above.entropy.hi bound the entropy at
-    the query. Only these two centers get entropy enclosures of width
+    the query. The search reads only each center's r_enc; only these two
+    centers are parsed from the cache and get entropy enclosures of width
     <= eps, refined in memory where the stored one is coarser.
     """
     if query.lo < 0 or query.hi > 4:

@@ -7,6 +7,7 @@ from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
 from entrolab.numkit import RatInterval, parse_rational
+from entrolab.symbolic import SFT
 
 
 def write_json(path, payload):
@@ -152,6 +153,98 @@ def test_logistic_malformed_cache_line_exit_2(tmp_path, capsys, line):
     argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--cache-path", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture(scope="module")
+def period_5_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("p5") / "c.jsonl"
+    enumerate_centers(5, cache=CenterCache(path))
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _center_line(lines, pick):
+    """The 1-based number of the center record that ``pick`` chooses by r_enc."""
+    centers = {
+        n: json.loads(line) for n, line in enumerate(lines, 1) if '"center"' in line
+    }
+    return pick(centers, key=lambda n: parse_rational(centers[n]["r_enc"][0]))
+
+
+def _with(lines, number, **fields):
+    lines = list(lines)
+    lines[number - 1] = json.dumps({**json.loads(lines[number - 1]), **fields}, sort_keys=True)
+    return "\n".join(lines) + "\n"
+
+
+# r = 3.7 runs every period up to 5 (exit 3); its nearest center below is
+# the period-4 one near 3.4986, and the period-5 one near 3.9903 is never
+# the nearest on either side
+_QUERY = ["--format", "json", "entropy", "logistic", "--r", "3.7", "--eps", "1e-6",
+          "--max-period", "5", "--cache-path"]
+
+
+def _nearest_below(centers, key):
+    return max((n for n in centers if key(n) < F(37, 10)), key=key)
+
+
+def test_logistic_malformed_bracketing_center_exit_2(tmp_path, capsys, period_5_lines):
+    # a center's SFT is parsed when the sandwich first reads it
+    number = _center_line(period_5_lines, _nearest_below)
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, sft="x"), encoding="utf-8")
+    assert main(_QUERY + [str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+def test_malformed_far_center_read_only_by_centers(tmp_path, capsys, period_5_lines):
+    # the sandwich never reads a center far from the query; `centers` lists
+    # every center, so it parses that one too
+    clean, bad = tmp_path / "clean.jsonl", tmp_path / "bad.jsonl"
+    clean.write_text("\n".join(period_5_lines) + "\n", encoding="utf-8")
+    number = _center_line(period_5_lines, max)
+    bad.write_text(_with(period_5_lines, number, sft="x"), encoding="utf-8")
+    results = []
+    for path in (clean, bad):
+        code = main(_QUERY + [str(path)])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][0] == 3
+    assert results[1] == results[0]
+    assert main(["centers", "--max-period", "5", "--cache-path", str(bad)]) == 2
+    assert f"malformed line {number} in {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("period", None), ("period", "x"), ("r_enc", ["x", "4/1"]), ("r_enc", "x")],
+    ids=["period-null", "period-text", "r_enc-text", "r_enc-shape"],
+)
+def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lines, field, value):
+    # period and r_enc are parsed at load, even on a center no query reads
+    number = _center_line(period_5_lines, max)
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, **{field: value}), encoding="utf-8")
+    assert main(_QUERY + [str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sandwich_parses_only_bracketing_centers(tmp_path, capsys, monkeypatch):
+    # at most the two bracketing centers of each period are parsed, of the
+    # 66 that a period-9 cache holds
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "9", "--cache-path", str(path)]) == 0
+    parse = SFT.from_json
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return parse(data)
+
+    monkeypatch.setattr(SFT, "from_json", staticmethod(counted))
+    argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
+    assert main(argv + ["--cache-path", str(path)]) == 3
+    assert 0 < len(calls) <= 2 * 9
 
 
 def test_identity_both_methods(tmp_path, capsys):

@@ -6,7 +6,9 @@ with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
 center precision and so are refined in memory, or on a map file written
 by ``realize`` or by the test itself; ``centers --max-period 10`` also runs
 alone on a fresh cache, and ``centers --max-period 11`` on a copy of that
-cache, so it adds only the period-11 scan. The SHA-256 of
+cache, so it adds only the period-11 scan. ``entropy logistic --max-period
+9`` runs on a period-9 cache, the shape of the benchmark's warm sandwich,
+where each query reads only a few of the 66 stored centers. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
 change that moves any of them has changed what entrolab prints; if that is
 intended it bumps the cache schema or says so in CHANGES.md, and the
@@ -47,6 +49,20 @@ PERIOD_10_CACHE = "9e379321ce82dc177e077955a7bdaca22abd310d1927d601c6758e092d1c6
 # ``centers --max-period 11`` on the period-10 cache
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
 PERIOD_11_CACHE = "23a8ddd062ba84bb2145f1208dc5cd8689b4412806c09fb21b561a983dd59112"
+
+# (r, eps, exit code, stdout digest) on the period-9 cache
+PERIOD_9_LOGISTIC = [
+    ("3.5", "1/32", 0, "abe24714c6f156ab52d4ff29a564907247fd7a59ee4ebcb8685e9a1ff3a76b29"),
+    ("3.5", "1/128", 0, "e10e5fff0c79ae519d69feb4da3aea780596d41337071ce698c1a2f3989fdc67"),
+    ("3.63", "1/32", 3, "21d6cf4881ac372e241390f60253f6cfacb48ac46c2093376fc20790bc6d5917"),
+    ("3.63", "1/128", 3, "0d180c6007e937f100224b8ca53525e87ebadaccd6626ed11835c0133310bf62"),
+    ("3.74", "1/32", 0, "4431308f7a54d297d1b3a6d7115b1a9434ced48aa84941110f87fe8188caaa65"),
+    ("3.74", "1/128", 3, "8db59cd11a1677310d776fc7991bf8f167affdabf62df694d4b7648b76a95fed"),
+    ("3.9", "1/32", 0, "a0c7cc90cd84519b9487336bfa81a58162b484e0d33d701ba30cc6292b74c088"),
+    ("3.9", "1/128", 0, "fc48f6eea4873a96f571d8489df093336fe46d07d1853eb22e815becb45aa972"),
+    ("3.97", "1/32", 0, "f32533a27215d736407d595b2d7453bb972010324d741fb5372576de4fdeefc2"),
+    ("3.97", "1/128", 0, "75e5f0fc83cc35924828b18892248eda46ee9a8ef0cf2f29a4e2d94063ccc49a"),
+]
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
 COARSE_CACHE = "bafd9dd7f8bddd3460807e5e1d5106b1cea84012db7fd9c41d0b43a36cbb14e6"
@@ -123,6 +139,11 @@ def period_10_cache(tmp_path_factory):
     return build_cache(tmp_path_factory, "10")
 
 
+@pytest.fixture(scope="module")
+def period_9_cache(tmp_path_factory):
+    return build_cache(tmp_path_factory, "9")
+
+
 def test_golden_centers(centers_cache):
     path, code, out = centers_cache
     check(code, out, 0, CENTERS_STDOUT)
@@ -151,6 +172,21 @@ def test_golden_centers_period_11(period_10_cache, tmp_path):
     code, out = run_json(["centers", "--max-period", "11", "--cache-path", str(path)])
     check(code, out, 0, PERIOD_11_STDOUT)
     assert _sha(path.read_bytes()) == PERIOD_11_CACHE
+
+
+@pytest.mark.parametrize(
+    "r, eps, want_code, want_sha",
+    PERIOD_9_LOGISTIC,
+    ids=[f"{c[0]}-{c[1]}" for c in PERIOD_9_LOGISTIC],
+)
+def test_golden_logistic_period_9(period_9_cache, r, eps, want_code, want_sha):
+    path, code, _ = period_9_cache
+    assert code == 0
+    before = path.read_bytes()
+    argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--max-period", "9"]
+    code, out = run_json(argv + ["--cache-path", str(path)])
+    check(code, out, want_code, want_sha)
+    assert path.read_bytes() == before
 
 
 def test_golden_coarse_centers(coarse_cache):

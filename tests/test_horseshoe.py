@@ -1,7 +1,8 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import horseshoe, interval_maps
@@ -18,6 +19,8 @@ from entrolab.horseshoe import (
     HorseshoeCert,
     LowerBoundRecord,
     SearchBudget,
+    _branch_preimage,
+    _branches,
     _pwl_candidates,
     check_certificate,
     search_lower_bounds,
@@ -106,6 +109,64 @@ def test_pwl_candidates_are_certificates(f, n, max_p, grid_depth):
         assert check_certificate(f, HorseshoeCert(js, n))
         sizes.append(p)
     assert sizes == sorted(sizes, reverse=True)
+
+
+def _pwl_candidates_full_scan(g, budget):
+    """``_pwl_candidates`` as it was before the bisection: every branch is
+    tested against every target."""
+    branches = _branches(g)
+    freq = Counter((br.img.lo, br.img.hi) for br in branches)
+    targets = [
+        RatInterval(lo, hi)
+        for (lo, hi), _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:64]
+    ]
+    depth = budget.grid_depth
+    if depth > 0:
+        denom = 1 << depth
+        for i in range(denom):
+            for j in range(i + 1, denom + 1):
+                targets.append(RatInterval(F(i, denom), F(j, denom)))
+    groups = {}
+    for target in targets:
+        selected = [
+            br
+            for br in branches
+            if br.img.contains_interval(target) and target.strictly_contains(br.dom)
+        ][: budget.max_p]
+        for shrink_bits in (8, 12, 16):
+            eta = target.width / (1 << shrink_bits)
+            inner = RatInterval(target.lo + eta, target.hi - eta)
+            picked = [br for br in selected if inner.strictly_contains(br.dom)]
+            if len(picked) >= 2:
+                groups.setdefault(len(picked), []).append((inner, picked))
+                break
+    for p in sorted(groups, reverse=True):
+        found = {
+            tuple(_branch_preimage(g, br, inner) for br in picked)
+            for inner, picked in groups[p]
+        }
+        for js in sorted(found, key=lambda js: [(iv.lo, iv.hi) for iv in js]):
+            yield p, js
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=pwl_maps(),
+    n=st.integers(min_value=1, max_value=3),
+    max_p=st.sampled_from((2, 3, 4096)),
+    grid_depth=st.integers(min_value=0, max_value=3),
+)
+@example(f=tent_map(), n=2, max_p=2, grid_depth=0)
+def test_pwl_candidates_match_full_scan(f, n, max_p, grid_depth):
+    # the bisected run of branch domains inside each target selects exactly
+    # the branches the full scan does, in the same order. On tent^2 the
+    # target [0, 1] starts where the first branch does; a run that kept that
+    # branch would shift the max_p cut. (A run that kept a branch ending
+    # where the target ends selects the same candidates: the cut drops it
+    # first, and the shrunken target never contains it.)
+    g = compose_iterate(f, n)
+    budget = SearchBudget(max_n=n, max_p=max_p, grid_depth=grid_depth)
+    assert list(_pwl_candidates(g, budget)) == list(_pwl_candidates_full_scan(g, budget))
 
 
 def test_pwl_search_composes_each_iterate_once(monkeypatch):
