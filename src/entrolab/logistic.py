@@ -165,9 +165,11 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
 class _Stored:
     """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
     the rest of a loaded record is parsed by ``center()`` on first use, and
-    kept: this is the one place a stored center is read."""
+    kept: this is the one place a stored center is read. ``refined(eps)``
+    keeps its last refinement too, so a center that brackets a query at
+    several periods has its entropy recomputed once."""
 
-    __slots__ = ("period", "r_enc", "_center", "_line", "_path")
+    __slots__ = ("period", "r_enc", "_center", "_line", "_path", "_refinement")
 
     def __init__(
         self,
@@ -182,6 +184,7 @@ class _Stored:
         self._center = center
         self._line = line
         self._path = path
+        self._refinement: Optional[tuple[Fraction, Center]] = None  # (eps, center)
 
     def center(self) -> Center:
         if not isinstance(self._center, Center):
@@ -197,6 +200,12 @@ class _Stored:
             except _MALFORMED as exc:
                 raise _malformed(self._line, self._path, exc) from exc
         return self._center
+
+    def refined(self, eps: Fraction) -> Center:
+        """``_refined(self.center(), eps)``, kept for the last eps asked."""
+        if self._refinement is None or self._refinement[0] != eps:
+            self._refinement = (eps, _refined(self.center(), eps))
+        return self._refinement[1]
 
 
 class CenterCache:
@@ -267,18 +276,19 @@ class CenterCache:
                 number + 1,
                 self.path,
             )
-            key = self._key(stored)
-            if key not in self._keys:
-                self._keys.add(key)
+            if self._add_key(stored):
                 self.centers.append(stored)
         elif data.get("type") == "scan":
             self.scanned[int(data["period"])] = tuple(
                 RatInterval.from_json(iv) for iv in data.get("unresolved", [])
             )
 
-    @staticmethod
-    def _key(center: Union[Center, _Stored]) -> tuple:
-        return (center.period, center.r_enc.lo, center.r_enc.hi)
+    def _add_key(self, center: Union[Center, _Stored]) -> bool:
+        """Record the center's key; False when it was there already. The key
+        is hashed once: each Fraction hash computes a modular inverse."""
+        size = len(self._keys)
+        self._keys.add((center.period, center.r_enc.lo, center.r_enc.hi))
+        return len(self._keys) > size
 
     def sorted_centers(self) -> list[_Stored]:
         """The stored centers sorted by (r_enc.lo, period); the sort is kept
@@ -305,10 +315,8 @@ class CenterCache:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def add_center(self, center: Center) -> None:
-        key = self._key(center)
-        if key in self._keys:
+        if not self._add_key(center):
             return
-        self._keys.add(key)
         self.centers.append(_Stored(center.period, center.r_enc, center))
         self._sorted = None
         self._append(center.to_json())
@@ -435,10 +443,11 @@ def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[_Stored
 
 def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
     """The center, parsed, with an entropy enclosure of width <= eps. A
-    coarser stored enclosure is recomputed in memory; the cache line is left
-    as it is."""
+    coarser stored enclosure is recomputed in memory, and a stored center
+    keeps it for the next call at the same eps; the cache line is left as it
+    is."""
     if isinstance(center, _Stored):
-        center = center.center()
+        return center.refined(eps)
     if center.entropy.width <= eps:
         return center
     return replace(center, entropy=sft_entropy(center.sft, eps))

@@ -14,7 +14,11 @@ denominator and rounds outward once to ENCLOSURE_BITS = 128 dyadic bits;
 `IterMapExpr.derivative_enclosure` runs the chain rule the same way.
 `IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
 decides when it excludes 1/2, and otherwise an exact integer recurrence
-does.
+does. All three read the critical orbit through one small memo,
+`_critical_orbit`, so the root scan runs each orbit once per cell: the
+derivative reuses the orbit of the cell's value enclosure, the sign at a
+midpoint the orbit of its centered form, and a cell whose plain enclosure
+excludes 0 forms neither the derivative nor the centered form.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
-from typing import Union
+from typing import Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -388,6 +393,14 @@ def _orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int,
     return out
 
 
+@lru_cache(maxsize=4)
+def _critical_orbit(r: RatInterval, n: int) -> tuple[tuple[int, int], ...]:
+    """``_orbit_mantissas`` of the critical point 1/2, kept for the last few
+    (r, n): the root scan reads each orbit twice in a row, a cell's for its
+    value and derivative, a midpoint's for its centered form and sign."""
+    return tuple(_orbit_mantissas(r, _CRITICAL_POINT, n))
+
+
 def _from_mantissas(lo: int, hi: int) -> RatInterval:
     return RatInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
@@ -429,7 +442,7 @@ class IterMapExpr:
     def evaluate(self, r: RatInterval) -> RatInterval:
         """Interval enclosure of the expression over ``r``."""
         self._check_domain(r)
-        lo, hi = _orbit_mantissas(r, _CRITICAL_POINT, self.iterations)[-1]
+        lo, hi = _critical_orbit(r, self.iterations)[-1]
         return _from_mantissas(lo - _HALF_MANTISSA, hi - _HALF_MANTISSA)
 
     def sign_at(self, t: Fraction) -> int:
@@ -440,7 +453,7 @@ class IterMapExpr:
         for r = a/b, and 2*N is compared with D.
         """
         r = parse_rational(t)
-        lo, hi = _orbit_mantissas(RatInterval(r, r), _CRITICAL_POINT, self.iterations)[-1]
+        lo, hi = _critical_orbit(RatInterval(r, r), self.iterations)[-1]
         if lo > _HALF_MANTISSA:
             return 1
         if hi < _HALF_MANTISSA:
@@ -460,7 +473,8 @@ class IterMapExpr:
         """
         self._check_domain(r)
         a_lo, a_hi, b = _over_one_denominator(r)
-        orbit = _orbit_mantissas(r, _CRITICAL_POINT, self.iterations - 1)
+        # the first n - 1 steps of the n-step orbit that `evaluate` reads
+        orbit = _critical_orbit(r, self.iterations)[:-1]
         q = 4 * b * _SCALE * _SCALE
         d_lo = d_hi = 0
         for x_lo, x_hi in [(_HALF_MANTISSA, _HALF_MANTISSA), *orbit]:
@@ -498,9 +512,22 @@ class RootIsolation:
     unresolved: tuple[RatInterval, ...]
 
 
-def _scan_enclosure(expr: IterMapExpr, cell: RatInterval) -> tuple[RatInterval, RatInterval]:
-    """Enclosures of the expression and of its derivative over the cell."""
+def _scan_enclosure(
+    expr: IterMapExpr, cell: RatInterval
+) -> tuple[RatInterval, Optional[RatInterval]]:
+    """Enclosures of the expression and of its derivative over the cell.
+
+    The value enclosure is the plain one intersected with the centered form
+    at the midpoint. When the plain one already excludes 0 it is returned
+    alone, with no derivative: the intersection would exclude 0 as well, and
+    the scan reads the derivative only of a cell whose enclosure holds 0.
+    Each orbit runs once: the derivative reads the orbit of the plain
+    enclosure, and the scan's sign at the midpoint the orbit of the centered
+    form, through `_critical_orbit`.
+    """
     plain = expr.evaluate(cell)
+    if plain.lo > 0 or plain.hi < 0:
+        return plain, None
     mid = RatInterval.point(cell.mid)
     half = cell.width / 2
     slope = expr.derivative_enclosure(cell)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import entrolab.logistic as logistic
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
@@ -229,11 +230,36 @@ def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lin
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_sandwich_parses_only_bracketing_centers(tmp_path, capsys, monkeypatch):
+def test_repeated_center_record_skipped_unread(tmp_path, capsys, period_5_lines):
+    # a record with an earlier center's period and r_enc is skipped before
+    # its SFT is parsed: output and appended lines are as without it
+    number = _center_line(period_5_lines, max)
+    base = "\n".join(period_5_lines) + "\n"
+    copy = json.dumps({**json.loads(period_5_lines[number - 1]), "sft": "x"}, sort_keys=True)
+    texts = (base, base + copy + "\n")
+    results = []
+    for name, text in zip(("clean", "repeated"), texts):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text, encoding="utf-8")
+        code = main(["--format", "json", "centers", "--max-period", "6", "--cache-path", str(path)])
+        appended = path.read_text(encoding="utf-8")[len(text):]
+        results.append((code, capsys.readouterr().out, appended))
+    assert results[0][0] == 0 and results[0][2]
+    assert results[1] == results[0]
+
+
+@pytest.fixture(scope="module")
+def period_9_path(tmp_path_factory):
+    # a query up to period 9 reads this cache and never writes to it
+    path = tmp_path_factory.mktemp("p9") / "c.jsonl"
+    enumerate_centers(9, cache=CenterCache(path))
+    return path
+
+
+def test_sandwich_parses_only_bracketing_centers(period_9_path, capsys, monkeypatch):
     # at most the two bracketing centers of each period are parsed, of the
     # 66 that a period-9 cache holds
-    path = tmp_path / "c.jsonl"
-    assert main(["centers", "--max-period", "9", "--cache-path", str(path)]) == 0
+    path = period_9_path
     parse = SFT.from_json
     calls = []
 
@@ -245,6 +271,22 @@ def test_sandwich_parses_only_bracketing_centers(tmp_path, capsys, monkeypatch):
     argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
     assert main(argv + ["--cache-path", str(path)]) == 3
     assert 0 < len(calls) <= 2 * 9
+
+
+def test_sandwich_refines_each_center_once(period_9_path, capsys, monkeypatch):
+    # at 2^-40 every stored entropy is too coarse, and the nearest center on
+    # a side stays the same over several periods; it is refined once
+    refine = logistic.sft_entropy
+    sfts = []
+
+    def counted(sft, eps):
+        sfts.append(sft)
+        return refine(sft, eps)
+
+    monkeypatch.setattr(logistic, "sft_entropy", counted)
+    argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9", "--bits", "40"]
+    assert main(argv + ["--cache-path", str(period_9_path)]) == 3
+    assert 0 < len(sfts) == len(set(sfts))
 
 
 def test_identity_both_methods(tmp_path, capsys):

@@ -146,6 +146,16 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
     assert len(calls) <= 2 * len(periods)
 
 
+def test_stored_refinement_follows_eps(tmp_path):
+    # a stored center keeps its last refinement, and only for the eps it was made at
+    path = tmp_path / "c.jsonl"
+    enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
+    stored = CenterCache(path).sorted_centers()
+    for eps in (F(1, 2**20), F(1, 2**20), F(1, 2**40), F(1, 2**20)):
+        for center in stored:
+            assert entrolab.logistic._refined(center, eps) == entrolab.logistic._refined(center.center(), eps)
+
+
 def test_sandwich_at_7_halves(session_cache):
     bound = logistic_entropy(
         F(7, 2), F(1, 32), SandwichBudget(max_period=10), cache=session_cache

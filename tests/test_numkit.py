@@ -2,9 +2,10 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import entrolab.numkit as numkit
 from entrolab.numkit import (
     ENCLOSURE_BITS,
     IterMapExpr,
@@ -350,3 +351,107 @@ def test_sign_at_where_the_enclosure_cannot_decide(period, r, want):
     expr = critical_orbit_expr(period)
     assert expr.evaluate(RatInterval.point(r)).contains(0)
     assert expr.sign_at(r) == reference_sign(r, period) == want
+
+
+# ---------------------------------------------------------------------------
+# The critical-orbit memo and the scan's early exit
+# ---------------------------------------------------------------------------
+
+
+def dyadic_cells(lo=0, max_e=40):
+    """Cells [m, m + 1] * 2^-e in [lo, 4], as the root scan makes them."""
+    return st.integers(0, max_e).flatmap(
+        lambda e: st.integers(lo << e, (4 << e) - 1).map(
+            lambda m: RatInterval(F(m, 1 << e), F(m + 1, 1 << e))
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(period=st.integers(1, 9), cell=dyadic_cells(), t=rationals(0, 4), at_mid=st.booleans())
+def test_orbit_memo_hit_equals_miss(period, cell, t, at_mid):
+    expr = critical_orbit_expr(period)
+    t = cell.mid if at_mid else t
+    reads = [
+        lambda: expr.evaluate(cell),
+        lambda: expr.derivative_enclosure(cell),
+        lambda: expr.evaluate(RatInterval.point(t)),
+        lambda: expr.sign_at(t),
+    ]
+    misses = []
+    for read in reads:
+        numkit._critical_orbit.cache_clear()
+        misses.append(read())
+    for order in (reads, reads[::-1]):
+        numkit._critical_orbit.cache_clear()
+        results = [read() for read in order]
+        assert results == (misses if order is reads else misses[::-1])
+
+
+def reference_scan_enclosure(expr, cell):
+    """Both enclosures formed and intersected on every cell, as before the
+    early exit."""
+    plain = expr.evaluate(cell)
+    half = cell.width / 2
+    slope = expr.derivative_enclosure(cell)
+    centered = expr.evaluate(RatInterval.point(cell.mid)) + slope * RatInterval(-half, half)
+    return RatInterval(max(plain.lo, centered.lo), min(plain.hi, centered.hi)), slope
+
+
+@settings(max_examples=60, deadline=None)
+@example(period=9, cell=RatInterval(3, 4), depth=16)
+@example(period=8, cell=RatInterval(F(7, 2), 4), depth=16)
+@example(period=1, cell=RatInterval(2, 3), depth=1)  # enclosures touch 0 at r = 2
+@given(
+    period=st.integers(1, 9),
+    # most centers lie in [3, 4], where cells are bisected, not discarded
+    cell=st.one_of(dyadic_cells(3, 3), dyadic_cells(0, 12)),
+    depth=st.integers(1, 16),
+)
+def test_root_isolate_decisions_match_reference_scan(period, cell, depth):
+    expr = critical_orbit_expr(period)
+    # on the cell itself: the early exit drops the cells the intersection
+    # drops, and gives the same enclosures on the others
+    enc, slope = numkit._scan_enclosure(expr, cell)
+    ref_enc, ref_slope = reference_scan_enclosure(expr, cell)
+    assert enc.contains(0) == ref_enc.contains(0)
+    if ref_enc.contains(0):
+        assert (enc, slope) == (ref_enc, ref_slope)
+    # through root_isolate: the scan is depth first, so the sequence of
+    # scanned cells records every decision: a bisected cell is followed by
+    # its halves, and a discarded one (enclosure without 0, or same-sign
+    # endpoints and a monotone cell) by neither
+    runs = []
+    for scan in (reference_scan_enclosure, numkit._scan_enclosure):
+        cells = []
+
+        def recorded(expr, cell, scan=scan, cells=cells):
+            cells.append(cell)
+            return scan(expr, cell)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(numkit, "_scan_enclosure", recorded)
+            iso = root_isolate(expr, cell, cell.width / (1 << depth))
+        runs.append((cells, iso))
+    assert runs[1] == runs[0]
+
+
+def test_scan_runs_at_most_two_orbits_per_cell(monkeypatch):
+    # the derivative reuses the cell's orbit and the midpoint sign the
+    # orbit of the centered form; a cell excluded by its plain enclosure
+    # runs one orbit
+    counts = {"orbits": 0, "scans": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(numkit, "_orbit_mantissas", counted("orbits", numkit._orbit_mantissas))
+    monkeypatch.setattr(numkit, "_scan_enclosure", counted("scans", numkit._scan_enclosure))
+    numkit._critical_orbit.cache_clear()
+    root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
+    assert counts["scans"] > 1000
+    assert counts["orbits"] <= 2 * counts["scans"]
