@@ -92,7 +92,7 @@ class SFT:
     allowed: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(v) for v in row) for row in self.allowed)
+        rows = tuple(tuple(row) for row in self.allowed)
         object.__setattr__(self, "allowed", rows)
         k = len(rows)
         if k < 1:
@@ -100,6 +100,9 @@ class SFT:
         for row in rows:
             if len(row) != k:
                 raise ValueError("transition matrix must be square")
+            # no int(v): a file's 1.9, "1" or true is refused, not read as 1
+            if any(type(v) is not int for v in row):
+                raise TypeError("transition matrix entries must be integers")
             if any(v not in (0, 1) for v in row):
                 raise ValueError("transition matrix entries must be 0 or 1")
 
@@ -121,9 +124,11 @@ class SFT:
 
     @classmethod
     def from_json(cls, data: dict) -> "SFT":
-        rows = data["allowed"]
-        sft = cls(tuple(tuple(row) for row in rows))
-        if "alphabet" in data and int(data["alphabet"]) != sft.alphabet_size:
+        sft = cls(data["allowed"])
+        alphabet = data.get("alphabet", sft.alphabet_size)
+        if type(alphabet) is not int:
+            raise TypeError("alphabet must be an integer")
+        if alphabet != sft.alphabet_size:
             raise ValueError("alphabet field disagrees with matrix size")
         return sft
 
@@ -247,22 +252,31 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
     """Exact rational bracket of the Perron root of an irreducible 0/1 block,
     given as ascending successor lists.
 
-    Power iteration on A + I (primitive whenever A is irreducible) with
-    min/max Rayleigh-style ratios: for any positive integer vector x,
+    Power iteration on B = A + I (primitive whenever A is irreducible) with
+    the Collatz-Wielandt bounds: for any positive integer vector x,
     min_i (Bx)_i / x_i <= lambda(B) <= max_i (Bx)_i / x_i, and the gap
-    contracts geometrically. Everything stays in exact integers.
+    contracts geometrically. The ratios are compared by integer
+    cross-multiplication, and only the two extremes become Fractions. Each
+    step divides y = Bx by the gcd of its entries, which is safe because no
+    ratio depends on the scale of x.
     """
     m = len(succ)
+    num, den = rel_gap.numerator, rel_gap.denominator
     x = [1] * m
     for _ in range(200_000):
-        y = [x[i] + sum(x[j] for j in succ[i]) for i in range(m)]
-        ratios = [Fraction(y[i], x[i]) for i in range(m)]
-        lo, hi = min(ratios), max(ratios)
-        if hi - lo <= lo * rel_gap:
-            return lo - 1, hi - 1
-        shrink = 0
-        for v in y:
-            shrink = gcd(shrink, v)
+        at = x.__getitem__
+        y = [sum(map(at, row), xi) for xi, row in zip(x, succ)]
+        a = b = 0  # states with the least and the greatest ratio y_i / x_i
+        for i in range(1, m):
+            if y[i] * x[a] < y[a] * x[i]:
+                a = i
+            elif y[i] * x[b] > y[b] * x[i]:
+                b = i
+        # hi - lo <= lo * rel_gap, times x_a * x_b * den
+        lo_xb = y[a] * x[b]
+        if (y[b] * x[a] - lo_xb) * den <= lo_xb * num:
+            return Fraction(y[a] - x[a], x[a]), Fraction(y[b] - x[b], x[b])
+        shrink = gcd(*y)
         x = [v // shrink for v in y] if shrink > 1 else y
     raise ArithmeticError("Perron bracket did not converge")
 

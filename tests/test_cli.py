@@ -416,6 +416,37 @@ def test_sft_commands(golden_file, capsys):
     assert main(["sft", "kappa", "encode", "--file", golden_file, "--word", "011"]) == 2
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"allowed": [[1.9, 1], [1, 0.5]]},
+        {"allowed": [[1.0, 1], [1, 0]]},
+        {"allowed": [["1", "1"], ["1", "0"]]},
+        {"allowed": [[True, True], [True, False]]},
+        {"alphabet": 2.7, "allowed": [[1, 1], [1, 0]]},
+        {"alphabet": "2", "allowed": [[1, 1], [1, 0]]},
+    ],
+    ids=["floats", "float-one", "strings", "bools", "float-alphabet", "text-alphabet"],
+)
+def test_sft_file_non_integer_entries_exit_2(tmp_path, capsys, payload):
+    # each of these once read as the golden mean and was certified
+    path = write_json(tmp_path / "z.json", payload)
+    assert main(["sft", "entropy", "--file", path, "--eps", "1e-6"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed subshift file {path}")
+
+
+def test_cached_sft_float_entry_malformed_line(tmp_path, capsys, period_5_lines):
+    number = _center_line(period_5_lines, _nearest_below)
+    sft = json.loads(period_5_lines[number - 1])["sft"]
+    sft["allowed"][0] = [float(v) for v in sft["allowed"][0]]
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, sft=sft), encoding="utf-8")
+    assert main(_QUERY + [str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
 def test_centers_table_and_cache_idempotence(tmp_path, capsys, session_cache):
     args = [
         "centers", "--max-period", "3", "--cache-path", str(session_cache.path),

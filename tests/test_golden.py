@@ -28,6 +28,19 @@ TENT = {"nodes": [["0/1", "0/1"], ["1/2", "1/1"], ["1/1", "0/1"]]}
 SKEW_TENT = {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]}
 FULL_LOGISTIC = {"r": "4/1"}
 GOLDEN_MEAN = {"alphabet": 2, "allowed": [[1, 1], [1, 0]]}
+# the 24-cycle with the chord 23 -> 15: a small spectral gap, many power steps
+CHORD_24 = {
+    "alphabet": 24,
+    "allowed": [[int(j == (i + 1) % 24 or (i, j) == (23, 15)) for j in range(24)] for i in range(24)],
+}
+DENSE_12 = {
+    "alphabet": 12,
+    "allowed": [[int(c) for c in row] for row in (
+        "100111100000", "111010101101", "100100111101", "011011011100",
+        "001100111000", "101011101010", "111011111010", "101100110111",
+        "100001100010", "101001101000", "011100101110", "000001000011",
+    )],
+}
 
 CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
 CENTERS_CACHE = "098f27d8c7cf855728f19e1fd66b897e4536461b046d47fa121fbaabd5852090"
@@ -85,6 +98,10 @@ FILE_CALLS = [
      "ecfc6e5e30882ae12e469b40299fc70e301ed79f2b3005e8d383ddb5f39065e3"),
     ("golden-mean-sft", GOLDEN_MEAN, ["sft", "entropy", "--eps", "1e-9"],
      "b20e244e7a4505e1100785f4d3b916a4594862ecd44ee2be4e3bbdb8c37e9b46"),
+    ("chord-24-sft", CHORD_24, ["sft", "entropy", "--eps", "1e-9"],
+     "c5d794603fc5a6ea15e3b28a883a606d284f76a1510ee71bd4893801d75ca6c1"),
+    ("dense-12-sft", DENSE_12, ["sft", "entropy", "--eps", "1e-6"],
+     "679d0e273c9114983cd6165a76ca14def6e66474e834281c4a43e4e0da3224e0"),
     # few branches per target: pins the max_p cut before the shrink levels
     ("tent-horseshoe-max-p", TENT,
      ["entropy", "pwl", "--method", "horseshoe", "--max-p", "8", "--grid-depth", "0"],

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from entrolab import symbolic
 from entrolab.numkit import RatInterval, log2_enclosure
 from entrolab.symbolic import (
     SFT,
@@ -13,6 +14,7 @@ from entrolab.symbolic import (
     MixingVerdict,
     NeedMoreInput,
     Provenance,
+    _perron_bracket,
     check_mixing,
     count_words,
     essential_states,
@@ -46,6 +48,10 @@ def test_sft_validation():
         SFT(((1, 0), (1,)))
     with pytest.raises(ValueError):
         SFT(((2, 0), (0, 0)))
+    with pytest.raises(TypeError):  # entries are never truncated to 0/1
+        SFT(((1.9, 1), (1, 0)))
+    with pytest.raises(TypeError):
+        SFT.from_json({"alphabet": 2.0, "allowed": [[1, 1], [1, 0]]})
     assert SFT.from_json(GOLDEN.to_json()) == GOLDEN
 
 
@@ -205,6 +211,65 @@ def test_graph_layer_matches_matrix_powers(mat):
         assert e.lo <= _log2_over(top, 64).hi
     else:
         assert e.hi == 0
+
+
+def _perron_bracket_reference(succ, rel_gap):
+    """The plain Fraction loop: one ratio per state and step, min and max."""
+    m = len(succ)
+    x = [1] * m
+    for _ in range(200_000):
+        y = [x[i] + sum(x[j] for j in succ[i]) for i in range(m)]
+        ratios = [F(y[i], x[i]) for i in range(m)]
+        lo, hi = min(ratios), max(ratios)
+        if hi - lo <= lo * rel_gap:
+            return lo - 1, hi - 1
+        shrink = 0
+        for v in y:
+            shrink = math.gcd(shrink, v)
+        x = [v // shrink for v in y] if shrink > 1 else y
+    raise ArithmeticError("Perron bracket did not converge")
+
+
+def _chord_cycle(m, source, target):
+    """Successor lists of the m-cycle i -> i + 1 plus the chord source -> target."""
+    return [sorted({(i + 1) % m} | ({target} if i == source else set())) for i in range(m)]
+
+
+@st.composite
+def irreducible_blocks(draw):
+    """Successor lists of a random cycle through all states plus random edges."""
+    m = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(m)))
+    edges = {(order[i], order[(i + 1) % m]) for i in range(m)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                               max_size=2 * m)))
+    return [sorted(b for a, b in edges if a == s) for s in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(succ=irreducible_blocks(), k=st.sampled_from((2, 6, 9)))
+@example(succ=[[0, 1, 2]] * 3, k=6)  # full 3-shift: every ratio ties at the first step
+@example(succ=[[0]], k=9)  # a single self-loop
+@example(succ=_chord_cycle(16, 15, 10), k=9)
+def test_perron_bracket_equals_fraction_reference(succ, k):
+    rel_gap = F(3, 10) / 10**k
+    assert _perron_bracket(succ, rel_gap) == _perron_bracket_reference(succ, rel_gap)
+
+
+def test_perron_bracket_builds_two_fractions(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return F(*args)
+
+    succ = _chord_cycle(40, 39, 25)
+    rel_gap = F(3, 10**10)
+    monkeypatch.setattr(symbolic, "Fraction", counting)
+    lo, hi = _perron_bracket(succ, rel_gap)
+    monkeypatch.undo()
+    assert len(calls) <= 2
+    assert 0 < hi - lo <= (lo + 1) * rel_gap
 
 
 def test_prefix_encode_hand_traces():
