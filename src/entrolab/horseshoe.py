@@ -164,27 +164,30 @@ class _Branch:
 
 def _branches(g: PWLMap) -> list[_Branch]:
     nodes = g.nodes
+    ys = [y for _, y in nodes]
+    last = len(ys) - 1
     out: list[_Branch] = []
     i = 0
-    while i < len(nodes) - 1:
-        dy = nodes[i + 1][1] - nodes[i][1]
-        if dy == 0:
+    while i < last:
+        ya = ys[i]
+        if ys[i + 1] == ya:
             i += 1
             continue
-        rising = dy > 0
+        rising = ys[i + 1] > ya
         j = i + 1
-        while j < len(nodes) - 1:
-            step = nodes[j + 1][1] - nodes[j][1]
-            if step == 0 or (step > 0) != rising:
-                break
-            j += 1
-        ya, yb = nodes[i][1], nodes[j][1]
+        if rising:
+            while j < last and ys[j + 1] > ys[j]:
+                j += 1
+        else:
+            while j < last and ys[j + 1] < ys[j]:
+                j += 1
+        yb = ys[j]
         out.append(
             _Branch(
                 i,
                 j,
                 RatInterval(nodes[i][0], nodes[j][0]),
-                RatInterval(min(ya, yb), max(ya, yb)),
+                RatInterval(ya, yb) if rising else RatInterval(yb, ya),
                 rising,
             )
         )
@@ -223,12 +226,16 @@ def _pwl_candidates(
     lies outside ``inner``, which every image strictly contains.
     """
     branches = _branches(g)
-    # candidate targets: the distinct branch images (most frequent first),
-    # then a coarse dyadic grid as a fallback
-    freq = Counter((br.img.lo, br.img.hi) for br in branches)
+    # each distinct branch image gets an id; candidate targets are the
+    # distinct images (most frequent first), then a coarse dyadic grid as a
+    # fallback
+    ids: dict[tuple[Fraction, Fraction], int] = {}
+    img_ids = [ids.setdefault((br.img.lo, br.img.hi), len(ids)) for br in branches]
+    images = list(ids)
+    freq = Counter(img_ids)
     targets = [
-        RatInterval(lo, hi)
-        for (lo, hi), _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:64]
+        RatInterval(*images[k])
+        for k in sorted(freq, key=lambda k: (-freq[k], images[k]))[:64]
     ]
     depth = budget.grid_depth
     if depth > 0:
@@ -240,21 +247,32 @@ def _pwl_candidates(
     # each target takes the first shrink level that picks two branches;
     # candidates are grouped by p, and preimages are computed per group.
     # Branch domains are ordered with both ends strictly increasing, so the
-    # domains strictly inside a target form one run, found by bisection.
+    # domains strictly inside an interval form one run of indices, found by
+    # bisection; containment in the target is tested once per distinct image.
     dom_los = [br.dom.lo for br in branches]
     dom_his = [br.dom.hi for br in branches]
     groups: dict[int, list[tuple[RatInterval, list[_Branch]]]] = {}
     for target in targets:
-        run = branches[
-            bisect_right(dom_los, target.lo) : bisect_left(dom_his, target.hi)
-        ]
-        selected = [br for br in run if br.img.contains_interval(target)][: budget.max_p]
+        lo, hi = target.lo, target.hi
+        start, stop = bisect_right(dom_los, lo), bisect_left(dom_his, hi)
+        if stop - start < 2:
+            continue
+        covers = [a <= lo and hi <= b for a, b in images]
+        selected = [k for k in range(start, stop) if covers[img_ids[k]]][: budget.max_p]
+        if len(selected) < 2:
+            continue
+        width = hi - lo
         for shrink_bits in (8, 12, 16):
-            eta = target.width / (1 << shrink_bits)
-            inner = RatInterval(target.lo + eta, target.hi - eta)
-            picked = [br for br in selected if inner.strictly_contains(br.dom)]
+            eta = width / (1 << shrink_bits)
+            ilo, ihi = lo + eta, hi - eta
+            # the domains strictly inside [ilo, ihi]: indices in [lo_k, hi_k)
+            lo_k = bisect_right(dom_los, ilo, start, stop)
+            hi_k = bisect_left(dom_his, ihi, start, stop)
+            picked = selected[bisect_left(selected, lo_k) : bisect_left(selected, hi_k)]
             if len(picked) >= 2:
-                groups.setdefault(len(picked), []).append((inner, picked))
+                groups.setdefault(len(picked), []).append(
+                    (RatInterval(ilo, ihi), [branches[k] for k in picked])
+                )
                 break
     for p in sorted(groups, reverse=True):
         found = {

@@ -8,7 +8,7 @@ object anywhere is a final log2 enclosure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -129,22 +129,91 @@ def tent_map() -> PWLMap:
 
 
 def compose(outer: PWLMap, inner: PWLMap, node_cap: int = DEFAULT_NODE_CAP) -> PWLMap:
-    """Exact composition outer(inner(x)) as a piecewise-linear map."""
-    cuts: set[Fraction] = {_ONE}
+    """Exact composition outer(inner(x)) as a piecewise-linear map.
+
+    The inner segments are walked left to right. A segment [x1, x2] emits
+    its left end (x1, outer(y1)), then one node per outer breakpoint gx
+    strictly between y1 and y2, ascending when the segment rises and
+    descending when it falls. The node sits at x1 + (gx - y1)(x2 - x1)/(y2 - y1),
+    where inner equals gx, so its value is the outer ordinate at gx. The
+    nodes come out sorted, with no sort and no evaluation of ``inner``.
+
+    Collinear nodes are dropped in the same pass, so the nodes are the ones
+    ``canonical()`` keeps. The composition is linear between consecutive
+    nodes, so a node drops exactly when the slopes on its two sides agree:
+    a breakpoint node when ``outer`` is straight at gx, a segment's left end
+    by the cross-multiplication test of ``canonical()`` against the last
+    kept node and the next node.
+
+    ``NodeCapExceeded`` is raised after a non-flat segment once the nodes so
+    far, counting the right end x = 1, outnumber ``node_cap``.
+    """
+    oxs = outer.xs
+    onodes = outer.nodes
+    last = len(onodes) - 1
+    # bends[k]: the outer slopes on the two sides of node k differ
+    bends = [True] * (last + 1)
+    for k in range(1, last):
+        (ax, ay), (bx, by), (cx, cy) = onodes[k - 1], onodes[k], onodes[k + 1]
+        bends[k] = (by - ay) * (cx - bx) != (cy - by) * (bx - ax)
+
+    def outer_at(y: Fraction) -> tuple[int, Fraction]:
+        # (bisect_right(oxs, y), outer(y)), for y in [0, 1]
+        j = bisect_right(oxs, y)
+        gx, gy = onodes[j - 1]
+        if j > last or gx == y:
+            return j, gy
+        hx, hy = onodes[j]
+        return j, gy + (hy - gy) * (y - gx) / (hx - gx)
+
+    kept: list[tuple[Fraction, Fraction]] = []
+    # a segment's left end, kept or dropped once the next node is known
+    pending: Optional[tuple[Fraction, Fraction]] = None
+    count = 1  # nodes emitted so far, plus the right end
+
+    def settle(x: Fraction, y: Fraction) -> None:
+        # keep the pending node unless it lies on the segment from the last
+        # kept node to the next node (x, y)
+        nonlocal pending
+        if pending is None:
+            return
+        (kx, ky), (px, py) = kept[-1], pending
+        if (py - ky) * (x - px) != (y - py) * (px - kx):
+            kept.append(pending)
+        pending = None
+
     for x1, y1, x2, y2 in inner.segments():
-        cuts.add(x1)
+        j, v = outer_at(y1)
+        settle(x1, v)
+        if kept:
+            pending = (x1, v)
+        else:
+            kept.append((x1, v))
+        count += 1
         if y1 == y2:
             continue
-        lo_y, hi_y = (y1, y2) if y1 < y2 else (y2, y1)
-        slope = (y2 - y1) / (x2 - x1)
-        for gx in outer.xs:
-            if lo_y < gx < hi_y:
-                cuts.add(x1 + (gx - y1) / slope)
-        if len(cuts) > node_cap:
+        scale = (x2 - x1) / (y2 - y1)
+        if y1 < y2:
+            ks = range(j, bisect_left(oxs, y2, j))
+        else:
+            # the breakpoints below y1: oxs[j - 1] itself when it equals y1
+            top = j - 1 if oxs[j - 1] == y1 else j
+            ks = range(top - 1, bisect_right(oxs, y2, 0, top) - 1, -1)
+        for k in ks:
+            if pending is None and not bends[k]:
+                continue
+            gx, gy = onodes[k]
+            x = x1 + (gx - y1) * scale
+            settle(x, gy)
+            if bends[k]:
+                kept.append((x, gy))
+        count += len(ks)
+        if count > node_cap:
             raise NodeCapExceeded(f"composition exceeds {node_cap} nodes")
-    xs = sorted(cuts)
-    nodes = tuple((x, outer.eval(inner.eval(x))) for x in xs)
-    return PWLMap(nodes).canonical()
+    end = (_ONE, outer_at(inner.nodes[-1][1])[1])
+    settle(*end)
+    kept.append(end)
+    return PWLMap(tuple(kept))
 
 
 def compose_iterate(f: PWLMap, n: int, node_cap: int = DEFAULT_NODE_CAP) -> PWLMap:

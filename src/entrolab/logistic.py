@@ -155,7 +155,7 @@ def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
 
 
 # the errors a malformed record raises, reported with its line
-_MALFORMED = (AttributeError, KeyError, TypeError)
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
 
 def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
@@ -257,6 +257,10 @@ class CenterCache:
                 end += len(raw)
                 if data is None:
                     continue
+                if number == 0:
+                    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
+                        raise ValueError(f"unsupported cache schema in {self.path}")
+                    continue
                 try:
                     self._read_line(number, data)
                 except _MALFORMED as exc:
@@ -265,10 +269,7 @@ class CenterCache:
             self._tail = (end, "\n")
 
     def _read_line(self, number: int, data: dict) -> None:
-        if number == 0:
-            if data.get("schema") != CACHE_SCHEMA:
-                raise ValueError(f"unsupported cache schema in {self.path}")
-        elif data.get("type") == "center":
+        if data.get("type") == "center":
             stored = _Stored(
                 int(data["period"]),
                 RatInterval.from_json(data["r_enc"]),

@@ -51,12 +51,15 @@ class PrecisionError(ValueError):
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse "p/q", integer, or decimal/scientific text into an exact Fraction.
 
-    Decimal inputs are exact: "3.5" becomes 7/2, never a float.
+    Decimal inputs are exact: "3.5" becomes 7/2, never a float, and a bool
+    is refused like a float, so a JSON ``true`` is never read as 1.
     """
     if isinstance(text, Fraction):
         return text
-    if isinstance(text, float):
-        raise TypeError("refusing to convert a float; pass a string or Fraction")
+    if isinstance(text, (float, bool)):
+        raise TypeError(
+            f"refusing to convert a {type(text).__name__}; pass a string or Fraction"
+        )
     return Fraction(text)
 
 

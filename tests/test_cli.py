@@ -113,6 +113,24 @@ def test_pwl_variation_node_cap_exit_2(skew_file, capsys, cap):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("method", ["variation", "horseshoe"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"nodes": [[False, False], ["1/2", True], [True, False]]},
+        {"nodes": [["0/1", "0/1"], ["1/2", True], ["1/1", "0/1"]]},
+        {"r": [True, "4/1"]},
+    ],
+    ids=["bool-tent", "bool-peak", "bool-r"],
+)
+def test_pwl_file_bool_coordinates_exit_2(tmp_path, capsys, payload, method):
+    # the tent map spelled with JSON booleans was read as the tent map and
+    # certified with exit 0
+    path = write_json(tmp_path / "m.json", payload)
+    assert main(["entropy", "pwl", "--file", path, "--method", method]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
+
+
 @pytest.mark.parametrize(
     "tail", ['{"type": "center", "period": 9, "r_', None], ids=["torn", "no-newline"]
 )
@@ -216,8 +234,14 @@ def test_malformed_far_center_read_only_by_centers(tmp_path, capsys, period_5_li
 
 @pytest.mark.parametrize(
     "field, value",
-    [("period", None), ("period", "x"), ("r_enc", ["x", "4/1"]), ("r_enc", "x")],
-    ids=["period-null", "period-text", "r_enc-text", "r_enc-shape"],
+    [
+        ("period", None),
+        ("period", "x"),
+        ("r_enc", ["x", "4/1"]),
+        ("r_enc", "x"),
+        ("r_enc", [True, "4/1"]),
+    ],
+    ids=["period-null", "period-text", "r_enc-text", "r_enc-shape", "r_enc-bool"],
 )
 def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lines, field, value):
     # period and r_enc are parsed at load, even on a center no query reads
@@ -445,6 +469,34 @@ def test_cached_sft_float_entry_malformed_line(tmp_path, capsys, period_5_lines)
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
     assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["sft", "entropy"])
+def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
+    # a record whose fields raise ValueError names its line too: an SFT entry
+    # of 2, or a stored entropy with its ends out of order
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = max(
+        n for n, line in enumerate(lines, 1) if '"center"' in line and '"period": 4' in line
+    )
+    record = json.loads(lines[number - 1])
+    if field == "sft":
+        record["sft"]["allowed"][0][0] = 2
+    else:
+        record["entropy"]["lo"], record["entropy"]["hi"] = "1/1", "1/2"
+    capsys.readouterr()
+    path.write_text(_with(lines, number, **{field: record[field]}), encoding="utf-8")
+    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+def test_cache_schema_header_message(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"schema": 999}\n', encoding="utf-8")
+    assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: unsupported cache schema in {path}"
 
 
 def test_centers_table_and_cache_idempotence(tmp_path, capsys, session_cache):

@@ -27,6 +27,8 @@ from entrolab.cli import main
 TENT = {"nodes": [["0/1", "0/1"], ["1/2", "1/1"], ["1/1", "0/1"]]}
 SKEW_TENT = {"nodes": [["0/1", "0/1"], ["1/4", "1/1"], ["1/1", "0/1"]]}
 FULL_LOGISTIC = {"r": "4/1"}
+# a flat segment between a rise and a fall, and slopes of different sizes
+PLATEAU = {"nodes": [["0", "0"], ["1/4", "1"], ["1/2", "1"], ["3/4", "1/8"], ["1", "2/3"]]}
 GOLDEN_MEAN = {"alphabet": 2, "allowed": [[1, 1], [1, 0]]}
 # the 24-cycle with the chord 23 -> 15: a small spectral gap, many power steps
 CHORD_24 = {
@@ -92,6 +94,8 @@ COARSE_LOGISTIC = [
 FILE_CALLS = [
     ("tent-horseshoe", TENT, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
      "4e2bdf6e821e1e4d4b30932564e87f0b67625d08f840625dd470df66bf0cec2d"),
+    ("plateau-horseshoe", PLATEAU, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "7"],
+     "0576c8ba02458eb1c31925b360dfa08114dcf900a2e62d3724d033ae9d70a959"),
     ("r4-horseshoe", FULL_LOGISTIC, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "4"],
      "3dee71cb706bcb04caa4dcaf6c29f9433f0ae0c1c20eeda03c41c430ee484bea"),
     ("skew-tent-variation", SKEW_TENT, ["entropy", "pwl", "--method", "variation", "--n-max", "8"],

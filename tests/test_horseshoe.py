@@ -43,6 +43,8 @@ def test_cert_validation():
             (RatInterval(F(1, 4), F(1, 2)), RatInterval(F(3, 5), F(6, 5))), 1
         )  # outside [0,1]
     assert HorseshoeCert.from_json(TENT_CERT.to_json()) == TENT_CERT
+    with pytest.raises(TypeError):  # a JSON true is not the number 1
+        HorseshoeCert.from_json({"n": 1, "intervals": [[False, "1/4"], ["1/2", True]]})
 
 
 def test_hand_built_tent_certificate():
@@ -111,10 +113,56 @@ def test_pwl_candidates_are_certificates(f, n, max_p, grid_depth):
     assert sizes == sorted(sizes, reverse=True)
 
 
+# a flat segment between a rise and a fall; not constant-slope
+PLATEAU = PWLMap(
+    ((F(0), F(0)), (F(1, 4), F(1)), (F(1, 2), F(1)), (F(3, 4), F(1, 8)), (F(1), F(2, 3)))
+)
+
+
+def _branches_reference(g):
+    """``_branches`` as it was before it compared ordinates directly: the
+    runs are read off the signs of the differences of consecutive ordinates."""
+    nodes = g.nodes
+    out = []
+    i = 0
+    while i < len(nodes) - 1:
+        dy = nodes[i + 1][1] - nodes[i][1]
+        if dy == 0:
+            i += 1
+            continue
+        rising = dy > 0
+        j = i + 1
+        while j < len(nodes) - 1:
+            step = nodes[j + 1][1] - nodes[j][1]
+            if step == 0 or (step > 0) != rising:
+                break
+            j += 1
+        ya, yb = nodes[i][1], nodes[j][1]
+        out.append(
+            horseshoe._Branch(
+                i,
+                j,
+                RatInterval(nodes[i][0], nodes[j][0]),
+                RatInterval(min(ya, yb), max(ya, yb)),
+                rising,
+            )
+        )
+        i = j
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=pwl_maps(), n=st.integers(min_value=1, max_value=4))
+@example(f=PLATEAU, n=3)
+def test_branches_match_reference(f, n):
+    g = compose_iterate(f, n)
+    assert _branches(g) == _branches_reference(g)
+
+
 def _pwl_candidates_full_scan(g, budget):
     """``_pwl_candidates`` as it was before the bisection: every branch is
     tested against every target."""
-    branches = _branches(g)
+    branches = _branches_reference(g)
     freq = Counter((br.img.lo, br.img.hi) for br in branches)
     targets = [
         RatInterval(lo, hi)
@@ -157,6 +205,7 @@ def _pwl_candidates_full_scan(g, budget):
     grid_depth=st.integers(min_value=0, max_value=3),
 )
 @example(f=tent_map(), n=2, max_p=2, grid_depth=0)
+@example(f=tent_map(), n=8, max_p=4096, grid_depth=0)
 def test_pwl_candidates_match_full_scan(f, n, max_p, grid_depth):
     # the bisected run of branch domains inside each target selects exactly
     # the branches the full scan does, in the same order. On tent^2 the
@@ -164,6 +213,8 @@ def test_pwl_candidates_match_full_scan(f, n, max_p, grid_depth):
     # branch would shift the max_p cut. (A run that kept a branch ending
     # where the target ends selects the same candidates: the cut drops it
     # first, and the shrunken target never contains it.)
+    # On tent^8 the branch [1/256, 2/256] starts where the target [0, 1]
+    # shrunk by 2^-8 does, and [254/256, 255/256] ends where it ends.
     g = compose_iterate(f, n)
     budget = SearchBudget(max_n=n, max_p=max_p, grid_depth=grid_depth)
     assert list(_pwl_candidates(g, budget)) == list(_pwl_candidates_full_scan(g, budget))

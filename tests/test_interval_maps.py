@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entrolab import interval_maps
 from entrolab.numkit import PrecisionError, RatInterval, log2_enclosure
 from entrolab.interval_maps import (
     NodeCapExceeded,
@@ -88,6 +89,92 @@ def test_node_cap():
     f = constant_slope_map(RatInterval.point(1))
     with pytest.raises(NodeCapExceeded):
         compose_iterate(f, 10, node_cap=100)
+
+
+def _compose_reference(outer, inner, node_cap=1_000_000):
+    """``compose`` as it was before the segment walk: every cut is collected
+    in a set, sorted, evaluated through both maps and canonicalized."""
+    cuts = {F(1)}
+    for x1, y1, x2, y2 in inner.segments():
+        cuts.add(x1)
+        if y1 == y2:
+            continue
+        lo_y, hi_y = (y1, y2) if y1 < y2 else (y2, y1)
+        slope = (y2 - y1) / (x2 - x1)
+        for gx in outer.xs:
+            if lo_y < gx < hi_y:
+                cuts.add(x1 + (gx - y1) / slope)
+        if len(cuts) > node_cap:
+            raise NodeCapExceeded(f"composition exceeds {node_cap} nodes")
+    xs = sorted(cuts)
+    nodes = tuple((x, outer.eval(inner.eval(x))) for x in xs)
+    return PWLMap(nodes).canonical()
+
+
+def _cut_count(outer, inner):
+    """How many nodes the reference cuts before it drops collinear ones."""
+    count = len(inner.nodes)
+    for _, y1, _, y2 in inner.segments():
+        count += sum(min(y1, y2) < gx < max(y1, y2) for gx in outer.xs)
+    return count
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args).nodes
+    except NodeCapExceeded:
+        return NodeCapExceeded
+
+
+@st.composite
+def pwl_maps(draw):
+    """Maps with at most five nodes at rationals of denominator <= 16, as in
+    test_horseshoe: flat segments, collinear nodes and ordinates at the
+    map's own breakpoints all occur."""
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=16)
+    inner = draw(st.lists(unit.filter(lambda x: 0 < x < 1), max_size=3, unique=True))
+    xs = [F(0), *sorted(inner), F(1)]
+    ys = draw(st.lists(unit, min_size=len(xs), max_size=len(xs)))
+    return PWLMap(tuple(zip(xs, ys)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=pwl_maps())
+def test_compose_matches_sort_and_eval_reference(f):
+    # f, f^2, f^3 as inner maps: the walk must give the reference's nodes,
+    # and raise NodeCapExceeded for exactly the caps the reference does
+    g = f
+    for _ in range(3):
+        want = _compose_reference(f, g)
+        assert compose(f, g).nodes == want.nodes
+        for cap in range(1, _cut_count(f, g) + 2):
+            assert _outcome(compose, f, g, cap) == _outcome(_compose_reference, f, g, cap)
+        g = want
+
+
+def test_compose_matches_reference_on_realized_maps():
+    # non-canonical inner maps and an outer map with a straight node
+    f = constant_slope_map(H_LOG32)
+    bent = PWLMap(
+        ((F(0), F(0)), (F(1, 4), F(1, 2)), (F(1, 2), F(1)), (F(3, 4), F(1, 8)), (F(1), F(2, 3)))
+    )
+    for outer, inner in [
+        (f, compose_iterate(f, 3)), (bent, compose_iterate(f, 2)), (f, bent), (bent, bent)
+    ]:
+        assert compose(outer, inner).nodes == _compose_reference(outer, inner).nodes
+
+
+def test_compose_makes_no_eval_and_no_sort(monkeypatch):
+    f = constant_slope_map(H_LOG32)
+    g = compose_iterate(f, 3)
+    want = _compose_reference(f, g)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compose evaluated a map or sorted its cuts")
+
+    monkeypatch.setattr(PWLMap, "eval", refuse)
+    monkeypatch.setattr(interval_maps, "sorted", refuse, raising=False)
+    assert compose(f, g).nodes == want.nodes
 
 
 def test_entropy_via_variation_certified():

@@ -34,6 +34,9 @@ def test_parse_and_format():
     assert format_rational(F(2)) == "2/1"
     with pytest.raises(TypeError):
         parse_rational(0.5)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            parse_rational(flag)
 
 
 def test_interval_basics():
