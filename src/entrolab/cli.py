@@ -56,16 +56,19 @@ class InputError(Exception):
     """Bad file or value supplied to a command."""
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"malformed {what} file {path}: the top level is not a JSON object")
+    return data
 
 
 def _load_map(path: str) -> "PWLMap | QuadMap":
-    data = _load_json(path)
+    data = _load_json(path, "map")
     try:
         if "nodes" in data:
             return PWLMap.from_json(data)
@@ -77,7 +80,7 @@ def _load_map(path: str) -> "PWLMap | QuadMap":
 
 
 def _load_sft(path: str) -> SFT:
-    data = _load_json(path)
+    data = _load_json(path, "subshift")
     try:
         return SFT.from_json(data)
     except (ValueError, TypeError, KeyError) as exc:

@@ -41,7 +41,6 @@ CACHE_SCHEMA = 1
 DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
 _SEPARATION_FLOOR = Fraction(1, 1 << 300)
-_COINCIDENCE_WIDTH = Fraction(1, 1 << 70)
 
 
 class RefinementBudgetError(RuntimeError):
@@ -229,7 +228,6 @@ class CenterCache:
 
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
-        # in the order stored; _is_primitive refines against them in this order
         self.centers: list[_Stored] = []
         # the unresolved cells of each scanned period
         self.scanned: dict[int, tuple[RatInterval, ...]] = {}
@@ -347,52 +345,24 @@ def resolve_cache_path(explicit: Union[str, Path, None]) -> Optional[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _proper_divisors(p: int) -> list[int]:
-    return [q for q in range(1, p) if p % q == 0]
-
-
-def _exact_minimal_period(r: Fraction, p: int) -> int:
-    for k in range(1, p + 1):
-        if critical_orbit_expr(k).sign_at(r) == 0:
-            return k
-    raise AssertionError("exact root does not close up")
-
-
-def _is_primitive(
-    root: RatInterval, p: int, expr: IterMapExpr, earlier: Sequence[_Stored]
-) -> tuple[bool, RatInterval]:
-    if root.is_point:
-        return _exact_minimal_period(root.lo, p) == p, root
-    divisors = set(_proper_divisors(p))
-    for other in earlier:
-        if other.period not in divisors:
-            continue
-        enc = other.r_enc
-        cur = root
-        while cur.intersects(enc):
-            if cur.width <= _COINCIDENCE_WIDTH and enc.width <= _COINCIDENCE_WIDTH:
-                return False, cur  # coincides with a shorter-period center
-            if cur.width > _COINCIDENCE_WIDTH:
-                cur = refine_root(expr, cur, cur.width / 4)
-                if cur.is_point:
-                    return _exact_minimal_period(cur.lo, p) == p, cur
-            if enc.width > _COINCIDENCE_WIDTH and cur.intersects(enc):
-                enc = refine_root(
-                    critical_orbit_expr(other.period), enc, enc.width / 4
-                )
-        root = cur
-    return True, root
-
-
 def _build_center(
     expr: IterMapExpr, root: RatInterval, period: int, eps: Fraction
-) -> Center:
+) -> Optional[Center]:
+    """The center of the root cell, or None when the cell holds a center of
+    a proper-divisor period instead. Separated orbit enclosures prove the
+    minimal period is ``period``: a center of period d | period would put
+    f^d(1/2) = 1/2 on the closing point. A cell whose orbit does not
+    separate is dropped when the closing condition of a proper divisor has
+    a root in it, and refined otherwise."""
+    divisors = [critical_orbit_expr(d) for d in range(1, period) if period % d == 0]
     r_enc = root
     while True:
         try:
             _, sft, orbit_rank = _markov_data(r_enc, period)
             break
         except _SeparationError:
+            if any(e.sign_at(r_enc.lo) * e.sign_at(r_enc.hi) <= 0 for e in divisors):
+                return None
             if r_enc.is_point or r_enc.width <= _SEPARATION_FLOOR:
                 raise RefinementBudgetError(
                     f"cannot certify orbit separation near {r_enc}"
@@ -425,19 +395,16 @@ def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[_Stored
         expr = critical_orbit_expr(p)
         iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
         unresolved = list(iso.unresolved)
-        earlier = [c for c in cache.centers if c.period < p]
         for root in iso.roots:
             if root.hi <= 0 or root.lo >= 4:
                 continue
-            primitive, refined = _is_primitive(root, p, expr, earlier)
-            if not primitive:
-                continue
             try:
-                center = _build_center(expr, refined, p, eps)
+                center = _build_center(expr, root, p, eps)
             except RefinementBudgetError:
-                unresolved.append(refined)
+                unresolved.append(root)
                 continue
-            cache.add_center(center)
+            if center is not None:
+                cache.add_center(center)
         cache.mark_scanned(p, unresolved)
     return [c for c in cache.sorted_centers() if c.period <= p_max]
 
@@ -462,10 +429,12 @@ def enumerate_centers(
 ) -> EnumerationResult:
     """All superattracting centers of period <= p_max in (0, 4).
 
-    Roots of the closing condition are isolated per period, filtered down
-    to primitive periods by certified separation from shorter-period
-    centers, and each survivor is refined until its critical orbit is
-    certifiably simple, then assigned its induced subshift. Every returned
+    Roots of the closing condition are isolated per period. A root is
+    accepted once the enclosures of its critical orbit are separated, which
+    proves its period minimal; a root cell that holds a root of a
+    proper-divisor closing condition is dropped, and any other is refined
+    until its orbit separates. No stored center is read to decide a period.
+    Each accepted root is assigned its induced subshift. Every returned
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
     back. The unresolved cells are those of the scans of periods 1..p_max,

@@ -26,6 +26,7 @@ threads or processes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,6 +45,13 @@ _SCALE = 1 << ENCLOSURE_BITS
 _HALF_MANTISSA = _SCALE >> 1  # 1/2 over _SCALE
 
 
+# the largest |e| parse_rational accepts in decimal text "...e<e>": Fraction
+# builds 10**|e| exactly, which takes seconds at 10**7 and grows about 35-fold
+# per digit; 4300 is Python's default limit on the digits of an int in text
+_MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 class PrecisionError(ValueError):
     """An enclosure cannot be produced at the requested precision."""
 
@@ -52,7 +60,9 @@ def parse_rational(text: RationalLike) -> Fraction:
     """Parse "p/q", integer, or decimal/scientific text into an exact Fraction.
 
     Decimal inputs are exact: "3.5" becomes 7/2, never a float, and a bool
-    is refused like a float, so a JSON ``true`` is never read as 1.
+    is refused like a float, so a JSON ``true`` is never read as 1. A
+    decimal exponent beyond 4300 in absolute value is refused with
+    ValueError before any power of ten is formed.
     """
     if isinstance(text, Fraction):
         return text
@@ -60,6 +70,14 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise TypeError(
             f"refusing to convert a {type(text).__name__}; pass a string or Fraction"
         )
+    if isinstance(text, str):
+        match = _EXPONENT.search(text)
+        if match:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} in absolute value"
+                )
     return Fraction(text)
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -321,6 +322,47 @@ def test_identity_both_methods(tmp_path, capsys):
     assert "no horseshoe" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "payload", ["nodes", ["nodes"], "r", 42], ids=["text", "list", "r", "number"]
+)
+def test_non_object_file_exit_2(tmp_path, capsys, payload):
+    # "nodes" in a JSON string or list held, and from_json then crashed
+    path = write_json(tmp_path / "m.json", payload)
+    assert main(["entropy", "pwl", "--file", path, "--method", "variation"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
+    assert main(["sft", "entropy", "--file", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed subshift file {path}")
+
+
+_HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize("where", ["r", "eps", "h", "map-node", "quad-r", "cached-r_enc"])
+def test_huge_decimal_exponent_exit_2_fast(tmp_path, capsys, where):
+    # Fraction builds 10**|e| exactly: each of these hung before it was refused
+    path = tmp_path / "input.json"
+    cache = tmp_path / "c.jsonl"
+    argv = {
+        "r": ["entropy", "logistic", "--r", _HUGE, "--eps", "1/32"],
+        "eps": ["entropy", "logistic", "--r", "3.5", "--eps", "1e-999999999"],
+        "h": ["realize", "--h", _HUGE, "--out", str(path)],
+        "map-node": ["entropy", "pwl", "--file", str(path), "--method", "variation"],
+        "quad-r": ["entropy", "pwl", "--file", str(path), "--method", "horseshoe"],
+        "cached-r_enc": ["entropy", "logistic", "--r", "3.5", "--eps", "1/32",
+                         "--cache-path", str(cache)],
+    }[where]
+    if where == "map-node":
+        write_json(path, {"nodes": [["0", "0"], ["1/2", _HUGE], ["1", "0"]]})
+    if where == "quad-r":
+        write_json(path, {"r": _HUGE})
+    record = {"type": "center", "period": 1, "r_enc": [_HUGE, _HUGE]}
+    cache.write_text('{"schema": 1}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    start = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_malformed_file_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -520,6 +562,22 @@ def test_json_output_deterministic(golden_file, capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert set(payload) == {"eps", "h"}
+
+
+def test_period_scan_reads_no_stored_center(tmp_path, capsys):
+    # scan markers for periods 1-3 without their center records: the period-4
+    # scan tells the period-2 root 1 + sqrt(5) apart by its own orbit
+    path = tmp_path / "c.jsonl"
+    cache = CenterCache(path)
+    for p in (1, 2, 3):
+        cache.mark_scanned(p, [])
+    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "UNRESOLVED" not in out
+    rows = [line.split("\t") for line in out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["4", "4"]
+    mids = [float((F(row[1]) + F(row[2])) / 2) for row in rows]
+    assert mids == pytest.approx([3.4985616, 3.9602701], abs=1e-6)
 
 
 def test_unresolved_cells_stay_with_their_period(tmp_path, capsys):

@@ -185,6 +185,9 @@ def test_golden_centers_period_10(period_10_cache):
     path, code, out = period_10_cache
     check(code, out, 0, PERIOD_10_STDOUT)
     assert _sha(path.read_bytes()) == PERIOD_10_CACHE
+    # a change in which roots the scan accepts shows as a count, not only a digest
+    periods = [c["period"] for c in json.loads(out)["centers"]]
+    assert [periods.count(p) for p in range(1, 11)] == [1, 1, 1, 2, 3, 5, 9, 16, 28, 51]
 
 
 def test_golden_centers_period_11(period_10_cache, tmp_path):

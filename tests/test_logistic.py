@@ -3,11 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from entrolab.numkit import RatInterval
+from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
 from entrolab.symbolic import Provenance, sft_entropy
 import entrolab.logistic
 from entrolab.logistic import (
     DEFAULT_EPS,
+    DEFAULT_ROOT_WIDTH,
     DEFAULT_PERIOD_CAP,
     BudgetExceeded,
     CenterCache,
@@ -17,6 +18,7 @@ from entrolab.logistic import (
     logistic_entropy,
     markov_partition,
     resolve_cache_path,
+    _build_center,
 )
 
 PHI_LOG = math.log2((1 + 5**0.5) / 2)
@@ -79,6 +81,21 @@ def test_primitive_period_filter(centers3):
         for other in centers3:
             if other.period < c.period and c.period % other.period == 0:
                 assert not c.r_enc.intersects(other.r_enc)
+
+
+def test_build_center_drops_proper_divisor_roots():
+    # the orbit of a root of a proper-divisor closing condition never
+    # separates; the root is dropped without refining it
+    two = RatInterval.point(2)
+    for p in range(2, 7):
+        assert _build_center(critical_orbit_expr(p), two, p, DEFAULT_EPS) is None
+    center = _build_center(critical_orbit_expr(1), two, 1, DEFAULT_EPS)
+    assert (center.period, center.r_enc) == (1, two)
+    # the period-4 root cell that holds the period-2 center 1 + sqrt(5)
+    expr = critical_orbit_expr(4)
+    roots = root_isolate(expr, RatInterval(0, 4), DEFAULT_ROOT_WIDTH).roots
+    [cell] = [iv for iv in roots if (iv.lo - 1) ** 2 < 5 < (iv.hi - 1) ** 2]
+    assert _build_center(expr, cell, 4, DEFAULT_EPS) is None
 
 
 def test_enumeration_idempotent(session_cache, tmp_path):

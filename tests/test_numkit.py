@@ -39,6 +39,16 @@ def test_parse_and_format():
             parse_rational(flag)
 
 
+def test_parse_decimal_exponent_limit():
+    # Fraction builds 10**|e| exactly, so a huge exponent would hang
+    assert parse_rational("1e-309") == F(1, 10**309)
+    assert parse_rational("2.5E+4300") == F(25 * 10**4299)
+    assert parse_rational("1e-0_004_300") == F(1, 10**4300)
+    for text in ("1e4301", "1E-4301", "1e999999999", "7e1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="decimal exponent"):
+            parse_rational(text)
+
+
 def test_interval_basics():
     iv = RatInterval(F(1, 3), F(1, 2))
     assert iv.width == F(1, 6)
