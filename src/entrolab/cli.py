@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -121,8 +122,8 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
     seconds = args.budget_seconds
     if args.bits <= 0 or eps <= 0 or args.max_period <= 0:
         raise InputError("numeric options must be positive")
-    if seconds is not None and seconds <= 0:
-        raise InputError("numeric options must be positive")
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise InputError("--budget-seconds must be positive and finite")
     _check_precision(eps, args.bits)
     cache = CenterCache(resolve_cache_path(args.cache_path))
     budget = SandwichBudget(max_period=args.max_period, seconds=seconds)

@@ -161,14 +161,21 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
     return ValueError(f"malformed line {line} in {path}: {exc!r}")
 
 
+def _json_int(value: object, least: int) -> int:
+    """A JSON integer >= least; a boolean, string or float is refused, not converted."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 class _Stored:
     """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
     the rest of a loaded record is parsed by ``center()`` on first use, and
-    kept: this is the one place a stored center is read. ``refined(eps)``
-    keeps its last refinement too, so a center that brackets a query at
-    several periods has its entropy recomputed once."""
+    kept: this is the one place a stored center is read. Nothing else is
+    kept: a query refines a center when it first becomes the nearest on a
+    side, and holds that refined ``Center`` from then on."""
 
-    __slots__ = ("period", "r_enc", "_center", "_line", "_path", "_refinement")
+    __slots__ = ("period", "r_enc", "_center", "_line", "_path")
 
     def __init__(
         self,
@@ -183,7 +190,6 @@ class _Stored:
         self._center = center
         self._line = line
         self._path = path
-        self._refinement: Optional[tuple[Fraction, Center]] = None  # (eps, center)
 
     def center(self) -> Center:
         if not isinstance(self._center, Center):
@@ -192,19 +198,13 @@ class _Stored:
                 self._center = Center(
                     self.r_enc,
                     self.period,
-                    tuple(int(v) for v in data["orbit_order"]),
+                    tuple(_json_int(v, 0) for v in data["orbit_order"]),
                     SFT.from_json(data["sft"]),
                     EntropyBound.from_json(data["entropy"]),
                 )
             except _MALFORMED as exc:
                 raise _malformed(self._line, self._path, exc) from exc
         return self._center
-
-    def refined(self, eps: Fraction) -> Center:
-        """``_refined(self.center(), eps)``, kept for the last eps asked."""
-        if self._refinement is None or self._refinement[0] != eps:
-            self._refinement = (eps, _refined(self.center(), eps))
-        return self._refinement[1]
 
 
 class CenterCache:
@@ -218,12 +218,14 @@ class CenterCache:
     append cuts it off.
 
     Loading checks every line's JSON, the header's schema, each record's
-    ``type``, a center's ``period`` and ``r_enc`` (the scan and the bracket
-    search read only these) and a scan marker's cells. A center's orbit
-    order, SFT and entropy are parsed when it is first used: for the at most
-    two centers per period that ``collect_brackets`` returns, and for every
-    center that ``enumerate_centers`` returns. A malformed line raises
-    ``ValueError`` naming the line, at load or at that first use.
+    ``type``, the ``period`` of a center or scan marker (a JSON integer
+    >= 1), a center's ``r_enc`` (the scan and the bracket search read only
+    these) and a scan marker's cells. A center's orbit order (JSON
+    integers >= 0), SFT and entropy are parsed when it is first used: when
+    ``collect_brackets`` first returns it as the nearest center on a side of
+    a query, and for every center that ``enumerate_centers`` returns. A
+    malformed line raises ``ValueError`` naming the line, at load or at that
+    first use.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -232,7 +234,6 @@ class CenterCache:
         # the unresolved cells of each scanned period
         self.scanned: dict[int, tuple[RatInterval, ...]] = {}
         self._keys: set[tuple] = set()
-        self._sorted: Optional[list[_Stored]] = None
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
         self._tail: Optional[tuple[int, str]] = None
@@ -269,7 +270,7 @@ class CenterCache:
     def _read_line(self, number: int, data: dict) -> None:
         if data.get("type") == "center":
             stored = _Stored(
-                int(data["period"]),
+                _json_int(data["period"], 1),
                 RatInterval.from_json(data["r_enc"]),
                 data,
                 number + 1,
@@ -278,7 +279,7 @@ class CenterCache:
             if self._add_key(stored):
                 self.centers.append(stored)
         elif data.get("type") == "scan":
-            self.scanned[int(data["period"])] = tuple(
+            self.scanned[_json_int(data["period"], 1)] = tuple(
                 RatInterval.from_json(iv) for iv in data.get("unresolved", [])
             )
 
@@ -288,15 +289,6 @@ class CenterCache:
         size = len(self._keys)
         self._keys.add((center.period, center.r_enc.lo, center.r_enc.hi))
         return len(self._keys) > size
-
-    def sorted_centers(self) -> list[_Stored]:
-        """The stored centers sorted by (r_enc.lo, period); the sort is kept
-        until a center is added."""
-        if self._sorted is None:
-            self._sorted = sorted(
-                self.centers, key=lambda c: (c.r_enc.lo, c.period)
-            )
-        return self._sorted
 
     def _append(self, record: dict) -> None:
         if self.path is None:
@@ -317,7 +309,6 @@ class CenterCache:
         if not self._add_key(center):
             return
         self.centers.append(_Stored(center.period, center.r_enc, center))
-        self._sorted = None
         self._append(center.to_json())
 
     def mark_scanned(self, period: int, unresolved: Sequence[RatInterval]) -> None:
@@ -382,16 +373,11 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
-def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
-    """The stored centers of period <= p_max, sorted by (r_enc.lo, period),
-    after scanning every period the cache lacks; new centers get entropy
-    enclosures of width <= eps, stored ones are returned as stored and
-    unparsed. Periods beyond ``DEFAULT_PERIOD_CAP`` are refused before any
-    scan."""
-    _check_period_cap(p_max)
-    for p in range(1, p_max + 1):
-        if p in cache.scanned:
-            continue
+def _scan_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
+    """The stored centers of period p, in cache order, after scanning the
+    period when the cache lacks it; new centers get entropy enclosures of
+    width <= eps, stored ones are returned as stored and unparsed."""
+    if p not in cache.scanned:
         expr = critical_orbit_expr(p)
         iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
         unresolved = list(iso.unresolved)
@@ -406,16 +392,16 @@ def _scan_centers(p_max: int, eps: Fraction, cache: CenterCache) -> list[_Stored
             if center is not None:
                 cache.add_center(center)
         cache.mark_scanned(p, unresolved)
-    return [c for c in cache.sorted_centers() if c.period <= p_max]
+    return [c for c in cache.centers if c.period == p]
 
 
 def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
     """The center, parsed, with an entropy enclosure of width <= eps. A
-    coarser stored enclosure is recomputed in memory, and a stored center
-    keeps it for the next call at the same eps; the cache line is left as it
-    is."""
+    coarser stored enclosure is recomputed in memory and the cache line is
+    left as it is; a center already that fine, such as one a query holds
+    from an earlier period, is returned as it is."""
     if isinstance(center, _Stored):
-        return center.refined(eps)
+        center = center.center()
     if center.entropy.width <= eps:
         return center
     return replace(center, entropy=sft_entropy(center.sft, eps))
@@ -446,9 +432,11 @@ def enumerate_centers(
     eps = parse_rational(eps)
     if not isinstance(cache, CenterCache):
         cache = CenterCache(resolve_cache_path(cache))
-    centers = _scan_centers(p_max, eps, cache)
+    _check_period_cap(p_max)
+    stored = [c for p in range(1, p_max + 1) for c in _scan_period(p, eps, cache)]
+    stored.sort(key=lambda c: (c.r_enc.lo, c.period))
     return EnumerationResult(
-        tuple(_refined(c, eps) for c in centers),
+        tuple(_refined(c, eps) for c in stored),
         tuple(iv for p in range(1, p_max + 1) for iv in cache.scanned[p]),
     )
 
@@ -469,13 +457,15 @@ def collect_brackets(
 ) -> tuple[Optional[Center], Optional[Center]]:
     """The nearest center on each side of the query, as (below, above).
 
-    ``below`` is the first center with the greatest r_enc.hi < query.lo,
-    ``above`` the first with the least r_enc.lo > query.hi, and a side
-    without one is None. By the monotonicity of the entropy in the
-    parameter, below.entropy.lo and above.entropy.hi bound the entropy at
-    the query. The search reads only each center's r_enc; only these two
-    centers are parsed from the cache and get entropy enclosures of width
-    <= eps, refined in memory where the stored one is coarser.
+    ``below`` has the greatest r_enc.hi < query.lo and ``above`` the least
+    r_enc.lo > query.hi; a side without one is None. Ties go to the least
+    (r_enc.lo, period), then to the first in ``centers``, so the choice does
+    not depend on how ``centers`` is ordered otherwise. By the monotonicity
+    of the entropy in the parameter, below.entropy.lo and above.entropy.hi
+    bound the entropy at the query. The search reads only each center's
+    r_enc and period; only these two centers are parsed from the cache and
+    get entropy enclosures of width <= eps, refined in memory where the
+    stored one is coarser.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
@@ -483,8 +473,9 @@ def collect_brackets(
     below = [c for c in centers if c.r_enc.hi < query.lo]
     above = [c for c in centers if c.r_enc.lo > query.hi]
     return (
-        _refined(max(below, key=lambda c: c.r_enc.hi), eps) if below else None,
-        _refined(min(above, key=lambda c: c.r_enc.lo), eps) if above else None,
+        _refined(min(below, key=lambda c: (-c.r_enc.hi, c.r_enc.lo, c.period)), eps)
+        if below else None,
+        _refined(min(above, key=lambda c: (c.r_enc.lo, c.period)), eps) if above else None,
     )
 
 
@@ -507,12 +498,14 @@ def logistic_entropy(
 
     Below 3 the map has at most one attracting fixed point and the entropy
     is exactly 0; at 4 the map is conjugate to the full tent map and the
-    entropy is exactly 1. In between, for p = 1, 2, ... the centers of
-    period <= p are scanned, and the nearest one on each side of the query
-    (``collect_brackets``) tightens the bounds, until the enclosure is tight
-    enough. When max_period or the deadline is reached first, a
-    BudgetExceeded carrying the best sound enclosure is raised. A budget
-    with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
+    entropy is exactly 1. In between, for p = 1, 2, ... period p is scanned
+    when the cache lacks it, and the nearest center on each side of the
+    query (``collect_brackets``) among the pair held from period p - 1 and
+    the centers of period p tightens the bounds, until the enclosure is
+    tight enough: only a center of period p can be nearer than the held
+    one. When max_period or the deadline is reached first, a BudgetExceeded
+    carrying the best sound enclosure is raised. A budget with max_period
+    beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
     """
     _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
@@ -535,9 +528,12 @@ def logistic_entropy(
     lo_bound = _ZERO
     hi_bound = _ONE
     target = eps * Fraction(9, 10)
-    for p_max in range(1, budget.max_period + 1):
-        centers = _scan_centers(p_max, center_eps, cache)
-        below, above = collect_brackets(query, centers, eps=center_eps)
+    below = above = None
+    for p in range(1, budget.max_period + 1):
+        held = [c for c in (below, above) if c is not None]
+        below, above = collect_brackets(
+            query, held + _scan_period(p, center_eps, cache), eps=center_eps
+        )
         if below is not None:
             lo_bound = max(lo_bound, below.entropy.lo)
         if above is not None:

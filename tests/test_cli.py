@@ -380,6 +380,15 @@ def test_logistic_nonpositive_option_exit_2(tmp_path, capsys, flag):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "Infinity"])
+def test_logistic_non_finite_budget_exit_2(tmp_path, capsys, value):
+    # NaN fails every comparison, so a NaN deadline would never be passed
+    argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--budget-seconds", value,
+            "--cache-path", str(tmp_path / "c.jsonl")]
+    assert main(argv) == 2
+    assert "--budget-seconds must be positive and finite" in capsys.readouterr().err
+
+
 # MAP stands for a piecewise-linear map file, OUT for a path that must stay unwritten
 _PWL_VARIATION = ["entropy", "pwl", "--file", "MAP", "--method", "variation"]
 
@@ -531,6 +540,34 @@ def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
     capsys.readouterr()
     path.write_text(_with(lines, number, **{field: record[field]}), encoding="utf-8")
     assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", ["center", "scan"])
+@pytest.mark.parametrize(
+    "value", [True, "5", 5.0, 7.9, 0, -3], ids=["true", "text", "float", "fraction", "zero", "negative"]
+)
+def test_cached_period_not_positive_int_malformed_line(tmp_path, capsys, period_5_lines, record, value):
+    # a period is a JSON integer >= 1; `true` is not read as 1, nor "5" as 5,
+    # so no record silently moves to another period or drops out of one
+    number = max(
+        n for n, line in enumerate(period_5_lines, 1)
+        if f'"{record}"' in line and '"period": 5' in line
+    )
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, period=value), encoding="utf-8")
+    for argv in (_QUERY + [str(path)], ["centers", "--max-period", "5", "--cache-path", str(path)]):
+        assert main(argv) == 2
+        assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, "0", 0.0, 1.5, -1], ids=["true", "text", "float", "fraction", "negative"])
+def test_cached_orbit_order_not_int_malformed_line(tmp_path, capsys, period_5_lines, value):
+    number = _center_line(period_5_lines, max)
+    order = json.loads(period_5_lines[number - 1])["orbit_order"]
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, orbit_order=[value] + order[1:]), encoding="utf-8")
+    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
 

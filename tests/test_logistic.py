@@ -1,16 +1,18 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
-from entrolab.symbolic import Provenance, sft_entropy
+from entrolab.symbolic import SFT, EntropyBound, Provenance, sft_entropy
 import entrolab.logistic
 from entrolab.logistic import (
     DEFAULT_EPS,
     DEFAULT_ROOT_WIDTH,
     DEFAULT_PERIOD_CAP,
     BudgetExceeded,
+    Center,
     CenterCache,
     SandwichBudget,
     collect_brackets,
@@ -164,13 +166,133 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
 
 
 def test_stored_refinement_follows_eps(tmp_path):
-    # a stored center keeps its last refinement, and only for the eps it was made at
+    # a stored center's refinement follows the eps asked, whatever eps came before
     path = tmp_path / "c.jsonl"
     enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
-    stored = CenterCache(path).sorted_centers()
+    stored = CenterCache(path).centers
     for eps in (F(1, 2**20), F(1, 2**20), F(1, 2**40), F(1, 2**20)):
         for center in stored:
             assert entrolab.logistic._refined(center, eps) == entrolab.logistic._refined(center.center(), eps)
+
+
+def _reference_bracket(query, centers):
+    """The bracket rule before the pair was carried across periods: sort
+    every center by (r_enc.lo, period), then take the first with the
+    greatest r_enc.hi below the query and the first with the least r_enc.lo
+    above it."""
+    ordered = sorted(centers, key=lambda c: (c.r_enc.lo, c.period))
+    below = [c for c in ordered if c.r_enc.hi < query.lo]
+    above = [c for c in ordered if c.r_enc.lo > query.hi]
+    return (
+        max(below, key=lambda c: c.r_enc.hi) if below else None,
+        min(above, key=lambda c: c.r_enc.lo) if above else None,
+    )
+
+
+def _reference_sandwich(query, eps, max_period, centers_upto):
+    """The sandwich before the pair was carried across periods: each period
+    p rescans all centers of period <= p, which ``centers_upto(p)`` returns
+    refined to the center eps. Returns the bound, certified or not."""
+    lo, hi = F(0), F(1)
+    for p in range(1, max_period + 1):
+        below, above = _reference_bracket(query, centers_upto(p))
+        if below is not None:
+            lo = max(lo, below.entropy.lo)
+        if above is not None:
+            hi = min(hi, above.entropy.hi)
+        if hi - lo <= eps * F(9, 10):
+            return EntropyBound(lo, hi, Provenance.SANDWICH, certified=True)
+    return EntropyBound(lo, hi, Provenance.SANDWICH, certified=False)
+
+
+def _sandwich(query, eps, max_period, cache, center_eps):
+    try:
+        return logistic_entropy(
+            query, eps, SandwichBudget(max_period=max_period), cache=cache, center_eps=center_eps
+        )
+    except BudgetExceeded as exc:
+        return exc.best
+
+
+@pytest.fixture(scope="module")
+def period_9_cache_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("p9") / "c.jsonl"
+    enumerate_centers(9, cache=CenterCache(path))
+    return path
+
+
+@pytest.mark.parametrize("center_eps", [F(1, 2**24), F(1, 2**40)], ids=["2^-24", "2^-40"])
+def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps):
+    # the pair held across periods gives the bound of a full rescan per period
+    cache = CenterCache(period_9_cache_path)
+    refined = [entrolab.logistic._refined(c, center_eps) for c in cache.centers]  # cache order
+    ends = sorted({e for c in refined if 3 < c.r_enc.lo for e in (c.r_enc.lo, c.r_enc.hi)})
+    rng = random.Random(14)
+    rationals = set()
+    while len(rationals) < 200:
+        d = rng.choice((97, 1000, 1009, 2**20))
+        rationals.add(F(3) + F(rng.randrange(1, d), d))
+    queries = [RatInterval.point(r) for r in sorted(rationals)]
+    queries += [RatInterval.point(e) for e in ends]  # on a center's end
+    queries += [RatInterval(a, b) for a, b in zip(ends, ends[3:])]  # across centers
+    queries += [RatInterval(F(3) + F(k, 40), F(3) + F(k + 1, 40)) for k in range(40)]
+    # each query at one of the nine (eps, max_period) pairs, in turn
+    pairs = [(eps, m) for eps in (F(1, 32), F(1, 128), F(1, 1000)) for m in (3, 6, 9)]
+    for k, query in enumerate(queries):
+        eps, max_period = pairs[k % len(pairs)]
+        want = _reference_sandwich(
+            query, eps, max_period, lambda p: [c for c in refined if c.period <= p]
+        )
+        assert _sandwich(query, eps, max_period, cache, center_eps) == want, query
+
+
+def test_sandwich_matches_full_rescan_reference_cold(tmp_path):
+    # on an empty cache both scan period by period and write the same file
+    rng = random.Random(6)
+    for k in range(6):
+        query = RatInterval.point(F(3) + F(rng.randrange(1, 997), 997))
+        eps, max_period, center_eps = F(1, 128), k + 1, F(1, 2**30)
+        new, old = tmp_path / f"new{k}.jsonl", tmp_path / f"old{k}.jsonl"
+        old_cache = CenterCache(old)
+        want = _reference_sandwich(
+            query, eps, max_period,
+            lambda p: enumerate_centers(p, eps=center_eps, cache=old_cache).centers,
+        )
+        assert _sandwich(query, eps, max_period, CenterCache(new), center_eps) == want
+        assert new.read_bytes() == old.read_bytes()
+
+
+def _hand_center(lo, hi, period):
+    entropy = EntropyBound(F(0), F(0), Provenance.EXACT, certified=True)
+    return Center(RatInterval(F(lo), F(hi)), period, (0,), SFT(((1,),)), entropy)
+
+
+def test_collect_brackets_ties_follow_sorted_rule():
+    # equal r_enc.hi below the query and equal r_enc.lo above it, in any
+    # input order: the choice is the sorted list's first extreme
+    below = [
+        _hand_center("32/10", "34/10", 4),
+        _hand_center("32/10", "34/10", 2),
+        _hand_center("32/10", "34/10", 5),
+        _hand_center("33/10", "34/10", 3),
+        _hand_center("30/10", "33/10", 1),
+    ]
+    above = [
+        _hand_center("36/10", "37/10", 6),
+        _hand_center("36/10", "365/100", 3),
+        _hand_center("36/10", "39/10", 3),  # same (r_enc.lo, period) as the one before
+        _hand_center("38/10", "39/10", 1),
+    ]
+    query = RatInterval.point(F(7, 2))
+    rng = random.Random(3)
+    for _ in range(200):
+        centers = below + above
+        rng.shuffle(centers)
+        got = collect_brackets(query, centers, eps=DEFAULT_EPS)
+        want = _reference_bracket(query, centers)
+        assert got[0] is want[0] is below[1]
+        assert got[1] is want[1]
+        assert got[1] is next(c for c in centers if c in above[1:3])
 
 
 def test_sandwich_at_7_halves(session_cache):

@@ -31,3 +31,25 @@ def test_tracer_install_and_remove():
     assert metrics["numkit.evaluate.calls"] > 0
     assert metrics["numkit.derivative_enclosure.calls"] > 0
     assert metrics["numkit.sign_at.calls"] > 0
+
+
+def test_tracer_rows_of_one_sandwich(tmp_path):
+    # the sandwich's own rows stay live: it loads the cache, collects
+    # brackets each period and refines the stored entropies it reads
+    path = tmp_path / "c.jsonl"
+    logistic.enumerate_centers(4, eps=F(1, 1000), cache=logistic.CenterCache(path))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        logistic.logistic_entropy(
+            F(37, 10), F(1, 32), logistic.SandwichBudget(max_period=4),
+            cache=str(path), center_eps=F(1, 2**30),
+        )
+    except logistic.BudgetExceeded:
+        pass
+    finally:
+        tracer.remove()
+    metrics = tracer.metrics()
+    for row in ("logistic.collect_brackets.calls", "symbolic.sft_entropy.calls",
+                "logistic.CenterCache.load.calls"):
+        assert metrics[row] > 0, row
