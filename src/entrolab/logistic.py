@@ -12,6 +12,7 @@ brackets tighten as the enumerated period grows.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -483,6 +484,11 @@ def collect_brackets(
 class SandwichBudget:
     max_period: int = 12
     seconds: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        # a NaN deadline is never reached: monotonic() > nan is always false
+        if self.max_period < 1 or not (self.seconds is None or 0 < self.seconds < math.inf):
+            raise ValueError("budget out of range")
 
 
 def logistic_entropy(

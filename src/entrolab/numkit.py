@@ -7,18 +7,17 @@ isolation for the one iterated quadratic-family expression, the critical-orbit
 closing condition r -> f_r^n(1/2) - 1/2, evaluated step by step (never
 through expanded polynomial coefficients).
 
-Orbits of x -> r*x*(1-x) are enclosed by a single kernel,
-`logistic_orbit_enclosures`, in Python integers: r is written as
-[a_lo, a_hi]/b, and each step forms its products exactly over one
+Orbits of x -> r*x*(1-x), r in [0, 4] and x0 in [0, 1], are enclosed by a
+single kernel, `logistic_orbit_enclosures`, in Python integers: r is written
+as [a_lo, a_hi]/b, and each step forms its two products exactly over one
 denominator and rounds outward once to ENCLOSURE_BITS = 128 dyadic bits;
 `IterMapExpr.derivative_enclosure` runs the chain rule the same way.
 `IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
 decides when it excludes 1/2, and otherwise an exact integer recurrence
 does. All three read the critical orbit through one small memo,
-`_critical_orbit`, so the root scan runs each orbit once per cell: the
-derivative reuses the orbit of the cell's value enclosure, the sign at a
-midpoint the orbit of its centered form, and a cell whose plain enclosure
-excludes 0 forms neither the derivative nor the centered form.
+`_critical_orbit`, so the root scan runs each orbit once per cell, and it
+forms each cell's centered form on the integer mantissas of these
+enclosures, with no interval arithmetic.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -393,22 +392,21 @@ _CRITICAL_POINT = RatInterval.point(_HALF)
 
 def _orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, int]]:
     """Integer mantissas over 2**ENCLOSURE_BITS of the enclosures of
-    f(x0), ..., f^n(x0) for the family r*x*(1-x).
+    f(x0), ..., f^n(x0) for the family r*x*(1-x), r in [0, 4], x0 in [0, 1].
 
-    With r = [a_lo, a_hi]/b and x = [lo, hi]/den, each step forms the exact
-    range of r*x*(1-x) as integers over 4*b*den**2, clamps it to [0, 1]
-    when r lies in [0, 4] and x0 in [0, 1], and rounds it outward once.
+    With r = [a_lo, a_hi]/b, x = [lo, hi]/den and x*(1-x) in
+    [g_min, g_max]/(4*den**2), no factor is negative, so each step's exact
+    range is [a_lo*g_min, a_hi*g_max] over 4*b*den**2, within [0, 1], and
+    is rounded outward once.
     """
     a_lo, a_hi, b = _over_one_denominator(r)
     lo, hi, den = _over_one_denominator(x0)
-    clamp = a_lo >= 0 and a_hi <= 4 * b and lo >= 0 and hi <= den
+    if a_lo < 0 or a_hi > 4 * b or lo < 0 or hi > den:
+        raise ValueError(f"orbit needs r in [0, 4] and x0 in [0, 1], not {r} and {x0}")
     out = []
     for _ in range(n):
-        p_lo, p_hi = _mul(a_lo, a_hi, *_x_one_minus_x(lo, hi, den))
-        q = 4 * b * den * den
-        if clamp:
-            p_lo, p_hi = min(max(p_lo, 0), q), min(max(p_hi, 0), q)
-        lo, hi = _round_outward(p_lo, p_hi, q)
+        g_min, g_max = _x_one_minus_x(lo, hi, den)
+        lo, hi = _round_outward(a_lo * g_min, a_hi * g_max, 4 * b * den * den)
         den = _SCALE
         out.append((lo, hi))
     return out
@@ -426,6 +424,12 @@ def _from_mantissas(lo: int, hi: int) -> RatInterval:
     return RatInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
 
 
+def _to_mantissas(iv: RatInterval) -> tuple[int, int]:
+    """The inverse of `_from_mantissas`: endpoints over 2**ENCLOSURE_BITS."""
+    lo, hi = iv.lo, iv.hi
+    return lo.numerator * (_SCALE // lo.denominator), hi.numerator * (_SCALE // hi.denominator)
+
+
 def logistic_orbit_enclosures(
     r: RatInterval,
     x0: RatInterval,
@@ -435,7 +439,7 @@ def logistic_orbit_enclosures(
 
     Each step is formed exactly and its endpoints are rounded outward once
     to ENCLOSURE_BITS dyadic bits, which caps denominator growth and keeps
-    the enclosures sound.
+    the enclosures sound. r must lie in [0, 4] and x0 in [0, 1].
     """
     return [x0, *(_from_mantissas(lo, hi) for lo, hi in _orbit_mantissas(r, x0, n))]
 
@@ -473,13 +477,14 @@ class IterMapExpr:
         orbit x = N/D is iterated exactly, N <- a*N*(D - N), D <- b*D**2
         for r = a/b, and 2*N is compared with D.
         """
-        r = parse_rational(t)
-        lo, hi = _critical_orbit(RatInterval(r, r), self.iterations)[-1]
+        r = RatInterval.point(t)
+        self._check_domain(r)
+        lo, hi = _critical_orbit(r, self.iterations)[-1]
         if lo > _HALF_MANTISSA:
             return 1
         if hi < _HALF_MANTISSA:
             return -1
-        a, b = r.numerator, r.denominator
+        a, b = r.lo.numerator, r.lo.denominator
         num, den = 1, 2
         for _ in range(self.iterations):
             num, den = a * num * (den - num), b * den * den
@@ -544,20 +549,26 @@ def _scan_enclosure(
     the scan reads the derivative only of a cell whose enclosure holds 0.
     Each orbit runs once: the derivative reads the orbit of the plain
     enclosure, and the scan's sign at the midpoint the orbit of the centered
-    form, through `_critical_orbit`.
+    form, through `_critical_orbit`. The plain, midpoint and slope
+    enclosures are read back as mantissas p, m and s over 2**ENCLOSURE_BITS;
+    for a half-width u/v the centered form over 2**ENCLOSURE_BITS * v is
+    [m_lo*v - radius, m_hi*v + radius] with radius = max(-s_lo, s_hi)*u.
     """
     plain = expr.evaluate(cell)
-    if plain.lo > 0 or plain.hi < 0:
+    p_lo, p_hi = _to_mantissas(plain)
+    if p_lo > 0 or p_hi < 0:
         return plain, None
-    mid = RatInterval.point(cell.mid)
     half = cell.width / 2
+    u, v = half.numerator, half.denominator
     slope = expr.derivative_enclosure(cell)
-    centered = expr.evaluate(mid) + slope * RatInterval(-half, half)
-    lo = max(plain.lo, centered.lo)
-    hi = min(plain.hi, centered.hi)
+    m_lo, m_hi = _to_mantissas(expr.evaluate(RatInterval.point(cell.lo + half)))
+    s_lo, s_hi = _to_mantissas(slope)
+    radius = max(-s_lo, s_hi) * u
+    lo = max(p_lo * v, m_lo * v - radius)
+    hi = min(p_hi * v, m_hi * v + radius)
     if lo > hi:  # both sound, so a crossing order would be a bug
         raise AssertionError("inconsistent enclosures")
-    return RatInterval(lo, hi), slope
+    return RatInterval(Fraction(lo, _SCALE * v), Fraction(hi, _SCALE * v)), slope
 
 
 def root_isolate(

@@ -343,6 +343,23 @@ def test_sandwich_budget_exceeded(session_cache):
     assert not best.certified
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"seconds": float("nan")},
+        {"seconds": float("inf")},
+        {"seconds": 0.0},
+        {"seconds": -1.0},
+        {"max_period": 0},
+    ],
+)
+def test_sandwich_budget_refuses_out_of_range(kwargs):
+    # a NaN deadline is never reached, and max_period 0 searches nothing
+    with pytest.raises(ValueError):
+        SandwichBudget(**kwargs)
+    assert SandwichBudget(max_period=1, seconds=1e-9).seconds == 1e-9
+
+
 def test_sandwich_rejects_bad_inputs():
     with pytest.raises(ValueError):
         logistic_entropy(F(9, 2), F(1, 10))

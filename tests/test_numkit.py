@@ -331,7 +331,21 @@ def reference_sign(r, n):
     return (x > F(1, 2)) - (x < F(1, 2))
 
 
+R0, R4, R04 = RatInterval.point(0), RatInterval.point(4), RatInterval(0, 4)
+X0, X1, X01 = RatInterval.point(0), RatInterval.point(1), RatInterval(0, 1)
+
+
 @settings(max_examples=150, deadline=None)
+# the ends of r in [0, 4] and x0 in [0, 1], where the reference's clamp sits
+@example(period=6, r=R0, x0=X0)
+@example(period=6, r=R0, x0=X1)
+@example(period=6, r=R0, x0=X01)
+@example(period=6, r=R4, x0=X0)
+@example(period=6, r=R4, x0=X1)
+@example(period=6, r=R4, x0=X01)
+@example(period=6, r=R04, x0=X0)
+@example(period=6, r=R04, x0=X1)
+@example(period=6, r=R04, x0=X01)
 @given(period=st.integers(1, 6), r=intervals(0, 4), x0=intervals(0, 1))
 def test_orbit_kernel_equals_fraction_reference(period, r, x0):
     # equal, not merely contained: one exact step, one outward rounding
@@ -342,6 +356,25 @@ def test_orbit_kernel_equals_fraction_reference(period, r, x0):
     assert expr.derivative_enclosure(r) == reference_derivative(r, period)
     for t in (r.lo, r.hi):
         assert expr.sign_at(t) == reference_sign(t, period)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: logistic_orbit_enclosures(RatInterval(3, F(41, 10)), X01, 2),
+        lambda: logistic_orbit_enclosures(RatInterval.point(F(-1, 10)), X01, 2),
+        lambda: logistic_orbit_enclosures(R4, RatInterval(F(-1, 100), F(1, 2)), 2),
+        lambda: logistic_orbit_enclosures(R4, RatInterval.point(F(11, 10)), 2),
+        lambda: critical_orbit_expr(3).sign_at(F(5)),
+        lambda: critical_orbit_expr(3).sign_at(F(-1, 1 << 200)),
+    ],
+    ids=["r-above-4", "r-below-0", "x0-below-0", "x0-above-1", "sign-at-5", "sign-below-0"],
+)
+def test_orbit_kernel_refuses_out_of_range(call):
+    # outside r in [0, 4] and x0 in [0, 1] a product can be negative or
+    # leave [0, 1], which the two-product step does not handle
+    with pytest.raises(ValueError):
+        call()
 
 
 SQRT5_LO = F(math.isqrt(5 << 400), 1 << 200)  # sqrt(5) - 2^-200 < SQRT5_LO < sqrt(5)
@@ -468,3 +501,21 @@ def test_scan_runs_at_most_two_orbits_per_cell(monkeypatch):
     root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
     assert counts["scans"] > 1000
     assert counts["orbits"] <= 2 * counts["scans"]
+
+
+def test_scan_does_no_interval_arithmetic(monkeypatch):
+    # the centered form and its intersection with the plain enclosure run
+    # on integer mantissas, not through RatInterval operators
+    calls = []
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+
+        def counted(self, other, op=getattr(RatInterval, name), name=name):
+            calls.append(name)
+            return op(self, other)
+
+        monkeypatch.setattr(RatInterval, name, counted)
+    numkit._critical_orbit.cache_clear()
+    iso = root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
+    monkeypatch.undo()
+    assert len(iso.roots) == 30  # the centers of periods 1, 3 and 9
+    assert calls == []
