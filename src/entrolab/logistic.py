@@ -37,7 +37,7 @@ _ONE = Fraction(1)
 _HALF = Fraction(1, 2)
 
 CACHE_ENV_VAR = "ENTROLAB_CACHE"
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
@@ -113,34 +113,30 @@ def _markov_data(
         if a.hi >= b.lo:
             raise _SeparationError
 
-    # partition points: 0, the p orbit points in increasing order, 1
-    position = {k: i + 1 for i, (k, _) in enumerate(ordered)}
-    point_count = period + 2
+    rank = {k: i for i, (k, _) in enumerate(ordered)}
+    orbit_rank = tuple(rank[k] for k in range(1, period + 1))
+    points = (RatInterval.point(_ZERO), *(iv for _, iv in ordered), RatInterval.point(_ONE))
+    return points, _transitions(orbit_rank), orbit_rank
 
-    def sigma(i: int) -> int:
-        if i == 0 or i == point_count - 1:
-            return 0  # both endpoints map to the fixed point 0
-        k = ordered[i - 1][0]
-        succ = k + 1 if k < period else 1
-        return position[succ]
 
-    c_idx = position[period]
-    rows = [[0] * (period + 1) for _ in range(period + 1)]
-    for j in range(period + 1):
-        increasing = (j + 1) <= c_idx
-        if increasing:
-            lo_t, hi_t = sigma(j), sigma(j + 1) - 1
-        else:
-            lo_t, hi_t = sigma(j + 1), sigma(j) - 1
-        if lo_t > hi_t:
-            raise AssertionError("empty transition run; ordering is inconsistent")
-        for t in range(lo_t, hi_t + 1):
-            rows[j][t] = 1
-    points = (RatInterval.point(_ZERO),) + tuple(iv for _, iv in ordered) + (
-        RatInterval.point(_ONE),
-    )
-    orbit_rank = tuple(position[k] - 1 for k in range(1, period + 1))
-    return points, SFT(tuple(tuple(r) for r in rows)), orbit_rank
+def _transitions(ranks: Sequence[int]) -> SFT:
+    """The transitions between the cells cut by 0, the orbit points and 1,
+    where f^k(c), k = 1..p, has rank ranks[k - 1] among the orbit points; a
+    ranking that is no permutation, or leaves a row empty, is refused."""
+    p = len(ranks)
+    if sorted(ranks) != list(range(p)):
+        raise ValueError("orbit order is not a permutation")
+    image = [0] * (p + 2)  # of each partition point; 0 and 1 map to 0
+    for k, rank in enumerate(ranks):
+        image[rank + 1] = ranks[(k + 1) % p] + 1
+    rows = []
+    for j in range(p + 1):
+        # f increases up to c = f^p(c), of rank ranks[-1]
+        lo, hi = (image[j], image[j + 1] - 1) if j <= ranks[-1] else (image[j + 1], image[j] - 1)
+        if lo > hi:
+            raise ValueError("orbit order leaves a transition row empty")
+        rows.append((0,) * lo + (1,) * (hi - lo + 1) + (0,) * (p - hi))
+    return SFT(tuple(rows))
 
 
 def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
@@ -171,9 +167,9 @@ def _json_int(value: object, least: int) -> int:
 
 class _Stored:
     """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
-    the rest of a loaded record is parsed by ``center()`` on first use, and
-    kept: this is the one place a stored center is read. Nothing else is
-    kept: a query refines a center when it first becomes the nearest on a
+    ``center()`` parses the rest on first use, rebuilds the SFT from the
+    orbit order, and keeps the result: the one place a stored center is
+    read. A query refines a center when it first becomes the nearest on a
     side, and holds that refined ``Center`` from then on."""
 
     __slots__ = ("period", "r_enc", "_center", "_line", "_path")
@@ -196,11 +192,11 @@ class _Stored:
         if not isinstance(self._center, Center):
             data = self._center
             try:
+                order = tuple(_json_int(v, 0) for v in data["orbit_order"])
+                if len(order) != self.period:
+                    raise ValueError("orbit order length is not the period")
                 self._center = Center(
-                    self.r_enc,
-                    self.period,
-                    tuple(_json_int(v, 0) for v in data["orbit_order"]),
-                    SFT.from_json(data["sft"]),
+                    self.r_enc, self.period, order, _transitions(order),
                     EntropyBound.from_json(data["entropy"]),
                 )
             except _MALFORMED as exc:
@@ -218,15 +214,15 @@ class CenterCache:
     the torn tail of an interrupted append: loading ignores it and the next
     append cuts it off.
 
-    Loading checks every line's JSON, the header's schema, each record's
-    ``type``, the ``period`` of a center or scan marker (a JSON integer
-    >= 1), a center's ``r_enc`` (the scan and the bracket search read only
-    these) and a scan marker's cells. A center's orbit order (JSON
-    integers >= 0), SFT and entropy are parsed when it is first used: when
-    ``collect_brackets`` first returns it as the nearest center on a side of
-    a query, and for every center that ``enumerate_centers`` returns. A
-    malformed line raises ``ValueError`` naming the line, at load or at that
-    first use.
+    A center record holds ``period``, ``r_enc``, ``orbit_order`` and
+    ``entropy``; its SFT is rebuilt from the order. Loading checks every
+    line's JSON, the header's schema, each record's ``type``, the ``period``
+    of a center or scan marker (a JSON integer >= 1), a center's ``r_enc``
+    and a scan marker's cells. A center's orbit order (a permutation of
+    0..period-1 with no empty transition row) and entropy are parsed on
+    first use: by ``collect_brackets`` for the nearest center on a side of
+    a query, and for every center ``enumerate_centers`` returns. A malformed
+    line raises ``ValueError`` naming the line, at load or at first use.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -286,9 +282,10 @@ class CenterCache:
 
     def _add_key(self, center: Union[Center, _Stored]) -> bool:
         """Record the center's key; False when it was there already. The key
-        is hashed once: each Fraction hash computes a modular inverse."""
+        holds integers: a Fraction hash computes a modular inverse."""
         size = len(self._keys)
-        self._keys.add((center.period, center.r_enc.lo, center.r_enc.hi))
+        lo, hi = center.r_enc.lo, center.r_enc.hi
+        self._keys.add((center.period, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
         return len(self._keys) > size
 
     def _append(self, record: dict) -> None:
@@ -310,7 +307,7 @@ class CenterCache:
         if not self._add_key(center):
             return
         self.centers.append(_Stored(center.period, center.r_enc, center))
-        self._append(center.to_json())
+        self._append({k: v for k, v in center.to_json().items() if k != "sft"})
 
     def mark_scanned(self, period: int, unresolved: Sequence[RatInterval]) -> None:
         if period in self.scanned:

@@ -70,7 +70,10 @@ def parse_rational(text: RationalLike) -> Fraction:
             f"refusing to convert a {type(text).__name__}; pass a string or Fraction"
         )
     if isinstance(text, str):
-        match = _EXPONENT.search(text)
+        num, slash, den = text.partition("/")
+        if slash and den.isdecimal() and num.removeprefix("-").isdecimal():
+            return Fraction(int(num), int(den))  # format_rational's "p/q", no regex
+        match = ("e" in text or "E" in text) and _EXPONENT.search(text)
         if match:
             digits = match.group(1).replace("_", "").lstrip("0")
             if len(digits) > 4 or int(digits or 0) > _MAX_DECIMAL_EXPONENT:
@@ -205,7 +208,7 @@ class RatInterval:
     def from_json(cls, data: list[str]) -> "RatInterval":
         if not isinstance(data, (list, tuple)) or len(data) != 2:
             raise ValueError("interval JSON must be a two-element array")
-        return cls(parse_rational(data[0]), parse_rational(data[1]))
+        return cls(data[0], data[1])  # parsed once, by __post_init__
 
 
 # ---------------------------------------------------------------------------

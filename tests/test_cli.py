@@ -9,7 +9,6 @@ from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
 from entrolab.numkit import RatInterval, parse_rational
-from entrolab.symbolic import SFT
 
 
 def write_json(path, payload):
@@ -159,7 +158,8 @@ def test_empty_cache_file_gets_header(tmp_path, capsys):
     path.touch()
     assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
     assert main(["centers", "--max-period", "2", "--cache-path", str(path)]) == 0
-    assert path.read_text(encoding="utf-8").startswith('{"schema": 1}\n')
+    header = json.dumps({"schema": logistic.CACHE_SCHEMA}) + "\n"
+    assert path.read_text(encoding="utf-8").startswith(header)
 
 
 @pytest.mark.parametrize(
@@ -208,10 +208,10 @@ def _nearest_below(centers, key):
 
 
 def test_logistic_malformed_bracketing_center_exit_2(tmp_path, capsys, period_5_lines):
-    # a center's SFT is parsed when the sandwich first reads it
+    # a center's orbit order is parsed when the sandwich first reads it
     number = _center_line(period_5_lines, _nearest_below)
     path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, sft="x"), encoding="utf-8")
+    path.write_text(_with(period_5_lines, number, orbit_order="x"), encoding="utf-8")
     assert main(_QUERY + [str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
@@ -222,7 +222,7 @@ def test_malformed_far_center_read_only_by_centers(tmp_path, capsys, period_5_li
     clean, bad = tmp_path / "clean.jsonl", tmp_path / "bad.jsonl"
     clean.write_text("\n".join(period_5_lines) + "\n", encoding="utf-8")
     number = _center_line(period_5_lines, max)
-    bad.write_text(_with(period_5_lines, number, sft="x"), encoding="utf-8")
+    bad.write_text(_with(period_5_lines, number, orbit_order="x"), encoding="utf-8")
     results = []
     for path in (clean, bad):
         code = main(_QUERY + [str(path)])
@@ -257,10 +257,10 @@ def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lin
 
 def test_repeated_center_record_skipped_unread(tmp_path, capsys, period_5_lines):
     # a record with an earlier center's period and r_enc is skipped before
-    # its SFT is parsed: output and appended lines are as without it
+    # its orbit order is parsed: output and appended lines are as without it
     number = _center_line(period_5_lines, max)
     base = "\n".join(period_5_lines) + "\n"
-    copy = json.dumps({**json.loads(period_5_lines[number - 1]), "sft": "x"}, sort_keys=True)
+    copy = json.dumps({**json.loads(period_5_lines[number - 1]), "orbit_order": "x"}, sort_keys=True)
     texts = (base, base + copy + "\n")
     results = []
     for name, text in zip(("clean", "repeated"), texts):
@@ -282,17 +282,17 @@ def period_9_path(tmp_path_factory):
 
 
 def test_sandwich_parses_only_bracketing_centers(period_9_path, capsys, monkeypatch):
-    # at most the two bracketing centers of each period are parsed, of the
-    # 66 that a period-9 cache holds
+    # at most the two bracketing centers of each period are parsed, and
+    # their SFTs rebuilt, of the 66 that a period-9 cache holds
     path = period_9_path
-    parse = SFT.from_json
+    rebuild = logistic._transitions
     calls = []
 
-    def counted(data):
-        calls.append(data)
-        return parse(data)
+    def counted(ranks):
+        calls.append(ranks)
+        return rebuild(ranks)
 
-    monkeypatch.setattr(SFT, "from_json", staticmethod(counted))
+    monkeypatch.setattr(logistic, "_transitions", counted)
     argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
     assert main(argv + ["--cache-path", str(path)]) == 3
     assert 0 < len(calls) <= 2 * 9
@@ -356,11 +356,13 @@ def test_huge_decimal_exponent_exit_2_fast(tmp_path, capsys, where):
     if where == "quad-r":
         write_json(path, {"r": _HUGE})
     record = {"type": "center", "period": 1, "r_enc": [_HUGE, _HUGE]}
-    cache.write_text('{"schema": 1}\n' + json.dumps(record) + "\n", encoding="utf-8")
+    header = {"schema": logistic.CACHE_SCHEMA}
+    cache.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
     start = time.monotonic()
     assert main(argv) == 2
     assert time.monotonic() - start < 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "decimal exponent" in err
 
 
 def test_malformed_file_exit_2(tmp_path, capsys):
@@ -510,22 +512,23 @@ def test_sft_file_non_integer_entries_exit_2(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith(f"error: malformed subshift file {path}")
 
 
-def test_cached_sft_float_entry_malformed_line(tmp_path, capsys, period_5_lines):
+def test_cached_orbit_order_float_entry_malformed_line(tmp_path, capsys, period_5_lines):
     number = _center_line(period_5_lines, _nearest_below)
-    sft = json.loads(period_5_lines[number - 1])["sft"]
-    sft["allowed"][0] = [float(v) for v in sft["allowed"][0]]
+    order = json.loads(period_5_lines[number - 1])["orbit_order"]
+    order[0] = float(order[0])
     path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, sft=sft), encoding="utf-8")
+    path.write_text(_with(period_5_lines, number, orbit_order=order), encoding="utf-8")
     assert main(_QUERY + [str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
     assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["sft", "entropy"])
+@pytest.mark.parametrize("field", ["orbit_order", "entropy"])
 def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
-    # a record whose fields raise ValueError names its line too: an SFT entry
-    # of 2, or a stored entropy with its ends out of order
+    # a record whose fields raise ValueError names its line too: a period-4
+    # order that leaves a transition row empty, or a stored entropy with its
+    # ends out of order
     path = tmp_path / "c.jsonl"
     assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -533,8 +536,8 @@ def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
         n for n, line in enumerate(lines, 1) if '"center"' in line and '"period": 4' in line
     )
     record = json.loads(lines[number - 1])
-    if field == "sft":
-        record["sft"]["allowed"][0][0] = 2
+    if field == "orbit_order":
+        record["orbit_order"] = [0, 1, 2, 3]
     else:
         record["entropy"]["lo"], record["entropy"]["hi"] = "1/1", "1/2"
     capsys.readouterr()
@@ -567,6 +570,23 @@ def test_cached_orbit_order_not_int_malformed_line(tmp_path, capsys, period_5_li
     order = json.loads(period_5_lines[number - 1])["orbit_order"]
     path = tmp_path / "c.jsonl"
     path.write_text(_with(period_5_lines, number, orbit_order=[value] + order[1:]), encoding="utf-8")
+    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "order", [[0, 0, 0, 0, 0], [0, 1], [1, 0], [7, 8, 9, 10, 11], [0, 1, 2, 3, 4]],
+    ids=["repeated", "short", "period-2", "out-of-range", "empty-row"],
+)
+def test_cached_orbit_order_not_a_critical_orbit_malformed_line(tmp_path, capsys, period_5_lines, order):
+    # the SFT is rebuilt from the orbit order, which must be a permutation
+    # of 0..period-1 with no empty transition row; each of these orders was
+    # once printed by `centers` with exit 0
+    number = max(
+        n for n, line in enumerate(period_5_lines, 1) if '"center"' in line and '"period": 5' in line
+    )
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, orbit_order=order), encoding="utf-8")
     assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 

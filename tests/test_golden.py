@@ -45,7 +45,7 @@ DENSE_12 = {
 }
 
 CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
-CENTERS_CACHE = "098f27d8c7cf855728f19e1fd66b897e4536461b046d47fa121fbaabd5852090"
+CENTERS_CACHE = "7323106ea6a4b4463f09b41b6d3b72d35acb06649f366d23b95d9b5e5342ce50"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache
 LOGISTIC = [
@@ -59,11 +59,12 @@ LOGISTIC = [
 # ``centers --max-period 10`` on a fresh cache: every center the kernel finds
 # up to period 10, and every enclosure endpoint it rounds, byte for byte
 PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
-PERIOD_10_CACHE = "9e379321ce82dc177e077955a7bdaca22abd310d1927d601c6758e092d1c60d4"
+PERIOD_10_CACHE = "b1cfbe0961e30ff57a5c8c80bd2303a2c4b1d6641f537325b5638841c01b6b50"
 
-# ``centers --max-period 11`` on the period-10 cache
+# ``centers --max-period 11`` on the period-10 cache: it prints the SFT of every
+# stored center, rebuilt from its orbit order, so it pins the rebuild byte for byte
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
-PERIOD_11_CACHE = "23a8ddd062ba84bb2145f1208dc5cd8689b4412806c09fb21b561a983dd59112"
+PERIOD_11_CACHE = "4fe6f513d2d94b5100c6858b1086916845a7affe588d0d6ef48ad81dcd1cce5f"
 
 # (r, eps, exit code, stdout digest) on the period-9 cache
 PERIOD_9_LOGISTIC = [
@@ -80,7 +81,7 @@ PERIOD_9_LOGISTIC = [
 ]
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
-COARSE_CACHE = "bafd9dd7f8bddd3460807e5e1d5106b1cea84012db7fd9c41d0b43a36cbb14e6"
+COARSE_CACHE = "ffc8443ebd8550c11e2476a73241f094ae667f47914e9447837b2eb9f41029bb"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache at eps 1/1000
 COARSE_LOGISTIC = [

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
 from entrolab.symbolic import SFT, EntropyBound, Provenance, sft_entropy
@@ -21,6 +23,7 @@ from entrolab.logistic import (
     markov_partition,
     resolve_cache_path,
     _build_center,
+    _transitions,
 )
 
 PHI_LOG = math.log2((1 + 5**0.5) / 2)
@@ -215,10 +218,73 @@ def _sandwich(query, eps, max_period, cache, center_eps):
 
 
 @pytest.fixture(scope="module")
-def period_9_cache_path(tmp_path_factory):
+def period_9_scan(tmp_path_factory):
     path = tmp_path_factory.mktemp("p9") / "c.jsonl"
-    enumerate_centers(9, cache=CenterCache(path))
-    return path
+    return path, enumerate_centers(9, cache=CenterCache(path)).centers
+
+
+@pytest.fixture(scope="module")
+def period_9_cache_path(period_9_scan):
+    return period_9_scan[0]
+
+
+def _inline_transitions(ranks):
+    """Reference: the transition rows as the scan once built them inline
+    from the sorted orbit, raising AssertionError on an empty run."""
+    period = len(ranks)
+    position = {k: ranks[k - 1] + 1 for k in range(1, period + 1)}
+    ordered = sorted(position, key=position.get)  # orbit indices by position
+    point_count = period + 2
+
+    def sigma(i):
+        if i == 0 or i == point_count - 1:
+            return 0  # both endpoints map to the fixed point 0
+        k = ordered[i - 1]
+        succ = k + 1 if k < period else 1
+        return position[succ]
+
+    c_idx = position[period]
+    rows = [[0] * (period + 1) for _ in range(period + 1)]
+    for j in range(period + 1):
+        increasing = (j + 1) <= c_idx
+        if increasing:
+            lo_t, hi_t = sigma(j), sigma(j + 1) - 1
+        else:
+            lo_t, hi_t = sigma(j + 1), sigma(j) - 1
+        if lo_t > hi_t:
+            raise AssertionError("empty transition run; ordering is inconsistent")
+        for t in range(lo_t, hi_t + 1):
+            rows[j][t] = 1
+    return SFT(tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranks=st.integers(1, 12).flatmap(lambda n: st.permutations(range(n))))
+@example(ranks=(0,))
+@example(ranks=(4, 0, 2, 3, 1))
+@example(ranks=(0, 1, 2, 3))
+def test_transitions_match_inline_reference(ranks):
+    # a permutation either gives the reference's rows or, where the
+    # reference finds an empty run, a ValueError; nothing else is raised
+    try:
+        want = _inline_transitions(ranks)
+    except AssertionError:
+        with pytest.raises(ValueError):
+            _transitions(ranks)
+    else:
+        assert _transitions(ranks) == want
+
+
+def test_rebuilt_sft_matches_scan(period_9_scan):
+    # each center of a fresh scan, and the same center loaded from the
+    # cache, which stores no SFT, carries the reference's rows
+    path, scanned = period_9_scan
+    loaded = enumerate_centers(9, cache=CenterCache(path)).centers
+    assert len(scanned) == len(loaded) == 66
+    for fresh, stored in zip(scanned, loaded):
+        assert fresh.orbit_order == stored.orbit_order
+        assert _transitions(fresh.orbit_order) == fresh.sft == stored.sft
+        assert fresh.sft == _inline_transitions(fresh.orbit_order)
 
 
 @pytest.mark.parametrize("center_eps", [F(1, 2**24), F(1, 2**40)], ids=["2^-24", "2^-40"])

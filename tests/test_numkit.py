@@ -49,6 +49,33 @@ def test_parse_decimal_exponent_limit():
             parse_rational(text)
 
 
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(
+    st.tuples(
+        st.sampled_from(["", "", "-", "+", "--", " "]),
+        st.text(alphabet="0123456789_\u0663\u00b2", max_size=3),
+        st.sampled_from(["/", "/", " /", "/ ", "/-", "/+"]),
+        st.text(alphabet="0123456789_\u0663", max_size=3),
+    ).map("".join),
+    st.text(alphabet="0123456789/-+_ .\u0663\u00b2", max_size=12),
+))
+@example(text="-7/0")
+@example(text="--5/3")
+@example(text="1/-2")
+@example(text=" 1/2")
+@example(text="\u0663/\u0663")
+def test_parse_rational_matches_fraction(text):
+    # "p/q" text takes an integer path that skips Fraction's own parser
+    assert _outcome(parse_rational, text) == _outcome(F, text)
+
+
 def test_interval_basics():
     iv = RatInterval(F(1, 3), F(1, 2))
     assert iv.width == F(1, 6)
