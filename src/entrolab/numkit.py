@@ -8,16 +8,19 @@ closing condition r -> f_r^n(1/2) - 1/2, evaluated step by step (never
 through expanded polynomial coefficients).
 
 Orbits of x -> r*x*(1-x), r in [0, 4] and x0 in [0, 1], are enclosed by a
-single kernel, `logistic_orbit_enclosures`, in Python integers: r is written
-as [a_lo, a_hi]/b, and each step forms its two products exactly over one
-denominator and rounds outward once to ENCLOSURE_BITS = 128 dyadic bits;
-`IterMapExpr.derivative_enclosure` runs the chain rule the same way.
+single kernel, `_orbit_mantissas`, in Python integers: r is written as
+[a_lo, a_hi]/b, and each step forms its two products exactly over one
+denominator and rounds outward once to integer mantissas over
+2**ENCLOSURE_BITS, ENCLOSURE_BITS = 128; it is the one check that r and x0
+lie in range. `IterMapExpr.evaluate` and `derivative_enclosure` return
+such mantissa pairs, the latter running the chain rule the same way, and
+only `logistic_orbit_enclosures` turns them into `RatInterval`s.
 `IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
 decides when it excludes 1/2, and otherwise an exact integer recurrence
 does. All three read the critical orbit through one small memo,
-`_critical_orbit`, so the root scan runs each orbit once per cell, and it
-forms each cell's centered form on the integer mantissas of these
-enclosures, with no interval arithmetic.
+`_critical_orbit`, keyed on integers, so the root scan runs each orbit once
+per cell and forms each cell's centered form on the mantissas, with no
+interval arithmetic and no `Fraction` per cell.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -36,7 +39,6 @@ RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
 
 # the one working precision of every orbit enclosure
 ENCLOSURE_BITS = 128
@@ -390,22 +392,22 @@ def logistic_step_range(r: RatInterval, x: RatInterval) -> RatInterval:
     return RatInterval(Fraction(p_lo, q), Fraction(p_hi, q))
 
 
-_CRITICAL_POINT = RatInterval.point(_HALF)
-
-
-def _orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, int]]:
+def _orbit_mantissas(
+    a_lo: int, a_hi: int, b: int, lo: int, hi: int, den: int, n: int
+) -> list[tuple[int, int]]:
     """Integer mantissas over 2**ENCLOSURE_BITS of the enclosures of
-    f(x0), ..., f^n(x0) for the family r*x*(1-x), r in [0, 4], x0 in [0, 1].
+    f(x0), ..., f^n(x0) for the family r*x*(1-x), r = [a_lo, a_hi]/b in
+    [0, 4] and x0 = [lo, hi]/den in [0, 1]; anything else is refused.
 
-    With r = [a_lo, a_hi]/b, x = [lo, hi]/den and x*(1-x) in
-    [g_min, g_max]/(4*den**2), no factor is negative, so each step's exact
-    range is [a_lo*g_min, a_hi*g_max] over 4*b*den**2, within [0, 1], and
-    is rounded outward once.
+    With x*(1-x) in [g_min, g_max]/(4*den**2), no factor is negative, so
+    each step's exact range is [a_lo*g_min, a_hi*g_max] over 4*b*den**2,
+    within [0, 1], and is rounded outward once.
     """
-    a_lo, a_hi, b = _over_one_denominator(r)
-    lo, hi, den = _over_one_denominator(x0)
     if a_lo < 0 or a_hi > 4 * b or lo < 0 or hi > den:
-        raise ValueError(f"orbit needs r in [0, 4] and x0 in [0, 1], not {r} and {x0}")
+        raise ValueError(
+            f"orbit needs r in [0, 4] and x0 in [0, 1], not r = [{a_lo}, {a_hi}]/{b}"
+            f" and x0 = [{lo}, {hi}]/{den}"
+        )
     out = []
     for _ in range(n):
         g_min, g_max = _x_one_minus_x(lo, hi, den)
@@ -416,21 +418,16 @@ def _orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int,
 
 
 @lru_cache(maxsize=4)
-def _critical_orbit(r: RatInterval, n: int) -> tuple[tuple[int, int], ...]:
-    """``_orbit_mantissas`` of the critical point 1/2, kept for the last few
-    (r, n): the root scan reads each orbit twice in a row, a cell's for its
-    value and derivative, a midpoint's for its centered form and sign."""
-    return tuple(_orbit_mantissas(r, _CRITICAL_POINT, n))
+def _critical_orbit(a_lo: int, a_hi: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
+    """``_orbit_mantissas`` of the critical point 1/2 for r = [a_lo, a_hi]/b,
+    kept for the last few (r, n): the root scan reads each orbit twice in a
+    row, a cell's for its value and derivative, a midpoint's for its
+    centered form and sign."""
+    return tuple(_orbit_mantissas(a_lo, a_hi, b, 1, 1, 2, n))
 
 
 def _from_mantissas(lo: int, hi: int) -> RatInterval:
     return RatInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
-
-
-def _to_mantissas(iv: RatInterval) -> tuple[int, int]:
-    """The inverse of `_from_mantissas`: endpoints over 2**ENCLOSURE_BITS."""
-    lo, hi = iv.lo, iv.hi
-    return lo.numerator * (_SCALE // lo.denominator), hi.numerator * (_SCALE // hi.denominator)
 
 
 def logistic_orbit_enclosures(
@@ -444,7 +441,8 @@ def logistic_orbit_enclosures(
     to ENCLOSURE_BITS dyadic bits, which caps denominator growth and keeps
     the enclosures sound. r must lie in [0, 4] and x0 in [0, 1].
     """
-    return [x0, *(_from_mantissas(lo, hi) for lo, hi in _orbit_mantissas(r, x0, n))]
+    orbit = _orbit_mantissas(*_over_one_denominator(r), *_over_one_denominator(x0), n)
+    return [x0, *(_from_mantissas(lo, hi) for lo, hi in orbit)]
 
 
 @dataclass(frozen=True)
@@ -463,15 +461,11 @@ class IterMapExpr:
         if self.iterations < 1:
             raise ValueError("iteration count must be >= 1")
 
-    def _check_domain(self, r: RatInterval) -> None:
-        if not self.domain.contains_interval(r):
-            raise ValueError(f"input {r} outside expression domain {self.domain}")
-
-    def evaluate(self, r: RatInterval) -> RatInterval:
-        """Interval enclosure of the expression over ``r``."""
-        self._check_domain(r)
-        lo, hi = _critical_orbit(r, self.iterations)[-1]
-        return _from_mantissas(lo - _HALF_MANTISSA, hi - _HALF_MANTISSA)
+    def evaluate(self, r: RatInterval) -> tuple[int, int]:
+        """Enclosure of the expression over ``r``, as integer mantissas
+        (lo, hi) over 2**ENCLOSURE_BITS."""
+        lo, hi = _critical_orbit(*_over_one_denominator(r), self.iterations)[-1]
+        return lo - _HALF_MANTISSA, hi - _HALF_MANTISSA
 
     def sign_at(self, t: Fraction) -> int:
         """Exact sign of the expression at a rational point.
@@ -480,30 +474,29 @@ class IterMapExpr:
         orbit x = N/D is iterated exactly, N <- a*N*(D - N), D <- b*D**2
         for r = a/b, and 2*N is compared with D.
         """
-        r = RatInterval.point(t)
-        self._check_domain(r)
-        lo, hi = _critical_orbit(r, self.iterations)[-1]
+        t = parse_rational(t)
+        a, b = t.numerator, t.denominator
+        lo, hi = _critical_orbit(a, a, b, self.iterations)[-1]
         if lo > _HALF_MANTISSA:
             return 1
         if hi < _HALF_MANTISSA:
             return -1
-        a, b = r.lo.numerator, r.lo.denominator
         num, den = 1, 2
         for _ in range(self.iterations):
             num, den = a * num * (den - num), b * den * den
         return (2 * num > den) - (2 * num < den)
 
-    def derivative_enclosure(self, r: RatInterval) -> RatInterval:
-        """Enclosure of d(expr)/dr over ``r``.
+    def derivative_enclosure(self, r: RatInterval) -> tuple[int, int]:
+        """Enclosure of d(expr)/dr over ``r``, as integer mantissas (lo, hi)
+        over 2**ENCLOSURE_BITS.
 
         Chain rule along the orbit: d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k),
         each step formed exactly over 4*b*2**(2*ENCLOSURE_BITS) for
         r = [a_lo, a_hi]/b and rounded outward once.
         """
-        self._check_domain(r)
         a_lo, a_hi, b = _over_one_denominator(r)
         # the first n - 1 steps of the n-step orbit that `evaluate` reads
-        orbit = _critical_orbit(r, self.iterations)[:-1]
+        orbit = _critical_orbit(a_lo, a_hi, b, self.iterations)[:-1]
         q = 4 * b * _SCALE * _SCALE
         d_lo = d_hi = 0
         for x_lo, x_hi in [(_HALF_MANTISSA, _HALF_MANTISSA), *orbit]:
@@ -512,7 +505,7 @@ class IterMapExpr:
             p_lo, p_hi = _mul(rt_lo, rt_hi, d_lo, d_hi)
             g_min, g_max = _x_one_minus_x(x_lo, x_hi, _SCALE)
             d_lo, d_hi = _round_outward(4 * p_lo + b * g_min, 4 * p_hi + b * g_max, q)
-        return _from_mantissas(d_lo, d_hi)
+        return d_lo, d_hi
 
 
 def critical_orbit_expr(period: int) -> IterMapExpr:
@@ -543,35 +536,35 @@ class RootIsolation:
 
 def _scan_enclosure(
     expr: IterMapExpr, cell: RatInterval
-) -> tuple[RatInterval, Optional[RatInterval]]:
-    """Enclosures of the expression and of its derivative over the cell.
+) -> tuple[tuple[int, int], Optional[tuple[int, int]]]:
+    """Enclosures of the expression and of its derivative over the cell, as
+    integer pairs: the scan reads only their signs.
 
     The value enclosure is the plain one intersected with the centered form
-    at the midpoint. When the plain one already excludes 0 it is returned
-    alone, with no derivative: the intersection would exclude 0 as well, and
-    the scan reads the derivative only of a cell whose enclosure holds 0.
-    Each orbit runs once: the derivative reads the orbit of the plain
-    enclosure, and the scan's sign at the midpoint the orbit of the centered
-    form, through `_critical_orbit`. The plain, midpoint and slope
-    enclosures are read back as mantissas p, m and s over 2**ENCLOSURE_BITS;
-    for a half-width u/v the centered form over 2**ENCLOSURE_BITS * v is
-    [m_lo*v - radius, m_hi*v + radius] with radius = max(-s_lo, s_hi)*u.
+    at the midpoint. When the plain one already excludes 0 its mantissas
+    p over 2**ENCLOSURE_BITS are returned alone, with no derivative: the
+    intersection would exclude 0 as well, and the scan reads the derivative
+    only of a cell whose enclosure holds 0. Each orbit runs once: the
+    derivative reads the orbit of the plain enclosure, and the scan's sign
+    at the midpoint the orbit of the centered form, through
+    `_critical_orbit`. With midpoint and slope mantissas m and s and a
+    half-width u/v, the centered form over 2**ENCLOSURE_BITS * v is
+    [m_lo*v - radius, m_hi*v + radius] with radius = max(-s_lo, s_hi)*u,
+    and the intersection comes back over that denominator, with s.
     """
-    plain = expr.evaluate(cell)
-    p_lo, p_hi = _to_mantissas(plain)
+    p_lo, p_hi = expr.evaluate(cell)
     if p_lo > 0 or p_hi < 0:
-        return plain, None
+        return (p_lo, p_hi), None
     half = cell.width / 2
     u, v = half.numerator, half.denominator
-    slope = expr.derivative_enclosure(cell)
-    m_lo, m_hi = _to_mantissas(expr.evaluate(RatInterval.point(cell.lo + half)))
-    s_lo, s_hi = _to_mantissas(slope)
+    s_lo, s_hi = expr.derivative_enclosure(cell)
+    m_lo, m_hi = expr.evaluate(RatInterval.point(cell.lo + half))
     radius = max(-s_lo, s_hi) * u
     lo = max(p_lo * v, m_lo * v - radius)
     hi = min(p_hi * v, m_hi * v + radius)
     if lo > hi:  # both sound, so a crossing order would be a bug
         raise AssertionError("inconsistent enclosures")
-    return RatInterval(Fraction(lo, _SCALE * v), Fraction(hi, _SCALE * v)), slope
+    return (lo, hi), (s_lo, s_hi)
 
 
 def root_isolate(
@@ -632,9 +625,9 @@ def root_isolate(
         if a >= b:
             continue
         enc, slope = _scan_enclosure(expr, RatInterval(a, b))
-        if enc.lo > 0 or enc.hi < 0:
+        if enc[0] > 0 or enc[1] < 0:
             continue
-        if sa == sb and (slope.lo > 0 or slope.hi < 0):
+        if sa == sb and (slope[0] > 0 or slope[1] < 0):
             continue
         w = b - a
         if w <= min_width:

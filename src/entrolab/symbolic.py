@@ -71,11 +71,16 @@ class EntropyBound:
 
     @classmethod
     def from_json(cls, data: dict) -> "EntropyBound":
+        """A missing ``certified`` reads as false; a value that is not a JSON
+        boolean is refused, not converted."""
+        certified = data.get("certified", False)
+        if type(certified) is not bool:
+            raise ValueError(f"expected a boolean, got {certified!r}")
         return cls(
             parse_rational(data["lo"]),
             parse_rational(data["hi"]),
             Provenance(data["provenance"]),
-            bool(data.get("certified", False)),
+            certified,
         )
 
 

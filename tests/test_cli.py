@@ -546,6 +546,38 @@ def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "value", ["no", "true", 1, 0, None], ids=["no", "text", "one", "zero", "null"]
+)
+def test_cached_certified_not_bool_malformed_line(tmp_path, capsys, value):
+    # a stored flag that is not a JSON boolean is refused, not converted:
+    # bool("no") would print "certified": true
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = _center_line(lines, max)  # the period-3 center
+    entropy = {**json.loads(lines[number - 1])["entropy"], "certified": value}
+    path.write_text(_with(lines, number, entropy=entropy), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 2
+    assert f"malformed line {number} in {path}" in capsys.readouterr().err
+
+
+def test_cached_certified_missing_reads_false(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
+    assert main(argv) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = _center_line(lines, max)
+    entropy = json.loads(lines[number - 1])["entropy"]
+    del entropy["certified"]
+    path.write_text(_with(lines, number, entropy=entropy), encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["centers"]
+    assert [c["entropy"]["certified"] for c in printed if c["period"] == 3] == [False]
+
+
 @pytest.mark.parametrize("record", ["center", "scan"])
 @pytest.mark.parametrize(
     "value", [True, "5", 5.0, 7.9, 0, -3], ids=["true", "text", "float", "fraction", "zero", "negative"]

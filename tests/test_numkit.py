@@ -156,18 +156,25 @@ def test_simplest_rational():
         assert simplest_rational_in(q - F(1, 10**9), q + F(1, 10**9)) == q
 
 
+def from_mantissas(pair, den=1):
+    """An integer pair (lo, hi) over 2**ENCLOSURE_BITS * den, as
+    `evaluate` and `derivative_enclosure` return them, as a RatInterval."""
+    scale = (1 << ENCLOSURE_BITS) * den
+    return RatInterval(F(pair[0], scale), F(pair[1], scale))
+
+
 def test_interval_eval_point_consistency():
     # expression r/4 - 1/2 at r = 2 is exactly zero
     expr = critical_orbit_expr(1)
-    assert expr.evaluate(RatInterval.point(2)) == RatInterval.point(0)
+    assert from_mantissas(expr.evaluate(RatInterval.point(2))) == RatInterval.point(0)
     # f_4^2(1/2) - 1/2: 1/2 -> 1 -> 0
     expr = critical_orbit_expr(2)
-    assert expr.evaluate(RatInterval.point(4)) == RatInterval.point(F(-1, 2))
+    assert from_mantissas(expr.evaluate(RatInterval.point(4))) == RatInterval.point(F(-1, 2))
 
 
 def test_interval_eval_p2_straddles_zero():
     expr = critical_orbit_expr(2)
-    enc = expr.evaluate(RatInterval(3, 4))
+    enc = from_mantissas(expr.evaluate(RatInterval(3, 4)))
     assert enc.lo < 0 < enc.hi
     # hand endpoint values of f_r^2(1/2) - 1/2 = r^2/4 - r^3/16 - 1/2
     for r in (F(3), F(4)):
@@ -187,8 +194,8 @@ def test_inclusion_monotonicity(period, lo, w1, w2):
     hi = min(F(4), lo + w1 + w2)
     outer = RatInterval(lo, hi)
     inner = RatInterval(min(lo + w1 / 2, hi), min(lo + w1 / 2 + w2 / 2, hi))
-    big = expr.evaluate(outer)
-    small = expr.evaluate(inner)
+    big = from_mantissas(expr.evaluate(outer))
+    small = from_mantissas(expr.evaluate(inner))
     assert big.lo <= small.lo and small.hi <= big.hi
 
 
@@ -204,7 +211,7 @@ def exact_value(r, x0, n):
 @given(period=st.integers(1, 5), q=st.fractions(min_value=0, max_value=4))
 def test_point_evaluation_matches_exact(period, q):
     expr = critical_orbit_expr(period)
-    enc = expr.evaluate(RatInterval.point(q))
+    enc = from_mantissas(expr.evaluate(RatInterval.point(q)))
     assert enc.contains(exact_value(q, F(1, 2), period))
     assert enc.width <= period * F(1, 1 << 120)
     if enc.lo > 0 or enc.hi < 0:
@@ -223,7 +230,8 @@ def test_derivative_enclosure_contains_difference_quotient(period, u, v):
     a, b = min(u, v), max(u, v)
     values = [exact_value(t, F(1, 2), period) for t in (a, b)]
     quotient = (values[1] - values[0]) / (b - a)
-    assert critical_orbit_expr(period).derivative_enclosure(RatInterval(a, b)).contains(quotient)
+    slope = critical_orbit_expr(period).derivative_enclosure(RatInterval(a, b))
+    assert from_mantissas(slope).contains(quotient)
 
 
 def test_root_isolate_p1():
@@ -379,8 +387,8 @@ def test_orbit_kernel_equals_fraction_reference(period, r, x0):
     assert logistic_orbit_enclosures(r, x0, period) == reference_orbit(r, x0, period)
     expr = critical_orbit_expr(period)
     orbit = reference_orbit(r, RatInterval.point(F(1, 2)), period)
-    assert expr.evaluate(r) == orbit[-1] - F(1, 2)
-    assert expr.derivative_enclosure(r) == reference_derivative(r, period)
+    assert from_mantissas(expr.evaluate(r)) == orbit[-1] - F(1, 2)
+    assert from_mantissas(expr.derivative_enclosure(r)) == reference_derivative(r, period)
     for t in (r.lo, r.hi):
         assert expr.sign_at(t) == reference_sign(t, period)
 
@@ -394,14 +402,27 @@ def test_orbit_kernel_equals_fraction_reference(period, r, x0):
         lambda: logistic_orbit_enclosures(R4, RatInterval.point(F(11, 10)), 2),
         lambda: critical_orbit_expr(3).sign_at(F(5)),
         lambda: critical_orbit_expr(3).sign_at(F(-1, 1 << 200)),
+        lambda: critical_orbit_expr(3).evaluate(RatInterval(3, F(41, 10))),
+        lambda: critical_orbit_expr(3).evaluate(RatInterval.point(F(-1, 10))),
+        lambda: critical_orbit_expr(3).derivative_enclosure(RatInterval(3, F(41, 10))),
+        lambda: critical_orbit_expr(3).derivative_enclosure(RatInterval.point(F(-1, 10))),
     ],
-    ids=["r-above-4", "r-below-0", "x0-below-0", "x0-above-1", "sign-at-5", "sign-below-0"],
+    ids=[
+        "r-above-4", "r-below-0", "x0-below-0", "x0-above-1", "sign-at-5", "sign-below-0",
+        "evaluate-above-4", "evaluate-below-0", "derivative-above-4", "derivative-below-0",
+    ],
 )
 def test_orbit_kernel_refuses_out_of_range(call):
     # outside r in [0, 4] and x0 in [0, 1] a product can be negative or
-    # leave [0, 1], which the two-product step does not handle
+    # leave [0, 1], which the two-product step does not handle; the kernel's
+    # own check is the only one, so it covers every entry point
     with pytest.raises(ValueError):
         call()
+
+
+def test_sign_at_refuses_a_float():
+    with pytest.raises(TypeError):
+        critical_orbit_expr(3).sign_at(3.5)
 
 
 SQRT5_LO = F(math.isqrt(5 << 400), 1 << 200)  # sqrt(5) - 2^-200 < SQRT5_LO < sqrt(5)
@@ -422,7 +443,7 @@ SQRT5_LO = F(math.isqrt(5 << 400), 1 << 200)  # sqrt(5) - 2^-200 < SQRT5_LO < sq
 def test_sign_at_where_the_enclosure_cannot_decide(period, r, want):
     # the 2^-128 point enclosure straddles the root, so the exact recurrence decides
     expr = critical_orbit_expr(period)
-    assert expr.evaluate(RatInterval.point(r)).contains(0)
+    assert from_mantissas(expr.evaluate(RatInterval.point(r))).contains(0)
     assert expr.sign_at(r) == reference_sign(r, period) == want
 
 
@@ -462,13 +483,16 @@ def test_orbit_memo_hit_equals_miss(period, cell, t, at_mid):
 
 
 def reference_scan_enclosure(expr, cell):
-    """Both enclosures formed and intersected on every cell, as before the
-    early exit."""
-    plain = expr.evaluate(cell)
+    """Both enclosures formed in RatInterval arithmetic and intersected on
+    every cell, as before the early exit. They come back as (lo, hi) pairs
+    of Fractions, whose signs root_isolate reads as it reads the scan's
+    integer pairs."""
+    plain = from_mantissas(expr.evaluate(cell))
     half = cell.width / 2
-    slope = expr.derivative_enclosure(cell)
-    centered = expr.evaluate(RatInterval.point(cell.mid)) + slope * RatInterval(-half, half)
-    return RatInterval(max(plain.lo, centered.lo), min(plain.hi, centered.hi)), slope
+    slope = from_mantissas(expr.derivative_enclosure(cell))
+    mid = from_mantissas(expr.evaluate(RatInterval.point(cell.mid)))
+    centered = mid + slope * RatInterval(-half, half)
+    return (max(plain.lo, centered.lo), min(plain.hi, centered.hi)), (slope.lo, slope.hi)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,9 +511,14 @@ def test_root_isolate_decisions_match_reference_scan(period, cell, depth):
     # drops, and gives the same enclosures on the others
     enc, slope = numkit._scan_enclosure(expr, cell)
     ref_enc, ref_slope = reference_scan_enclosure(expr, cell)
-    assert enc.contains(0) == ref_enc.contains(0)
-    if ref_enc.contains(0):
-        assert (enc, slope) == (ref_enc, ref_slope)
+    holds_zero = ref_enc[0] <= 0 <= ref_enc[1]
+    assert (enc[0] <= 0 <= enc[1]) == holds_zero
+    if holds_zero:
+        # the intersection comes back over 2**ENCLOSURE_BITS times the
+        # denominator of the cell's half-width
+        v = (cell.width / 2).denominator
+        assert from_mantissas(enc, v) == RatInterval(*ref_enc)
+        assert from_mantissas(slope) == RatInterval(*ref_slope)
     # through root_isolate: the scan is depth first, so the sequence of
     # scanned cells records every decision: a bisected cell is followed by
     # its halves, and a discarded one (enclosure without 0, or same-sign
@@ -532,7 +561,8 @@ def test_scan_runs_at_most_two_orbits_per_cell(monkeypatch):
 
 def test_scan_does_no_interval_arithmetic(monkeypatch):
     # the centered form and its intersection with the plain enclosure run
-    # on integer mantissas, not through RatInterval operators
+    # on integer mantissas, not through RatInterval operators, and no
+    # mantissa is turned into a Fraction enclosure
     calls = []
     for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
 
@@ -541,8 +571,24 @@ def test_scan_does_no_interval_arithmetic(monkeypatch):
             return op(self, other)
 
         monkeypatch.setattr(RatInterval, name, counted)
+
+    def from_mantissas_counted(lo, hi, convert=numkit._from_mantissas):
+        calls.append("_from_mantissas")
+        return convert(lo, hi)
+
+    monkeypatch.setattr(numkit, "_from_mantissas", from_mantissas_counted)
     numkit._critical_orbit.cache_clear()
     iso = root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
     monkeypatch.undo()
     assert len(iso.roots) == 30  # the centers of periods 1, 3 and 9
     assert calls == []
+
+
+def test_point_and_its_sign_share_one_orbit():
+    # the memo key of the point [a/b, a/b] is that of sign_at(a/b)
+    expr = critical_orbit_expr(7)
+    numkit._critical_orbit.cache_clear()
+    for t in (F(37, 10), F(7, 2)):
+        expr.evaluate(RatInterval.point(t))
+        expr.sign_at(t)
+    assert numkit._critical_orbit.cache_info().misses == 2
