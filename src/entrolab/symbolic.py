@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
+from operator import truediv
 from typing import Callable, Optional, Sequence, Union
 
 from .numkit import (
@@ -264,13 +265,40 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
     cross-multiplication, and only the two extremes become Fractions. Each
     step divides y = Bx by the gcd of its entries, which is safe because no
     ratio depends on the scale of x.
+
+    A float screen skips the exact scan on steps that cannot stop. Every
+    ratio y_i / x_i lies in [1, m + 1] (B^(k+1) 1 = B^k (B 1), and each row
+    of B sums to at most m + 1), and int / int division is correctly
+    rounded, so each float ratio is within a factor 1 +- u of the exact one,
+    u = 2^-53. Rounding is monotone, so the float max and min are the
+    rounded exact extremes. The exact test stops when max <= min * (1 + g),
+    g = rel_gap; then float max <= float min * (1 + g)(1 + u) / (1 - u).
+    The screen skips a step only when float max > float min * lim, with
+    lim = (1 + g)(1 + 2^-40) formed in floats. Each of the four roundings in
+    g, 1 + g, lim and min * lim costs at most a factor 1 - u, and the 2^-40
+    margin is far larger than all of them together, so a step the exact
+    test would stop on is never skipped: the stop step, its two states and
+    the returned bracket are the exact loop's. When the screen lets a step
+    through and the exact test rejects it, the relative gap is already
+    within about 2^-40 of rel_gap. The Collatz-Wielandt bounds never move
+    apart, so the screen would let every later step through as well and
+    only cost time: it turns off for the rest of the call. It never runs
+    when rel_gap >= 1, where g need not fit in a float. Floats only skip
+    the exact test; only the exact integer test returns a bracket.
     """
     m = len(succ)
     num, den = rel_gap.numerator, rel_gap.denominator
-    x = [1] * m
+    lim = (1 + num / den) * (1 + 2**-40) if num < den else 0.0  # 0: no screen
+    y = [1] * m
     for _ in range(200_000):
+        shrink = gcd(*y)
+        x = [v // shrink for v in y] if shrink > 1 else y
         at = x.__getitem__
         y = [sum(map(at, row), xi) for xi, row in zip(x, succ)]
+        if lim:
+            r = list(map(truediv, y, x))
+            if max(r) > min(r) * lim:
+                continue
         a = b = 0  # states with the least and the greatest ratio y_i / x_i
         for i in range(1, m):
             if y[i] * x[a] < y[a] * x[i]:
@@ -281,8 +309,7 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
         lo_xb = y[a] * x[b]
         if (y[b] * x[a] - lo_xb) * den <= lo_xb * num:
             return Fraction(y[a] - x[a], x[a]), Fraction(y[b] - x[b], x[b])
-        shrink = gcd(*y)
-        x = [v // shrink for v in y] if shrink > 1 else y
+        lim = 0.0
     raise ArithmeticError("Perron bracket did not converge")
 
 

@@ -439,6 +439,16 @@ def test_sft_precision_beyond_cap_exit_2(golden_file, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("eps", ["1e400", "5"])
+def test_sft_coarse_eps_chord_cycle(tmp_path, capsys, eps):
+    # rel_gap >= 1: the Perron bracket runs no float screen, so 1e400 cannot
+    # overflow a float; the first power step already stops
+    allowed = [[int(j == (i + 1) % 24 or (i, j) == (23, 15)) for j in range(24)] for i in range(24)]
+    path = write_json(tmp_path / "chord.json", {"alphabet": 24, "allowed": allowed})
+    assert main(["sft", "entropy", "--file", path, "--eps", eps]) == 0
+    assert capsys.readouterr().out == "h in [0, 1]\n  ~ [0.000000000000, 1.000000000000]\n"
+
+
 def test_centers_beyond_period_cap_exit_2(tmp_path, capsys):
     # refused before any period is scanned
     argv = ["centers", "--max-period", str(DEFAULT_PERIOD_CAP + 1)]

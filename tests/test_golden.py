@@ -35,6 +35,12 @@ CHORD_24 = {
     "alphabet": 24,
     "allowed": [[int(j == (i + 1) % 24 or (i, j) == (23, 15)) for j in range(24)] for i in range(24)],
 }
+# the 60-cycle with the chord 0 -> 2: a smaller gap still, about 8 000 power
+# steps; its output is h = ["563939/33554432", "1127937/67108864"]
+CHORD_60 = {
+    "alphabet": 60,
+    "allowed": [[int(j == (i + 1) % 60 or (i, j) == (0, 2)) for j in range(60)] for i in range(60)],
+}
 DENSE_12 = {
     "alphabet": 12,
     "allowed": [[int(c) for c in row] for row in (
@@ -105,6 +111,8 @@ FILE_CALLS = [
      "b20e244e7a4505e1100785f4d3b916a4594862ecd44ee2be4e3bbdb8c37e9b46"),
     ("chord-24-sft", CHORD_24, ["sft", "entropy", "--eps", "1e-9"],
      "c5d794603fc5a6ea15e3b28a883a606d284f76a1510ee71bd4893801d75ca6c1"),
+    ("chord-60-sft", CHORD_60, ["sft", "entropy", "--eps", "1e-6"],
+     "ff7ff273c15a62f35c7f7f930f8b77c0806b2492b86677530e49bea116d599fc"),
     ("dense-12-sft", DENSE_12, ["sft", "entropy", "--eps", "1e-6"],
      "679d0e273c9114983cd6165a76ca14def6e66474e834281c4a43e4e0da3224e0"),
     # few branches per target: pins the max_p cut before the shrink levels
