@@ -183,15 +183,21 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
         return EXIT_OK
     budget = SearchBudget(max_n=args.max_n, max_p=args.max_p, grid_depth=args.grid_depth)
     records = []
+    code = EXIT_OK
     if args.format != "json":
         print("p\tn\tbound_lo\tbound_hi")
-    for record in search_lower_bounds(f, budget, node_cap=args.node_cap):
-        records.append(record)
-        if args.format != "json":
-            print(
-                f"{record.p}\t{record.n}\t"
-                f"{format_rational(record.bound.lo)}\t{format_rational(record.bound.hi)}"
-            )
+    try:
+        for record in search_lower_bounds(f, budget, node_cap=args.node_cap):
+            records.append(record)
+            if args.format != "json":
+                print(
+                    f"{record.p}\t{record.n}\t"
+                    f"{format_rational(record.bound.lo)}\t{format_rational(record.bound.hi)}"
+                )
+    except NodeCapExceeded as exc:
+        # the records before the cap are sound; the stream just ends early
+        print(f"note: stream stopped: {exc}; raise --node-cap to go further", file=sys.stderr)
+        code = EXIT_BUDGET
     if args.format == "json":
         payload = {
             "method": "horseshoe",
@@ -208,7 +214,7 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
         print(json.dumps(payload, sort_keys=True))
     elif not records:
         print("# no horseshoe found within budget (entropy may be 0)")
-    return EXIT_OK
+    return code
 
 
 def cmd_realize(args: argparse.Namespace) -> int:

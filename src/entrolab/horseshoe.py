@@ -15,12 +15,13 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .numkit import (
     RatInterval,
     dyadic_ceil,
     dyadic_floor,
+    json_int,
     log2_enclosure,
     logistic_orbit_enclosures,
 )
@@ -79,7 +80,7 @@ class HorseshoeCert:
     def from_json(cls, data: dict) -> "HorseshoeCert":
         return cls(
             tuple(RatInterval.from_json(iv) for iv in data["intervals"]),
-            int(data["n"]),
+            json_int(data["n"], 1),
         )
 
 
@@ -103,6 +104,11 @@ class LowerBoundRecord:
         return self.cert.n
 
 
+# the grid fallback tries 2^(d-1) (2^d + 1) targets per iterate at depth d:
+# 32 896 at the cap, while depth 9 already took 15 s on the tent map at n <= 4
+MAX_GRID_DEPTH = 8
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_n: int = 8
@@ -112,6 +118,8 @@ class SearchBudget:
     def __post_init__(self) -> None:
         if self.max_n < 1 or self.max_p < 2 or self.grid_depth < 0:
             raise ValueError("budget out of range")
+        if self.grid_depth > MAX_GRID_DEPTH:
+            raise ValueError(f"grid depth {self.grid_depth} exceeds the cap of {MAX_GRID_DEPTH}")
 
 
 def check_certificate(
@@ -153,20 +161,11 @@ def check_certificate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Branch:
-    first: int  # node index where the monotone run starts
-    last: int
-    dom: RatInterval
-    img: RatInterval
-    increasing: bool
-
-
-def _branches(g: PWLMap) -> list[_Branch]:
-    nodes = g.nodes
-    ys = [y for _, y in nodes]
+def _runs(ys: Sequence[int]) -> list[tuple[int, int, bool]]:
+    """The maximal strictly monotone runs of a map's ordinates, flat segments
+    skipped: (first, last, rising), first and last node indices."""
     last = len(ys) - 1
-    out: list[_Branch] = []
+    out: list[tuple[int, int, bool]] = []
     i = 0
     while i < last:
         ya = ys[i]
@@ -181,39 +180,33 @@ def _branches(g: PWLMap) -> list[_Branch]:
         else:
             while j < last and ys[j + 1] < ys[j]:
                 j += 1
-        yb = ys[j]
-        out.append(
-            _Branch(
-                i,
-                j,
-                RatInterval(nodes[i][0], nodes[j][0]),
-                RatInterval(ya, yb) if rising else RatInterval(yb, ya),
-                rising,
-            )
-        )
+        out.append((i, j, rising))
         i = j
     return out
 
 
-def _branch_preimage(g: PWLMap, br: _Branch, target: RatInterval) -> RatInterval:
-    """Preimage of ``target`` within a monotone branch; needs img >= target."""
+def _preimage(
+    g: PWLMap, run: tuple[int, int, bool], lo: int, hi: int, scale: int
+) -> tuple[Fraction, Fraction]:
+    """Preimage of [lo, hi]/(scale * g.Dy) within a monotone run whose image
+    contains it, as its two ends."""
+    first, last, rising = run
+    X, Y = g.X, g.Y
 
-    def solve(y: Fraction) -> Fraction:
-        lo, hi = br.first, br.last
+    def solve(y: int) -> Fraction:
+        q = y // scale  # an ordinate Y[k] <= y/scale exactly when Y[k] <= q
+        a, b = first, last
         # binary search the segment whose y-span contains y
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if (g.nodes[mid][1] <= y) == br.increasing:
-                lo = mid
+        while a + 1 < b:
+            mid = (a + b) // 2
+            if (Y[mid] <= q) == rising:
+                a = mid
             else:
-                hi = mid
-        x1, y1 = g.nodes[lo]
-        x2, y2 = g.nodes[lo + 1]
-        return x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+                b = mid
+        rise = (Y[a + 1] - Y[a]) * scale
+        return Fraction(X[a] * rise + (y - Y[a] * scale) * (X[a + 1] - X[a]), rise * g.Dx)
 
-    a = solve(target.lo)
-    b = solve(target.hi)
-    return RatInterval(min(a, b), max(a, b))
+    return (solve(lo), solve(hi)) if rising else (solve(hi), solve(lo))
 
 
 def _pwl_candidates(
@@ -224,36 +217,44 @@ def _pwl_candidates(
     The preimages of ``inner`` are ordered and disjoint: two picked branches
     share at most a turning point x, and g(x), an extreme of both images,
     lies outside ``inner``, which every image strictly contains.
+
+    Branches are the monotone runs of g's integer ordinates. Targets, the
+    dyadic grid and the shrunken targets are integers over one denominator
+    S = lcm(Dx, Dy, 2^depth) * 2^16, so every shrink by 2^-8, 2^-12 or 2^-16
+    of a target's width is an exact shift.
     """
-    branches = _branches(g)
+    X, Y = g.X, g.Y
+    runs = _runs(Y)
+    depth = budget.grid_depth
+    S = math.lcm(g.Dx, g.Dy, 1 << depth) << 16
+    sx, sy = S // g.Dx, S // g.Dy
     # each distinct branch image gets an id; candidate targets are the
     # distinct images (most frequent first), then a coarse dyadic grid as a
     # fallback
-    ids: dict[tuple[Fraction, Fraction], int] = {}
-    img_ids = [ids.setdefault((br.img.lo, br.img.hi), len(ids)) for br in branches]
-    images = list(ids)
-    freq = Counter(img_ids)
-    targets = [
-        RatInterval(*images[k])
-        for k in sorted(freq, key=lambda k: (-freq[k], images[k]))[:64]
+    ids: dict[tuple[int, int], int] = {}
+    img_ids = [
+        ids.setdefault((Y[i], Y[j]) if rising else (Y[j], Y[i]), len(ids))
+        for i, j, rising in runs
     ]
-    depth = budget.grid_depth
+    images = [(a * sy, b * sy) for a, b in ids]
+    freq = Counter(img_ids)
+    targets = [images[k] for k in sorted(freq, key=lambda k: (-freq[k], images[k]))[:64]]
     if depth > 0:
+        step = S >> depth
         denom = 1 << depth
         for i in range(denom):
             for j in range(i + 1, denom + 1):
-                targets.append(RatInterval(Fraction(i, denom), Fraction(j, denom)))
+                targets.append((i * step, j * step))
 
-    # each target takes the first shrink level that picks two branches;
-    # candidates are grouped by p, and preimages are computed per group.
+    # each target takes the first shrink level that picks two branches, and
+    # candidates are grouped by p.
     # Branch domains are ordered with both ends strictly increasing, so the
     # domains strictly inside an interval form one run of indices, found by
     # bisection; containment in the target is tested once per distinct image.
-    dom_los = [br.dom.lo for br in branches]
-    dom_his = [br.dom.hi for br in branches]
-    groups: dict[int, list[tuple[RatInterval, list[_Branch]]]] = {}
-    for target in targets:
-        lo, hi = target.lo, target.hi
+    dom_los = [X[i] * sx for i, _, _ in runs]
+    dom_his = [X[j] * sx for _, j, _ in runs]
+    groups: dict[int, list[tuple[int, int, list[int]]]] = {}
+    for lo, hi in targets:
         start, stop = bisect_right(dom_los, lo), bisect_left(dom_his, hi)
         if stop - start < 2:
             continue
@@ -263,24 +264,31 @@ def _pwl_candidates(
             continue
         width = hi - lo
         for shrink_bits in (8, 12, 16):
-            eta = width / (1 << shrink_bits)
+            eta = width >> shrink_bits
             ilo, ihi = lo + eta, hi - eta
             # the domains strictly inside [ilo, ihi]: indices in [lo_k, hi_k)
             lo_k = bisect_right(dom_los, ilo, start, stop)
             hi_k = bisect_left(dom_his, ihi, start, stop)
             picked = selected[bisect_left(selected, lo_k) : bisect_left(selected, hi_k)]
             if len(picked) >= 2:
-                groups.setdefault(len(picked), []).append(
-                    (RatInterval(ilo, ihi), [branches[k] for k in picked])
-                )
+                groups.setdefault(len(picked), []).append((ilo, ihi, picked))
                 break
     for p in sorted(groups, reverse=True):
-        found = {
-            tuple(_branch_preimage(g, br, inner) for br in picked)
-            for inner, picked in groups[p]
-        }
-        for js in sorted(found, key=lambda js: [(iv.lo, iv.hi) for iv in js]):
-            yield p, js
+        # candidates come in the order of their preimage tuples, read off the
+        # integers so that only the yielded ones are pulled back. Each
+        # preimage lies strictly inside its branch's domain, and domains are
+        # ordered, so the first branch orders candidates first; within one
+        # branch the preimage of [ilo, ihi] moves with (ilo, ihi) where the
+        # branch rises and against it where it falls. Equal first intervals
+        # mean equal targets, and the branches then order the rest.
+        found: dict[tuple[int, ...], tuple[int, int, list[int]]] = {}
+        for ilo, ihi, picked in groups[p]:
+            k = picked[0]
+            first = (ilo, ihi) if runs[k][2] else (-ihi, -ilo)
+            found[(k, *first, *picked[1:])] = (ilo, ihi, picked)
+        for key in sorted(found):
+            ilo, ihi, picked = found[key]
+            yield p, tuple(RatInterval(*_preimage(g, runs[k], ilo, ihi, sy)) for k in picked)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +409,9 @@ def search_lower_bounds(
     Candidates come from the monotone-branch structure of the iterates
     (plus a dyadic-grid fallback); every emitted certificate has passed the
     exact check. An empty stream means no horseshoe was found within the
-    budget, which is the correct outcome for zero-entropy maps.
+    budget, which is the correct outcome for zero-entropy maps. When an
+    iterate of a piecewise-linear map would exceed ``node_cap`` nodes, the
+    stream raises ``NodeCapExceeded`` after the records found before it.
     """
     best: Fraction = _ZERO
     g = f
@@ -410,8 +420,8 @@ def search_lower_bounds(
             if n > 1:
                 try:
                     g = compose(f, g, node_cap)  # type: ignore[arg-type]
-                except NodeCapExceeded:
-                    return
+                except NodeCapExceeded as exc:
+                    raise NodeCapExceeded(f"{exc} at n = {n}") from exc
             candidates = _pwl_candidates(g, budget)  # type: ignore[arg-type]
         else:
             candidates = _quad_candidates(f, n, budget)

@@ -1,9 +1,11 @@
 """Exact piecewise-linear self-maps of [0, 1].
 
-Maps are stored as node lists with rational coordinates and linear
-interpolation between consecutive nodes. Composition, iteration,
-variation, and entropy realization are all exact; the only approximate
-object anywhere is a final log2 enclosure.
+Maps are node lists with rational coordinates and linear interpolation
+between consecutive nodes, held as integer numerators over one common
+denominator per axis. Composition, iteration, evaluation, images,
+variation, and entropy realization are all exact integer arithmetic on
+those arrays; the only approximate object anywhere is a final log2
+enclosure.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .numkit import (
@@ -37,77 +40,126 @@ class NodeCapExceeded(RuntimeError):
     """Composition would exceed the configured node budget."""
 
 
-@dataclass(frozen=True)
 class PWLMap:
-    """Continuous piecewise-linear map [0,1] -> [0,1] with rational nodes."""
+    """Continuous piecewise-linear map [0,1] -> [0,1] with rational nodes.
 
-    nodes: tuple[tuple[Fraction, Fraction], ...]
+    Node i is (X[i]/Dx, Y[i]/Dy): integer numerators over one denominator
+    per axis, the lcm of that axis's reduced denominators, so the arrays are
+    unique to the map. Every computation on the map runs on these integers;
+    ``nodes`` is the ``Fraction`` view of the same nodes, built on first use.
+    """
 
-    def __post_init__(self) -> None:
-        coerced = tuple((parse_rational(x), parse_rational(y)) for x, y in self.nodes)
-        object.__setattr__(self, "nodes", coerced)
-        if len(coerced) < 2:
+    __slots__ = ("X", "Dx", "Y", "Dy", "_nodes")
+
+    def __init__(self, nodes: Sequence[tuple[RationalLike, RationalLike]]) -> None:
+        coerced = tuple((parse_rational(x), parse_rational(y)) for x, y in nodes)
+        self._set(
+            *_over_lcm([(x.numerator, x.denominator) for x, _ in coerced]),
+            *_over_lcm([(y.numerator, y.denominator) for _, y in coerced]),
+        )
+        self._nodes = coerced
+
+    @classmethod
+    def _from_ints(cls, X: tuple[int, ...], Dx: int, Y: tuple[int, ...], Dy: int) -> "PWLMap":
+        """The map with nodes (X[i]/Dx, Y[i]/Dy), for any positive Dx and Dy."""
+        g = object.__new__(cls)
+        gx, gy = gcd(Dx, *X), gcd(Dy, *Y)
+        if gx > 1:
+            X, Dx = tuple(v // gx for v in X), Dx // gx
+        if gy > 1:
+            Y, Dy = tuple(v // gy for v in Y), Dy // gy
+        g._set(X, Dx, Y, Dy)
+        g._nodes = None
+        return g
+
+    def _set(self, X: tuple[int, ...], Dx: int, Y: tuple[int, ...], Dy: int) -> None:
+        if len(X) < 2:
             raise ValueError("a map needs at least two nodes")
-        xs = [x for x, _ in coerced]
-        if xs[0] != 0 or xs[-1] != 1:
+        if X[0] != 0 or X[-1] != Dx:
             raise ValueError("node abscissae must start at 0 and end at 1")
-        for a, b in zip(xs, xs[1:]):
+        for a, b in zip(X, X[1:]):
             if a >= b:
                 raise ValueError("node abscissae must be strictly increasing")
-        for _, y in coerced:
-            if not (0 <= y <= 1):
-                raise ValueError("node ordinates must lie in [0, 1]")
+        if min(Y) < 0 or max(Y) > Dy:
+            raise ValueError("node ordinates must lie in [0, 1]")
+        self.X, self.Dx, self.Y, self.Dy = X, Dx, Y, Dy
+
+    @property
+    def nodes(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        if self._nodes is None:
+            Dx, Dy = self.Dx, self.Dy
+            self._nodes = tuple(
+                (Fraction(x, Dx), Fraction(y, Dy)) for x, y in zip(self.X, self.Y)
+            )
+        return self._nodes
 
     @property
     def xs(self) -> tuple[Fraction, ...]:
-        cached = self.__dict__.get("_xs")
-        if cached is None:
-            cached = tuple(x for x, _ in self.nodes)
-            self.__dict__["_xs"] = cached
-        return cached
+        return tuple(x for x, _ in self.nodes)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PWLMap):
+            return NotImplemented
+        return (self.Dx, self.Dy, self.X, self.Y) == (other.Dx, other.Dy, other.X, other.Y)
+
+    def __hash__(self) -> int:
+        return hash((self.Dx, self.Dy, self.X, self.Y))
+
+    def __repr__(self) -> str:
+        return f"PWLMap(nodes={self.nodes!r})"
 
     def segments(self) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
         for (x1, y1), (x2, y2) in zip(self.nodes, self.nodes[1:]):
             yield x1, y1, x2, y2
 
+    def _value(self, x: Fraction) -> tuple[int, int, int]:
+        """(i, num, den): X[i] <= x*Dx, with i < len(X) - 1 unless x = 1, and
+        the value at x is num/den (den > 0, not reduced)."""
+        a, b = x.numerator, x.denominator
+        if a < 0 or a > b:
+            raise ValueError("argument outside [0, 1]")
+        X, Y = self.X, self.Y
+        i = bisect_right(X, a * self.Dx // b) - 1
+        if i == len(X) - 1:
+            return i, Y[i], self.Dy
+        w = X[i + 1] - X[i]
+        return i, Y[i] * w * b + (Y[i + 1] - Y[i]) * (a * self.Dx - X[i] * b), w * b * self.Dy
+
     def eval(self, x: RationalLike) -> Fraction:
         """Exact value of the interpolant at a rational point."""
-        x = parse_rational(x)
-        if not (0 <= x <= 1):
-            raise ValueError("argument outside [0, 1]")
-        i = bisect_right(self.xs, x) - 1
-        if i == len(self.nodes) - 1:
-            return self.nodes[-1][1]
-        x1, y1 = self.nodes[i]
-        x2, y2 = self.nodes[i + 1]
-        return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+        _, num, den = self._value(parse_rational(x))
+        return Fraction(num, den)
 
     def image_on(self, box: RatInterval) -> RatInterval:
-        """Exact image of a subinterval of [0, 1]."""
-        ya = self.eval(box.lo)
-        yb = self.eval(box.hi)
-        lo, hi = min(ya, yb), max(ya, yb)
-        i = bisect_right(self.xs, box.lo)
-        while i < len(self.nodes) and self.xs[i] < box.hi:
-            y = self.nodes[i][1]
-            lo = min(lo, y)
-            hi = max(hi, y)
-            i += 1
-        return RatInterval(lo, hi)
+        """Exact image of a subinterval of [0, 1]: the values at its ends and
+        at the nodes strictly inside it (a node at its right end is taken
+        too, which changes nothing)."""
+        i, lo_n, lo_d = self._value(box.lo)
+        j, hi_n, hi_d = self._value(box.hi)
+        if lo_n * hi_d > hi_n * lo_d:
+            lo_n, lo_d, hi_n, hi_d = hi_n, hi_d, lo_n, lo_d
+        if i < j:
+            inside = self.Y[i + 1 : j + 1]
+            low, high = min(inside), max(inside)
+            if low * lo_d < lo_n * self.Dy:
+                lo_n, lo_d = low, self.Dy
+            if high * hi_d > hi_n * self.Dy:
+                hi_n, hi_d = high, self.Dy
+        return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
     def canonical(self) -> "PWLMap":
         """Drop interior nodes lying exactly on the segment through their
         neighbours."""
-        kept = [self.nodes[0]]
-        for i in range(1, len(self.nodes) - 1):
-            x0, y0 = kept[-1]
-            x1, y1 = self.nodes[i]
-            x2, y2 = self.nodes[i + 1]
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                continue
-            kept.append(self.nodes[i])
-        kept.append(self.nodes[-1])
-        return PWLMap(tuple(kept))
+        X, Y = self.X, self.Y
+        kept = [0]
+        for i in range(1, len(X) - 1):
+            k = kept[-1]
+            if (Y[i] - Y[k]) * (X[i + 1] - X[i]) != (Y[i + 1] - Y[i]) * (X[i] - X[k]):
+                kept.append(i)
+        kept.append(len(X) - 1)
+        return PWLMap._from_ints(
+            tuple(X[i] for i in kept), self.Dx, tuple(Y[i] for i in kept), self.Dy
+        )
 
     def to_json(self) -> dict:
         return {"nodes": [[format_rational(x), format_rational(y)] for x, y in self.nodes]}
@@ -138,6 +190,12 @@ def compose(outer: PWLMap, inner: PWLMap, node_cap: int = DEFAULT_NODE_CAP) -> P
     where inner equals gx, so its value is the outer ordinate at gx. The
     nodes come out sorted, with no sort and no evaluation of ``inner``.
 
+    The walk runs on integers: the outer abscissae and the inner ordinates
+    are rescaled once to one denominator, so locating an ordinate among the
+    outer breakpoints is a bisection of ints. Each emitted coordinate is an
+    exact num/den pair reduced by one gcd, and the result is put over the
+    lcm of those denominators on each axis.
+
     Collinear nodes are dropped in the same pass, so the nodes are the ones
     ``canonical()`` keeps. The composition is linear between consecutive
     nodes, so a node drops exactly when the slopes on its two sides agree:
@@ -148,51 +206,70 @@ def compose(outer: PWLMap, inner: PWLMap, node_cap: int = DEFAULT_NODE_CAP) -> P
     ``NodeCapExceeded`` is raised after a non-flat segment once the nodes so
     far, counting the right end x = 1, outnumber ``node_cap``.
     """
-    oxs = outer.xs
-    onodes = outer.nodes
-    last = len(onodes) - 1
+    D = lcm(inner.Dy, outer.Dx)
+    scale = D // outer.Dx
+    oxs = [v * scale for v in outer.X]
+    OX, OY, ody = outer.X, outer.Y, outer.Dy
+    last = len(oxs) - 1
     # bends[k]: the outer slopes on the two sides of node k differ
     bends = [True] * (last + 1)
     for k in range(1, last):
-        (ax, ay), (bx, by), (cx, cy) = onodes[k - 1], onodes[k], onodes[k + 1]
-        bends[k] = (by - ay) * (cx - bx) != (cy - by) * (bx - ax)
+        run_in, run_out = OX[k] - OX[k - 1], OX[k + 1] - OX[k]
+        bends[k] = (OY[k] - OY[k - 1]) * run_out != (OY[k + 1] - OY[k]) * run_in
+    oys = [_reduced(v, ody) for v in OY]
 
-    def outer_at(y: Fraction) -> tuple[int, Fraction]:
-        # (bisect_right(oxs, y), outer(y)), for y in [0, 1]
+    def outer_at(y: int) -> tuple[int, tuple[int, int]]:
+        # (bisect_right(oxs, y), outer(y/D) as a reduced pair), for y in [0, D]
         j = bisect_right(oxs, y)
-        gx, gy = onodes[j - 1]
+        gx = oxs[j - 1]
         if j > last or gx == y:
-            return j, gy
-        hx, hy = onodes[j]
-        return j, gy + (hy - gy) * (y - gx) / (hx - gx)
+            return j, oys[j - 1]
+        w = oxs[j] - gx
+        return j, _reduced(OY[j - 1] * w + (OY[j] - OY[j - 1]) * (y - gx), w * ody)
 
-    kept: list[tuple[Fraction, Fraction]] = []
+    IX, idx = inner.X, inner.Dx
+    scale = D // inner.Dy
+    iys = [v * scale for v in inner.Y]
+    # nodes are pairs of reduced (num, den) pairs
+    Node = tuple[tuple[int, int], tuple[int, int]]
+    kept: list[Node] = []
     # a segment's left end, kept or dropped once the next node is known
-    pending: Optional[tuple[Fraction, Fraction]] = None
+    pending: Optional[Node] = None
     count = 1  # nodes emitted so far, plus the right end
 
-    def settle(x: Fraction, y: Fraction) -> None:
+    def settle(node: Node) -> None:
         # keep the pending node unless it lies on the segment from the last
-        # kept node to the next node (x, y)
+        # kept node to the next node
         nonlocal pending
         if pending is None:
             return
-        (kx, ky), (px, py) = kept[-1], pending
-        if (py - ky) * (x - px) != (y - py) * (px - kx):
+        (kxn, kxd), (kyn, kyd) = kept[-1]
+        (pxn, pxd), (pyn, pyd) = pending
+        (xn, xd), (yn, yd) = node
+        rise_in = pyn * kyd - kyn * pyd  # (py - ky) * pyd * kyd
+        run_out = xn * pxd - pxn * xd  # (x - px) * xd * pxd
+        rise_out = yn * pyd - pyn * yd  # (y - py) * yd * pyd
+        run_in = pxn * kxd - kxn * pxd  # (px - kx) * pxd * kxd
+        if rise_in * run_out * yd * kxd != rise_out * run_in * kyd * xd:
             kept.append(pending)
         pending = None
 
-    for x1, y1, x2, y2 in inner.segments():
+    for i in range(len(IX) - 1):
+        x1, y1, y2 = IX[i], iys[i], iys[i + 1]
         j, v = outer_at(y1)
-        settle(x1, v)
+        node = (_reduced(x1, idx), v)
+        settle(node)
         if kept:
-            pending = (x1, v)
+            pending = node
         else:
-            kept.append((x1, v))
+            kept.append(node)
         count += 1
         if y1 == y2:
             continue
-        scale = (x2 - x1) / (y2 - y1)
+        # x(gx) = (x1 * rise + (gx - y1) * run) / (rise * idx), for the
+        # segment's run/rise in lowest terms with rise > 0
+        run, rise = _reduced(IX[i + 1] - x1, y2 - y1)
+        base, den = x1 * rise, rise * idx
         if y1 < y2:
             ks = range(j, bisect_left(oxs, y2, j))
         else:
@@ -202,18 +279,36 @@ def compose(outer: PWLMap, inner: PWLMap, node_cap: int = DEFAULT_NODE_CAP) -> P
         for k in ks:
             if pending is None and not bends[k]:
                 continue
-            gx, gy = onodes[k]
-            x = x1 + (gx - y1) * scale
-            settle(x, gy)
+            node = (_reduced(base + (oxs[k] - y1) * run, den), oys[k])
+            if pending is not None:
+                settle(node)
             if bends[k]:
-                kept.append((x, gy))
+                kept.append(node)
         count += len(ks)
         if count > node_cap:
             raise NodeCapExceeded(f"composition exceeds {node_cap} nodes")
-    end = (_ONE, outer_at(inner.nodes[-1][1])[1])
-    settle(*end)
+    end = ((1, 1), outer_at(iys[-1])[1])
+    settle(end)
     kept.append(end)
-    return PWLMap(tuple(kept))
+    return PWLMap._from_ints(*_over_lcm([x for x, _ in kept]), *_over_lcm([y for _, y in kept]))
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, with den > 0."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _over_lcm(fracs: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The numerators of the fractions num/den over the lcm D of their
+    denominators, and D."""
+    factor = dict.fromkeys(d for _, d in fracs)
+    D = lcm(*factor)
+    for d in factor:
+        factor[d] = D // d
+    return tuple(n * factor[d] for n, d in fracs), D
 
 
 def compose_iterate(f: PWLMap, n: int, node_cap: int = DEFAULT_NODE_CAP) -> PWLMap:
@@ -230,19 +325,18 @@ def compose_iterate(f: PWLMap, n: int, node_cap: int = DEFAULT_NODE_CAP) -> PWLM
 
 def variation(f: PWLMap) -> Fraction:
     """Total rise and fall: sum of |y_{i+1} - y_i| over consecutive nodes."""
-    return sum((abs(y2 - y1) for _, y1, _, y2 in f.segments()), _ZERO)
+    Y = f.Y
+    return Fraction(sum(abs(b - a) for a, b in zip(Y, Y[1:])), f.Dy)
 
 
 def slope_detect(f: PWLMap) -> Optional[Fraction]:
     """The common absolute slope when every segment has slope +s or -s."""
-    s: Optional[Fraction] = None
-    for x1, y1, x2, y2 in f.segments():
-        m = abs((y2 - y1) / (x2 - x1))
-        if s is None:
-            s = m
-        elif m != s:
+    X, Y = f.X, f.Y
+    run, rise = X[1] - X[0], abs(Y[1] - Y[0])
+    for i in range(1, len(X) - 1):
+        if abs(Y[i + 1] - Y[i]) * run != rise * (X[i + 1] - X[i]):
             return None
-    return s
+    return Fraction(rise * f.Dx, run * f.Dy)
 
 
 @dataclass(frozen=True)

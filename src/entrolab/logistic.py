@@ -25,6 +25,7 @@ from .numkit import (
     RatInterval,
     RationalLike,
     critical_orbit_expr,
+    json_int,
     logistic_orbit_enclosures,
     parse_rational,
     refine_root,
@@ -158,13 +159,6 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
     return ValueError(f"malformed line {line} in {path}: {exc!r}")
 
 
-def _json_int(value: object, least: int) -> int:
-    """A JSON integer >= least; a boolean, string or float is refused, not converted."""
-    if type(value) is not int or value < least:
-        raise ValueError(f"expected an integer >= {least}, got {value!r}")
-    return value
-
-
 class _Stored:
     """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
     ``center()`` parses the rest on first use, rebuilds the SFT from the
@@ -192,7 +186,7 @@ class _Stored:
         if not isinstance(self._center, Center):
             data = self._center
             try:
-                order = tuple(_json_int(v, 0) for v in data["orbit_order"])
+                order = tuple(json_int(v, 0) for v in data["orbit_order"])
                 if len(order) != self.period:
                     raise ValueError("orbit order length is not the period")
                 self._center = Center(
@@ -267,7 +261,7 @@ class CenterCache:
     def _read_line(self, number: int, data: dict) -> None:
         if data.get("type") == "center":
             stored = _Stored(
-                _json_int(data["period"], 1),
+                json_int(data["period"], 1),
                 RatInterval.from_json(data["r_enc"]),
                 data,
                 number + 1,
@@ -276,7 +270,7 @@ class CenterCache:
             if self._add_key(stored):
                 self.centers.append(stored)
         elif data.get("type") == "scan":
-            self.scanned[_json_int(data["period"], 1)] = tuple(
+            self.scanned[json_int(data["period"], 1)] = tuple(
                 RatInterval.from_json(iv) for iv in data.get("unresolved", [])
             )
 

@@ -85,6 +85,13 @@ def parse_rational(text: RationalLike) -> Fraction:
     return Fraction(text)
 
 
+def json_int(value: object, least: int) -> int:
+    """A JSON integer >= least; a boolean, string or float is refused, not converted."""
+    if type(value) is not int or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" form with positive denominator."""
     return f"{q.numerator}/{q.denominator}"

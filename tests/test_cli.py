@@ -113,6 +113,30 @@ def test_pwl_variation_node_cap_exit_2(skew_file, capsys, cap):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json"])
+def test_pwl_horseshoe_node_cap_exit_3(tent_file, capsys, fmt):
+    # tent^4 has 17 nodes, so a cap of 10 ends the stream after n = 3: the
+    # records before it print as a --max-n 3 run prints them, and the exit
+    # code and stderr tell the run apart from one that reached --max-n
+    argv = ["--format", fmt, "entropy", "pwl", "--file", tent_file, "--method", "horseshoe"]
+    assert main(argv + ["--max-n", "3"]) == 0
+    want = capsys.readouterr()
+    assert main(argv + ["--max-n", "9", "--node-cap", "10"]) == 3
+    got = capsys.readouterr()
+    assert got.out == want.out and want.err == ""
+    assert got.err.startswith("note: ") and "n = 4" in got.err
+
+
+def test_pwl_horseshoe_grid_depth_cap_exit_2_fast(tent_file, capsys):
+    # the grid fallback tries 2^(d-1) (2^d + 1) targets per iterate; depth 40
+    # ran past a 20 s timeout before it was refused
+    start = time.monotonic()
+    argv = ["entropy", "pwl", "--file", tent_file, "--method", "horseshoe", "--max-n", "4"]
+    assert main(argv + ["--grid-depth", "40"]) == 2
+    assert time.monotonic() - start < 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("method", ["variation", "horseshoe"])
 @pytest.mark.parametrize(
     "payload",

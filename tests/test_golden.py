@@ -119,12 +119,19 @@ FILE_CALLS = [
     ("tent-horseshoe-max-p", TENT,
      ["entropy", "pwl", "--method", "horseshoe", "--max-p", "8", "--grid-depth", "0"],
      "de7f45ba938ac6aea3306bdfffd757b4de7b33cffad992c2fa96ff6104e7aa37"),
+    # no grid fallback: every target is a branch image of the iterate
+    ("plateau-horseshoe-no-grid", PLATEAU,
+     ["entropy", "pwl", "--method", "horseshoe", "--grid-depth", "0"],
+     "6e819e0f8f34af7ea26c4e0653386e31769e0fc700e743f447dc200622323f7a"),
 ]
 
 # (entropy target given to ``realize``, horseshoe argv after the file, stdout digest)
 REALIZED_CALLS = [
     ("1", ["--max-n", "8"], "6096ef393be51fa2415051438471c89b2e3f1465025a336a95a94db74ebae840"),
     ("0.6", ["--max-n", "6"], "e7fecc6fdea38c6d6ed88f9dbfe06e7744a2d3e22793682954fa9e36d7faac1b"),
+    # the benchmark's hard class: node denominators near 140 bits at n = 7
+    ("0.88", ["--max-n", "7"], "6ad8c7e4199b4911ec7d4b106e3639e098ae013e346f8d22305f30bbe087a8a2"),
+    ("0.42", ["--max-n", "7"], "6f9021dd83e48971e4a7d03ad0203fae4df353c25efacba1e021ddc5242418eb"),
 ]
 
 

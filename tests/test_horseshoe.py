@@ -19,9 +19,9 @@ from entrolab.horseshoe import (
     HorseshoeCert,
     LowerBoundRecord,
     SearchBudget,
-    _branch_preimage,
-    _branches,
+    _preimage,
     _pwl_candidates,
+    _runs,
     check_certificate,
     search_lower_bounds,
 )
@@ -45,6 +45,32 @@ def test_cert_validation():
     assert HorseshoeCert.from_json(TENT_CERT.to_json()) == TENT_CERT
     with pytest.raises(TypeError):  # a JSON true is not the number 1
         HorseshoeCert.from_json({"n": 1, "intervals": [[False, "1/4"], ["1/2", True]]})
+
+
+@pytest.mark.parametrize("n", [2.9, "2", True, 0])
+def test_cert_from_json_n_must_be_a_positive_json_integer(n):
+    # int() read 2.9 and "2" as 2 and true as 1
+    data = TENT_CERT.to_json()
+    data["n"] = n
+    with pytest.raises(ValueError):
+        HorseshoeCert.from_json(data)
+
+
+def test_search_budget_grid_depth_cap():
+    assert SearchBudget(grid_depth=horseshoe.MAX_GRID_DEPTH).grid_depth == 8
+    for depth in (horseshoe.MAX_GRID_DEPTH + 1, 40):
+        with pytest.raises(ValueError):
+            SearchBudget(grid_depth=depth)
+
+
+def test_search_node_cap_raises_after_the_records_before_it():
+    # tent^4 has 17 nodes: the stream gives the records of n <= 3, then raises
+    want = list(search_lower_bounds(tent_map(), SearchBudget(max_n=3)))
+    got = []
+    with pytest.raises(interval_maps.NodeCapExceeded, match="n = 4"):
+        for record in search_lower_bounds(tent_map(), SearchBudget(max_n=9), node_cap=10):
+            got.append(record)
+    assert want and got == want
 
 
 def test_hand_built_tent_certificate():
@@ -120,8 +146,8 @@ PLATEAU = PWLMap(
 
 
 def _branches_reference(g):
-    """``_branches`` as it was before it compared ordinates directly: the
-    runs are read off the signs of the differences of consecutive ordinates."""
+    """The monotone runs of g as ``_runs`` finds them, (first, last, rising),
+    read off the signs of the differences of consecutive Fraction ordinates."""
     nodes = g.nodes
     out = []
     i = 0
@@ -137,18 +163,37 @@ def _branches_reference(g):
             if step == 0 or (step > 0) != rising:
                 break
             j += 1
-        ya, yb = nodes[i][1], nodes[j][1]
-        out.append(
-            horseshoe._Branch(
-                i,
-                j,
-                RatInterval(nodes[i][0], nodes[j][0]),
-                RatInterval(min(ya, yb), max(ya, yb)),
-                rising,
-            )
-        )
+        out.append((i, j, rising))
         i = j
     return out
+
+
+def _dom_reference(g, run):
+    return RatInterval(g.nodes[run[0]][0], g.nodes[run[1]][0])
+
+
+def _img_reference(g, run):
+    ya, yb = g.nodes[run[0]][1], g.nodes[run[1]][1]
+    return RatInterval(min(ya, yb), max(ya, yb))
+
+
+def _preimage_reference(g, run, target):
+    """Preimage of ``target`` within a monotone run, in Fraction arithmetic."""
+    first, last, rising = run
+
+    def solve(y):
+        lo, hi = first, last
+        while lo + 1 < hi:
+            mid = (lo + hi) // 2
+            if (g.nodes[mid][1] <= y) == rising:
+                lo = mid
+            else:
+                hi = mid
+        (x1, y1), (x2, y2) = g.nodes[lo], g.nodes[lo + 1]
+        return x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+
+    a, b = solve(target.lo), solve(target.hi)
+    return RatInterval(min(a, b), max(a, b))
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,14 +201,17 @@ def _branches_reference(g):
 @example(f=PLATEAU, n=3)
 def test_branches_match_reference(f, n):
     g = compose_iterate(f, n)
-    assert _branches(g) == _branches_reference(g)
+    assert _runs(g.Y) == _branches_reference(g)
 
 
 def _pwl_candidates_full_scan(g, budget):
-    """``_pwl_candidates`` as it was before the bisection: every branch is
-    tested against every target."""
+    """``_pwl_candidates`` as it was before the bisection and the integer
+    node arrays: every branch is tested against every target, in Fraction
+    arithmetic."""
     branches = _branches_reference(g)
-    freq = Counter((br.img.lo, br.img.hi) for br in branches)
+    freq = Counter(
+        (img.lo, img.hi) for img in (_img_reference(g, br) for br in branches)
+    )
     targets = [
         RatInterval(lo, hi)
         for (lo, hi), _ in sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:64]
@@ -179,18 +227,19 @@ def _pwl_candidates_full_scan(g, budget):
         selected = [
             br
             for br in branches
-            if br.img.contains_interval(target) and target.strictly_contains(br.dom)
+            if _img_reference(g, br).contains_interval(target)
+            and target.strictly_contains(_dom_reference(g, br))
         ][: budget.max_p]
         for shrink_bits in (8, 12, 16):
             eta = target.width / (1 << shrink_bits)
             inner = RatInterval(target.lo + eta, target.hi - eta)
-            picked = [br for br in selected if inner.strictly_contains(br.dom)]
+            picked = [br for br in selected if inner.strictly_contains(_dom_reference(g, br))]
             if len(picked) >= 2:
                 groups.setdefault(len(picked), []).append((inner, picked))
                 break
     for p in sorted(groups, reverse=True):
         found = {
-            tuple(_branch_preimage(g, br, inner) for br in picked)
+            tuple(_preimage_reference(g, br, inner) for br in picked)
             for inner, picked in groups[p]
         }
         for js in sorted(found, key=lambda js: [(iv.lo, iv.hi) for iv in js]):
@@ -232,9 +281,7 @@ def test_pwl_search_composes_each_iterate_once(monkeypatch):
 
     monkeypatch.setattr(horseshoe, "compose", counted("compose", horseshoe.compose))
     monkeypatch.setattr(interval_maps, "compose", counted("compose", interval_maps.compose))
-    monkeypatch.setattr(
-        horseshoe, "_branch_preimage", counted("preimage", horseshoe._branch_preimage)
-    )
+    monkeypatch.setattr(horseshoe, "_preimage", counted("preimage", horseshoe._preimage))
     records = list(search_lower_bounds(tent_map(), SearchBudget(max_n=9)))
     assert records and records[-1].n == 9
     # f^2..f^9 once each; verifying never recomposes an iterate

@@ -301,6 +301,33 @@ def test_pwl_json_round_trip():
     assert data["nodes"][0] == ["0/1", "0/1"]
 
 
+def _eval_reference(f, x):
+    """``eval`` in Fraction arithmetic on the node view."""
+    for (x1, y1), (x2, y2) in zip(f.nodes, f.nodes[1:]):
+        if x1 <= x <= x2:
+            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
+    raise ValueError("argument outside [0, 1]")
+
+
+@settings(max_examples=200, deadline=None)
+@given(f=pwl_maps(), n=st.integers(min_value=1, max_value=3), data=st.data())
+def test_image_on_matches_fraction_evaluation(f, n, data):
+    # the integer image is the min and max of the exact Fraction values at
+    # the ends and at the nodes inside; ends on nodes, at 0 and at 1 land
+    # exactly on the floor(x * Dx) boundary of the node search
+    g = compose_iterate(f, n)
+    point = st.one_of(
+        st.sampled_from(g.xs),
+        st.sampled_from((F(0), F(1))),
+        st.fractions(0, 1, max_denominator=10**6),
+    )
+    a, b = sorted((data.draw(point), data.draw(point)))
+    values = [_eval_reference(g, a), _eval_reference(g, b)]
+    values += [y for x, y in g.nodes if a < x < b]
+    assert g.image_on(RatInterval(a, b)) == RatInterval(min(values), max(values))
+    assert (g.eval(a), g.eval(b)) == (values[0], values[1])
+
+
 def test_image_on_exact():
     f = tent_map()
     assert f.image_on(RatInterval(F(1, 4), F(3, 4))) == RatInterval(F(1, 2), F(1))

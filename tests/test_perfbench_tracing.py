@@ -1,10 +1,12 @@
 """The benchmark's per-layer tracer patches entrolab bindings by name, so a
 renamed or removed binding must fail here and not only in a traced run."""
 
+import json
 import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import entrolab.cli as cli
 import entrolab.logistic as logistic
 import entrolab.numkit as numkit
 from entrolab.numkit import RatInterval, critical_orbit_expr
@@ -52,4 +54,23 @@ def test_tracer_rows_of_one_sandwich(tmp_path):
     metrics = tracer.metrics()
     for row in ("logistic.collect_brackets.calls", "symbolic.sft_entropy.calls",
                 "logistic.CenterCache.load.calls"):
+        assert metrics[row] > 0, row
+
+
+def test_tracer_rows_of_one_horseshoe_stream(tmp_path, capsys):
+    # the stream's rows stay live: it composes each iterate once, checks
+    # each candidate, and the records are counted as the CLI draws them
+    path = tmp_path / "tent.json"
+    path.write_text(json.dumps({"nodes": [["0", "0"], ["1/2", "1"], ["1", "0"]]}))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["entropy", "pwl", "--file", str(path), "--method", "horseshoe",
+                         "--max-n", "4"])
+    finally:
+        tracer.remove()
+    assert code == 0 and capsys.readouterr().out.count("\n") > 1
+    metrics = tracer.metrics()
+    for row in ("interval_maps.compose.calls", "interval_maps.compose.nodes_out",
+                "horseshoe.check_certificate.calls", "horseshoe.records"):
         assert metrics[row] > 0, row
