@@ -1,7 +1,7 @@
 """Certified topological-entropy bounds for one-dimensional dynamics.
 
-Exact rational interval arithmetic underneath; every reported bound is a
-rigorous enclosure.
+Exact rationals and integer-mantissa enclosures with outward dyadic
+rounding underneath; every reported bound is a rigorous enclosure.
 """
 
 from .numkit import (

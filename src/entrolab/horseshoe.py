@@ -18,12 +18,13 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .numkit import (
+    ENCLOSURE_BITS,
     RatInterval,
     dyadic_ceil,
     dyadic_floor,
     json_int,
     log2_enclosure,
-    logistic_orbit_enclosures,
+    orbit_mantissas,
 )
 from .interval_maps import (
     DEFAULT_NODE_CAP,
@@ -135,10 +136,11 @@ def check_certificate(
     the search checks its candidates that way, on the iterate it holds. For
     quadratic maps only the endpoints of each J_i are iterated: the
     enclosure of f^n at one endpoint must lie strictly below the hull and
-    the one at the other endpoint strictly above it. By the intermediate
-    value theorem that proves the containment for every parameter in the
-    map's enclosure, so a True verdict is sound for exact and enclosure
-    parameters alike. A False verdict may be precision-limited, and it
+    the one at the other endpoint strictly above it, compared as integer
+    mantissas over 2**ENCLOSURE_BITS by cross-multiplication. By the
+    intermediate value theorem that proves the containment for every
+    parameter in the map's enclosure, so a True verdict is sound for exact
+    and enclosure parameters alike. A False verdict may be precision-limited, and it
     rejects a J_i that covers the hull only through an interior fold.
     """
     hull = cert.hull
@@ -146,12 +148,14 @@ def check_certificate(
         g = compose_iterate(f, cert.n, node_cap)
         return all(g.image_on(iv).strictly_contains(hull) for iv in cert.intervals)
 
-    def end_image(x: Fraction) -> RatInterval:
-        return logistic_orbit_enclosures(f.r, RatInterval.point(x), cert.n)[-1]
-
+    # m/2**ENCLOSURE_BITS < p/q exactly when m*q < p << ENCLOSURE_BITS
+    lo_d, lo_n = hull.lo.denominator, hull.lo.numerator << ENCLOSURE_BITS
+    hi_d, hi_n = hull.hi.denominator, hull.hi.numerator << ENCLOSURE_BITS
     for iv in cert.intervals:
-        low, high = sorted((end_image(iv.lo), end_image(iv.hi)), key=lambda y: y.lo)
-        if not (low.hi < hull.lo and high.lo > hull.hi):
+        low, high = sorted(
+            orbit_mantissas(f.r, RatInterval.point(x), cert.n)[-1] for x in (iv.lo, iv.hi)
+        )
+        if not (low[1] * lo_d < lo_n and high[0] * hi_d > hi_n):
             return False
     return True
 
@@ -297,11 +301,14 @@ def _pwl_candidates(
 
 
 def _quad_candidates(
-    f: QuadMap, n: int, budget: SearchBudget
-) -> Iterator[tuple[int, tuple[RatInterval, ...]]]:
+    f: QuadMap, n: int, budget: SearchBudget, node_cap: int
+) -> list[tuple[int, tuple[RatInterval, ...]]]:
+    """(p, intervals) candidates for f^n, largest p first, from float
+    branches of f^n; ``NodeCapExceeded`` once f^n has more than
+    ``node_cap`` breakpoints, which roughly double per iterate."""
     r = float(f.r.mid)
     if r <= 0:
-        return
+        return []
     # breakpoints of the n-th iterate: iterated preimages of the critical point
     pts = {0.0, 1.0}
     level = [0.5]
@@ -317,6 +324,8 @@ def _quad_candidates(
                         nxt.append(x)
         level = nxt
         pts.update(level)
+        if len(pts) > node_cap:
+            raise NodeCapExceeded(f"iterate exceeds {node_cap} breakpoints")
     bps = sorted(pts)
 
     def iterate(x: float) -> float:
@@ -332,7 +341,7 @@ def _quad_candidates(
         lo, hi = sorted((vals[i], vals[i + 1]))
         branches.append((bps[i], bps[i + 1], lo, hi))
     if not branches:
-        return
+        return []
 
     results: list[tuple[int, tuple[RatInterval, ...]]] = []
     grid = [2.0 ** -(n + 2), 2.0 ** -(n + 4), 1.0 / 64.0]
@@ -390,7 +399,7 @@ def _quad_candidates(
         if all(a.hi < b.lo for a, b in zip(js, js[1:])) and all(iv.lo < iv.hi for iv in js):
             results.append((len(js), tuple(js)))
     results.sort(key=lambda item: (-item[0], [(iv.lo, iv.hi) for iv in item[1]]))
-    yield from results
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +419,22 @@ def search_lower_bounds(
     (plus a dyadic-grid fallback); every emitted certificate has passed the
     exact check. An empty stream means no horseshoe was found within the
     budget, which is the correct outcome for zero-entropy maps. When an
-    iterate of a piecewise-linear map would exceed ``node_cap`` nodes, the
-    stream raises ``NodeCapExceeded`` after the records found before it.
+    iterate would exceed ``node_cap`` nodes, or for a quadratic map
+    ``node_cap`` breakpoints, the stream raises ``NodeCapExceeded`` after
+    the records found before it.
     """
     best: Fraction = _ZERO
     g = f
     for n in range(1, budget.max_n + 1):
-        if isinstance(f, PWLMap):
-            if n > 1:
-                try:
+        try:
+            if isinstance(f, PWLMap):
+                if n > 1:
                     g = compose(f, g, node_cap)  # type: ignore[arg-type]
-                except NodeCapExceeded as exc:
-                    raise NodeCapExceeded(f"{exc} at n = {n}") from exc
-            candidates = _pwl_candidates(g, budget)  # type: ignore[arg-type]
-        else:
-            candidates = _quad_candidates(f, n, budget)
+                candidates = _pwl_candidates(g, budget)  # type: ignore[arg-type]
+            else:
+                candidates = _quad_candidates(f, n, budget, node_cap)
+        except NodeCapExceeded as exc:
+            raise NodeCapExceeded(f"{exc} at n = {n}") from exc
         for p, intervals in candidates:
             bound = log2_enclosure(RatInterval.point(p), _BOUND_BITS) / n
             if bound.lo <= best:

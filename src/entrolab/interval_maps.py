@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .numkit import (
     PrecisionError,
@@ -23,7 +23,6 @@ from .numkit import (
     exp2_enclosure,
     format_rational,
     log2_enclosure,
-    logistic_step_range,
     parse_rational,
     simplest_rational_in,
 )
@@ -93,10 +92,6 @@ class PWLMap:
             )
         return self._nodes
 
-    @property
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.nodes)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PWLMap):
             return NotImplemented
@@ -107,10 +102,6 @@ class PWLMap:
 
     def __repr__(self) -> str:
         return f"PWLMap(nodes={self.nodes!r})"
-
-    def segments(self) -> Iterator[tuple[Fraction, Fraction, Fraction, Fraction]]:
-        for (x1, y1), (x2, y2) in zip(self.nodes, self.nodes[1:]):
-            yield x1, y1, x2, y2
 
     def _value(self, x: Fraction) -> tuple[int, int, int]:
         """(i, num, den): X[i] <= x*Dx, with i < len(X) - 1 unless x = 1, and
@@ -344,8 +335,8 @@ class QuadMap:
     """A member x -> r*x*(1-x) of the quadratic family on [0, 1].
 
     The parameter is a rational or, for algebraic parameters, a rational
-    enclosure; images of intervals are exact in the first case and sound
-    enclosures in the second.
+    enclosure; orbits are enclosed for every parameter in it alike
+    (``numkit.orbit_mantissas``).
     """
 
     r: RatInterval
@@ -369,9 +360,6 @@ class QuadMap:
         if not (0 <= x <= 1):
             raise ValueError("argument outside [0, 1]")
         return self.r.lo * x * (1 - x)
-
-    def image_on(self, box: RatInterval) -> RatInterval:
-        return logistic_step_range(self.r, box).clamp(_ZERO, _ONE)
 
     def to_json(self) -> dict:
         if self.is_exact:

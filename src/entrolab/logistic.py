@@ -21,12 +21,13 @@ from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .numkit import (
+    ENCLOSURE_BITS,
     IterMapExpr,
     RatInterval,
     RationalLike,
     critical_orbit_expr,
     json_int,
-    logistic_orbit_enclosures,
+    orbit_mantissas,
     parse_rational,
     refine_root,
     root_isolate,
@@ -35,7 +36,7 @@ from .symbolic import SFT, EntropyBound, Provenance, sft_entropy
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF = Fraction(1, 2)
+_HALF_POINT = RatInterval.point(Fraction(1, 2))
 
 CACHE_ENV_VAR = "ENTROLAB_CACHE"
 CACHE_SCHEMA = 2
@@ -69,10 +70,6 @@ class Center:
     sft: SFT
     entropy: EntropyBound
 
-    @property
-    def exact(self) -> bool:
-        return self.r_enc.is_point
-
     def to_json(self) -> dict:
         return {
             "type": "center",
@@ -101,23 +98,23 @@ class _SeparationError(Exception):
 
 def _markov_data(
     r_enc: RatInterval, period: int
-) -> tuple[tuple[RatInterval, ...], SFT, tuple[int, ...]]:
-    # enclosures of f(c), ..., f^{p-1}(c); the closing point f^p(c) is c itself
-    steps = logistic_orbit_enclosures(r_enc, RatInterval.point(_HALF), period - 1)
-    orbit = list(enumerate(steps[1:], start=1))
-    orbit.append((period, RatInterval.point(_HALF)))
-    for _, iv in orbit:
-        if iv.lo <= 0 or iv.hi >= 1:
+) -> tuple[list[tuple[int, int]], SFT, tuple[int, ...]]:
+    # mantissas over 2**ENCLOSURE_BITS of f(c), ..., f^{p-1}(c), and of the
+    # closing point f^p(c), which is c itself; returned in ascending order
+    half = 1 << (ENCLOSURE_BITS - 1)
+    orbit = [*orbit_mantissas(r_enc, _HALF_POINT, period - 1), (half, half)]
+    order = sorted(range(period), key=lambda k: orbit[k][0])
+    ordered = [orbit[k] for k in order]
+    # a separated orbit lies between its first lo and its last hi, and an
+    # unseparated one is refused below either way
+    if ordered[0][0] <= 0 or ordered[-1][1] >= 1 << ENCLOSURE_BITS:
+        raise _SeparationError
+    for (_, a_hi), (b_lo, _) in zip(ordered, ordered[1:]):
+        if a_hi >= b_lo:
             raise _SeparationError
-    ordered = sorted(orbit, key=lambda kv: kv[1].lo)
-    for (_, a), (_, b) in zip(ordered, ordered[1:]):
-        if a.hi >= b.lo:
-            raise _SeparationError
-
-    rank = {k: i for i, (k, _) in enumerate(ordered)}
-    orbit_rank = tuple(rank[k] for k in range(1, period + 1))
-    points = (RatInterval.point(_ZERO), *(iv for _, iv in ordered), RatInterval.point(_ONE))
-    return points, _transitions(orbit_rank), orbit_rank
+    rank = {k: i for i, k in enumerate(order)}
+    orbit_rank = tuple(rank[k] for k in range(period))
+    return ordered, _transitions(orbit_rank), orbit_rank
 
 
 def _transitions(ranks: Sequence[int]) -> SFT:
@@ -142,8 +139,10 @@ def _transitions(ranks: Sequence[int]) -> SFT:
 
 def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
     """Partition-point enclosures and the induced transition structure."""
-    points, sft, _ = _markov_data(center.r_enc, center.period)
-    return points, sft
+    ordered, sft, _ = _markov_data(center.r_enc, center.period)
+    scale = 1 << ENCLOSURE_BITS
+    inner = (RatInterval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in ordered)
+    return (RatInterval.point(_ZERO), *inner, RatInterval.point(_ONE)), sft
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,29 @@
-"""Exact rational and certified interval arithmetic.
+"""Exact rationals, rational intervals and certified enclosures.
 
 Everything certified in this package bottoms out here: arbitrary-precision
-rationals (`fractions.Fraction`), closed intervals with rational endpoints,
-outward dyadic rounding, enclosures of log2 and 2**x, and sign-change root
-isolation for the one iterated quadratic-family expression, the critical-orbit
-closing condition r -> f_r^n(1/2) - 1/2, evaluated step by step (never
-through expanded polynomial coefficients).
+rationals (`fractions.Fraction`), closed intervals with rational endpoints
+(`RatInterval`: comparison predicates and division by a rational, and no
+other arithmetic), outward dyadic rounding, enclosures of
+log2 and 2**x, and sign-change root isolation for the one iterated
+quadratic-family expression, the critical-orbit closing condition
+r -> f_r^n(1/2) - 1/2, evaluated step by step (never through expanded
+polynomial coefficients).
 
 Orbits of x -> r*x*(1-x), r in [0, 4] and x0 in [0, 1], are enclosed by a
 single kernel, `_orbit_mantissas`, in Python integers: r is written as
 [a_lo, a_hi]/b, and each step forms its two products exactly over one
 denominator and rounds outward once to integer mantissas over
 2**ENCLOSURE_BITS, ENCLOSURE_BITS = 128; it is the one check that r and x0
-lie in range. `IterMapExpr.evaluate` and `derivative_enclosure` return
-such mantissa pairs, the latter running the chain rule the same way, and
-only `logistic_orbit_enclosures` turns them into `RatInterval`s.
+lie in range. `orbit_mantissas`, `IterMapExpr.evaluate` and
+`derivative_enclosure` return such mantissa pairs, the last running the
+chain rule the same way, and their readers compare the integers.
 `IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
 decides when it excludes 1/2, and otherwise an exact integer recurrence
 does. All three read the critical orbit through one small memo,
 `_critical_orbit`, keyed on integers, so the root scan runs each orbit once
-per cell and forms each cell's centered form on the mantissas, with no
-interval arithmetic and no `Fraction` per cell.
+per cell and forms each cell's centered form on the mantissas. The scan's
+cells, their midpoints and half-widths are still `Fraction`s and
+`RatInterval`s; only the enclosures over them are integers.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -162,42 +165,6 @@ class RatInterval:
 
     def intersects(self, other: "RatInterval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
-
-    def clamp(self, lo: Fraction, hi: Fraction) -> "RatInterval":
-        return RatInterval(min(max(self.lo, lo), hi), min(max(self.hi, lo), hi))
-
-    def __add__(self, other: object) -> "RatInterval":
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        q = parse_rational(other)  # type: ignore[arg-type]
-        return RatInterval(self.lo + q, self.hi + q)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "RatInterval":
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo - other.hi, self.hi - other.lo)
-        q = parse_rational(other)  # type: ignore[arg-type]
-        return RatInterval(self.lo - q, self.hi - q)
-
-    def __neg__(self) -> "RatInterval":
-        return RatInterval(-self.hi, -self.lo)
-
-    def __mul__(self, other: object) -> "RatInterval":
-        if isinstance(other, RatInterval):
-            products = (
-                self.lo * other.lo,
-                self.lo * other.hi,
-                self.hi * other.lo,
-                self.hi * other.hi,
-            )
-            return RatInterval(min(products), max(products))
-        q = parse_rational(other)  # type: ignore[arg-type]
-        if q >= 0:
-            return RatInterval(self.lo * q, self.hi * q)
-        return RatInterval(self.hi * q, self.lo * q)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "RatInterval":
         q = parse_rational(other)  # type: ignore[arg-type]
@@ -386,19 +353,6 @@ def _round_outward(p_lo: int, p_hi: int, q: int) -> tuple[int, int]:
     return (p_lo << ENCLOSURE_BITS) // q, -((-p_hi << ENCLOSURE_BITS) // q)
 
 
-def logistic_step_range(r: RatInterval, x: RatInterval) -> RatInterval:
-    """Exact range of r*x*(1-x) over the box r-by-x.
-
-    The one-step image is exact because x*(1-x) has a single interior
-    maximum at 1/2; only reuse of r across iterations introduces slack.
-    """
-    a_lo, a_hi, b = _over_one_denominator(r)
-    lo, hi, den = _over_one_denominator(x)
-    p_lo, p_hi = _mul(a_lo, a_hi, *_x_one_minus_x(lo, hi, den))
-    q = 4 * b * den * den
-    return RatInterval(Fraction(p_lo, q), Fraction(p_hi, q))
-
-
 def _orbit_mantissas(
     a_lo: int, a_hi: int, b: int, lo: int, hi: int, den: int, n: int
 ) -> list[tuple[int, int]]:
@@ -433,23 +387,15 @@ def _critical_orbit(a_lo: int, a_hi: int, b: int, n: int) -> tuple[tuple[int, in
     return tuple(_orbit_mantissas(a_lo, a_hi, b, 1, 1, 2, n))
 
 
-def _from_mantissas(lo: int, hi: int) -> RatInterval:
-    return RatInterval(Fraction(lo, _SCALE), Fraction(hi, _SCALE))
+def orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, int]]:
+    """Enclosures of f(x0), ..., f^n(x0) for the family r*x*(1-x), as
+    integer mantissas (lo, hi) over 2**ENCLOSURE_BITS.
 
-
-def logistic_orbit_enclosures(
-    r: RatInterval,
-    x0: RatInterval,
-    n: int,
-) -> list[RatInterval]:
-    """Enclosures of x0, f(x0), ..., f^n(x0) for the family r*x*(1-x).
-
-    Each step is formed exactly and its endpoints are rounded outward once
-    to ENCLOSURE_BITS dyadic bits, which caps denominator growth and keeps
-    the enclosures sound. r must lie in [0, 4] and x0 in [0, 1].
+    Each step is formed exactly and its endpoints are rounded outward once,
+    which caps denominator growth and keeps the enclosures sound. r must
+    lie in [0, 4] and x0 in [0, 1].
     """
-    orbit = _orbit_mantissas(*_over_one_denominator(r), *_over_one_denominator(x0), n)
-    return [x0, *(_from_mantissas(lo, hi) for lo, hi in orbit)]
+    return _orbit_mantissas(*_over_one_denominator(r), *_over_one_denominator(x0), n)
 
 
 @dataclass(frozen=True)

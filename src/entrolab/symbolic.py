@@ -58,10 +58,6 @@ class EntropyBound:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def interval(self) -> RatInterval:
-        return RatInterval(self.lo, self.hi)
-
     def to_json(self) -> dict:
         return {
             "lo": format_rational(self.lo),

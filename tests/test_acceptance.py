@@ -69,7 +69,7 @@ def test_criterion_01_realization_round_trip():
         bound = entropy_via_variation(f, 1, bits=30)
         assert bound.certified
         widened = RatInterval(h.lo - tol, h.hi + tol)
-        assert widened.intersects(bound.interval), (h, bound)
+        assert widened.intersects(RatInterval(bound.lo, bound.hi)), (h, bound)
         s = slope_detect(f)
         assert s is not None
         for n in range(1, 11):
@@ -149,7 +149,7 @@ def test_criterion_05_centers(session_cache):
     centers = result.centers
     assert len(centers) == 3
     c1, c2, c3 = centers
-    assert c1.period == 1 and c1.exact and c1.r_enc.lo == 2
+    assert c1.period == 1 and c1.r_enc.is_point and c1.r_enc.lo == 2
     assert c1.entropy.lo == c1.entropy.hi == 0
     assert c2.period == 2
     assert abs(c2.r_enc.mid - F(32360680, 10**7)) <= F(1, 10**6)

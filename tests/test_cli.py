@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from fractions import Fraction as F
@@ -125,6 +126,25 @@ def test_pwl_horseshoe_node_cap_exit_3(tent_file, capsys, fmt):
     got = capsys.readouterr()
     assert got.out == want.out and want.err == ""
     assert got.err.startswith("note: ") and "n = 4" in got.err
+
+
+# sha256 of the json stdout of ``--max-n 9`` on r = 4, recorded before
+# --node-cap applied to quadratic maps
+R4_MAX_N_9_SHA = "cb1cd5590f28f0e97cee5761504c85459c580b3a8afe1950e04efa43db04ade1"
+
+
+def test_quad_horseshoe_node_cap_exit_3_fast(tmp_path, capsys):
+    # at r = 4 the iterate f^n has 2^n + 1 breakpoints, so a cap of 1000 ends
+    # the stream at n = 10, where uncapped --max-n 20 took 42 s: the records
+    # before it print as a --max-n 9 run printed them
+    path = write_json(tmp_path / "r4.json", {"r": "4"})
+    argv = ["--format", "json", "entropy", "pwl", "--file", path, "--method", "horseshoe"]
+    start = time.monotonic()
+    assert main(argv + ["--max-n", "40", "--node-cap", "1000"]) == 3
+    assert time.monotonic() - start < 5
+    got = capsys.readouterr()
+    assert hashlib.sha256(got.out.encode()).hexdigest() == R4_MAX_N_9_SHA
+    assert got.err.startswith("note: ") and "1000 breakpoints at n = 10" in got.err
 
 
 def test_pwl_horseshoe_grid_depth_cap_exit_2_fast(tent_file, capsys):

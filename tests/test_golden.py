@@ -105,6 +105,16 @@ FILE_CALLS = [
      "0576c8ba02458eb1c31925b360dfa08114dcf900a2e62d3724d033ae9d70a959"),
     ("r4-horseshoe", FULL_LOGISTIC, ["entropy", "pwl", "--method", "horseshoe", "--max-n", "4"],
      "3dee71cb706bcb04caa4dcaf6c29f9433f0ae0c1c20eeda03c41c430ee484bea"),
+    # a point, a narrow and a wide parameter enclosure inside (3, 4]
+    ("r39-horseshoe", {"r": "39/10"},
+     ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
+     "d75879b0839752e43f6d3a64360f9e564d248eed6218052adf04da555b6e3488"),
+    ("r383-384-horseshoe", {"r": ["383/100", "96/25"]},
+     ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
+     "5d56c680502de0e507cfb1a350eb4010d946ad45de6281b7fd702e9172e304e8"),
+    ("r39-4-horseshoe", {"r": ["39/10", "4"]},
+     ["entropy", "pwl", "--method", "horseshoe", "--max-n", "6"],
+     "8b694f1345406c919892b455e639da84914eaac9f7f5ff4f0d2c575cbae21a99"),
     ("skew-tent-variation", SKEW_TENT, ["entropy", "pwl", "--method", "variation", "--n-max", "8"],
      "ecfc6e5e30882ae12e469b40299fc70e301ed79f2b3005e8d383ddb5f39065e3"),
     ("golden-mean-sft", GOLDEN_MEAN, ["sft", "entropy", "--eps", "1e-9"],

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import horseshoe, interval_maps
-from entrolab.numkit import RatInterval, log2_enclosure
+from entrolab.numkit import ENCLOSURE_BITS, RatInterval, log2_enclosure, orbit_mantissas
 from entrolab.interval_maps import (
     PWLMap,
     QuadMap,
@@ -25,6 +25,7 @@ from entrolab.horseshoe import (
     check_certificate,
     search_lower_bounds,
 )
+from test_numkit import rationals, reference_orbit
 
 TENT_CERT = HorseshoeCert(
     (RatInterval(F(3, 10), F(9, 20)), RatInterval(F(11, 20), F(7, 10))), 2
@@ -347,6 +348,68 @@ def test_quad_certificate_rejected_where_some_parameter_fails(lo):
     cert = next(r.cert for r in search_lower_bounds(q4, SearchBudget(max_n=2)) if r.n == 2)
     assert check_certificate(QuadMap(RatInterval.point(lo)), cert) is False
     assert check_certificate(QuadMap(RatInterval(lo, 4)), cert) is False
+
+
+def _reference_quad_check(r, cert):
+    """The quadratic check in Fraction: end images from the Fraction
+    reference orbit, compared with the hull as RatIntervals."""
+    hull = cert.hull
+    for iv in cert.intervals:
+        ends = (reference_orbit(r, RatInterval.point(x), cert.n)[-1] for x in (iv.lo, iv.hi))
+        low, high = sorted(ends, key=lambda y: y.lo)
+        if not (low.hi < hull.lo and high.lo > hull.hi):
+            return False
+    return True
+
+
+# certificates streamed at a few parameters, n <= 5: their verdicts are
+# mostly True, where random intervals give mostly False
+STREAMED = [
+    (r, rec.cert)
+    for r in (F(4), F(39, 10), F(37, 10))
+    for rec in search_lower_bounds(QuadMap(RatInterval.point(r)), SearchBudget(max_n=5))
+]
+
+
+@st.composite
+def quad_checks(draw):
+    """(r, cert): r a point or an interval in [3, 4], 2-4 intervals, n <= 5;
+    some with an end of the hull moved onto, or one ulp off, an end
+    enclosure of a middle interval's image."""
+    if draw(st.booleans()):
+        r0, cert = draw(st.sampled_from(STREAMED))
+        p = draw(st.integers(2, min(4, cert.p)))
+        start = draw(st.integers(0, cert.p - p))
+        ivs, n = list(cert.intervals[start : start + p]), cert.n
+        width = F(draw(st.integers(0, 3)), 1 << draw(st.integers(1, 60)))
+        r = RatInterval(max(r0 - width, 3), r0)
+    else:
+        p, n = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+        ends = sorted(draw(st.lists(rationals(0, 1), min_size=2 * p, max_size=2 * p, unique=True)))
+        ivs = [RatInterval(a, b) for a, b in zip(ends[::2], ends[1::2])]
+        r = RatInterval(*sorted((draw(rationals(3, 4)), draw(rationals(3, 4)))))
+    if p >= 3 and draw(st.booleans()):
+        mid = ivs[draw(st.integers(1, p - 2))]
+        low, high = sorted(orbit_mantissas(r, RatInterval.point(x), n)[-1] for x in (mid.lo, mid.hi))
+        scale, off = 1 << ENCLOSURE_BITS, draw(st.integers(0, 1))
+        if draw(st.booleans()):
+            lo = F(low[1] + off, scale)
+            if 0 <= lo < ivs[0].hi:
+                ivs[0] = RatInterval(lo, ivs[0].hi)
+        else:
+            hi = F(high[0] - off, scale)
+            if ivs[-1].lo < hi <= 1:
+                ivs[-1] = RatInterval(ivs[-1].lo, hi)
+    return r, HorseshoeCert(tuple(ivs), n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=quad_checks())
+def test_quad_check_matches_fraction_reference(case):
+    # the integer cross-multiplication gives the Fraction verdict, where an
+    # end enclosure touches the hull too
+    r, cert = case
+    assert check_certificate(QuadMap(r), cert) == _reference_quad_check(r, cert)
 
 
 def test_record_invariants():

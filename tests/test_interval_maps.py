@@ -95,13 +95,13 @@ def _compose_reference(outer, inner, node_cap=1_000_000):
     """``compose`` as it was before the segment walk: every cut is collected
     in a set, sorted, evaluated through both maps and canonicalized."""
     cuts = {F(1)}
-    for x1, y1, x2, y2 in inner.segments():
+    for (x1, y1), (x2, y2) in zip(inner.nodes, inner.nodes[1:]):
         cuts.add(x1)
         if y1 == y2:
             continue
         lo_y, hi_y = (y1, y2) if y1 < y2 else (y2, y1)
         slope = (y2 - y1) / (x2 - x1)
-        for gx in outer.xs:
+        for gx, _ in outer.nodes:
             if lo_y < gx < hi_y:
                 cuts.add(x1 + (gx - y1) / slope)
         if len(cuts) > node_cap:
@@ -114,8 +114,8 @@ def _compose_reference(outer, inner, node_cap=1_000_000):
 def _cut_count(outer, inner):
     """How many nodes the reference cuts before it drops collinear ones."""
     count = len(inner.nodes)
-    for _, y1, _, y2 in inner.segments():
-        count += sum(min(y1, y2) < gx < max(y1, y2) for gx in outer.xs)
+    for (_, y1), (_, y2) in zip(inner.nodes, inner.nodes[1:]):
+        count += sum(min(y1, y2) < gx < max(y1, y2) for gx, _ in outer.nodes)
     return count
 
 
@@ -282,8 +282,6 @@ def test_quadmap():
     q = QuadMap(RatInterval.point(4))
     assert q.eval(F(1, 2)) == 1
     assert q.eval(1) == 0
-    img = q.image_on(RatInterval(F(1, 4), F(3, 4)))
-    assert img == RatInterval(F(3, 4), F(1))
     with pytest.raises(ValueError):
         QuadMap(RatInterval.point(5))
     j = q.to_json()
@@ -317,7 +315,7 @@ def test_image_on_matches_fraction_evaluation(f, n, data):
     # exactly on the floor(x * Dx) boundary of the node search
     g = compose_iterate(f, n)
     point = st.one_of(
-        st.sampled_from(g.xs),
+        st.sampled_from([x for x, _ in g.nodes]),
         st.sampled_from((F(0), F(1))),
         st.fractions(0, 1, max_denominator=10**6),
     )

@@ -23,8 +23,11 @@ from entrolab.logistic import (
     markov_partition,
     resolve_cache_path,
     _build_center,
+    _markov_data,
+    _SeparationError,
     _transitions,
 )
+from test_numkit import from_mantissas, reference_orbit
 
 PHI_LOG = math.log2((1 + 5**0.5) / 2)
 
@@ -37,7 +40,7 @@ def centers3(session_cache):
 def test_enumerate_centers_periods_1_to_3(centers3):
     assert [c.period for c in centers3] == [1, 2, 3]
     c1, c2, c3 = centers3
-    assert c1.exact and c1.r_enc.lo == 2
+    assert c1.r_enc.is_point and c1.r_enc.lo == 2
     assert abs(float(c2.r_enc.mid) - 3.2360680) < 1e-6
     assert abs(float(c3.r_enc.mid) - 3.8318741) < 1e-5
 
@@ -275,6 +278,55 @@ def test_transitions_match_inline_reference(ranks):
         assert _transitions(ranks) == want
 
 
+def _reference_markov_data(r_enc, period):
+    """``_markov_data`` in Fraction: the Fraction orbit enclosures of f(c),
+    ..., f^{p-1}(c) and c = 1/2 itself, sorted, checked for separation, and
+    the rows built from their order; None where they do not separate."""
+    half = RatInterval.point(F(1, 2))
+    orbit = [*reference_orbit(r_enc, half, period - 1)[1:], half]
+    if any(iv.lo <= 0 or iv.hi >= 1 for iv in orbit):
+        return None
+    ordered = sorted(orbit, key=lambda iv: iv.lo)
+    if any(a.hi >= b.lo for a, b in zip(ordered, ordered[1:])):
+        return None
+    ranks = tuple(ordered.index(iv) for iv in orbit)
+    try:
+        sft = _inline_transitions(ranks)
+    except AssertionError:
+        sft = ValueError
+    return ordered, sft, ranks
+
+
+@pytest.fixture(scope="module")
+def centers8(session_cache):
+    return [c for c in enumerate_centers(8, cache=session_cache).centers if c.period >= 2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_markov_data_matches_fraction_reference(centers8, data):
+    # enclosures of the centers of periods 2-8, from a point to widths where
+    # the orbit no longer separates, at the center's period or another:
+    # both sides separate alike, and give the same order, rank and rows
+    c = data.draw(st.sampled_from(centers8))
+    period = data.draw(st.one_of(st.just(c.period), st.integers(1, 8)))
+    e = data.draw(st.integers(1, 80))
+    lo, hi = (c.r_enc.lo - F(data.draw(st.integers(0, 3)), 1 << e),
+              c.r_enc.hi + F(data.draw(st.integers(0, 3)), 1 << e))
+    r_enc = RatInterval(max(lo, 0), min(hi, 4))
+    want = _reference_markov_data(r_enc, period)
+    try:
+        ordered, sft, ranks = _markov_data(r_enc, period)
+    except _SeparationError:
+        assert want is None
+        return
+    except ValueError:
+        assert want is not None and want[1] is ValueError
+        return
+    assert want is not None
+    assert ([from_mantissas(pair) for pair in ordered], sft, ranks) == want
+
+
 def test_rebuilt_sft_matches_scan(period_9_scan):
     # each center of a fresh scan, and the same center loaded from the
     # cache, which stores no SFT, carries the reference's rows
@@ -393,8 +445,9 @@ def test_sandwich_interval_query(session_cache):
 
 
 def test_sandwich_exact_shortcuts():
-    assert logistic_entropy(F(2), F(1, 1000)).interval == RatInterval(0, 0)
-    assert logistic_entropy(F(4), F(1, 1000)).interval == RatInterval(1, 1)
+    for r, h in ((F(2), 0), (F(4), 1)):
+        b = logistic_entropy(r, F(1, 1000))
+        assert (b.lo, b.hi) == (h, h)
     b = logistic_entropy(F(5, 2), F(1, 1000))
     assert b.provenance is Provenance.EXACT
 

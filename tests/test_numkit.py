@@ -17,8 +17,7 @@ from entrolab.numkit import (
     floor_log2,
     format_rational,
     log2_enclosure,
-    logistic_orbit_enclosures,
-    logistic_step_range,
+    orbit_mantissas,
     parse_rational,
     refine_root,
     root_isolate,
@@ -83,10 +82,6 @@ def test_interval_basics():
     with pytest.raises(ValueError):
         RatInterval(1, 0)
     assert RatInterval.from_json(iv.to_json()) == iv
-    assert (iv + 1).lo == F(4, 3)
-    assert (-iv).hi == -F(1, 3)
-    prod = RatInterval(-1, 2) * RatInterval(3, 5)
-    assert prod == RatInterval(-5, 10)
 
 
 def test_dyadic_rounding_is_outward():
@@ -299,15 +294,6 @@ def test_root_isolate_exact_root_at_domain_endpoint(domain):
     assert not iso.unresolved
 
 
-def test_logistic_step_range_is_exact_image():
-    r = RatInterval.point(F(7, 2))
-    x = RatInterval(F(1, 4), F(3, 4))
-    img = logistic_step_range(r, x)
-    # max at the vertex, min at the endpoints (symmetric here)
-    assert img.hi == F(7, 2) / 4
-    assert img.lo == F(7, 2) * F(1, 4) * F(3, 4)
-
-
 # ---------------------------------------------------------------------------
 # The integer kernel against the plain Fraction reference
 # ---------------------------------------------------------------------------
@@ -337,6 +323,22 @@ def outward(lo, hi):
     return RatInterval(dyadic_floor(lo, ENCLOSURE_BITS), dyadic_ceil(hi, ENCLOSURE_BITS))
 
 
+def product(a, b):
+    """The interval product in Fraction arithmetic."""
+    ends = [x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi)]
+    return RatInterval(min(ends), max(ends))
+
+
+def interval_sum(a, b):
+    return RatInterval(a.lo + b.lo, a.hi + b.hi)
+
+
+def x_one_minus_x(x):
+    """The exact range of x*(1-x) over the interval x."""
+    ends = (x.lo * (1 - x.lo), x.hi * (1 - x.hi))
+    return RatInterval(min(ends), F(1, 4) if x.lo <= F(1, 2) <= x.hi else max(ends))
+
+
 def reference_orbit(r, x0, n):
     """Each step formed exactly in Fraction, clamped to [0, 1], then rounded outward."""
     out = [x0]
@@ -350,11 +352,11 @@ def reference_orbit(r, x0, n):
 
 
 def reference_derivative(r, n):
-    """The chain rule d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k) in RatInterval arithmetic."""
+    """The chain rule d <- r*(1 - 2*x_k)*d + x_k*(1 - x_k) in Fraction interval arithmetic."""
     d = RatInterval.point(0)
     for xk in reference_orbit(r, RatInterval.point(F(1, 2)), n)[:-1]:
-        d = r * (RatInterval.point(1) - xk * 2) * d
-        d = d + logistic_step_range(RatInterval.point(1), xk)
+        d = product(product(r, RatInterval(1 - 2 * xk.hi, 1 - 2 * xk.lo)), d)
+        d = interval_sum(d, x_one_minus_x(xk))
         d = outward(d.lo, d.hi)
     return d
 
@@ -384,10 +386,11 @@ X0, X1, X01 = RatInterval.point(0), RatInterval.point(1), RatInterval(0, 1)
 @given(period=st.integers(1, 6), r=intervals(0, 4), x0=intervals(0, 1))
 def test_orbit_kernel_equals_fraction_reference(period, r, x0):
     # equal, not merely contained: one exact step, one outward rounding
-    assert logistic_orbit_enclosures(r, x0, period) == reference_orbit(r, x0, period)
+    want = reference_orbit(r, x0, period)[1:]
+    assert [from_mantissas(pair) for pair in orbit_mantissas(r, x0, period)] == want
     expr = critical_orbit_expr(period)
-    orbit = reference_orbit(r, RatInterval.point(F(1, 2)), period)
-    assert from_mantissas(expr.evaluate(r)) == orbit[-1] - F(1, 2)
+    last = reference_orbit(r, RatInterval.point(F(1, 2)), period)[-1]
+    assert from_mantissas(expr.evaluate(r)) == RatInterval(last.lo - F(1, 2), last.hi - F(1, 2))
     assert from_mantissas(expr.derivative_enclosure(r)) == reference_derivative(r, period)
     for t in (r.lo, r.hi):
         assert expr.sign_at(t) == reference_sign(t, period)
@@ -396,10 +399,10 @@ def test_orbit_kernel_equals_fraction_reference(period, r, x0):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: logistic_orbit_enclosures(RatInterval(3, F(41, 10)), X01, 2),
-        lambda: logistic_orbit_enclosures(RatInterval.point(F(-1, 10)), X01, 2),
-        lambda: logistic_orbit_enclosures(R4, RatInterval(F(-1, 100), F(1, 2)), 2),
-        lambda: logistic_orbit_enclosures(R4, RatInterval.point(F(11, 10)), 2),
+        lambda: orbit_mantissas(RatInterval(3, F(41, 10)), X01, 2),
+        lambda: orbit_mantissas(RatInterval.point(F(-1, 10)), X01, 2),
+        lambda: orbit_mantissas(R4, RatInterval(F(-1, 100), F(1, 2)), 2),
+        lambda: orbit_mantissas(R4, RatInterval.point(F(11, 10)), 2),
         lambda: critical_orbit_expr(3).sign_at(F(5)),
         lambda: critical_orbit_expr(3).sign_at(F(-1, 1 << 200)),
         lambda: critical_orbit_expr(3).evaluate(RatInterval(3, F(41, 10))),
@@ -491,7 +494,7 @@ def reference_scan_enclosure(expr, cell):
     half = cell.width / 2
     slope = from_mantissas(expr.derivative_enclosure(cell))
     mid = from_mantissas(expr.evaluate(RatInterval.point(cell.mid)))
-    centered = mid + slope * RatInterval(-half, half)
+    centered = interval_sum(mid, product(slope, RatInterval(-half, half)))
     return (max(plain.lo, centered.lo), min(plain.hi, centered.hi)), (slope.lo, slope.hi)
 
 
@@ -559,29 +562,16 @@ def test_scan_runs_at_most_two_orbits_per_cell(monkeypatch):
     assert counts["orbits"] <= 2 * counts["scans"]
 
 
-def test_scan_does_no_interval_arithmetic(monkeypatch):
+def test_scan_does_no_interval_arithmetic():
     # the centered form and its intersection with the plain enclosure run
-    # on integer mantissas, not through RatInterval operators, and no
-    # mantissa is turned into a Fraction enclosure
-    calls = []
-    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
-
-        def counted(self, other, op=getattr(RatInterval, name), name=name):
-            calls.append(name)
-            return op(self, other)
-
-        monkeypatch.setattr(RatInterval, name, counted)
-
-    def from_mantissas_counted(lo, hi, convert=numkit._from_mantissas):
-        calls.append("_from_mantissas")
-        return convert(lo, hi)
-
-    monkeypatch.setattr(numkit, "_from_mantissas", from_mantissas_counted)
+    # on integer mantissas: RatInterval has no arithmetic operators to run
+    # them through, and numkit turns no mantissa into a Fraction enclosure
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__"):
+        assert not hasattr(RatInterval, name), name
+    assert not hasattr(numkit, "_from_mantissas")
     numkit._critical_orbit.cache_clear()
     iso = root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
-    monkeypatch.undo()
     assert len(iso.roots) == 30  # the centers of periods 1, 3 and 9
-    assert calls == []
 
 
 def test_point_and_its_sign_share_one_orbit():
