@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -440,8 +441,12 @@ def search_lower_bounds(
             if bound.lo <= best:
                 break  # candidates are sorted by p descending
             cert = HorseshoeCert(intervals, n)
-            # an n-certificate for f is exactly a 1-certificate for g = f^n
-            on_g = HorseshoeCert(intervals, 1) if isinstance(f, PWLMap) else cert
+            # an n-certificate for f is exactly a 1-certificate for g = f^n;
+            # a copy with n = 1 skips validating the same intervals again
+            on_g = cert
+            if isinstance(f, PWLMap):
+                on_g = copy(cert)
+                object.__setattr__(on_g, "n", 1)
             if check_certificate(g, on_g, node_cap=node_cap):
                 yield LowerBoundRecord(cert, bound)
                 best = bound.lo

@@ -39,7 +39,7 @@ _ONE = Fraction(1)
 _HALF_POINT = RatInterval.point(Fraction(1, 2))
 
 CACHE_ENV_VAR = "ENTROLAB_CACHE"
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
 DEFAULT_EPS = Fraction(1, 10**7)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
@@ -364,26 +364,71 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
+def _scan(p: int, eps: Fraction, cache: CenterCache) -> list[RatInterval]:
+    """Scan period p and add each center it accepts to the cache, where one
+    already stored is not added again; new centers get entropy enclosures
+    of width <= eps. Returns the unresolved cells."""
+    expr = critical_orbit_expr(p)
+    iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
+    unresolved = list(iso.unresolved)
+    for root in iso.roots:
+        if root.hi <= 0 or root.lo >= 4:
+            continue
+        try:
+            center = _build_center(expr, root, p, eps)
+        except RefinementBudgetError:
+            unresolved.append(root)
+            continue
+        if center is not None:
+            cache.add_center(center)
+    return unresolved
+
+
 def _scan_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
     """The stored centers of period p, in cache order, after scanning the
-    period when the cache lacks it; new centers get entropy enclosures of
-    width <= eps, stored ones are returned as stored and unparsed."""
+    period when the cache lacks it; stored ones are returned as stored and
+    unparsed."""
     if p not in cache.scanned:
-        expr = critical_orbit_expr(p)
-        iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
-        unresolved = list(iso.unresolved)
-        for root in iso.roots:
-            if root.hi <= 0 or root.lo >= 4:
-                continue
-            try:
-                center = _build_center(expr, root, p, eps)
-            except RefinementBudgetError:
-                unresolved.append(root)
-                continue
-            if center is not None:
-                cache.add_center(center)
-        cache.mark_scanned(p, unresolved)
+        cache.mark_scanned(p, _scan(p, eps, cache))
     return [c for c in cache.centers if c.period == p]
+
+
+def _center_count(p: int) -> int:
+    """The number of superattracting parameters of period p in (0, 4]:
+    (1/2p) * sum over odd d | p of mu(d) 2^(p/d), with mu the Moebius
+    function (Metropolis-Stein-Stein 1973; OEIS A000048)."""
+    total = 0
+    for d in range(1, p + 1, 2):
+        if p % d == 0:
+            mu, n, f = 1, d, 3
+            while n > 1:
+                while n % f:
+                    f += 2
+                n //= f
+                mu = 0 if n % f == 0 else -mu
+            total += mu << (p // d)
+    return total // (2 * p)
+
+
+def _complete_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
+    """``_scan_period``, checked against the count of centers when the scan
+    marker lists no unresolved cell, since the marker then claims that the
+    file holds every center of period p. Fewer stored centers rescan the
+    period, which adds the missing ones to the file; a count that still
+    differs raises ValueError."""
+    stored = _scan_period(p, eps, cache)
+    want = _center_count(p)
+    if cache.scanned[p] or len(stored) == want:
+        return stored
+    if len(stored) < want:
+        _scan(p, eps, cache)
+        stored = _scan_period(p, eps, cache)
+    if len(stored) != want:
+        raise ValueError(
+            f"the center cache holds {len(stored)} centers of period {p}, "
+            f"but there are {want}"
+        )
+    return stored
 
 
 def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
@@ -415,7 +460,9 @@ def enumerate_centers(
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
     back. The unresolved cells are those of the scans of periods 1..p_max,
-    in period order. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
+    in period order. A period scanned with no unresolved cell must hold
+    the known number of centers: fewer rescan it, and more raise
+    ValueError. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
     refused, as in the sandwich: scan cost grows steeply with the period.
     """
     if p_max < 1:
@@ -424,7 +471,7 @@ def enumerate_centers(
     if not isinstance(cache, CenterCache):
         cache = CenterCache(resolve_cache_path(cache))
     _check_period_cap(p_max)
-    stored = [c for p in range(1, p_max + 1) for c in _scan_period(p, eps, cache)]
+    stored = [c for p in range(1, p_max + 1) for c in _complete_period(p, eps, cache)]
     stored.sort(key=lambda c: (c.r_enc.lo, c.period))
     return EnumerationResult(
         tuple(_refined(c, eps) for c in stored),

@@ -9,7 +9,7 @@ import entrolab.logistic as logistic
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
-from entrolab.numkit import RatInterval, parse_rational
+from entrolab.numkit import RatInterval, format_rational, parse_rational
 
 
 def write_json(path, payload):
@@ -485,8 +485,8 @@ def test_sft_precision_beyond_cap_exit_2(golden_file, capsys):
 
 @pytest.mark.parametrize("eps", ["1e400", "5"])
 def test_sft_coarse_eps_chord_cycle(tmp_path, capsys, eps):
-    # rel_gap >= 1: the Perron bracket runs no float screen, so 1e400 cannot
-    # overflow a float; the first power step already stops
+    # rel_gap >= 1: the first exact power step already stops, so no float
+    # ever sees rel_gap, and 1e400 cannot overflow one
     allowed = [[int(j == (i + 1) % 24 or (i, j) == (23, 15)) for j in range(24)] for i in range(24)]
     path = write_json(tmp_path / "chord.json", {"alphabet": 24, "allowed": allowed})
     assert main(["sft", "entropy", "--file", path, "--eps", eps]) == 0
@@ -707,20 +707,48 @@ def test_json_output_deterministic(golden_file, capsys):
     assert set(payload) == {"eps", "h"}
 
 
-def test_period_scan_reads_no_stored_center(tmp_path, capsys):
+def test_period_scan_reads_no_stored_center(tmp_path):
     # scan markers for periods 1-3 without their center records: the period-4
     # scan tells the period-2 root 1 + sqrt(5) apart by its own orbit
-    path = tmp_path / "c.jsonl"
-    cache = CenterCache(path)
+    cache = CenterCache(tmp_path / "c.jsonl")
     for p in (1, 2, 3):
         cache.mark_scanned(p, [])
-    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "UNRESOLVED" not in out
-    rows = [line.split("\t") for line in out.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["4", "4"]
-    mids = [float((F(row[1]) + F(row[2])) / 2) for row in rows]
+    found = logistic._scan_period(4, logistic.DEFAULT_EPS, cache)
+    assert [c.period for c in cache.centers] == [4, 4]
+    mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
     assert mids == pytest.approx([3.4985616, 3.9602701], abs=1e-6)
+
+
+def test_centers_rescans_period_missing_a_record(tmp_path, capsys):
+    # the scan marker of period 3 lists no unresolved cell, so it claims the
+    # file holds every period-3 center; with the one record deleted, the
+    # count falls short and the period is scanned again
+    path = tmp_path / "c.jsonl"
+    argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
+    assert main(argv) == 0
+    clean = capsys.readouterr().out
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = _center_line(lines, max)  # the period-3 center
+    del lines[number - 1]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == clean
+    assert len(json.loads(out)["centers"]) == 3
+    assert path.read_text(encoding="utf-8").count('"type": "center"') == 3
+
+
+def test_centers_extra_record_exit_2(tmp_path, capsys):
+    # a forged record beside the true one: more centers than period 3 has
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[_center_line(lines, max) - 1])
+    record["r_enc"] = [format_rational(parse_rational(v) - F(1, 1000)) for v in record["r_enc"]]
+    path.write_text("\n".join(lines + [json.dumps(record, sort_keys=True)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 2
+    assert "holds 2 centers of period 3, but there are 1" in capsys.readouterr().err
 
 
 def test_unresolved_cells_stay_with_their_period(tmp_path, capsys):

@@ -30,13 +30,15 @@ FULL_LOGISTIC = {"r": "4/1"}
 # a flat segment between a rise and a fall, and slopes of different sizes
 PLATEAU = {"nodes": [["0", "0"], ["1/4", "1"], ["1/2", "1"], ["3/4", "1/8"], ["1", "2/3"]]}
 GOLDEN_MEAN = {"alphabet": 2, "allowed": [[1, 1], [1, 0]]}
-# the 24-cycle with the chord 23 -> 15: a small spectral gap, many power steps
+# the 24-cycle with the chord 23 -> 15: a small spectral gap, 437 plain power
+# steps at eps 1e-9, so the Perron bracket leaves its exact prefix
 CHORD_24 = {
     "alphabet": 24,
     "allowed": [[int(j == (i + 1) % 24 or (i, j) == (23, 15)) for j in range(24)] for i in range(24)],
 }
-# the 60-cycle with the chord 0 -> 2: a smaller gap still, about 8 000 power
-# steps; its output is h = ["563939/33554432", "1127937/67108864"]
+# the 60-cycle with the chord 0 -> 2: a smaller gap still, where the plain
+# power loop took about 8 000 steps; its output is
+# h = ["1127907/67108864", "281977/16777216"]
 CHORD_60 = {
     "alphabet": 60,
     "allowed": [[int(j == (i + 1) % 60 or (i, j) == (0, 2)) for j in range(60)] for i in range(60)],
@@ -51,7 +53,7 @@ DENSE_12 = {
 }
 
 CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
-CENTERS_CACHE = "7323106ea6a4b4463f09b41b6d3b72d35acb06649f366d23b95d9b5e5342ce50"
+CENTERS_CACHE = "2ed2b1454c5bc83f8667b066b7b2316ad9c2a64afe711eaf8e7fa4f2c1ba5c53"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache
 LOGISTIC = [
@@ -65,12 +67,12 @@ LOGISTIC = [
 # ``centers --max-period 10`` on a fresh cache: every center the kernel finds
 # up to period 10, and every enclosure endpoint it rounds, byte for byte
 PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
-PERIOD_10_CACHE = "b1cfbe0961e30ff57a5c8c80bd2303a2c4b1d6641f537325b5638841c01b6b50"
+PERIOD_10_CACHE = "b5e3601a97fdb80c1777bcfb80749f6c941fec30d3de1e6644f307209289fbd1"
 
 # ``centers --max-period 11`` on the period-10 cache: it prints the SFT of every
 # stored center, rebuilt from its orbit order, so it pins the rebuild byte for byte
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
-PERIOD_11_CACHE = "4fe6f513d2d94b5100c6858b1086916845a7affe588d0d6ef48ad81dcd1cce5f"
+PERIOD_11_CACHE = "bc0b63b11cf99059a488270e55106fc0c9bcde2b2ae11ca175a2112631daa74b"
 
 # (r, eps, exit code, stdout digest) on the period-9 cache
 PERIOD_9_LOGISTIC = [
@@ -87,7 +89,7 @@ PERIOD_9_LOGISTIC = [
 ]
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
-COARSE_CACHE = "ffc8443ebd8550c11e2476a73241f094ae667f47914e9447837b2eb9f41029bb"
+COARSE_CACHE = "8e3cf5355395e065404edb2c68be6eff040985b8cacd863f279d9c77d2536159"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache at eps 1/1000
 COARSE_LOGISTIC = [
@@ -120,9 +122,12 @@ FILE_CALLS = [
     ("golden-mean-sft", GOLDEN_MEAN, ["sft", "entropy", "--eps", "1e-9"],
      "b20e244e7a4505e1100785f4d3b916a4594862ecd44ee2be4e3bbdb8c37e9b46"),
     ("chord-24-sft", CHORD_24, ["sft", "entropy", "--eps", "1e-9"],
-     "c5d794603fc5a6ea15e3b28a883a606d284f76a1510ee71bd4893801d75ca6c1"),
+     "c8a75af2b3539e9d41252a8fe2d427886c3187cb612c024976e40c20168dbe5a"),
+    # below float reach: Newton steps with exact residuals
+    ("chord-24-sft-1e-100", CHORD_24, ["sft", "entropy", "--eps", "1e-100"],
+     "8075f8e9b5814c1fefb229deab9db3c5a633df08feae64f4afd7c5f02512d792"),
     ("chord-60-sft", CHORD_60, ["sft", "entropy", "--eps", "1e-6"],
-     "ff7ff273c15a62f35c7f7f930f8b77c0806b2492b86677530e49bea116d599fc"),
+     "942c3a4d662287a384ffb4e1c43b17de4d336866aab943dec254a91fe8d3e548"),
     ("dense-12-sft", DENSE_12, ["sft", "entropy", "--eps", "1e-6"],
      "679d0e273c9114983cd6165a76ca14def6e66474e834281c4a43e4e0da3224e0"),
     # few branches per target: pins the max_p cut before the shrink levels

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import symbolic
@@ -213,11 +213,12 @@ def test_graph_layer_matches_matrix_powers(mat):
         assert e.hi == 0
 
 
-def _perron_bracket_reference(succ, rel_gap):
-    """The plain Fraction loop: one ratio per state and step, min and max."""
+def _perron_bracket_reference(succ, rel_gap, steps=200_000):
+    """The plain Fraction power loop: one ratio per state and step, min and
+    max; ArithmeticError when it does not stop within ``steps`` steps."""
     m = len(succ)
     x = [1] * m
-    for _ in range(200_000):
+    for _ in range(steps):
         y = [x[i] + sum(x[j] for j in succ[i]) for i in range(m)]
         ratios = [F(y[i], x[i]) for i in range(m)]
         lo, hi = min(ratios), max(ratios)
@@ -236,9 +237,9 @@ def _chord_cycle(m, source, target):
 
 
 @st.composite
-def irreducible_blocks(draw):
+def irreducible_blocks(draw, max_states=12):
     """Successor lists of a random cycle through all states plus random edges."""
-    m = draw(st.integers(1, 12))
+    m = draw(st.integers(1, max_states))
     order = draw(st.permutations(range(m)))
     edges = {(order[i], order[(i + 1) % m]) for i in range(m)}
     edges |= set(draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
@@ -246,18 +247,101 @@ def irreducible_blocks(draw):
     return [sorted(b for a, b in edges if a == s) for s in range(m)]
 
 
+@st.composite
+def perron_blocks(draw):
+    """Irreducible blocks of at most 40 states: a single cycle, a periodic
+    block (period p, every edge from class c to class c + 1 mod p), a cycle
+    with one chord, or a cycle with random edges."""
+    kind = draw(st.sampled_from(("cycle", "periodic", "chord", "random")))
+    if kind == "random":
+        return draw(irreducible_blocks(max_states=40))
+    if kind == "periodic":
+        p = draw(st.integers(2, 5))
+        m = p * draw(st.integers(1, 40 // p))
+    else:
+        m = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(m)))
+    edges = {(order[i], order[(i + 1) % m]) for i in range(m)}
+    if kind == "chord":
+        edges.add((draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))))
+    elif kind == "periodic":
+        # state order[i] lies in class i mod p, and m is a multiple of p
+        cls = {s: i % p for i, s in enumerate(order)}
+        extra = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                              max_size=2 * m))
+        edges |= {(a, b) for a, b in extra if cls[b] == (cls[a] + 1) % p}
+    return [sorted(b for a, b in edges if a == s) for s in range(m)]
+
+
+def _float_perron(succ, steps=5_000):
+    """Float Collatz-Wielandt bounds of A after float power steps on A + I."""
+    x = [1.0] * len(succ)
+    lo = hi = 0.0
+    for _ in range(steps):
+        y = [xi + sum(x[j] for j in row) for xi, row in zip(x, succ)]
+        ratios = [yi / xi for xi, yi in zip(x, y)]
+        lo, hi = min(ratios) - 1, max(ratios) - 1
+        if hi - lo <= 1e-13 * hi:
+            break
+        top = max(y)
+        x = [v / top for v in y]
+    return lo, hi
+
+
 @settings(max_examples=150, deadline=None)
-# from k = 13 on, rel_gap is below the float screen's 2^-40 margin, so the
-# screen lets a step through that the exact test rejects and turns itself off
 @given(succ=irreducible_blocks(), k=st.sampled_from((2, 6, 9, 13, 20, 40)))
 @example(succ=[[0, 1, 2]] * 3, k=6)  # full 3-shift: every ratio ties at the first step
 @example(succ=[[0]], k=9)  # a single self-loop
-@example(succ=_chord_cycle(16, 15, 10), k=9)
-@example(succ=_chord_cycle(40, 39, 25), k=9)  # hundreds of steps, most of them screened
-@example(succ=_chord_cycle(24, 23, 15), k=-1)  # rel_gap = 3 >= 1: no screen
+@example(succ=_chord_cycle(16, 15, 10), k=2)
+@example(succ=_chord_cycle(24, 23, 15), k=-1)  # rel_gap = 3 >= 1
 def test_perron_bracket_equals_fraction_reference(succ, k):
+    # where the plain loop stops within the exact prefix, the prefix is that
+    # loop and returns its pair; past it the pair comes from another vector
     rel_gap = F(3, 10) / F(10) ** k
-    assert _perron_bracket(succ, rel_gap) == _perron_bracket_reference(succ, rel_gap)
+    try:
+        want = _perron_bracket_reference(succ, rel_gap, symbolic._PREFIX_STEPS)
+    except ArithmeticError:
+        assume(False)
+    assert _perron_bracket(succ, rel_gap) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(succ=perron_blocks(), k=st.sampled_from((6, 9, 13, 40)))
+@example(succ=_chord_cycle(16, 15, 10), k=9)  # the plain loop stops after 275 steps
+@example(succ=_chord_cycle(24, 23, 15), k=6)  # and here after 293
+@example(succ=_chord_cycle(40, 39, 25), k=9)  # hundreds of power steps
+@example(succ=_chord_cycle(60, 0, 2), k=6)  # about 8 000 power steps
+@example(succ=_chord_cycle(24, 23, 15), k=40)
+@example(succ=[[1], [2, 4], [3], [0, 4], [3, 5], [0, 2]], k=40)  # settled past float reach
+def test_perron_bracket_contains_reference_and_float_root(succ, k):
+    rel_gap = F(3, 10) / F(10) ** k
+    lo, hi = _perron_bracket(succ, rel_gap)
+    assert lo <= hi and hi - lo <= (lo + 1) * rel_gap
+    try:
+        ref_lo, ref_hi = _perron_bracket_reference(succ, rel_gap, 400)
+    except ArithmeticError:
+        pass
+    else:
+        assert lo <= ref_hi and ref_lo <= hi
+    f_lo, f_hi = _float_perron(succ)
+    slack = 1e-9 * (f_hi + 1)
+    assert float(lo) - slack <= f_hi and f_lo <= float(hi) + slack
+
+
+@pytest.mark.parametrize(
+    "succ", [_chord_cycle(24, 23, 15), _chord_cycle(40, 39, 25)], ids=["chord-24", "chord-40"]
+)
+@pytest.mark.parametrize("k", [6, 13])
+def test_perron_bracket_power_steps_alone(monkeypatch, succ, k):
+    # with no float guide and no Newton step, the truncated power steps still
+    # settle the bracket, and it meets the plain loop's
+    monkeypatch.setattr(symbolic, "_float_guide", lambda *args: None)
+    monkeypatch.setattr(symbolic, "_newton", lambda *args: iter(()))
+    rel_gap = F(3, 10) / F(10) ** k
+    lo, hi = _perron_bracket(succ, rel_gap)
+    assert lo <= hi and hi - lo <= (lo + 1) * rel_gap
+    ref_lo, ref_hi = _perron_bracket_reference(succ, rel_gap)
+    assert lo <= ref_hi and ref_lo <= hi
 
 
 def test_perron_bracket_builds_two_fractions(monkeypatch):
