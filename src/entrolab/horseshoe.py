@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -129,12 +128,13 @@ def check_certificate(
     cert: HorseshoeCert,
     *,
     node_cap: int = DEFAULT_NODE_CAP,
+    iterate: PWLMap | None = None,
 ) -> bool:
     """Check that the n-th iterate image of every J_i strictly contains the hull.
 
-    Piecewise-linear maps are checked exactly on the composed iterate f^n,
-    so (J, n) is a certificate for f exactly when (J, 1) is one for f^n;
-    the search checks its candidates that way, on the iterate it holds. For
+    Piecewise-linear maps are checked exactly on the composed iterate f^n:
+    ``iterate`` when the caller passes it (it must be f^n, as for the
+    search, which holds each iterate it scans), else composed here. For
     quadratic maps only the endpoints of each J_i are iterated: the
     enclosure of f^n at one endpoint must lie strictly below the hull and
     the one at the other endpoint strictly above it, compared as integer
@@ -146,7 +146,7 @@ def check_certificate(
     """
     hull = cert.hull
     if isinstance(f, PWLMap):
-        g = compose_iterate(f, cert.n, node_cap)
+        g = iterate if iterate is not None else compose_iterate(f, cert.n, node_cap)
         return all(g.image_on(iv).strictly_contains(hull) for iv in cert.intervals)
 
     # m/2**ENCLOSURE_BITS < p/q exactly when m*q < p << ENCLOSURE_BITS
@@ -441,13 +441,8 @@ def search_lower_bounds(
             if bound.lo <= best:
                 break  # candidates are sorted by p descending
             cert = HorseshoeCert(intervals, n)
-            # an n-certificate for f is exactly a 1-certificate for g = f^n;
-            # a copy with n = 1 skips validating the same intervals again
-            on_g = cert
-            if isinstance(f, PWLMap):
-                on_g = copy(cert)
-                object.__setattr__(on_g, "n", 1)
-            if check_certificate(g, on_g, node_cap=node_cap):
+            held = g if isinstance(f, PWLMap) else None  # f^n, composed above
+            if check_certificate(f, cert, node_cap=node_cap, iterate=held):
                 yield LowerBoundRecord(cert, bound)
                 best = bound.lo
                 break

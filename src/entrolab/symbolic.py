@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import frexp, gcd, isfinite, ldexp
+from math import frexp, gcd, inf, isfinite, ldexp
 from operator import truediv
 from typing import Callable, Optional, Sequence, Union
 
@@ -291,13 +291,26 @@ def _lu(rows: list[list[float]]) -> Optional[list[tuple[float, list, list]]]:
     return out
 
 
+def _fsum(values) -> float:
+    """The float sum of values, added left to right from 0.0.
+
+    Not sum(), which adds floats with compensation from Python 3.12 on: the
+    float stages must round alike on every supported interpreter, since the
+    vector they find fixes the returned pair.
+    """
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
 def _lu_solve(lu: list[tuple[float, list, list]], rhs: list[float]) -> list[float]:
     z = list(rhs)
     for i, (_, lower, _) in enumerate(lu):
-        z[i] -= sum(f * z[k] for k, f in lower)
+        z[i] -= _fsum(f * z[k] for k, f in lower)
     for i in range(len(lu) - 1, -1, -1):
         pivot, _, tail = lu[i]
-        z[i] = (z[i] - sum(v * z[j] for j, v in tail)) / pivot
+        z[i] = (z[i] - _fsum(v * z[j] for j, v in tail)) / pivot
     return z
 
 
@@ -308,11 +321,14 @@ def _float_guide(succ: list[list[int]], x: list[int], mu: float) -> Optional[lis
     mu lies above rho(B), so mu I - B is a nonsingular M-matrix: its LU needs
     no pivoting, and its inverse is positive. After each round of three solves
     mu is moved down to just above the float Collatz-Wielandt maximum, which
-    is rho(B) up to rounding. Stops once the float ratios agree to 2^-40.
+    is rho(B) up to rounding. Stops once the float ratios agree to 2^-40, or
+    after a round that does not halve their spread, as where the vector
+    needs more solves than the rounds allow to fill in a long path.
     Returns None when a pivot vanishes or a value is not finite.
     """
     top = max(x)
     v = [xi / top for xi in x]
+    spread = inf
     for _ in range(_GUIDE_ROUNDS):
         rows = [[0.0] * len(succ) for _ in succ]
         for i, row in enumerate(succ):
@@ -330,10 +346,11 @@ def _float_guide(succ: list[list[int]], x: list[int], mu: float) -> Optional[lis
             v = [vi / top for vi in v]
         if min(v) <= 0:
             return v
-        ratios = [(vi + sum(v[j] for j in row)) / vi for vi, row in zip(v, succ)]
+        ratios = [(vi + _fsum(v[j] for j in row)) / vi for vi, row in zip(v, succ)]
         lo, hi = min(ratios), max(ratios)
-        if hi - lo <= lo * 2**-40:
+        if hi - lo <= lo * 2**-40 or hi - lo > spread / 2:
             return v
+        spread = hi - lo
         mu = hi * (1 + 2**-30)
     return v
 
@@ -414,20 +431,37 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
        gains.
     4. Power steps from the best x so far, each result cut to a width that
        follows rel_gap. The Collatz-Wielandt bounds of B^k x never move apart.
+
+    A power step in stages 1 and 4 first compares only the ratios of the two
+    states that held the least and the greatest ratio at the last full scan.
+    If those differ by more than rel_gap, so do the least and the greatest,
+    the step cannot stop, and the full scan is skipped; a step that can stop
+    is always scanned in full, so the stop step and its pair stay those of
+    the plain loop.
     """
     num, den = rel_gap.numerator, rel_gap.denominator
     bits = max(0, den.bit_length() - num.bit_length() + 1)  # rel_gap >= 2^-bits
 
-    def scan(x: list[int]) -> tuple[list[int], Optional[tuple[Fraction, Fraction]], int]:
+    ab = (0, 0)  # the states of the least and the greatest ratio at the last full scan
+
+    def scan(
+        x: list[int], screen: bool = False
+    ) -> tuple[list[int], Optional[tuple[Fraction, Fraction]], Optional[int]]:
         """y = Bx, the pair for A if it is narrow enough (else None), and the
-        bit length of the relative gap (hi - lo) / lo, about its log2."""
+        bit length of the relative gap (hi - lo) / lo, about its log2; with
+        screen, (y, None, None) when the states ab rule the step out."""
+        nonlocal ab
         y = _times_b(succ, x)
+        a, b = ab
+        if screen and (y[b] * x[a] - y[a] * x[b]) * den > y[a] * x[b] * num:
+            return y, None, None
         a = b = 0  # states with the least and the greatest ratio y_i / x_i
         for i in range(1, len(x)):
             if y[i] * x[a] < y[a] * x[i]:
                 a = i
             elif y[i] * x[b] > y[b] * x[i]:
                 b = i
+        ab = a, b
         lo_xb = y[a] * x[b]
         diff = y[b] * x[a] - lo_xb
         if diff * den <= lo_xb * num:
@@ -435,8 +469,9 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
         return y, None, diff.bit_length() - lo_xb.bit_length()
 
     x = [1] * len(succ)
-    for _ in range(_PREFIX_STEPS):
-        y, pair, gap_bits = scan(x)
+    for step in range(_PREFIX_STEPS):
+        # the last step is scanned in full: its gap ranks x against later vectors
+        y, pair, gap_bits = scan(x, screen=step < _PREFIX_STEPS - 1)
         if pair:
             return pair
         x, last = y, x
@@ -464,12 +499,12 @@ def _perron_bracket(succ: list[list[int]], rel_gap: Fraction) -> tuple[Fraction,
             stalled = True
     width = bits + 64
     x = best
-    # a bound only. Blocks get here whose Perron vector spans more than floats
-    # resolve, such as a 300-state path behind a clique; with the float
-    # stages switched off, the 60-cycle at rel_gap 3e-7 needs about 8 000 of
-    # the 41 000 steps this allows it
+    # a bound only. Blocks get here whose Perron vector the float stages miss,
+    # such as a 300-state path behind a clique; with the float stages
+    # switched off, the 60-cycle at rel_gap 3e-7 needs about 8 000 of the
+    # 41 000 steps this allows it
     for _ in range(8 * len(succ) * width):
-        y, pair, _ = scan(x)
+        y, pair, _ = scan(x, screen=True)
         if pair:
             return pair
         cut = min(y).bit_length() - width

@@ -714,6 +714,7 @@ def test_period_scan_reads_no_stored_center(tmp_path):
     for p in (1, 2, 3):
         cache.mark_scanned(p, [])
     found = logistic._scan_period(4, logistic.DEFAULT_EPS, cache)
+    assert cache.scanned[4] == ()  # no cell of period 4 left unresolved
     assert [c.period for c in cache.centers] == [4, 4]
     mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
     assert mids == pytest.approx([3.4985616, 3.9602701], abs=1e-6)

@@ -344,6 +344,40 @@ def test_perron_bracket_power_steps_alone(monkeypatch, succ, k):
     assert lo <= ref_hi and ref_lo <= hi
 
 
+def _clique_with_path(k, length):
+    """Successor lists of the k-clique with self-loops on states 0..k-1 and a
+    path k-1 -> k -> ... -> k + length - 1 -> 0 back to it."""
+    succ = [list(range(k)) for _ in range(k)]
+    succ[k - 1].append(k)
+    succ += [[i + 1] for i in range(k, k + length - 1)] + [[0]]
+    return succ
+
+
+def test_perron_bracket_clique_with_long_path(monkeypatch):
+    # the Perron vector falls by a factor 10 per state along the path, to
+    # about 1e-300, and the float stages do not settle it: the truncated
+    # power steps do. The float guide gives up after a round that gains
+    # nothing, so two factorizations are its and one is Newton's
+    steps, lus = [], []
+    times_b, lu = symbolic._times_b, symbolic._lu
+    monkeypatch.setattr(symbolic, "_times_b", lambda *args: steps.append(1) or times_b(*args))
+    monkeypatch.setattr(symbolic, "_lu", lambda rows: lus.append(1) or lu(rows))
+    succ = _clique_with_path(10, 300)
+    rel_gap = F(3, 10**7)
+    lo, hi = _perron_bracket(succ, rel_gap)
+    assert len(steps) > symbolic._PREFIX_STEPS + 100
+    assert len(lus) == 3
+    assert lo <= hi and hi - lo <= (lo + 1) * rel_gap
+    f_lo, f_hi = _float_perron(succ)
+    slack = 1e-9 * (f_hi + 1)
+    assert float(lo) - slack <= f_hi and f_lo <= float(hi) + slack
+
+
+def test_float_sums_run_left_to_right():
+    # sum() compensates from Python 3.12 on and would give 1.0 here
+    assert symbolic._fsum([1e16, 1.0, -1e16]) == 0.0
+
+
 def test_perron_bracket_builds_two_fractions(monkeypatch):
     calls = []
 
