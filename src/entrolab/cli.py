@@ -20,13 +20,14 @@ from typing import Optional
 
 from .numkit import format_rational, parse_rational
 from .interval_maps import (
+    DEFAULT_NODE_CAP,
     NodeCapExceeded,
     PWLMap,
     QuadMap,
     constant_slope_map,
     entropy_via_variation,
 )
-from .horseshoe import SearchBudget, search_lower_bounds
+from .horseshoe import QUAD_NODE_CAP, SearchBudget, search_lower_bounds
 from .symbolic import (
     SFT,
     check_mixing,
@@ -35,12 +36,13 @@ from .symbolic import (
     sft_entropy,
 )
 from .logistic import (
+    DEFAULT_EPS,
+    DEFAULT_PERIOD_CAP,
     BudgetExceeded,
     CenterCache,
     SandwichBudget,
     enumerate_centers,
     logistic_entropy,
-    resolve_cache_path,
 )
 
 EXIT_OK = 0
@@ -48,8 +50,8 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 # the finest entropy precision accepted is 2^-MAX_PRECISION_BITS: the cost of
-# the Perron bracket grows with the bits asked for, and --bits 100000 ran for
-# minutes on one center
+# the Perron bracket grows with the bits asked for, and a center precision of
+# 2^-100000 ran for minutes on one center
 MAX_PRECISION_BITS = 1024
 
 
@@ -120,18 +122,17 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
     r = _parse_fraction(args.r, "--r")
     eps = _parse_fraction(args.eps, "--eps")
     seconds = args.budget_seconds
-    if args.bits <= 0 or eps <= 0 or args.max_period <= 0:
+    if eps <= 0 or args.max_period <= 0:
         raise InputError("numeric options must be positive")
     if seconds is not None and not 0 < seconds < math.inf:
         raise InputError("--budget-seconds must be positive and finite")
-    _check_precision(eps, args.bits)
-    cache = CenterCache(resolve_cache_path(args.cache_path))
+    _check_precision(eps)
+    cache = CenterCache(args.cache_path)
     budget = SandwichBudget(max_period=args.max_period, seconds=seconds)
     start = time.monotonic()
     code = EXIT_OK
-    center_eps = min(Fraction(1, 2**args.bits), eps / 4)
     try:
-        bound = logistic_entropy(r, eps, budget, cache=cache, center_eps=center_eps)
+        bound = logistic_entropy(r, eps, budget, cache=cache)
     except BudgetExceeded as exc:
         bound = exc.best
         code = EXIT_BUDGET
@@ -157,14 +158,16 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
 
 def cmd_entropy_pwl(args: argparse.Namespace) -> int:
     f = _load_map(args.file)
-    if args.node_cap <= 0 or args.bits <= 0:
+    if (args.node_cap is not None and args.node_cap <= 0) or args.bits <= 0:
         raise InputError("numeric options must be positive")
     _check_precision(bits=args.bits)
     if args.method == "variation":
         if not isinstance(f, PWLMap):
             raise InputError("the variation method needs a piecewise-linear map")
         try:
-            bound = entropy_via_variation(f, args.n_max, bits=args.bits, node_cap=args.node_cap)
+            bound = entropy_via_variation(
+                f, args.n_max, bits=args.bits, node_cap=args.node_cap or DEFAULT_NODE_CAP
+            )
         except NodeCapExceeded as exc:
             raise InputError(f"{exc}; raise --node-cap or lower --n-max") from exc
         payload = {
@@ -275,7 +278,7 @@ def cmd_sft_kappa(args: argparse.Namespace) -> int:
 def cmd_centers(args: argparse.Namespace) -> int:
     eps = _parse_fraction(args.eps, "--eps")
     _check_precision(eps)
-    cache = CenterCache(resolve_cache_path(args.cache_path))
+    cache = CenterCache(args.cache_path)
     result = enumerate_centers(args.max_period, eps=eps, cache=cache)
     if args.format == "json":
         payload = {
@@ -320,10 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     logi = esub.add_parser("logistic", help="entropy of x -> r x (1-x)")
     logi.add_argument("--r", required=True, help="parameter in [0,4]; exact rational or decimal")
     logi.add_argument("--eps", required=True, help="target enclosure width")
-    logi.add_argument("--max-period", type=int, default=12)
-    logi.add_argument("--bits", type=int, default=24, help="center-entropy precision (2^-bits)")
+    logi.add_argument("--max-period", type=int, default=DEFAULT_PERIOD_CAP)
     logi.add_argument("--budget-seconds", type=float, default=None)
-    logi.add_argument("--cache-path", default=None, help="center cache (env ENTROLAB_CACHE overrides)")
+    logi.add_argument("--cache-path", default=None, help="center cache file")
     logi.set_defaults(func=cmd_entropy_logistic)
 
     pwl = esub.add_parser("pwl", help="entropy bounds for a stored map")
@@ -335,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     pwl.add_argument("--grid-depth", type=int, default=3)
     pwl.add_argument("--bits", type=int, default=32,
                      help="--method variation only; horseshoe bounds use 32 bits")
-    pwl.add_argument("--node-cap", type=int, default=1_000_000)
+    pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "
+                     f"or {QUAD_NODE_CAP} breakpoints for a quadratic map")
     pwl.set_defaults(func=cmd_entropy_pwl)
 
     realize = sub.add_parser("realize", help="construct a map with prescribed entropy")
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     centers = sub.add_parser("centers", help="enumerate superattracting centers")
     centers.add_argument("--max-period", type=int, required=True)
-    centers.add_argument("--eps", default="1/10000000")
+    centers.add_argument("--eps", default=format_rational(DEFAULT_EPS))
     centers.add_argument("--cache-path", default=None)
     centers.set_defaults(func=cmd_centers)
 

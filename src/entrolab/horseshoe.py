@@ -15,7 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .numkit import (
     ENCLOSURE_BITS,
@@ -40,6 +40,11 @@ _ZERO = Fraction(0)
 
 # precision of the log2(p)/n enclosure of each streamed bound
 _BOUND_BITS = 32
+
+# the default cap on the breakpoints of a quadratic iterate f^n, which
+# roughly double per iterate and each cost far more than a piecewise-linear
+# node: at r = 4 the stream stops at n = 16
+QUAD_NODE_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -134,7 +139,9 @@ def check_certificate(
 
     Piecewise-linear maps are checked exactly on the composed iterate f^n:
     ``iterate`` when the caller passes it (it must be f^n, as for the
-    search, which holds each iterate it scans), else composed here. For
+    search, which holds each iterate it scans), else composed here. The
+    integer image ends of each J_i (``PWLMap.image_ends``) are compared
+    with the hull by cross-multiplication. For
     quadratic maps only the endpoints of each J_i are iterated: the
     enclosure of f^n at one endpoint must lie strictly below the hull and
     the one at the other endpoint strictly above it, compared as integer
@@ -147,7 +154,11 @@ def check_certificate(
     hull = cert.hull
     if isinstance(f, PWLMap):
         g = iterate if iterate is not None else compose_iterate(f, cert.n, node_cap)
-        return all(g.image_on(iv).strictly_contains(hull) for iv in cert.intervals)
+        a, b = hull.lo, hull.hi
+        return all(
+            lo_n * a.denominator < a.numerator * lo_d and hi_n * b.denominator > b.numerator * hi_d
+            for lo_n, lo_d, hi_n, hi_d in map(g.image_ends, cert.intervals)
+        )
 
     # m/2**ENCLOSURE_BITS < p/q exactly when m*q < p << ENCLOSURE_BITS
     lo_d, lo_n = hull.lo.denominator, hull.lo.numerator << ENCLOSURE_BITS
@@ -388,12 +399,7 @@ def _quad_candidates(
             if not u < v:
                 ok = False
                 break
-            js.append(
-                RatInterval(
-                    dyadic_ceil(Fraction(u).limit_denominator(1 << bits), bits),
-                    dyadic_floor(Fraction(v).limit_denominator(1 << bits), bits),
-                )
-            )
+            js.append(RatInterval(dyadic_ceil(Fraction(u), bits), dyadic_floor(Fraction(v), bits)))
         if not ok:
             continue
         js.sort(key=lambda iv: iv.lo)
@@ -412,7 +418,7 @@ def search_lower_bounds(
     f: IntervalMap,
     budget: SearchBudget = SearchBudget(),
     *,
-    node_cap: int = DEFAULT_NODE_CAP,
+    node_cap: Optional[int] = None,
 ) -> Iterator[LowerBoundRecord]:
     """Stream verified certificates with strictly improving lower bounds.
 
@@ -422,8 +428,12 @@ def search_lower_bounds(
     budget, which is the correct outcome for zero-entropy maps. When an
     iterate would exceed ``node_cap`` nodes, or for a quadratic map
     ``node_cap`` breakpoints, the stream raises ``NodeCapExceeded`` after
-    the records found before it.
+    the records found before it. The default cap is ``DEFAULT_NODE_CAP``
+    nodes for a piecewise-linear map and ``QUAD_NODE_CAP`` breakpoints for
+    a quadratic one.
     """
+    if node_cap is None:
+        node_cap = DEFAULT_NODE_CAP if isinstance(f, PWLMap) else QUAD_NODE_CAP
     best: Fraction = _ZERO
     g = f
     for n in range(1, budget.max_n + 1):

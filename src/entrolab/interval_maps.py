@@ -121,10 +121,12 @@ class PWLMap:
         _, num, den = self._value(parse_rational(x))
         return Fraction(num, den)
 
-    def image_on(self, box: RatInterval) -> RatInterval:
-        """Exact image of a subinterval of [0, 1]: the values at its ends and
-        at the nodes strictly inside it (a node at its right end is taken
-        too, which changes nothing)."""
+    def image_ends(self, box: RatInterval) -> tuple[int, int, int, int]:
+        """(lo_n, lo_d, hi_n, hi_d): the exact image of a subinterval of
+        [0, 1] is [lo_n/lo_d, hi_n/hi_d], the least and greatest of the
+        values at its ends and at the nodes strictly inside it (a node at
+        its right end is taken too, which changes nothing). The
+        denominators are positive and the fractions not reduced."""
         i, lo_n, lo_d = self._value(box.lo)
         j, hi_n, hi_d = self._value(box.hi)
         if lo_n * hi_d > hi_n * lo_d:
@@ -136,7 +138,7 @@ class PWLMap:
                 lo_n, lo_d = low, self.Dy
             if high * hi_d > hi_n * self.Dy:
                 hi_n, hi_d = high, self.Dy
-        return RatInterval(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+        return lo_n, lo_d, hi_n, hi_d
 
     def canonical(self) -> "PWLMap":
         """Drop interior nodes lying exactly on the segment through their

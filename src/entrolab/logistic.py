@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -38,10 +38,10 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF_POINT = RatInterval.point(Fraction(1, 2))
 
-CACHE_ENV_VAR = "ENTROLAB_CACHE"
 CACHE_SCHEMA = 3
 
 DEFAULT_EPS = Fraction(1, 10**7)
+CENTER_EPS = Fraction(1, 1 << 24)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
 _SEPARATION_FLOOR = Fraction(1, 1 << 300)
 
@@ -314,14 +314,6 @@ class CenterCache:
         self._append(record)
 
 
-def resolve_cache_path(explicit: Union[str, Path, None]) -> Optional[Path]:
-    """The ENTROLAB_CACHE environment variable overrides any explicit path."""
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path(explicit) if explicit else None
-
-
 # ---------------------------------------------------------------------------
 # Center enumeration
 # ---------------------------------------------------------------------------
@@ -384,15 +376,7 @@ def _scan(p: int, eps: Fraction, cache: CenterCache) -> list[RatInterval]:
     return unresolved
 
 
-def _scan_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
-    """The stored centers of period p, in cache order, after scanning the
-    period when the cache lacks it; stored ones are returned as stored and
-    unparsed."""
-    if p not in cache.scanned:
-        cache.mark_scanned(p, _scan(p, eps, cache))
-    return [c for c in cache.centers if c.period == p]
-
-
+@lru_cache(maxsize=None)
 def _center_count(p: int) -> int:
     """The number of superattracting parameters of period p in (0, 4]:
     (1/2p) * sum over odd d | p of mu(d) 2^(p/d), with mu the Moebius
@@ -411,18 +395,21 @@ def _center_count(p: int) -> int:
 
 
 def _complete_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
-    """``_scan_period``, checked against the count of centers when the scan
-    marker lists no unresolved cell, since the marker then claims that the
-    file holds every center of period p. Fewer stored centers rescan the
-    period, which adds the missing ones to the file; a count that still
-    differs raises ValueError."""
-    stored = _scan_period(p, eps, cache)
+    """The stored centers of period p, in cache order and unparsed, after
+    scanning the period when the cache lacks it. A scan marker that lists
+    no unresolved cell claims that the file holds every center of period p,
+    so the count is then checked: fewer stored centers rescan the period,
+    which adds the missing ones to the file; a count that still differs
+    raises ValueError."""
+    if p not in cache.scanned:
+        cache.mark_scanned(p, _scan(p, eps, cache))
+    stored = [c for c in cache.centers if c.period == p]
     want = _center_count(p)
     if cache.scanned[p] or len(stored) == want:
         return stored
     if len(stored) < want:
         _scan(p, eps, cache)
-        stored = _scan_period(p, eps, cache)
+        stored = [c for c in cache.centers if c.period == p]
     if len(stored) != want:
         raise ValueError(
             f"the center cache holds {len(stored)} centers of period {p}, "
@@ -469,7 +456,7 @@ def enumerate_centers(
         raise ValueError("p_max must be >= 1")
     eps = parse_rational(eps)
     if not isinstance(cache, CenterCache):
-        cache = CenterCache(resolve_cache_path(cache))
+        cache = CenterCache(cache)
     _check_period_cap(p_max)
     stored = [c for p in range(1, p_max + 1) for c in _complete_period(p, eps, cache)]
     stored.sort(key=lambda c: (c.r_enc.lo, c.period))
@@ -519,7 +506,7 @@ def collect_brackets(
 
 @dataclass(frozen=True)
 class SandwichBudget:
-    max_period: int = 12
+    max_period: int = DEFAULT_PERIOD_CAP
     seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -534,21 +521,21 @@ def logistic_entropy(
     budget: SandwichBudget = SandwichBudget(),
     *,
     cache: Union[CenterCache, str, Path, None] = None,
-    center_eps: Optional[RationalLike] = None,
 ) -> EntropyBound:
     """Enclosure of the entropy of x -> r*x*(1-x) at the query parameter,
     of width <= eps.
 
     Below 3 the map has at most one attracting fixed point and the entropy
     is exactly 0; at 4 the map is conjugate to the full tent map and the
-    entropy is exactly 1. In between, for p = 1, 2, ... period p is scanned
-    when the cache lacks it, and the nearest center on each side of the
-    query (``collect_brackets``) among the pair held from period p - 1 and
-    the centers of period p tightens the bounds, until the enclosure is
-    tight enough: only a center of period p can be nearer than the held
-    one. When max_period or the deadline is reached first, a BudgetExceeded
-    carrying the best sound enclosure is raised. A budget with max_period
-    beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
+    entropy is exactly 1. In between, for p = 1, 2, ... period p is read as
+    ``enumerate_centers`` reads it, count check included, and the nearest
+    center on each side of the query (``collect_brackets``) among the pair
+    held from period p - 1 and the centers of period p bounds the entropy
+    by monotonicity, until the enclosure is tight enough: only a center of
+    period p can be nearer than the held one. Center entropies are refined
+    to min(CENTER_EPS, eps/4). When max_period or the deadline is reached
+    first, a BudgetExceeded carrying the best sound enclosure is raised. A
+    budget with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
     """
     _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
@@ -562,31 +549,21 @@ def logistic_entropy(
         return _EXACT_ZERO
     if query.is_point and query.lo == 4:
         return _EXACT_ONE
-    if center_eps is None:
-        center_eps = min(DEFAULT_EPS, eps / 4)
-    center_eps = parse_rational(center_eps)
+    center_eps = min(CENTER_EPS, eps / 4)
     if not isinstance(cache, CenterCache):
-        cache = CenterCache(resolve_cache_path(cache))
+        cache = CenterCache(cache)
     deadline = None if budget.seconds is None else time.monotonic() + budget.seconds
-    lo_bound = _ZERO
-    hi_bound = _ONE
     target = eps * Fraction(9, 10)
     below = above = None
     for p in range(1, budget.max_period + 1):
         held = [c for c in (below, above) if c is not None]
         below, above = collect_brackets(
-            query, held + _scan_period(p, center_eps, cache), eps=center_eps
+            query, held + _complete_period(p, center_eps, cache), eps=center_eps
         )
-        if below is not None:
-            lo_bound = max(lo_bound, below.entropy.lo)
-        if above is not None:
-            hi_bound = min(hi_bound, above.entropy.hi)
-        if lo_bound > hi_bound:
-            raise AssertionError("bracket soundness violated")
-        if hi_bound - lo_bound <= target:
-            return EntropyBound(lo_bound, hi_bound, Provenance.SANDWICH, certified=True)
+        lo = below.entropy.lo if below else _ZERO
+        hi = above.entropy.hi if above else _ONE
+        if hi - lo <= target:
+            return EntropyBound(lo, hi, Provenance.SANDWICH, certified=True)
         if deadline is not None and time.monotonic() > deadline:
             break
-    raise BudgetExceeded(
-        EntropyBound(lo_bound, hi_bound, Provenance.SANDWICH, certified=False)
-    )
+    raise BudgetExceeded(EntropyBound(lo, hi, Provenance.SANDWICH, certified=False))

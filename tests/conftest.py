@@ -1,14 +1,6 @@
-import os
-
 import pytest
 
 from entrolab.logistic import CenterCache
-
-
-@pytest.fixture(autouse=True)
-def _isolate_cache_env(monkeypatch):
-    # a stray environment cache must not leak into tests
-    monkeypatch.delenv("ENTROLAB_CACHE", raising=False)
 
 
 @pytest.fixture(scope="session")

@@ -147,6 +147,17 @@ def test_quad_horseshoe_node_cap_exit_3_fast(tmp_path, capsys):
     assert got.err.startswith("note: ") and "1000 breakpoints at n = 10" in got.err
 
 
+def test_quad_horseshoe_default_cap_exit_3(tmp_path, capsys):
+    # by default a quadratic iterate is capped at 2^16 breakpoints, so r = 4
+    # stops at n = 16; under the piecewise-linear default of 10^6 nodes it
+    # ran every n up to 19
+    path = write_json(tmp_path / "r4.json", {"r": "4"})
+    start = time.monotonic()
+    assert main(["entropy", "pwl", "--file", path, "--method", "horseshoe", "--max-n", "40"]) == 3
+    assert time.monotonic() - start < 5
+    assert "65536 breakpoints at n = 16" in capsys.readouterr().err
+
+
 def test_pwl_horseshoe_grid_depth_cap_exit_2_fast(tent_file, capsys):
     # the grid fallback tries 2^(d-1) (2^d + 1) targets per iterate; depth 40
     # ran past a 20 s timeout before it was refused
@@ -353,7 +364,7 @@ def test_sandwich_refines_each_center_once(period_9_path, capsys, monkeypatch):
         return refine(sft, eps)
 
     monkeypatch.setattr(logistic, "sft_entropy", counted)
-    argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9", "--bits", "40"]
+    argv = ["entropy", "logistic", "--r", "3.7", "--eps", f"1/{2**38}", "--max-period", "9"]
     assert main(argv + ["--cache-path", str(period_9_path)]) == 3
     assert 0 < len(sfts) == len(set(sfts))
 
@@ -418,7 +429,7 @@ def test_malformed_file_exit_2(tmp_path, capsys):
     assert main(["entropy", "logistic", "--r", "nope", "--eps", "1e-3"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--eps", "--max-period", "--bits", "--budget-seconds"])
+@pytest.mark.parametrize("flag", ["--eps", "--max-period", "--budget-seconds"])
 def test_logistic_nonpositive_option_exit_2(tmp_path, capsys, flag):
     argv = ["entropy", "logistic", "--r", "3.5", "--eps", "1/32"]
     argv += [flag, "0", "--cache-path", str(tmp_path / "c.jsonl")]
@@ -446,14 +457,12 @@ def _fill(argv, map_file, out):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["entropy", "logistic", "--r", "3.7", "--eps", "1/32", "--bits", "100000",
-         "--cache-path", "OUT"],
         ["entropy", "logistic", "--r", "3.7", "--eps", "1e-309", "--cache-path", "OUT"],
         ["centers", "--max-period", "1", "--eps", "1e-309", "--cache-path", "OUT"],
         ["realize", "--h", "0.6", "--bits", "1025", "--out", "OUT"],
         _PWL_VARIATION + ["--bits", "1025"],
     ],
-    ids=["logistic-bits", "logistic-eps", "centers-eps", "realize-bits", "pwl-bits"],
+    ids=["logistic-eps", "centers-eps", "realize-bits", "pwl-bits"],
 )
 def test_precision_beyond_cap_exit_2(tmp_path, capsys, skew_file, argv):
     # finer than 2^-1024 is refused before any Perron bracket runs or any
@@ -512,7 +521,7 @@ def test_logistic_beyond_period_cap_exit_2(tmp_path, capsys):
 
 
 def test_logistic_precision_at_cap(tmp_path, capsys):
-    argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--bits", "1024"]
+    argv = ["entropy", "logistic", "--r", "3.2", "--eps", f"1/{2**1024}"]
     assert main(argv + ["--max-period", "4", "--cache-path", str(tmp_path / "c.jsonl")]) == 0
 
 
@@ -713,7 +722,7 @@ def test_period_scan_reads_no_stored_center(tmp_path):
     cache = CenterCache(tmp_path / "c.jsonl")
     for p in (1, 2, 3):
         cache.mark_scanned(p, [])
-    found = logistic._scan_period(4, logistic.DEFAULT_EPS, cache)
+    found = logistic._complete_period(4, logistic.DEFAULT_EPS, cache)
     assert cache.scanned[4] == ()  # no cell of period 4 left unresolved
     assert [c.period for c in cache.centers] == [4, 4]
     mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
@@ -750,6 +759,55 @@ def test_centers_extra_record_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 2
     assert "holds 2 centers of period 3, but there are 1" in capsys.readouterr().err
+
+
+def test_logistic_extra_record_exit_2(tmp_path, capsys):
+    # the sandwich reads each period as `centers` does: a forged period-3
+    # record just below 3.84 with entropy 9/10 made it certify [9/10, 1]
+    # there, where the entropy is log2 of the golden ratio, about 0.694
+    path = tmp_path / "c.jsonl"
+    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[_center_line(lines, max) - 1])
+    record["r_enc"] = ["3839/1000", "3839/1000"]
+    record["entropy"] = {**record["entropy"], "lo": "9/10", "hi": "9/10"}
+    path.write_text("\n".join(lines + [json.dumps(record, sort_keys=True)]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    argv = ["--format", "json", "entropy", "logistic", "--r", "3.84", "--eps", "1/4",
+            "--max-period", "3", "--cache-path", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: the center cache holds 2 centers of period 3, but there are 1\n")
+
+
+def test_logistic_library_matches_cli(tmp_path, capsys):
+    # one center precision, min(2^-24, eps/4): the library returns the
+    # enclosure the CLI prints, and both write the same cache file
+    cli_path, lib_path = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+    argv = ["--format", "json", "entropy", "logistic", "--r", "3.7", "--eps", "1/32",
+            "--max-period", "6", "--cache-path", str(cli_path)]
+    code = main(argv)
+    printed = json.loads(capsys.readouterr().out)["h"]
+    try:
+        bound = logistic.logistic_entropy(
+            F(37, 10), F(1, 32), logistic.SandwichBudget(max_period=6), cache=lib_path
+        )
+    except logistic.BudgetExceeded as exc:
+        assert code == 3
+        bound = exc.best
+    assert printed == [format_rational(bound.lo), format_rational(bound.hi)]
+    assert cli_path.read_bytes() == lib_path.read_bytes()
+
+
+def test_cache_path_ignores_environment(tmp_path, capsys, monkeypatch):
+    # the cache comes from --cache-path alone; ENTROLAB_CACHE once overrode it
+    env = tmp_path / "env.jsonl"
+    monkeypatch.setenv("ENTROLAB_CACHE", str(env))
+    path = tmp_path / "c.jsonl"
+    query = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--max-period", "2"]
+    assert main(["centers", "--max-period", "2", "--cache-path", str(path)]) == 0
+    assert main(query + ["--cache-path", str(path)]) == 0
+    assert main(query) == 0
+    assert path.exists() and not env.exists()
 
 
 def test_unresolved_cells_stay_with_their_period(tmp_path, capsys):

@@ -169,10 +169,8 @@ def check(code: int, out: str, want_code: int, want_sha: str) -> None:
 
 def build_cache(tmp_path_factory, period: str, *eps: str) -> tuple:
     path = tmp_path_factory.mktemp("golden") / "centers.jsonl"
-    with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("ENTROLAB_CACHE", raising=False)
-        argv = ["centers", "--max-period", period, *eps, "--cache-path", str(path)]
-        code, out = run_json(argv)
+    argv = ["centers", "--max-period", period, *eps, "--cache-path", str(path)]
+    code, out = run_json(argv)
     return path, code, out
 
 

@@ -10,6 +10,7 @@ from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
 from entrolab.symbolic import SFT, EntropyBound, Provenance, sft_entropy
 import entrolab.logistic
 from entrolab.logistic import (
+    CENTER_EPS,
     DEFAULT_EPS,
     DEFAULT_ROOT_WIDTH,
     DEFAULT_PERIOD_CAP,
@@ -21,7 +22,6 @@ from entrolab.logistic import (
     enumerate_centers,
     logistic_entropy,
     markov_partition,
-    resolve_cache_path,
     _build_center,
     _markov_data,
     _SeparationError,
@@ -117,14 +117,6 @@ def test_enumeration_idempotent(session_cache, tmp_path):
     assert [c.r_enc for c in first.centers] == [c.r_enc for c in again.centers]
 
 
-def test_cache_env_override(monkeypatch, tmp_path):
-    monkeypatch.setenv("ENTROLAB_CACHE", str(tmp_path / "env.jsonl"))
-    assert resolve_cache_path("/elsewhere.jsonl") == tmp_path / "env.jsonl"
-    monkeypatch.delenv("ENTROLAB_CACHE")
-    assert resolve_cache_path("/elsewhere.jsonl").name == "elsewhere.jsonl"
-    assert resolve_cache_path(None) is None
-
-
 def test_collect_brackets_sides(session_cache, tmp_path):
     centers = enumerate_centers(8, cache=session_cache).centers
     below, above = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
@@ -159,10 +151,9 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
     try:
         logistic_entropy(
             F(383, 100),
-            F(1, 128),
+            F(1, 2**38),  # centers at 2^-40, finer than every stored enclosure
             SandwichBudget(max_period=8),
             cache=session_cache,
-            center_eps=F(1, 2**40),  # finer than every stored enclosure
         )
     except BudgetExceeded:
         pass
@@ -211,11 +202,9 @@ def _reference_sandwich(query, eps, max_period, centers_upto):
     return EntropyBound(lo, hi, Provenance.SANDWICH, certified=False)
 
 
-def _sandwich(query, eps, max_period, cache, center_eps):
+def _sandwich(query, eps, max_period, cache):
     try:
-        return logistic_entropy(
-            query, eps, SandwichBudget(max_period=max_period), cache=cache, center_eps=center_eps
-        )
+        return logistic_entropy(query, eps, SandwichBudget(max_period=max_period), cache=cache)
     except BudgetExceeded as exc:
         return exc.best
 
@@ -339,9 +328,15 @@ def test_rebuilt_sft_matches_scan(period_9_scan):
         assert fresh.sft == _inline_transitions(fresh.orbit_order)
 
 
-@pytest.mark.parametrize("center_eps", [F(1, 2**24), F(1, 2**40)], ids=["2^-24", "2^-40"])
-def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps):
-    # the pair held across periods gives the bound of a full rescan per period
+@pytest.mark.parametrize(
+    "center_eps, eps_choices",
+    [(F(1, 2**24), (F(1, 32), F(1, 128), F(1, 1000))), (F(1, 2**40), (F(1, 2**38),))],
+    ids=["2^-24", "2^-40"],
+)
+def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps, eps_choices):
+    # the final pair held across periods gives the running bound of a full
+    # rescan per period; the centers are refined to min(2^-24, eps/4)
+    assert all(min(CENTER_EPS, eps / 4) == center_eps for eps in eps_choices)
     cache = CenterCache(period_9_cache_path)
     refined = [entrolab.logistic._refined(c, center_eps) for c in cache.centers]  # cache order
     ends = sorted({e for c in refined if 3 < c.r_enc.lo for e in (c.r_enc.lo, c.r_enc.hi)})
@@ -354,14 +349,14 @@ def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps)
     queries += [RatInterval.point(e) for e in ends]  # on a center's end
     queries += [RatInterval(a, b) for a, b in zip(ends, ends[3:])]  # across centers
     queries += [RatInterval(F(3) + F(k, 40), F(3) + F(k + 1, 40)) for k in range(40)]
-    # each query at one of the nine (eps, max_period) pairs, in turn
-    pairs = [(eps, m) for eps in (F(1, 32), F(1, 128), F(1, 1000)) for m in (3, 6, 9)]
+    # each query at one of the (eps, max_period) pairs, in turn
+    pairs = [(eps, m) for eps in eps_choices for m in (3, 6, 9)]
     for k, query in enumerate(queries):
         eps, max_period = pairs[k % len(pairs)]
         want = _reference_sandwich(
             query, eps, max_period, lambda p: [c for c in refined if c.period <= p]
         )
-        assert _sandwich(query, eps, max_period, cache, center_eps) == want, query
+        assert _sandwich(query, eps, max_period, cache) == want, query
 
 
 def test_sandwich_matches_full_rescan_reference_cold(tmp_path):
@@ -369,14 +364,15 @@ def test_sandwich_matches_full_rescan_reference_cold(tmp_path):
     rng = random.Random(6)
     for k in range(6):
         query = RatInterval.point(F(3) + F(rng.randrange(1, 997), 997))
-        eps, max_period, center_eps = F(1, 128), k + 1, F(1, 2**30)
+        # eps 2^-28 refines the centers to 2^-30
+        eps, max_period, center_eps = F(1, 2**28), k + 1, F(1, 2**30)
         new, old = tmp_path / f"new{k}.jsonl", tmp_path / f"old{k}.jsonl"
         old_cache = CenterCache(old)
         want = _reference_sandwich(
             query, eps, max_period,
             lambda p: enumerate_centers(p, eps=center_eps, cache=old_cache).centers,
         )
-        assert _sandwich(query, eps, max_period, CenterCache(new), center_eps) == want
+        assert _sandwich(query, eps, max_period, CenterCache(new)) == want
         assert new.read_bytes() == old.read_bytes()
 
 

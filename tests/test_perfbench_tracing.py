@@ -45,7 +45,7 @@ def test_tracer_rows_of_one_sandwich(tmp_path):
     try:
         logistic.logistic_entropy(
             F(37, 10), F(1, 32), logistic.SandwichBudget(max_period=4),
-            cache=str(path), center_eps=F(1, 2**30),
+            cache=str(path),
         )
     except logistic.BudgetExceeded:
         pass
