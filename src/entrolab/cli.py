@@ -93,7 +93,7 @@ def _load_sft(path: str) -> SFT:
 def _parse_fraction(text: str, what: str) -> Fraction:
     try:
         return parse_rational(text)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 

@@ -28,6 +28,7 @@ from .numkit import (
     critical_orbit_expr,
     json_int,
     orbit_mantissas,
+    parse_interval,
     parse_rational,
     refine_root,
     root_isolate,
@@ -153,33 +154,51 @@ def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
 # the errors a malformed record raises, reported with its line
 _MALFORMED = (AttributeError, KeyError, TypeError, ValueError)
 
+# str in, as json.loads(str) but without its per-call checks; json.loads of
+# bytes would also detect the encoding of every line
+_decode = json.JSONDecoder().decode
+
 
 def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
     return ValueError(f"malformed line {line} in {path}: {exc!r}")
 
 
-class _Stored:
-    """A center of the cache. ``period`` and ``r_enc`` are parsed at load;
-    ``center()`` parses the rest on first use, rebuilds the SFT from the
-    orbit order, and keeps the result: the one place a stored center is
-    read. A query refines a center when it first becomes the nearest on a
-    side, and holds that refined ``Center`` from then on."""
+_Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
 
-    __slots__ = ("period", "r_enc", "_center", "_line", "_path")
+
+class _Stored:
+    """A center of the cache. ``period`` and ``ends``, the ``r_enc`` as
+    reduced integers with positive denominators, are read at load, and the
+    ``r_enc`` RatInterval is built from them on first read: for the centers
+    ``collect_brackets`` picks, and for every center ``enumerate_centers``
+    returns. ``center()`` parses the rest on first use, rebuilds the SFT
+    from the orbit order, and keeps the result: the one place a stored
+    center is read. A query refines a center when it first becomes the
+    nearest on a side, and holds that refined ``Center`` from then on."""
+
+    __slots__ = ("period", "ends", "_r_enc", "_center", "_line", "_path")
 
     def __init__(
         self,
         period: int,
-        r_enc: RatInterval,
+        ends: _Ends,
         center: Union[Center, dict],  # a Center, or the record still to parse
         line: int = 0,
         path: Optional[Path] = None,
     ):
         self.period = period
-        self.r_enc = r_enc
+        self.ends = ends
+        self._r_enc = center.r_enc if isinstance(center, Center) else None
         self._center = center
         self._line = line
         self._path = path
+
+    @property
+    def r_enc(self) -> RatInterval:
+        if self._r_enc is None:
+            lo_num, lo_den, hi_num, hi_den = self.ends
+            self._r_enc = RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+        return self._r_enc
 
     def center(self) -> Center:
         if not isinstance(self._center, Center):
@@ -197,6 +216,13 @@ class _Stored:
         return self._center
 
 
+def _ends(center: Union[Center, _Stored]) -> _Ends:
+    if isinstance(center, _Stored):
+        return center.ends
+    lo, hi = center.r_enc.lo, center.r_enc.hi
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
 class CenterCache:
     """Append-only JSON-lines store of computed centers.
 
@@ -209,9 +235,13 @@ class CenterCache:
 
     A center record holds ``period``, ``r_enc``, ``orbit_order`` and
     ``entropy``; its SFT is rebuilt from the order. Loading checks every
-    line's JSON, the header's schema, each record's ``type``, the ``period``
-    of a center or scan marker (a JSON integer >= 1), a center's ``r_enc``
-    and a scan marker's cells. A center's orbit order (a permutation of
+    line's UTF-8 and JSON, the header's schema, each record's ``type``, the
+    ``period`` of a center or scan marker (a JSON integer >= 1), a center's
+    ``r_enc`` and a scan marker's cells. A center's ``r_enc`` is read into
+    reduced integers, ``"p/q"`` text with no Fraction built, its ends
+    checked in order by cross-multiplication, and it is compared as
+    integers from then on: by the duplicate check at load and by
+    ``collect_brackets``. A center's orbit order (a permutation of
     0..period-1 with no empty transition row) and entropy are parsed on
     first use: by ``collect_brackets`` for the nearest center on a side of
     a query, and for every center ``enumerate_centers`` returns. A malformed
@@ -223,7 +253,8 @@ class CenterCache:
         self.centers: list[_Stored] = []
         # the unresolved cells of each scanned period
         self.scanned: dict[int, tuple[RatInterval, ...]] = {}
-        self._keys: set[tuple] = set()
+        # (period, *ends) of every center held
+        self._keys: set[tuple[int, ...]] = set()
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
         self._tail: Optional[tuple[int, str]] = None
@@ -236,10 +267,10 @@ class CenterCache:
         with open(self.path, "rb") as fh:
             for number, raw in enumerate(fh):
                 try:
-                    data = json.loads(raw) if raw.strip() else None
-                except ValueError:
+                    data = _decode(raw.decode()) if raw.strip() else None
+                except ValueError as exc:  # not UTF-8, or not JSON
                     if raw.endswith(b"\n"):
-                        raise
+                        raise _malformed(number + 1, self.path, exc) from exc
                     # the torn tail of an interrupted append; the next append cuts it
                     self._tail = (end, "")
                     return
@@ -259,26 +290,19 @@ class CenterCache:
 
     def _read_line(self, number: int, data: dict) -> None:
         if data.get("type") == "center":
-            stored = _Stored(
-                json_int(data["period"], 1),
-                RatInterval.from_json(data["r_enc"]),
-                data,
-                number + 1,
-                self.path,
-            )
-            if self._add_key(stored):
-                self.centers.append(stored)
+            period = json_int(data["period"], 1)
+            ends = parse_interval(data["r_enc"])
+            if self._add_key(period, ends):
+                self.centers.append(_Stored(period, ends, data, number + 1, self.path))
         elif data.get("type") == "scan":
             self.scanned[json_int(data["period"], 1)] = tuple(
                 RatInterval.from_json(iv) for iv in data.get("unresolved", [])
             )
 
-    def _add_key(self, center: Union[Center, _Stored]) -> bool:
-        """Record the center's key; False when it was there already. The key
-        holds integers: a Fraction hash computes a modular inverse."""
+    def _add_key(self, period: int, ends: _Ends) -> bool:
+        """Record the center's key; False when it was there already."""
         size = len(self._keys)
-        lo, hi = center.r_enc.lo, center.r_enc.hi
-        self._keys.add((center.period, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+        self._keys.add((period, *ends))
         return len(self._keys) > size
 
     def _append(self, record: dict) -> None:
@@ -297,9 +321,10 @@ class CenterCache:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def add_center(self, center: Center) -> None:
-        if not self._add_key(center):
+        ends = _ends(center)
+        if not self._add_key(center.period, ends):
             return
-        self.centers.append(_Stored(center.period, center.r_enc, center))
+        self.centers.append(_Stored(center.period, ends, center))
         self._append({k: v for k, v in center.to_json().items() if k != "sft"})
 
     def mark_scanned(self, period: int, unresolved: Sequence[RatInterval]) -> None:
@@ -474,6 +499,24 @@ _EXACT_ZERO = EntropyBound(_ZERO, _ZERO, Provenance.EXACT, certified=True)
 _EXACT_ONE = EntropyBound(_ONE, _ONE, Provenance.EXACT, certified=True)
 
 
+def _sign(a_num: int, a_den: int, b_num: int, b_den: int) -> int:
+    """The sign of a_num/a_den - b_num/b_den, for positive denominators."""
+    diff = a_num * b_den - b_num * a_den
+    return (diff > 0) - (diff < 0)
+
+
+def _precedes(a: tuple, b: tuple, *, by_hi: bool) -> bool:
+    """Whether the (ends, period, center) a goes before b as the nearest on
+    its side: below the query (``by_hi``) by the greatest hi, then the least
+    lo, then the least period; above it by the least lo, then the least
+    period."""
+    (a_lo_num, a_lo_den, a_hi_num, a_hi_den), a_period, _ = a
+    (b_lo_num, b_lo_den, b_hi_num, b_hi_den), b_period, _ = b
+    order = _sign(b_hi_num, b_hi_den, a_hi_num, a_hi_den) if by_hi else 0
+    order = order or _sign(a_lo_num, a_lo_den, b_lo_num, b_lo_den)
+    return order < 0 if order else a_period < b_period
+
+
 def collect_brackets(
     query: RatInterval,
     centers: Sequence[Union[Center, _Stored]],
@@ -487,20 +530,30 @@ def collect_brackets(
     (r_enc.lo, period), then to the first in ``centers``, so the choice does
     not depend on how ``centers`` is ordered otherwise. By the monotonicity
     of the entropy in the parameter, below.entropy.lo and above.entropy.hi
-    bound the entropy at the query. The search reads only each center's
-    r_enc and period; only these two centers are parsed from the cache and
-    get entropy enclosures of width <= eps, refined in memory where the
-    stored one is coarser.
+    bound the entropy at the query. The search compares only each center's
+    period and r_enc, the latter as integers by cross-multiplication; only
+    the two centers it picks are parsed from the cache and get entropy
+    enclosures of width <= eps, refined in memory where the stored one is
+    coarser.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
     eps = parse_rational(eps)
-    below = [c for c in centers if c.r_enc.hi < query.lo]
-    above = [c for c in centers if c.r_enc.lo > query.hi]
+    q_lo_num, q_lo_den = query.lo.numerator, query.lo.denominator
+    q_hi_num, q_hi_den = query.hi.numerator, query.hi.denominator
+    below = above = None  # the nearest (ends, period, center) so far on each side
+    for center in centers:
+        entry = (_ends(center), center.period, center)
+        lo_num, lo_den, hi_num, hi_den = entry[0]
+        if hi_num * q_lo_den < q_lo_num * hi_den:  # r_enc.hi < query.lo
+            if below is None or _precedes(entry, below, by_hi=True):
+                below = entry
+        elif lo_num * q_hi_den > q_hi_num * lo_den:  # r_enc.lo > query.hi
+            if above is None or _precedes(entry, above, by_hi=False):
+                above = entry
     return (
-        _refined(min(below, key=lambda c: (-c.r_enc.hi, c.r_enc.lo, c.period)), eps)
-        if below else None,
-        _refined(min(above, key=lambda c: (c.r_enc.lo, c.period)), eps) if above else None,
+        _refined(below[2], eps) if below else None,
+        _refined(above[2], eps) if above else None,
     )
 
 

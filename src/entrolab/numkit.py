@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -60,13 +60,26 @@ class PrecisionError(ValueError):
     """An enclosure cannot be produced at the requested precision."""
 
 
+def _split_ratio(text: str) -> Optional[tuple[int, int]]:
+    """format_rational's "p/q" as the integers (p, q), not reduced, with no
+    regex; None for any other text. A zero q is refused with ValueError."""
+    num, slash, den = text.partition("/")
+    if not (slash and den.isdecimal() and num.removeprefix("-").isdecimal()):
+        return None
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return int(num), q
+
+
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse "p/q", integer, or decimal/scientific text into an exact Fraction.
 
     Decimal inputs are exact: "3.5" becomes 7/2, never a float, and a bool
     is refused like a float, so a JSON ``true`` is never read as 1. A
     decimal exponent beyond 4300 in absolute value is refused with
-    ValueError before any power of ten is formed.
+    ValueError before any power of ten is formed, and so is a zero
+    denominator.
     """
     if isinstance(text, Fraction):
         return text
@@ -75,9 +88,9 @@ def parse_rational(text: RationalLike) -> Fraction:
             f"refusing to convert a {type(text).__name__}; pass a string or Fraction"
         )
     if isinstance(text, str):
-        num, slash, den = text.partition("/")
-        if slash and den.isdecimal() and num.removeprefix("-").isdecimal():
-            return Fraction(int(num), int(den))  # format_rational's "p/q", no regex
+        pair = _split_ratio(text)
+        if pair is not None:
+            return Fraction(*pair)
         match = ("e" in text or "E" in text) and _EXPONENT.search(text)
         if match:
             digits = match.group(1).replace("_", "").lstrip("0")
@@ -85,7 +98,36 @@ def parse_rational(text: RationalLike) -> Fraction:
                 raise ValueError(
                     f"decimal exponent beyond {_MAX_DECIMAL_EXPONENT} in absolute value"
                 )
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _parse_ratio(text: RationalLike) -> tuple[int, int]:
+    """The rational as its reduced (numerator, denominator), denominator > 0.
+    format_rational's "p/q" is read as two integers divided by their gcd,
+    with no Fraction built; any other input goes through parse_rational,
+    with its refusals."""
+    pair = _split_ratio(text) if isinstance(text, str) else None
+    if pair is None:
+        q = parse_rational(text)
+        return q.numerator, q.denominator
+    num, den = pair
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def parse_interval(data: object) -> tuple[int, int, int, int]:
+    """A JSON interval [lo, hi] as (lo_num, lo_den, hi_num, hi_den), each
+    end read by _parse_ratio; lo <= hi is checked by cross-multiplication."""
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError("interval JSON must be a two-element array")
+    (lo_num, lo_den), (hi_num, hi_den) = _parse_ratio(data[0]), _parse_ratio(data[1])
+    if lo_num * hi_den > hi_num * lo_den:
+        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+        raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+    return lo_num, lo_den, hi_num, hi_den
 
 
 def json_int(value: object, least: int) -> int:
@@ -182,9 +224,8 @@ class RatInterval:
 
     @classmethod
     def from_json(cls, data: list[str]) -> "RatInterval":
-        if not isinstance(data, (list, tuple)) or len(data) != 2:
-            raise ValueError("interval JSON must be a two-element array")
-        return cls(data[0], data[1])  # parsed once, by __post_init__
+        lo_num, lo_den, hi_num, hi_den = parse_interval(data)
+        return cls(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
 
 
 # ---------------------------------------------------------------------------

@@ -218,16 +218,21 @@ def test_empty_cache_file_gets_header(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ['{"type": "cen', '{"type": "center"}', "[1, 2]"], ids=["json", "keys", "shape"]
+    "line",
+    [b'{"type": "cen', b'{"type": "center"}', b"[1, 2]", b'{"type": "cen\x01ter"}',
+     b'{"type": "\xff"}'],
+    ids=["json", "keys", "shape", "control", "utf-8"],
 )
 def test_logistic_malformed_cache_line_exit_2(tmp_path, capsys, line):
+    # a line that is not JSON, or not UTF-8, is named like any other
+    # malformed record; it was reported by its column alone
     path = tmp_path / "c.jsonl"
     assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
-    header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-    path.write_text(header + "\n" + line + "\n" + rest, encoding="utf-8")
+    header, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(header + b"\n" + line + b"\n" + rest)
     argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--cache-path", str(path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: malformed line 2 in {path}")
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +315,34 @@ def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lin
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def _entropy_with_lo(lines, number, lo):
+    return {**json.loads(lines[number - 1])["entropy"], "lo": lo}
+
+
+@pytest.mark.parametrize(
+    "where", ["r_enc", "entropy", "scan-cell", "map-node", "quad-r"]
+)
+def test_zero_denominator_exit_2(tmp_path, capsys, period_5_lines, where):
+    # "p/0" escaped as ZeroDivisionError, a traceback and exit 1
+    if where in ("map-node", "quad-r"):
+        payload = {"nodes": [["0/1", "0/1"], ["1/2", "1/0"], ["1/1", "0/1"]]}
+        path = write_json(tmp_path / "m.json", payload if where == "map-node" else {"r": "1/0"})
+        assert main(["entropy", "pwl", "--file", path, "--method", "horseshoe"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
+        return
+    if where == "scan-cell":
+        number = next(n for n, line in enumerate(period_5_lines, 1) if '"scan"' in line)
+        fields = {"unresolved": [["1/0", "1/1"]]}
+    else:
+        number = _center_line(period_5_lines, max)
+        fields = {"r_enc": ["1/0", "4/1"]} if where == "r_enc" else {
+            "entropy": _entropy_with_lo(period_5_lines, number, "1/0")}
+    path = tmp_path / "c.jsonl"
+    path.write_text(_with(period_5_lines, number, **fields), encoding="utf-8")
+    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: malformed line {number} in {path}")
+
+
 def test_repeated_center_record_skipped_unread(tmp_path, capsys, period_5_lines):
     # a record with an earlier center's period and r_enc is skipped before
     # its orbit order is parsed: output and appended lines are as without it
@@ -351,6 +384,28 @@ def test_sandwich_parses_only_bracketing_centers(period_9_path, capsys, monkeypa
     argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
     assert main(argv + ["--cache-path", str(path)]) == 3
     assert 0 < len(calls) <= 2 * 9
+
+
+def test_sandwich_builds_intervals_only_for_bracketing_centers(period_9_path, capsys, monkeypatch):
+    # a stored center's r_enc stays integers until the center is picked; the
+    # RatInterval is built for at most the two bracketing centers of each
+    # period, where every one of the 66 was built at load
+    stored = set()
+    for line in period_9_path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record.get("type") == "center":
+            stored.add(tuple(parse_rational(v) for v in record["r_enc"]))
+    check = RatInterval.__post_init__
+    built = []
+
+    def counted(self):
+        check(self)
+        built.append((self.lo, self.hi))
+
+    monkeypatch.setattr(RatInterval, "__post_init__", counted)
+    argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
+    assert main(argv + ["--cache-path", str(period_9_path)]) == 3
+    assert 0 < sum(ends in stored for ends in built) <= 2 * 9
 
 
 def test_sandwich_refines_each_center_once(period_9_path, capsys, monkeypatch):

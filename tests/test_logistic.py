@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
+from entrolab.numkit import RatInterval, critical_orbit_expr, format_rational, root_isolate
 from entrolab.symbolic import SFT, EntropyBound, Provenance, sft_entropy
 import entrolab.logistic
 from entrolab.logistic import (
@@ -407,6 +408,82 @@ def test_collect_brackets_ties_follow_sorted_rule():
         assert got[0] is want[0] is below[1]
         assert got[1] is want[1]
         assert got[1] is next(c for c in centers if c in above[1:3])
+
+
+# orbit orders that rebuild to a valid SFT, by period
+_HAND_ORDERS = {1: [0], 2: [1, 0], 3: [2, 0, 1]}
+_hand_end = st.sampled_from([1, 2, 4, 5, 8]).flatmap(
+    lambda d: st.integers(0, 4 * d).map(lambda n: F(n, d))
+)
+_hand_style = st.sampled_from(["p/q", "2p/2q", "decimal", "int"])
+_hand_record = st.tuples(_hand_end, _hand_end, st.integers(1, 3), _hand_style, _hand_style)
+# a query end: a value, or the lo (even) or hi (odd) end of a record
+_query_end = st.one_of(_hand_end, st.integers(0, 23))
+
+
+def _cache_text(q, style):
+    """q as a cache file may spell it: canonical "p/q", unreduced, decimal
+    text, or a JSON integer; a style that cannot spell q gives "p/q"."""
+    if style == "int" and q.denominator == 1:
+        return q.numerator
+    if style == "decimal" and 1000 % q.denominator == 0:
+        m = int(q * 1000)
+        return f"{m // 1000}.{m % 1000:03d}"
+    if style == "2p/2q":
+        return f"{2 * q.numerator}/{2 * q.denominator}"
+    return format_rational(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(_hand_record, min_size=1, max_size=12),
+    queries=st.lists(st.tuples(_query_end, _query_end, st.booleans()), min_size=1, max_size=4),
+)
+@example(
+    records=[(F(3, 2), F(2), 2, "2p/2q", "p/q"), (F(3, 2), F(2), 2, "p/q", "int"),
+             (F(3, 2), F(5, 2), 2, "decimal", "p/q"), (F(1), F(3, 2), 1, "int", "2p/2q")],
+    queries=[(0, 1, True), (1, 3, False), (F(3, 2), F(3, 2), False)],
+)
+def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, queries):
+    # the loader reads r_enc as integers and collect_brackets compares them
+    # by cross-multiplication; both agree with Fraction arithmetic, dedupe
+    # "6/4" against "3/2", and pick the reference's centers on every tie
+    lines = [json.dumps({"schema": entrolab.logistic.CACHE_SCHEMA})]
+    for lo, hi, period, lo_style, hi_style in records:
+        lo, hi = min(lo, hi), max(lo, hi)
+        entropy = {"lo": "0/1", "hi": "0/1", "provenance": "SFT", "certified": True}
+        lines.append(json.dumps({
+            "type": "center", "period": period, "orbit_order": _HAND_ORDERS[period],
+            "r_enc": [_cache_text(lo, lo_style), _cache_text(hi, hi_style)], "entropy": entropy,
+        }))
+    path = tmp_path_factory.getbasetemp() / "hand.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    kept, keys = [], set()
+    for line in lines[1:]:
+        record = json.loads(line)
+        r_enc = RatInterval(*(F(v) for v in record["r_enc"]))
+        if (record["period"], r_enc) not in keys:
+            keys.add((record["period"], r_enc))
+            kept.append(record)
+    stored = CenterCache(path).centers
+    assert len(stored) == len(kept)
+    for center, record in zip(stored, kept):
+        assert center.period == record["period"]
+        assert center.r_enc == RatInterval.from_json(record["r_enc"])
+        assert center.r_enc == RatInterval(*(F(v) for v in record["r_enc"]))
+    ends = [e for c in stored for e in (c.r_enc.lo, c.r_enc.hi)]
+    for a, b, point in queries:
+        a, b = (ends[v % len(ends)] if type(v) is int else v for v in (a, b))
+        query = RatInterval.point(a) if point else RatInterval(min(a, b), max(a, b))
+        # a fresh load, its centers unread, with every third one parsed: the
+        # search takes a Center as it takes a stored center
+        fresh = CenterCache(path).centers
+        mixed = [c.center() if i % 3 == 0 else c for i, c in enumerate(fresh)]
+        got = collect_brackets(query, mixed, eps=CENTER_EPS)
+        want = _reference_bracket(query, stored)
+        assert [(c.period, c.r_enc) if c else None for c in got] == [
+            (c.period, c.r_enc) if c else None for c in want
+        ]
 
 
 def test_sandwich_at_7_halves(session_cache):
