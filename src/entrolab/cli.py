@@ -278,8 +278,7 @@ def cmd_sft_kappa(args: argparse.Namespace) -> int:
 def cmd_centers(args: argparse.Namespace) -> int:
     eps = _parse_fraction(args.eps, "--eps")
     _check_precision(eps)
-    cache = CenterCache(args.cache_path)
-    result = enumerate_centers(args.max_period, eps=eps, cache=cache)
+    result = enumerate_centers(args.max_period, eps=eps, cache=args.cache_path)
     if args.format == "json":
         payload = {
             "max_period": args.max_period,

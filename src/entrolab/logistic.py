@@ -39,7 +39,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF_POINT = RatInterval.point(Fraction(1, 2))
 
-CACHE_SCHEMA = 3
+CACHE_SCHEMA = 4
 
 DEFAULT_EPS = Fraction(1, 10**7)
 CENTER_EPS = Fraction(1, 1 << 24)
@@ -226,22 +226,21 @@ def _ends(center: Union[Center, _Stored]) -> _Ends:
 class CenterCache:
     """Append-only JSON-lines store of computed centers.
 
-    The first line is a schema header; subsequent lines are center records
-    and per-period scan-complete markers, each with the period's unresolved
-    cells. Reruns reuse complete periods and never duplicate or rewrite
-    existing lines. A final line without its newline that does not parse is
-    the torn tail of an interrupted append: loading ignores it and the next
-    append cuts it off.
+    The first line is a schema header and every later line that is not
+    blank is a center record. A period is complete when the file holds its
+    number of centers (``_center_count``); reruns reuse complete periods
+    and never duplicate or rewrite existing lines. A final line without its
+    newline that does not parse is the torn tail of an interrupted append:
+    loading ignores it and the next append cuts it off.
 
     A center record holds ``period``, ``r_enc``, ``orbit_order`` and
     ``entropy``; its SFT is rebuilt from the order. Loading checks every
-    line's UTF-8 and JSON, the header's schema, each record's ``type``, the
-    ``period`` of a center or scan marker (a JSON integer >= 1), a center's
-    ``r_enc`` and a scan marker's cells. A center's ``r_enc`` is read into
-    reduced integers, ``"p/q"`` text with no Fraction built, its ends
-    checked in order by cross-multiplication, and it is compared as
-    integers from then on: by the duplicate check at load and by
-    ``collect_brackets``. A center's orbit order (a permutation of
+    line's UTF-8 and JSON, the header's schema, and each record's ``type``
+    (``"center"``), ``period`` (a JSON integer >= 1) and ``r_enc``. The
+    ``r_enc`` is read into reduced integers, ``"p/q"`` text with no
+    Fraction built, its ends checked in order by cross-multiplication, and
+    it is compared as integers from then on: by the duplicate check at
+    load and by ``collect_brackets``. A center's orbit order (a permutation of
     0..period-1 with no empty transition row) and entropy are parsed on
     first use: by ``collect_brackets`` for the nearest center on a side of
     a query, and for every center ``enumerate_centers`` returns. A malformed
@@ -251,8 +250,6 @@ class CenterCache:
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
         self.centers: list[_Stored] = []
-        # the unresolved cells of each scanned period
-        self.scanned: dict[int, tuple[RatInterval, ...]] = {}
         # (period, *ends) of every center held
         self._keys: set[tuple[int, ...]] = set()
         # (offset, text): where the next append must start and what it
@@ -266,8 +263,9 @@ class CenterCache:
         raw = b"\n"
         with open(self.path, "rb") as fh:
             for number, raw in enumerate(fh):
+                blank = raw.isspace()
                 try:
-                    data = _decode(raw.decode()) if raw.strip() else None
+                    data = None if blank else _decode(raw.decode())
                 except ValueError as exc:  # not UTF-8, or not JSON
                     if raw.endswith(b"\n"):
                         raise _malformed(number + 1, self.path, exc) from exc
@@ -275,29 +273,24 @@ class CenterCache:
                     self._tail = (end, "")
                     return
                 end += len(raw)
-                if data is None:
-                    continue
                 if number == 0:
                     if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
                         raise ValueError(f"unsupported cache schema in {self.path}")
-                    continue
-                try:
-                    self._read_line(number, data)
-                except _MALFORMED as exc:
-                    raise _malformed(number + 1, self.path, exc) from exc
+                elif not blank:
+                    try:
+                        self._read_line(number, data)
+                    except _MALFORMED as exc:
+                        raise _malformed(number + 1, self.path, exc) from exc
         if not raw.endswith(b"\n"):
             self._tail = (end, "\n")
 
     def _read_line(self, number: int, data: dict) -> None:
-        if data.get("type") == "center":
-            period = json_int(data["period"], 1)
-            ends = parse_interval(data["r_enc"])
-            if self._add_key(period, ends):
-                self.centers.append(_Stored(period, ends, data, number + 1, self.path))
-        elif data.get("type") == "scan":
-            self.scanned[json_int(data["period"], 1)] = tuple(
-                RatInterval.from_json(iv) for iv in data.get("unresolved", [])
-            )
+        if data.get("type") != "center":
+            raise ValueError("not a center record")
+        period = json_int(data["period"], 1)
+        ends = parse_interval(data["r_enc"])
+        if self._add_key(period, ends):
+            self.centers.append(_Stored(period, ends, data, number + 1, self.path))
 
     def _add_key(self, period: int, ends: _Ends) -> bool:
         """Record the center's key; False when it was there already."""
@@ -326,17 +319,6 @@ class CenterCache:
             return
         self.centers.append(_Stored(center.period, ends, center))
         self._append({k: v for k, v in center.to_json().items() if k != "sft"})
-
-    def mark_scanned(self, period: int, unresolved: Sequence[RatInterval]) -> None:
-        if period in self.scanned:
-            return
-        record = {
-            "type": "scan",
-            "period": period,
-            "unresolved": [iv.to_json() for iv in unresolved],
-        }
-        self.scanned[period] = tuple(unresolved)
-        self._append(record)
 
 
 # ---------------------------------------------------------------------------
@@ -419,28 +401,29 @@ def _center_count(p: int) -> int:
     return total // (2 * p)
 
 
-def _complete_period(p: int, eps: Fraction, cache: CenterCache) -> list[_Stored]:
-    """The stored centers of period p, in cache order and unparsed, after
-    scanning the period when the cache lacks it. A scan marker that lists
-    no unresolved cell claims that the file holds every center of period p,
-    so the count is then checked: fewer stored centers rescan the period,
-    which adds the missing ones to the file; a count that still differs
-    raises ValueError."""
-    if p not in cache.scanned:
-        cache.mark_scanned(p, _scan(p, eps, cache))
-    stored = [c for c in cache.centers if c.period == p]
+def _complete_period(
+    p: int, eps: Fraction, cache: CenterCache
+) -> tuple[list[_Stored], list[RatInterval]]:
+    """The stored centers of period p, in cache order and unparsed, and the
+    unresolved cells of period p. A cache that holds fewer than
+    ``_center_count(p)`` centers of period p has the period scanned, which
+    adds the missing ones to it; the cells the scan leaves unresolved are
+    returned while the period is still short. A count that is too high, or
+    still short after a scan that left no cell unresolved, raises
+    ValueError."""
     want = _center_count(p)
-    if cache.scanned[p] or len(stored) == want:
-        return stored
+    stored = [c for c in cache.centers if c.period == p]
     if len(stored) < want:
-        _scan(p, eps, cache)
+        unresolved = _scan(p, eps, cache)
         stored = [c for c in cache.centers if c.period == p]
+        if len(stored) < want and unresolved:
+            return stored, unresolved
     if len(stored) != want:
         raise ValueError(
             f"the center cache holds {len(stored)} centers of period {p}, "
             f"but there are {want}"
         )
-    return stored
+    return stored, []
 
 
 def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
@@ -471,24 +454,29 @@ def enumerate_centers(
     Each accepted root is assigned its induced subshift. Every returned
     center carries a certified entropy enclosure of width <= eps; stored
     enclosures coarser than that are refined in memory and never written
-    back. The unresolved cells are those of the scans of periods 1..p_max,
-    in period order. A period scanned with no unresolved cell must hold
-    the known number of centers: fewer rescan it, and more raise
-    ValueError. Periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
+    back. A period is complete when the cache holds its known number of
+    centers; a period short of it is scanned, and one with more raises
+    ValueError. The unresolved cells are those of the periods still short
+    after this run's scan, in period order: a complete period has no cell
+    that could hold a missing center. A nonpositive eps is refused before
+    the cache is read, and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
     refused, as in the sandwich: scan cost grows steeply with the period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
     eps = parse_rational(eps)
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     if not isinstance(cache, CenterCache):
         cache = CenterCache(cache)
     _check_period_cap(p_max)
-    stored = [c for p in range(1, p_max + 1) for c in _complete_period(p, eps, cache)]
+    stored, unresolved = [], []
+    for p in range(1, p_max + 1):
+        centers, cells = _complete_period(p, eps, cache)
+        stored += centers
+        unresolved += cells
     stored.sort(key=lambda c: (c.r_enc.lo, c.period))
-    return EnumerationResult(
-        tuple(_refined(c, eps) for c in stored),
-        tuple(iv for p in range(1, p_max + 1) for iv in cache.scanned[p]),
-    )
+    return EnumerationResult(tuple(_refined(c, eps) for c in stored), tuple(unresolved))
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +599,7 @@ def logistic_entropy(
     for p in range(1, budget.max_period + 1):
         held = [c for c in (below, above) if c is not None]
         below, above = collect_brackets(
-            query, held + _complete_period(p, center_eps, cache), eps=center_eps
+            query, held + _complete_period(p, center_eps, cache)[0], eps=center_eps
         )
         lo = below.entropy.lo if below else _ZERO
         hi = above.entropy.hi if above else _ONE

@@ -205,7 +205,7 @@ def test_logistic_torn_cache_tail(tmp_path, capsys, tail):
     assert outputs[0] == outputs[1]
     # the run appended period 2 after cutting the tail, so the files agree
     assert torn.read_bytes() == clean.read_bytes()
-    assert CenterCache(torn).scanned.keys() == {1, 2}
+    assert [c.period for c in CenterCache(torn).centers] == [1, 2]
 
 
 def test_empty_cache_file_gets_header(tmp_path, capsys):
@@ -220,12 +220,15 @@ def test_empty_cache_file_gets_header(tmp_path, capsys):
 @pytest.mark.parametrize(
     "line",
     [b'{"type": "cen', b'{"type": "center"}', b"[1, 2]", b'{"type": "cen\x01ter"}',
-     b'{"type": "\xff"}'],
-    ids=["json", "keys", "shape", "control", "utf-8"],
+     b'{"type": "\xff"}', b'{"type": "centre", "period": 1, "r_enc": ["2/1", "2/1"]}', b"{}",
+     b"null", b'{"type": "scan", "period": 1, "unresolved": []}'],
+    ids=["json", "keys", "shape", "control", "utf-8", "centre", "empty", "null", "scan"],
 )
 def test_logistic_malformed_cache_line_exit_2(tmp_path, capsys, line):
     # a line that is not JSON, or not UTF-8, is named like any other
-    # malformed record; it was reported by its column alone
+    # malformed record; it was reported by its column alone. Every line
+    # after the header is a center record: one of another type, `{}` or
+    # `null` was skipped unread
     path = tmp_path / "c.jsonl"
     assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
     header, rest = path.read_bytes().split(b"\n", 1)
@@ -320,7 +323,7 @@ def _entropy_with_lo(lines, number, lo):
 
 
 @pytest.mark.parametrize(
-    "where", ["r_enc", "entropy", "scan-cell", "map-node", "quad-r"]
+    "where", ["r_enc", "entropy", "map-node", "quad-r"]
 )
 def test_zero_denominator_exit_2(tmp_path, capsys, period_5_lines, where):
     # "p/0" escaped as ZeroDivisionError, a traceback and exit 1
@@ -330,13 +333,9 @@ def test_zero_denominator_exit_2(tmp_path, capsys, period_5_lines, where):
         assert main(["entropy", "pwl", "--file", path, "--method", "horseshoe"]) == 2
         assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
         return
-    if where == "scan-cell":
-        number = next(n for n, line in enumerate(period_5_lines, 1) if '"scan"' in line)
-        fields = {"unresolved": [["1/0", "1/1"]]}
-    else:
-        number = _center_line(period_5_lines, max)
-        fields = {"r_enc": ["1/0", "4/1"]} if where == "r_enc" else {
-            "entropy": _entropy_with_lo(period_5_lines, number, "1/0")}
+    number = _center_line(period_5_lines, max)
+    fields = {"r_enc": ["1/0", "4/1"]} if where == "r_enc" else {
+        "entropy": _entropy_with_lo(period_5_lines, number, "1/0")}
     path = tmp_path / "c.jsonl"
     path.write_text(_with(period_5_lines, number, **fields), encoding="utf-8")
     assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
@@ -696,7 +695,7 @@ def test_cached_certified_missing_reads_false(tmp_path, capsys):
     assert [c["entropy"]["certified"] for c in printed if c["period"] == 3] == [False]
 
 
-@pytest.mark.parametrize("record", ["center", "scan"])
+@pytest.mark.parametrize("record", ["center"])
 @pytest.mark.parametrize(
     "value", [True, "5", 5.0, 7.9, 0, -3], ids=["true", "text", "float", "fraction", "zero", "negative"]
 )
@@ -772,22 +771,19 @@ def test_json_output_deterministic(golden_file, capsys):
 
 
 def test_period_scan_reads_no_stored_center(tmp_path):
-    # scan markers for periods 1-3 without their center records: the period-4
-    # scan tells the period-2 root 1 + sqrt(5) apart by its own orbit
+    # on an empty cache, the period-4 scan tells the period-2 root
+    # 1 + sqrt(5) apart by its own orbit, with no period-2 center stored
     cache = CenterCache(tmp_path / "c.jsonl")
-    for p in (1, 2, 3):
-        cache.mark_scanned(p, [])
-    found = logistic._complete_period(4, logistic.DEFAULT_EPS, cache)
-    assert cache.scanned[4] == ()  # no cell of period 4 left unresolved
+    found, unresolved = logistic._complete_period(4, logistic.DEFAULT_EPS, cache)
+    assert unresolved == []
     assert [c.period for c in cache.centers] == [4, 4]
     mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
     assert mids == pytest.approx([3.4985616, 3.9602701], abs=1e-6)
 
 
 def test_centers_rescans_period_missing_a_record(tmp_path, capsys):
-    # the scan marker of period 3 lists no unresolved cell, so it claims the
-    # file holds every period-3 center; with the one record deleted, the
-    # count falls short and the period is scanned again
+    # with the one period-3 record deleted, the file holds fewer period-3
+    # centers than the count, so the period is scanned again
     path = tmp_path / "c.jsonl"
     argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
     assert main(argv) == 0
@@ -865,12 +861,52 @@ def test_cache_path_ignores_environment(tmp_path, capsys, monkeypatch):
     assert path.exists() and not env.exists()
 
 
-def test_unresolved_cells_stay_with_their_period(tmp_path, capsys):
-    # a scan record's cells are listed only up to a --max-period that reaches it
+def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
+    # a period-5 scan that cannot certify the root near 3.9903 leaves its
+    # cell unresolved and the period one center short: the cell is listed
+    # with exit 0, and a rerun scans the period again and lists it again
+    build = logistic._build_center
+    failed = []
+
+    def build_or_fail(expr, root, period, eps):
+        if period == 5 and root.lo > F(398, 100):
+            failed.append(root)
+            raise logistic.RefinementBudgetError("forced")
+        return build(expr, root, period, eps)
+
+    monkeypatch.setattr(logistic, "_build_center", build_or_fail)
     path = tmp_path / "c.jsonl"
-    cell = RatInterval(F(39, 10), F(391, 100))
-    CenterCache(path).mark_scanned(5, [cell])
-    assert enumerate_centers(1, cache=CenterCache(path)).unresolved == ()
-    assert main(["centers", "--max-period", "1", "--cache-path", str(path)]) == 0
-    assert "UNRESOLVED" not in capsys.readouterr().out
-    assert enumerate_centers(5, cache=CenterCache(path)).unresolved == (cell,)
+    argv = ["--format", "json", "centers", "--max-period", "5", "--cache-path", str(path)]
+    for run in (1, 2):
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(failed) == run
+        assert payload["unresolved"] == [failed[0].to_json()]
+        assert [c["period"] for c in payload["centers"]].count(5) == 2
+    assert [c.period for c in CenterCache(path).centers].count(5) == 2
+
+
+@pytest.mark.parametrize("header", ["", "null", '{"schema": 3}'], ids=["blank", "null", "schema-3"])
+def test_cache_first_line_not_the_header_exit_2(tmp_path, capsys, header):
+    path = tmp_path / "c.jsonl"
+    argv = ["centers", "--max-period", "3", "--cache-path", str(path)]
+    assert main(argv) == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header] + lines[1:]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: unsupported cache schema in {path}"
+
+
+@pytest.mark.parametrize("state", ["cold", "warm"])
+def test_centers_eps_zero_exit_2(tmp_path, capsys, state):
+    # a warm period-2 cache holds exact-zero entropies, of width <= 0, so
+    # eps 0 was accepted there and refused on an empty cache
+    path = tmp_path / "c.jsonl"
+    if state == "warm":
+        assert main(["centers", "--max-period", "2", "--cache-path", str(path)]) == 0
+    before = path.read_bytes() if path.exists() else None
+    capsys.readouterr()
+    assert main(["centers", "--max-period", "2", "--eps", "0", "--cache-path", str(path)]) == 2
+    assert capsys.readouterr().err == "error: eps must be positive\n"
+    assert (path.read_bytes() if path.exists() else None) == before

@@ -53,7 +53,7 @@ DENSE_12 = {
 }
 
 CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
-CENTERS_CACHE = "2ed2b1454c5bc83f8667b066b7b2316ad9c2a64afe711eaf8e7fa4f2c1ba5c53"
+CENTERS_CACHE = "2c18a2832e039a6044ba747c59b2c8ab1945490e3ce6c07c56e88b167eb98a65"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache
 LOGISTIC = [
@@ -67,12 +67,12 @@ LOGISTIC = [
 # ``centers --max-period 10`` on a fresh cache: every center the kernel finds
 # up to period 10, and every enclosure endpoint it rounds, byte for byte
 PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
-PERIOD_10_CACHE = "b5e3601a97fdb80c1777bcfb80749f6c941fec30d3de1e6644f307209289fbd1"
+PERIOD_10_CACHE = "49418ee480b68c2edea83ef2f761adaea2f58113ac7b4bcfc1b3dcfcd51af21c"
 
 # ``centers --max-period 11`` on the period-10 cache: it prints the SFT of every
 # stored center, rebuilt from its orbit order, so it pins the rebuild byte for byte
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
-PERIOD_11_CACHE = "bc0b63b11cf99059a488270e55106fc0c9bcde2b2ae11ca175a2112631daa74b"
+PERIOD_11_CACHE = "1edc96b55ca8b8a9793c6bf7b49ee0857a366066bb223b0ba42f509f84d13dc9"
 
 # (r, eps, exit code, stdout digest) on the period-9 cache
 PERIOD_9_LOGISTIC = [
@@ -89,7 +89,7 @@ PERIOD_9_LOGISTIC = [
 ]
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
-COARSE_CACHE = "8e3cf5355395e065404edb2c68be6eff040985b8cacd863f279d9c77d2536159"
+COARSE_CACHE = "37073215594b62226b22599e855d365c501f734bd2c550a1ffb05f6850ae16f6"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache at eps 1/1000
 COARSE_LOGISTIC = [
@@ -206,7 +206,7 @@ def test_golden_logistic(centers_cache, r, eps, want_code, want_sha):
     argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--max-period", "6"]
     code, out = run_json(argv + ["--cache-path", str(path)])
     check(code, out, want_code, want_sha)
-    # every period up to 6 is already scanned, so nothing is appended
+    # every period up to 6 already holds its count of centers, so nothing is appended
     assert _sha(path.read_bytes()) == CENTERS_CACHE
 
 
