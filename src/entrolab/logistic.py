@@ -39,7 +39,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _HALF_POINT = RatInterval.point(Fraction(1, 2))
 
-CACHE_SCHEMA = 4
+CACHE_SCHEMA = 5
 
 DEFAULT_EPS = Fraction(1, 10**7)
 CENTER_EPS = Fraction(1, 1 << 24)
@@ -99,7 +99,7 @@ class _SeparationError(Exception):
 
 def _markov_data(
     r_enc: RatInterval, period: int
-) -> tuple[list[tuple[int, int]], SFT, tuple[int, ...]]:
+) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     # mantissas over 2**ENCLOSURE_BITS of f(c), ..., f^{p-1}(c), and of the
     # closing point f^p(c), which is c itself; returned in ascending order
     half = 1 << (ENCLOSURE_BITS - 1)
@@ -114,8 +114,7 @@ def _markov_data(
         if a_hi >= b_lo:
             raise _SeparationError
     rank = {k: i for i, k in enumerate(order)}
-    orbit_rank = tuple(rank[k] for k in range(period))
-    return ordered, _transitions(orbit_rank), orbit_rank
+    return ordered, tuple(rank[k] for k in range(period))
 
 
 def _transitions(ranks: Sequence[int]) -> SFT:
@@ -140,10 +139,10 @@ def _transitions(ranks: Sequence[int]) -> SFT:
 
 def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
     """Partition-point enclosures and the induced transition structure."""
-    ordered, sft, _ = _markov_data(center.r_enc, center.period)
+    ordered, orbit_rank = _markov_data(center.r_enc, center.period)
     scale = 1 << ENCLOSURE_BITS
     inner = (RatInterval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in ordered)
-    return (RatInterval.point(_ZERO), *inner, RatInterval.point(_ONE)), sft
+    return (RatInterval.point(_ZERO), *inner, RatInterval.point(_ONE)), _transitions(orbit_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -165,33 +164,59 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
 
 _Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
 
+# per-process memos, bounded well above the 380 centers of period <= 12:
+# the proved orbit order of a (period, *ends), and sft_entropy of the SFT
+# rebuilt from an orbit order at an eps, keyed (orbit order, eps)
+_MEMO_SIZE = 1024
+_ORDERS: dict[tuple, tuple[int, ...]] = {}
+_ENTROPIES: dict[tuple, EntropyBound] = {}
 
+
+def _remember(memo: dict, key: tuple, value):
+    """Store key -> value, first evicting the oldest entry of a full memo."""
+    if len(memo) >= _MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+def _prove(r_enc: RatInterval, period: int) -> tuple[int, ...]:
+    """The orbit order of the center of period ``period`` in r_enc, proved
+    as the scan proves one: the closing condition changes sign or vanishes
+    at the ends of r_enc, so r_enc holds one of its roots, and the critical
+    orbit separates over all of r_enc, so that root has minimal period
+    ``period`` and its orbit has this order. ValueError otherwise."""
+    expr = critical_orbit_expr(period)
+    if expr.sign_at(r_enc.lo) * expr.sign_at(r_enc.hi) > 0:
+        raise ValueError("the closing condition keeps one sign on r_enc")
+    try:
+        return _markov_data(r_enc, period)[1]
+    except _SeparationError:
+        raise ValueError("the critical orbit does not separate on r_enc") from None
+
+
+def _ends(r_enc: RatInterval) -> _Ends:
+    lo, hi = r_enc.lo, r_enc.hi
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
+@dataclass(eq=False, slots=True)
 class _Stored:
-    """A center of the cache. ``period`` and ``ends``, the ``r_enc`` as
-    reduced integers with positive denominators, are read at load, and the
-    ``r_enc`` RatInterval is built from them on first read: for the centers
-    ``collect_brackets`` picks, and for every center ``enumerate_centers``
-    returns. ``center()`` parses the rest on first use, rebuilds the SFT
-    from the orbit order, and keeps the result: the one place a stored
-    center is read. A query refines a center when it first becomes the
-    nearest on a side, and holds that refined ``Center`` from then on."""
+    """A center of the cache: ``period`` and ``ends``, the ``r_enc`` as
+    reduced integers with positive denominators. The ``r_enc`` RatInterval
+    is built from them on first read: for the centers ``collect_brackets``
+    picks, and for every center ``enumerate_centers`` returns.
+    ``center(eps)`` is the one place a stored center becomes a ``Center``:
+    it proves the center on its first use in the process (``_prove``),
+    rebuilds the SFT from the proved orbit order and gives it the entropy
+    enclosure ``sft_entropy`` computes at eps. A center the scan added in
+    this process is proved already."""
 
-    __slots__ = ("period", "ends", "_r_enc", "_center", "_line", "_path")
-
-    def __init__(
-        self,
-        period: int,
-        ends: _Ends,
-        center: Union[Center, dict],  # a Center, or the record still to parse
-        line: int = 0,
-        path: Optional[Path] = None,
-    ):
-        self.period = period
-        self.ends = ends
-        self._r_enc = center.r_enc if isinstance(center, Center) else None
-        self._center = center
-        self._line = line
-        self._path = path
+    period: int
+    ends: _Ends
+    _r_enc: Optional[RatInterval] = None
+    _line: int = 0
+    _path: Optional[Path] = None
 
     @property
     def r_enc(self) -> RatInterval:
@@ -200,51 +225,41 @@ class _Stored:
             self._r_enc = RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
         return self._r_enc
 
-    def center(self) -> Center:
-        if not isinstance(self._center, Center):
-            data = self._center
+    def center(self, eps: Fraction) -> Center:
+        key = (self.period, *self.ends)
+        order = _ORDERS.get(key)
+        if order is None:
             try:
-                order = tuple(json_int(v, 0) for v in data["orbit_order"])
-                if len(order) != self.period:
-                    raise ValueError("orbit order length is not the period")
-                self._center = Center(
-                    self.r_enc, self.period, order, _transitions(order),
-                    EntropyBound.from_json(data["entropy"]),
-                )
-            except _MALFORMED as exc:
+                order = _remember(_ORDERS, key, _prove(self.r_enc, self.period))
+            except ValueError as exc:
                 raise _malformed(self._line, self._path, exc) from exc
-        return self._center
-
-
-def _ends(center: Union[Center, _Stored]) -> _Ends:
-    if isinstance(center, _Stored):
-        return center.ends
-    lo, hi = center.r_enc.lo, center.r_enc.hi
-    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        sft = _transitions(order)
+        entropy = _ENTROPIES.get((order, eps))
+        if entropy is None:
+            entropy = _remember(_ENTROPIES, (order, eps), sft_entropy(sft, eps))
+        return Center(self.r_enc, self.period, order, sft, entropy)
 
 
 class CenterCache:
-    """Append-only JSON-lines store of computed centers.
+    """Append-only JSON-lines store of where the centers are.
 
     The first line is a schema header and every later line that is not
-    blank is a center record. A period is complete when the file holds its
-    number of centers (``_center_count``); reruns reuse complete periods
-    and never duplicate or rewrite existing lines. A final line without its
-    newline that does not parse is the torn tail of an interrupted append:
-    loading ignores it and the next append cuts it off.
+    blank is a center record, ``{"type": "center", "period": p, "r_enc":
+    [lo, hi]}``. A period is complete when the file holds its number of
+    centers (``_center_count``); reruns reuse complete periods and never
+    duplicate or rewrite existing lines. A final line without its newline
+    that does not parse is the torn tail of an interrupted append: loading
+    ignores it and the next append cuts it off.
 
-    A center record holds ``period``, ``r_enc``, ``orbit_order`` and
-    ``entropy``; its SFT is rebuilt from the order. Loading checks every
-    line's UTF-8 and JSON, the header's schema, and each record's ``type``
-    (``"center"``), ``period`` (a JSON integer >= 1) and ``r_enc``. The
-    ``r_enc`` is read into reduced integers, ``"p/q"`` text with no
-    Fraction built, its ends checked in order by cross-multiplication, and
-    it is compared as integers from then on: by the duplicate check at
-    load and by ``collect_brackets``. A center's orbit order (a permutation of
-    0..period-1 with no empty transition row) and entropy are parsed on
-    first use: by ``collect_brackets`` for the nearest center on a side of
-    a query, and for every center ``enumerate_centers`` returns. A malformed
-    line raises ``ValueError`` naming the line, at load or at first use.
+    Loading checks every line's UTF-8 and JSON, the header's schema, and
+    each record's ``type`` (``"center"``), ``period`` (a JSON integer >= 1)
+    and ``r_enc``, and reads nothing else. The ``r_enc`` is read into
+    reduced integers, ``"p/q"`` text with no Fraction built, its ends
+    checked in order by cross-multiplication, and it is compared as
+    integers from then on: by the duplicate check at load and by
+    ``collect_brackets``. A center is proved on first use (``_Stored``). A
+    malformed line, or one whose center fails its proof, raises
+    ``ValueError`` naming the line, at load or at first use.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -290,7 +305,7 @@ class CenterCache:
         period = json_int(data["period"], 1)
         ends = parse_interval(data["r_enc"])
         if self._add_key(period, ends):
-            self.centers.append(_Stored(period, ends, data, number + 1, self.path))
+            self.centers.append(_Stored(period, ends, None, number + 1, self.path))
 
     def _add_key(self, period: int, ends: _Ends) -> bool:
         """Record the center's key; False when it was there already."""
@@ -313,12 +328,14 @@ class CenterCache:
                 fh.write(json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n")
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def add_center(self, center: Center) -> None:
-        ends = _ends(center)
-        if not self._add_key(center.period, ends):
+    def add_center(self, period: int, r_enc: RatInterval, order: tuple[int, ...]) -> None:
+        """Add a center the scan proved, with its orbit order."""
+        ends = _ends(r_enc)
+        if not self._add_key(period, ends):
             return
-        self.centers.append(_Stored(center.period, ends, center))
-        self._append({k: v for k, v in center.to_json().items() if k != "sft"})
+        _remember(_ORDERS, (period, *ends), order)
+        self.centers.append(_Stored(period, ends, r_enc))
+        self._append({"type": "center", "period": period, "r_enc": r_enc.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +344,19 @@ class CenterCache:
 
 
 def _build_center(
-    expr: IterMapExpr, root: RatInterval, period: int, eps: Fraction
-) -> Optional[Center]:
-    """The center of the root cell, or None when the cell holds a center of
-    a proper-divisor period instead. Separated orbit enclosures prove the
-    minimal period is ``period``: a center of period d | period would put
-    f^d(1/2) = 1/2 on the closing point. A cell whose orbit does not
-    separate is dropped when the closing condition of a proper divisor has
-    a root in it, and refined otherwise."""
+    expr: IterMapExpr, root: RatInterval, period: int
+) -> Optional[tuple[RatInterval, tuple[int, ...]]]:
+    """The center of the root cell, as its r_enc and orbit order, or None
+    when the cell holds a center of a proper-divisor period instead.
+    Separated orbit enclosures prove the minimal period is ``period``: a
+    center of period d | period would put f^d(1/2) = 1/2 on the closing
+    point. A cell whose orbit does not separate is dropped when the closing
+    condition of a proper divisor has a root in it, and refined otherwise."""
     divisors = [critical_orbit_expr(d) for d in range(1, period) if period % d == 0]
     r_enc = root
     while True:
         try:
-            _, sft, orbit_rank = _markov_data(r_enc, period)
-            break
+            return r_enc, _markov_data(r_enc, period)[1]
         except _SeparationError:
             if any(e.sign_at(r_enc.lo) * e.sign_at(r_enc.hi) <= 0 for e in divisors):
                 return None
@@ -349,8 +365,6 @@ def _build_center(
                     f"cannot certify orbit separation near {r_enc}"
                 )
             r_enc = refine_root(expr, r_enc, r_enc.width / 4)
-    entropy = sft_entropy(sft, eps)
-    return Center(r_enc, period, orbit_rank, sft, entropy)
 
 
 # the highest period scanned, by `centers` and by the sandwich alike: the
@@ -363,10 +377,9 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
-def _scan(p: int, eps: Fraction, cache: CenterCache) -> list[RatInterval]:
+def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     """Scan period p and add each center it accepts to the cache, where one
-    already stored is not added again; new centers get entropy enclosures
-    of width <= eps. Returns the unresolved cells."""
+    already stored is not added again. Returns the unresolved cells."""
     expr = critical_orbit_expr(p)
     iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
     unresolved = list(iso.unresolved)
@@ -374,12 +387,12 @@ def _scan(p: int, eps: Fraction, cache: CenterCache) -> list[RatInterval]:
         if root.hi <= 0 or root.lo >= 4:
             continue
         try:
-            center = _build_center(expr, root, p, eps)
+            found = _build_center(expr, root, p)
         except RefinementBudgetError:
             unresolved.append(root)
             continue
-        if center is not None:
-            cache.add_center(center)
+        if found is not None:
+            cache.add_center(p, *found)
     return unresolved
 
 
@@ -402,9 +415,9 @@ def _center_count(p: int) -> int:
 
 
 def _complete_period(
-    p: int, eps: Fraction, cache: CenterCache
+    p: int, cache: CenterCache
 ) -> tuple[list[_Stored], list[RatInterval]]:
-    """The stored centers of period p, in cache order and unparsed, and the
+    """The stored centers of period p, in cache order and unproved, and the
     unresolved cells of period p. A cache that holds fewer than
     ``_center_count(p)`` centers of period p has the period scanned, which
     adds the missing ones to it; the cells the scan leaves unresolved are
@@ -414,7 +427,7 @@ def _complete_period(
     want = _center_count(p)
     stored = [c for c in cache.centers if c.period == p]
     if len(stored) < want:
-        unresolved = _scan(p, eps, cache)
+        unresolved = _scan(p, cache)
         stored = [c for c in cache.centers if c.period == p]
         if len(stored) < want and unresolved:
             return stored, unresolved
@@ -427,12 +440,12 @@ def _complete_period(
 
 
 def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
-    """The center, parsed, with an entropy enclosure of width <= eps. A
-    coarser stored enclosure is recomputed in memory and the cache line is
-    left as it is; a center already that fine, such as one a query holds
-    from an earlier period, is returned as it is."""
+    """The center with an entropy enclosure of width <= eps. A stored center
+    is proved and gets the enclosure ``sft_entropy`` gives at eps; a
+    ``Center``, such as one a query holds from an earlier period, keeps an
+    enclosure already that fine and is refined in memory otherwise."""
     if isinstance(center, _Stored):
-        center = center.center()
+        return center.center(eps)
     if center.entropy.width <= eps:
         return center
     return replace(center, entropy=sft_entropy(center.sft, eps))
@@ -451,16 +464,18 @@ def enumerate_centers(
     proves its period minimal; a root cell that holds a root of a
     proper-divisor closing condition is dropped, and any other is refined
     until its orbit separates. No stored center is read to decide a period.
-    Each accepted root is assigned its induced subshift. Every returned
-    center carries a certified entropy enclosure of width <= eps; stored
-    enclosures coarser than that are refined in memory and never written
-    back. A period is complete when the cache holds its known number of
-    centers; a period short of it is scanned, and one with more raises
-    ValueError. The unresolved cells are those of the periods still short
-    after this run's scan, in period order: a complete period has no cell
-    that could hold a missing center. A nonpositive eps is refused before
-    the cache is read, and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are
-    refused, as in the sandwich: scan cost grows steeply with the period.
+    A period is complete when the cache holds its known number of centers;
+    a period short of it is scanned, and one with more raises ValueError.
+    Every stored center returned is proved in this process as the scan
+    proves one, and gets its induced subshift, rebuilt from its orbit
+    order, and the entropy enclosure ``sft_entropy`` gives at eps. Two
+    centers of one period whose r_enc intersect raise ValueError: with the
+    count, each center of the period is then in exactly one r_enc. The
+    unresolved cells are those of the periods still short after this run's
+    scan, in period order: a complete period has no cell that could hold a
+    missing center. A nonpositive eps is refused before the cache is read,
+    and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in the
+    sandwich: scan cost grows steeply with the period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")
@@ -472,11 +487,14 @@ def enumerate_centers(
     _check_period_cap(p_max)
     stored, unresolved = [], []
     for p in range(1, p_max + 1):
-        centers, cells = _complete_period(p, eps, cache)
+        centers, cells = _complete_period(p, cache)
+        spans = sorted((c.r_enc for c in centers), key=lambda iv: iv.lo)
+        if any(a.hi >= b.lo for a, b in zip(spans, spans[1:])):
+            raise ValueError(f"the center cache holds overlapping centers of period {p}")
         stored += centers
         unresolved += cells
     stored.sort(key=lambda c: (c.r_enc.lo, c.period))
-    return EnumerationResult(tuple(_refined(c, eps) for c in stored), tuple(unresolved))
+    return EnumerationResult(tuple(c.center(eps) for c in stored), tuple(unresolved))
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +538,8 @@ def collect_brackets(
     of the entropy in the parameter, below.entropy.lo and above.entropy.hi
     bound the entropy at the query. The search compares only each center's
     period and r_enc, the latter as integers by cross-multiplication; only
-    the two centers it picks are parsed from the cache and get entropy
-    enclosures of width <= eps, refined in memory where the stored one is
-    coarser.
+    the two centers it picks are proved, if read from the cache, and get
+    entropy enclosures of width <= eps.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
@@ -531,8 +548,9 @@ def collect_brackets(
     q_hi_num, q_hi_den = query.hi.numerator, query.hi.denominator
     below = above = None  # the nearest (ends, period, center) so far on each side
     for center in centers:
-        entry = (_ends(center), center.period, center)
-        lo_num, lo_den, hi_num, hi_den = entry[0]
+        ends = center.ends if isinstance(center, _Stored) else _ends(center.r_enc)
+        entry = (ends, center.period, center)
+        lo_num, lo_den, hi_num, hi_den = ends
         if hi_num * q_lo_den < q_lo_num * hi_den:  # r_enc.hi < query.lo
             if below is None or _precedes(entry, below, by_hi=True):
                 below = entry
@@ -573,7 +591,7 @@ def logistic_entropy(
     center on each side of the query (``collect_brackets``) among the pair
     held from period p - 1 and the centers of period p bounds the entropy
     by monotonicity, until the enclosure is tight enough: only a center of
-    period p can be nearer than the held one. Center entropies are refined
+    period p can be nearer than the held one. Center entropies are computed
     to min(CENTER_EPS, eps/4). When max_period or the deadline is reached
     first, a BudgetExceeded carrying the best sound enclosure is raised. A
     budget with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
@@ -599,7 +617,7 @@ def logistic_entropy(
     for p in range(1, budget.max_period + 1):
         held = [c for c in (below, above) if c is not None]
         below, above = collect_brackets(
-            query, held + _complete_period(p, center_eps, cache)[0], eps=center_eps
+            query, held + _complete_period(p, cache)[0], eps=center_eps
         )
         lo = below.entropy.lo if below else _ZERO
         hi = above.entropy.hi if above else _ONE

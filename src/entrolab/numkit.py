@@ -580,15 +580,6 @@ def root_isolate(
     if not expr.domain.contains_interval(domain):
         raise ValueError("domain outside expression domain")
 
-    signs: dict[Fraction, int] = {}
-
-    def sgn(t: Fraction) -> int:
-        s = signs.get(t)
-        if s is None:
-            s = expr.sign_at(t)
-            signs[t] = s
-        return s
-
     roots: list[RatInterval] = []
     unresolved: list[RatInterval] = []
 
@@ -596,7 +587,7 @@ def root_isolate(
         step = min_width / 4
         for _ in range(48):
             cand = point + direction * step
-            s = sgn(cand)
+            s = expr.sign_at(cand)
             if s != 0:
                 return cand, s
             roots.append(RatInterval.point(cand))
@@ -604,11 +595,11 @@ def root_isolate(
         raise PrecisionError("could not step off a zero of the expression")
 
     lo, hi = domain.lo, domain.hi
-    slo = sgn(lo)
+    slo = expr.sign_at(lo)
     if slo == 0:
         roots.append(RatInterval.point(lo))
         lo, slo = nudge(lo, +1)
-    shi = sgn(hi)
+    shi = expr.sign_at(hi)
     if shi == 0:
         roots.append(RatInterval.point(hi))
         hi, shi = nudge(hi, -1)
@@ -631,7 +622,7 @@ def root_isolate(
                 unresolved.append(RatInterval(a, b))
             continue
         mid = (a + b) / 2
-        sm = sgn(mid)
+        sm = expr.sign_at(mid)
         if sm == 0:
             roots.append(RatInterval.point(mid))
             m1, s1 = nudge(mid, -1)

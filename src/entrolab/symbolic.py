@@ -66,20 +66,6 @@ class EntropyBound:
             "certified": self.certified,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "EntropyBound":
-        """A missing ``certified`` reads as false; a value that is not a JSON
-        boolean is refused, not converted."""
-        certified = data.get("certified", False)
-        if type(certified) is not bool:
-            raise ValueError(f"expected a boolean, got {certified!r}")
-        return cls(
-            parse_rational(data["lo"]),
-            parse_rational(data["hi"]),
-            Provenance(data["provenance"]),
-            certified,
-        )
-
 
 class MixingVerdict(Enum):
     MIXING = "MIXING"

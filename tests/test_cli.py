@@ -259,6 +259,11 @@ def _with(lines, number, **fields):
     return "\n".join(lines) + "\n"
 
 
+def _shifted(lines, number, by):
+    """The r_enc of the record on line ``number``, both ends moved by ``by``."""
+    return [format_rational(parse_rational(v) + by) for v in json.loads(lines[number - 1])["r_enc"]]
+
+
 # r = 3.7 runs every period up to 5 (exit 3); its nearest center below is
 # the period-4 one near 3.4986, and the period-5 one near 3.9903 is never
 # the nearest on either side
@@ -271,21 +276,24 @@ def _nearest_below(centers, key):
 
 
 def test_logistic_malformed_bracketing_center_exit_2(tmp_path, capsys, period_5_lines):
-    # a center's orbit order is parsed when the sandwich first reads it
+    # a center is proved when the sandwich first reads it: moved by 1/1000,
+    # its r_enc no longer holds a root of the closing condition
     number = _center_line(period_5_lines, _nearest_below)
     path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, orbit_order="x"), encoding="utf-8")
+    r_enc = _shifted(period_5_lines, number, F(1, 1000))
+    path.write_text(_with(period_5_lines, number, r_enc=r_enc), encoding="utf-8")
     assert main(_QUERY + [str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
 
 def test_malformed_far_center_read_only_by_centers(tmp_path, capsys, period_5_lines):
     # the sandwich never reads a center far from the query; `centers` lists
-    # every center, so it parses that one too
+    # every center, so it proves that one too
     clean, bad = tmp_path / "clean.jsonl", tmp_path / "bad.jsonl"
     clean.write_text("\n".join(period_5_lines) + "\n", encoding="utf-8")
     number = _center_line(period_5_lines, max)
-    bad.write_text(_with(period_5_lines, number, orbit_order="x"), encoding="utf-8")
+    r_enc = _shifted(period_5_lines, number, F(1, 1000))
+    bad.write_text(_with(period_5_lines, number, r_enc=r_enc), encoding="utf-8")
     results = []
     for path in (clean, bad):
         code = main(_QUERY + [str(path)])
@@ -318,12 +326,8 @@ def test_malformed_period_or_r_enc_exit_2_at_load(tmp_path, capsys, period_5_lin
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def _entropy_with_lo(lines, number, lo):
-    return {**json.loads(lines[number - 1])["entropy"], "lo": lo}
-
-
 @pytest.mark.parametrize(
-    "where", ["r_enc", "entropy", "map-node", "quad-r"]
+    "where", ["r_enc", "map-node", "quad-r"]
 )
 def test_zero_denominator_exit_2(tmp_path, capsys, period_5_lines, where):
     # "p/0" escaped as ZeroDivisionError, a traceback and exit 1
@@ -334,20 +338,20 @@ def test_zero_denominator_exit_2(tmp_path, capsys, period_5_lines, where):
         assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
         return
     number = _center_line(period_5_lines, max)
-    fields = {"r_enc": ["1/0", "4/1"]} if where == "r_enc" else {
-        "entropy": _entropy_with_lo(period_5_lines, number, "1/0")}
     path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, **fields), encoding="utf-8")
+    path.write_text(_with(period_5_lines, number, r_enc=["1/0", "4/1"]), encoding="utf-8")
     assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: malformed line {number} in {path}")
 
 
 def test_repeated_center_record_skipped_unread(tmp_path, capsys, period_5_lines):
-    # a record with an earlier center's period and r_enc is skipped before
-    # its orbit order is parsed: output and appended lines are as without it
+    # a record with an earlier center's period and r_enc, even spelled
+    # otherwise, is skipped unread: output and appended lines are as without it
     number = _center_line(period_5_lines, max)
     base = "\n".join(period_5_lines) + "\n"
-    copy = json.dumps({**json.loads(period_5_lines[number - 1]), "orbit_order": "x"}, sort_keys=True)
+    lo, hi = (parse_rational(v) for v in json.loads(period_5_lines[number - 1])["r_enc"])
+    unreduced = [f"{2 * q.numerator}/{2 * q.denominator}" for q in (lo, hi)]
+    copy = _with(period_5_lines, number, r_enc=unreduced).splitlines()[number - 1]
     texts = (base, base + copy + "\n")
     results = []
     for name, text in zip(("clean", "repeated"), texts):
@@ -369,7 +373,7 @@ def period_9_path(tmp_path_factory):
 
 
 def test_sandwich_parses_only_bracketing_centers(period_9_path, capsys, monkeypatch):
-    # at most the two bracketing centers of each period are parsed, and
+    # at most the two bracketing centers of each period are proved, and
     # their SFTs rebuilt, of the 66 that a period-9 cache holds
     path = period_9_path
     rebuild = logistic._transitions
@@ -408,8 +412,8 @@ def test_sandwich_builds_intervals_only_for_bracketing_centers(period_9_path, ca
 
 
 def test_sandwich_refines_each_center_once(period_9_path, capsys, monkeypatch):
-    # at 2^-40 every stored entropy is too coarse, and the nearest center on
-    # a side stays the same over several periods; it is refined once
+    # the nearest center on a side stays the same over several periods; its
+    # entropy is computed once
     refine = logistic.sft_entropy
     sfts = []
 
@@ -629,72 +633,6 @@ def test_sft_file_non_integer_entries_exit_2(tmp_path, capsys, payload):
     assert capsys.readouterr().err.startswith(f"error: malformed subshift file {path}")
 
 
-def test_cached_orbit_order_float_entry_malformed_line(tmp_path, capsys, period_5_lines):
-    number = _center_line(period_5_lines, _nearest_below)
-    order = json.loads(period_5_lines[number - 1])["orbit_order"]
-    order[0] = float(order[0])
-    path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, orbit_order=order), encoding="utf-8")
-    assert main(_QUERY + [str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
-    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("field", ["orbit_order", "entropy"])
-def test_cached_center_value_error_malformed_line(tmp_path, capsys, field):
-    # a record whose fields raise ValueError names its line too: a period-4
-    # order that leaves a transition row empty, or a stored entropy with its
-    # ends out of order
-    path = tmp_path / "c.jsonl"
-    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 0
-    lines = path.read_text(encoding="utf-8").splitlines()
-    number = max(
-        n for n, line in enumerate(lines, 1) if '"center"' in line and '"period": 4' in line
-    )
-    record = json.loads(lines[number - 1])
-    if field == "orbit_order":
-        record["orbit_order"] = [0, 1, 2, 3]
-    else:
-        record["entropy"]["lo"], record["entropy"]["hi"] = "1/1", "1/2"
-    capsys.readouterr()
-    path.write_text(_with(lines, number, **{field: record[field]}), encoding="utf-8")
-    assert main(["centers", "--max-period", "4", "--cache-path", str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "value", ["no", "true", 1, 0, None], ids=["no", "text", "one", "zero", "null"]
-)
-def test_cached_certified_not_bool_malformed_line(tmp_path, capsys, value):
-    # a stored flag that is not a JSON boolean is refused, not converted:
-    # bool("no") would print "certified": true
-    path = tmp_path / "c.jsonl"
-    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
-    lines = path.read_text(encoding="utf-8").splitlines()
-    number = _center_line(lines, max)  # the period-3 center
-    entropy = {**json.loads(lines[number - 1])["entropy"], "certified": value}
-    path.write_text(_with(lines, number, entropy=entropy), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
-
-
-def test_cached_certified_missing_reads_false(tmp_path, capsys):
-    path = tmp_path / "c.jsonl"
-    argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
-    assert main(argv) == 0
-    lines = path.read_text(encoding="utf-8").splitlines()
-    number = _center_line(lines, max)
-    entropy = json.loads(lines[number - 1])["entropy"]
-    del entropy["certified"]
-    path.write_text(_with(lines, number, entropy=entropy), encoding="utf-8")
-    capsys.readouterr()
-    assert main(argv) == 0
-    printed = json.loads(capsys.readouterr().out)["centers"]
-    assert [c["entropy"]["certified"] for c in printed if c["period"] == 3] == [False]
-
-
 @pytest.mark.parametrize("record", ["center"])
 @pytest.mark.parametrize(
     "value", [True, "5", 5.0, 7.9, 0, -3], ids=["true", "text", "float", "fraction", "zero", "negative"]
@@ -711,33 +649,6 @@ def test_cached_period_not_positive_int_malformed_line(tmp_path, capsys, period_
     for argv in (_QUERY + [str(path)], ["centers", "--max-period", "5", "--cache-path", str(path)]):
         assert main(argv) == 2
         assert f"malformed line {number} in {path}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", [True, "0", 0.0, 1.5, -1], ids=["true", "text", "float", "fraction", "negative"])
-def test_cached_orbit_order_not_int_malformed_line(tmp_path, capsys, period_5_lines, value):
-    number = _center_line(period_5_lines, max)
-    order = json.loads(period_5_lines[number - 1])["orbit_order"]
-    path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, orbit_order=[value] + order[1:]), encoding="utf-8")
-    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "order", [[0, 0, 0, 0, 0], [0, 1], [1, 0], [7, 8, 9, 10, 11], [0, 1, 2, 3, 4]],
-    ids=["repeated", "short", "period-2", "out-of-range", "empty-row"],
-)
-def test_cached_orbit_order_not_a_critical_orbit_malformed_line(tmp_path, capsys, period_5_lines, order):
-    # the SFT is rebuilt from the orbit order, which must be a permutation
-    # of 0..period-1 with no empty transition row; each of these orders was
-    # once printed by `centers` with exit 0
-    number = max(
-        n for n, line in enumerate(period_5_lines, 1) if '"center"' in line and '"period": 5' in line
-    )
-    path = tmp_path / "c.jsonl"
-    path.write_text(_with(period_5_lines, number, orbit_order=order), encoding="utf-8")
-    assert main(["centers", "--max-period", "5", "--cache-path", str(path)]) == 2
-    assert f"malformed line {number} in {path}" in capsys.readouterr().err
 
 
 def test_cache_schema_header_message(tmp_path, capsys):
@@ -774,7 +685,7 @@ def test_period_scan_reads_no_stored_center(tmp_path):
     # on an empty cache, the period-4 scan tells the period-2 root
     # 1 + sqrt(5) apart by its own orbit, with no period-2 center stored
     cache = CenterCache(tmp_path / "c.jsonl")
-    found, unresolved = logistic._complete_period(4, logistic.DEFAULT_EPS, cache)
+    found, unresolved = logistic._complete_period(4, cache)
     assert unresolved == []
     assert [c.period for c in cache.centers] == [4, 4]
     mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
@@ -814,20 +725,125 @@ def test_centers_extra_record_exit_2(tmp_path, capsys):
 
 def test_logistic_extra_record_exit_2(tmp_path, capsys):
     # the sandwich reads each period as `centers` does: a forged period-3
-    # record just below 3.84 with entropy 9/10 made it certify [9/10, 1]
-    # there, where the entropy is log2 of the golden ratio, about 0.694
+    # record just below 3.84, beside the true one, is refused by the count
+    # before any center is proved
     path = tmp_path / "c.jsonl"
     assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[_center_line(lines, max) - 1])
     record["r_enc"] = ["3839/1000", "3839/1000"]
-    record["entropy"] = {**record["entropy"], "lo": "9/10", "hi": "9/10"}
     path.write_text("\n".join(lines + [json.dumps(record, sort_keys=True)]) + "\n", encoding="utf-8")
     capsys.readouterr()
     argv = ["--format", "json", "entropy", "logistic", "--r", "3.84", "--eps", "1/4",
             "--max-period", "3", "--cache-path", str(path)]
     assert main(argv) == 2
     assert capsys.readouterr() == ("", "error: the center cache holds 2 centers of period 3, but there are 1\n")
+
+
+@pytest.fixture
+def run(capsys):
+    """A CLI call that returns its exit code, stdout and stderr."""
+    capsys.readouterr()
+
+    def call(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    return call
+
+
+def _center_lines(path):
+    """The numbers and records of the center lines of a cache file."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return lines, {n: json.loads(line) for n, line in enumerate(lines, 1) if '"center"' in line}
+
+
+def test_forged_entropies_are_not_read(tmp_path, run):
+    # every record given an entropy of 1/1000: no stored number but r_enc is
+    # read, so both commands print what they print on an empty cache. The
+    # sandwich once certified h = [1/1000, 1/1000] at 3.84, where h is
+    # log2 of the golden ratio
+    query = ["--format", "json", "entropy", "logistic", "--r", "3.84", "--eps", "1/32",
+             "--max-period", "7", "--cache-path"]
+    listing = ["--format", "json", "centers", "--max-period", "7", "--cache-path"]
+    empty = [run(query + [str(tmp_path / "q.jsonl")]), run(listing + [str(tmp_path / "c.jsonl")])]
+    path = tmp_path / "forged.jsonl"
+    assert run(listing + [str(path)])[0] == 0
+    lines, records = _center_lines(path)
+    forged = {"lo": "1/1000", "hi": "1/1000", "provenance": "SFT", "certified": True}
+    for number, record in records.items():
+        lines[number - 1] = json.dumps({**record, "entropy": forged}, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert [run(query + [str(path)]), run(listing + [str(path)])] == empty
+    assert empty[0][0] == 0 and empty[1][0] == 0
+
+
+def test_moved_center_exit_2(tmp_path, run):
+    # the period-3 record moved just below the query keeps the count; the
+    # sandwich picks it, and its proof fails: no root of the closing
+    # condition at 3839/1000. It was used, and the query exited 3
+    path = tmp_path / "c.jsonl"
+    assert run(["centers", "--max-period", "3", "--cache-path", str(path)])[0] == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    number = _center_line(lines, max)
+    path.write_text(_with(lines, number, r_enc=["3839/1000", "3839/1000"]), encoding="utf-8")
+    argv = ["--format", "json", "entropy", "logistic", "--r", "3.84", "--eps", "1/4",
+            "--max-period", "3", "--cache-path", str(path)]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed line {number} in {path}")
+
+
+def _period_5(path, run):
+    """The lines of a fresh period-5 cache and the numbers of its period-5
+    records, in r_enc order."""
+    assert run(["centers", "--max-period", "5", "--cache-path", str(path)])[0] == 0
+    lines, records = _center_lines(path)
+    fives = [n for n in records if records[n]["period"] == 5]
+    return lines, sorted(fives, key=lambda n: parse_rational(records[n]["r_enc"][0]))
+
+
+def test_widened_center_exit_2(tmp_path, run):
+    # a period-5 r_enc widened onto its neighbour's: `centers` listed both,
+    # the neighbour twice over, and exited 0
+    path = tmp_path / "c.jsonl"
+    lines, (first, second, _) = _period_5(path, run)
+    lo = json.loads(lines[first - 1])["r_enc"][0]
+    hi = json.loads(lines[second - 1])["r_enc"][1]
+    path.write_text(_with(lines, first, r_enc=[lo, hi]), encoding="utf-8")
+    code, out, err = run(["--format", "json", "centers", "--max-period", "5", "--cache-path", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_overlapping_centers_exit_2(tmp_path, run):
+    # one period-5 record replaced by a wider enclosure of another center:
+    # each record proves a center and the count holds, but two records hold
+    # the same center, and a third center is missing from the list
+    path = tmp_path / "c.jsonl"
+    lines, (first, second, _) = _period_5(path, run)
+    r_enc = json.loads(lines[first - 1])["r_enc"]
+    wider = [format_rational(parse_rational(r_enc[0]) - F(1, 2**40)), r_enc[1]]
+    path.write_text(_with(lines, second, r_enc=wider), encoding="utf-8")
+    code, out, err = run(["--format", "json", "centers", "--max-period", "5", "--cache-path", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: the center cache holds overlapping centers of period 5\n"
+
+
+def test_centers_output_does_not_depend_on_cache_builder(tmp_path, run):
+    # the file holds where the centers are and nothing else, so `centers`
+    # prints the same on a cache the sandwich built, one `centers --eps
+    # 1/1000` built, and an empty one
+    listing = ["--format", "json", "centers", "--max-period", "8", "--cache-path"]
+    sandwich = tmp_path / "sandwich.jsonl"
+    coarse = tmp_path / "coarse.jsonl"
+    query = ["entropy", "logistic", "--r", "3.7", "--eps", "1/256", "--max-period", "8"]
+    assert run(query + ["--cache-path", str(sandwich)])[0] == 3  # every period scanned
+    assert run(["centers", "--max-period", "8", "--eps", "1/1000", "--cache-path", str(coarse)])[0] == 0
+    assert sandwich.read_bytes() == coarse.read_bytes()
+    outputs = [run(listing + [str(path)]) for path in (sandwich, coarse, tmp_path / "empty.jsonl")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_logistic_library_matches_cli(tmp_path, capsys):
@@ -868,11 +884,11 @@ def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
     build = logistic._build_center
     failed = []
 
-    def build_or_fail(expr, root, period, eps):
+    def build_or_fail(expr, root, period):
         if period == 5 and root.lo > F(398, 100):
             failed.append(root)
             raise logistic.RefinementBudgetError("forced")
-        return build(expr, root, period, eps)
+        return build(expr, root, period)
 
     monkeypatch.setattr(logistic, "_build_center", build_or_fail)
     path = tmp_path / "c.jsonl"
@@ -886,7 +902,9 @@ def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
     assert [c.period for c in CenterCache(path).centers].count(5) == 2
 
 
-@pytest.mark.parametrize("header", ["", "null", '{"schema": 3}'], ids=["blank", "null", "schema-3"])
+@pytest.mark.parametrize(
+    "header", ["", "null", '{"schema": 3}', '{"schema": 4}'], ids=["blank", "null", "schema-3", "schema-4"]
+)
 def test_cache_first_line_not_the_header_exit_2(tmp_path, capsys, header):
     path = tmp_path / "c.jsonl"
     argv = ["centers", "--max-period", "3", "--cache-path", str(path)]
@@ -900,8 +918,8 @@ def test_cache_first_line_not_the_header_exit_2(tmp_path, capsys, header):
 
 @pytest.mark.parametrize("state", ["cold", "warm"])
 def test_centers_eps_zero_exit_2(tmp_path, capsys, state):
-    # a warm period-2 cache holds exact-zero entropies, of width <= 0, so
-    # eps 0 was accepted there and refused on an empty cache
+    # eps 0 was once accepted on a warm period-2 cache, whose stored
+    # exact-zero entropies have width <= 0, and refused on an empty one
     path = tmp_path / "c.jsonl"
     if state == "warm":
         assert main(["centers", "--max-period", "2", "--cache-path", str(path)]) == 0

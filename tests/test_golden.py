@@ -2,9 +2,9 @@
 
 Each call runs ``cli.main(["--format", "json", ...])`` in process, on a
 center cache built fresh by ``centers --max-period 6``, or by the same call
-with ``--eps 1/1000``, whose stored entropies are all coarser than a query's
-center precision and so are refined in memory, or on a map file written
-by ``realize`` or by the test itself; ``centers --max-period 10`` also runs
+with ``--eps 1/1000``, which writes the same file, since a record holds
+only a center's period and r_enc, or on a map file written by ``realize``
+or by the test itself; ``centers --max-period 10`` also runs
 alone on a fresh cache, and ``centers --max-period 11`` on a copy of that
 cache, so it adds only the period-11 scan. ``entropy logistic --max-period
 9`` runs on a period-9 cache, the shape of the benchmark's warm sandwich,
@@ -53,26 +53,27 @@ DENSE_12 = {
 }
 
 CENTERS_STDOUT = "26e3fd0065ce02420cb4f50587d7010cd1935da1f9d1afd229de06f06bc62a80"
-CENTERS_CACHE = "2c18a2832e039a6044ba747c59b2c8ab1945490e3ce6c07c56e88b167eb98a65"
+CENTERS_CACHE = "e181c73eebb6636cea98becfca849ca6d905044d73d59ec358af5dceb9cf6043"
 
 # (r, eps, exit code, stdout digest) on the period-6 cache
 LOGISTIC = [
     ("3.84", "1/100", 0, "52e662863f69362cdc4548e683cde18d7569946318a83f3fa8e06f7b38847979"),
     ("3.2", "1/100", 0, "d7559d8b802ad6b461c3b7f8a24d6eb0fc23638132efdf87e0c805582a62dd68"),
     ("7/2", "1/32", 3, "61f65eda718e506d423ee8e4364563c5d75239642119dd2f6e1f509d2a3a307c"),
-    ("3.83", "1/32", 3, "238a0b0d4bf9806253d87756eaec656a5b17f8a6902d76dbeca00196e06888ae"),
+    ("3.83", "1/32", 3, "04ba79773dfdbe1c5df7e918769ea5e8f5f0b0fcb1e49518fc60c8e61df39745"),
     ("3.99", "1e-6", 3, "a0c5bb3fe460ccef3d8fb8a18371a453f4e4f3f4f5463788efee2b57cb1aef44"),
 ]
 
 # ``centers --max-period 10`` on a fresh cache: every center the kernel finds
 # up to period 10, and every enclosure endpoint it rounds, byte for byte
 PERIOD_10_STDOUT = "3e5d0c134f851847044e28e881e543bbab2115155bce6d62eca95aa708dd99c5"
-PERIOD_10_CACHE = "49418ee480b68c2edea83ef2f761adaea2f58113ac7b4bcfc1b3dcfcd51af21c"
+PERIOD_10_CACHE = "0108cd2c10acdf2c16876a80fba48e4a8189d587755d83114482a88bc488333b"
 
 # ``centers --max-period 11`` on the period-10 cache: it prints the SFT of every
-# stored center, rebuilt from its orbit order, so it pins the rebuild byte for byte
+# stored center, rebuilt from the orbit order its proof gives, so it pins the
+# proof and the rebuild byte for byte
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
-PERIOD_11_CACHE = "1edc96b55ca8b8a9793c6bf7b49ee0857a366066bb223b0ba42f509f84d13dc9"
+PERIOD_11_CACHE = "f6cf2f3e6dcc3e0141dd27c464dd1df9cb724ca513ad89a77b23e6590e1bd6ab"
 
 # (r, eps, exit code, stdout digest) on the period-9 cache
 PERIOD_9_LOGISTIC = [
@@ -80,16 +81,16 @@ PERIOD_9_LOGISTIC = [
     ("3.5", "1/128", 0, "e10e5fff0c79ae519d69feb4da3aea780596d41337071ce698c1a2f3989fdc67"),
     ("3.63", "1/32", 3, "21d6cf4881ac372e241390f60253f6cfacb48ac46c2093376fc20790bc6d5917"),
     ("3.63", "1/128", 3, "0d180c6007e937f100224b8ca53525e87ebadaccd6626ed11835c0133310bf62"),
-    ("3.74", "1/32", 0, "4431308f7a54d297d1b3a6d7115b1a9434ced48aa84941110f87fe8188caaa65"),
-    ("3.74", "1/128", 3, "8db59cd11a1677310d776fc7991bf8f167affdabf62df694d4b7648b76a95fed"),
-    ("3.9", "1/32", 0, "a0c7cc90cd84519b9487336bfa81a58162b484e0d33d701ba30cc6292b74c088"),
-    ("3.9", "1/128", 0, "fc48f6eea4873a96f571d8489df093336fe46d07d1853eb22e815becb45aa972"),
-    ("3.97", "1/32", 0, "f32533a27215d736407d595b2d7453bb972010324d741fb5372576de4fdeefc2"),
-    ("3.97", "1/128", 0, "75e5f0fc83cc35924828b18892248eda46ee9a8ef0cf2f29a4e2d94063ccc49a"),
+    ("3.74", "1/32", 0, "8515966cbc2d6ea8c2b1f9e0234cf1a939598720e5f16a611ee28687b77028ec"),
+    ("3.74", "1/128", 3, "8aa92e0bfd25a774760c9fdb905b9b362407191bea79d1ccb54799097063aad4"),
+    ("3.9", "1/32", 0, "b1e37b4ff9dbcbebf5059c4392fbf9998f7337424ecff256392ffa723a59350f"),
+    ("3.9", "1/128", 0, "ae0faed331380d18200c4b6a7dffcd06956c7a74b1b5d0eb1be88cce1f7c9756"),
+    ("3.97", "1/32", 0, "7c60abba763963fdd983a75226d306fd90a13ca76ab652b5ac4bfa1efecd07a0"),
+    ("3.97", "1/128", 0, "fbaebcf06a24c87b11861febc5c22cd7166d529e56c4dfeb05e86d2706f47aab"),
 ]
 
 COARSE_STDOUT = "59c5028bfe41ddeb81c46dd7d8bcaf8f702e8cb1c297dc57c8714d283b33647c"
-COARSE_CACHE = "37073215594b62226b22599e855d365c501f734bd2c550a1ffb05f6850ae16f6"
+COARSE_CACHE = CENTERS_CACHE  # the file holds no entropy, so eps leaves no mark in it
 
 # (r, eps, exit code, stdout digest) on the period-6 cache at eps 1/1000
 COARSE_LOGISTIC = [
@@ -256,7 +257,7 @@ def test_golden_logistic_refined(coarse_cache, r, eps, want_code, want_sha):
     argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--max-period", "6"]
     code, out = run_json(argv + ["--cache-path", str(path)])
     check(code, out, want_code, want_sha)
-    # entropies refined for the query are never written back
+    # a query writes nothing to a complete cache
     assert _sha(path.read_bytes()) == COARSE_CACHE
 
 

@@ -97,14 +97,13 @@ def test_build_center_drops_proper_divisor_roots():
     # separates; the root is dropped without refining it
     two = RatInterval.point(2)
     for p in range(2, 7):
-        assert _build_center(critical_orbit_expr(p), two, p, DEFAULT_EPS) is None
-    center = _build_center(critical_orbit_expr(1), two, 1, DEFAULT_EPS)
-    assert (center.period, center.r_enc) == (1, two)
+        assert _build_center(critical_orbit_expr(p), two, p) is None
+    assert _build_center(critical_orbit_expr(1), two, 1) == (two, (0,))
     # the period-4 root cell that holds the period-2 center 1 + sqrt(5)
     expr = critical_orbit_expr(4)
     roots = root_isolate(expr, RatInterval(0, 4), DEFAULT_ROOT_WIDTH).roots
     [cell] = [iv for iv in roots if (iv.lo - 1) ** 2 < 5 < (iv.hi - 1) ** 2]
-    assert _build_center(expr, cell, 4, DEFAULT_EPS) is None
+    assert _build_center(expr, cell, 4) is None
 
 
 def test_enumeration_idempotent(session_cache, tmp_path):
@@ -123,7 +122,7 @@ def test_collect_brackets_sides(session_cache, tmp_path):
     below, above = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
     assert below.period == 4 and below.entropy.hi == 0 and below.r_enc.hi < F(7, 2)
     assert above.period == 8 and above.entropy.hi == 0 and above.r_enc.lo > F(7, 2)
-    # stored entropies coarser than eps are refined for both emitted centers
+    # entropies coarser than eps are refined for both emitted centers
     coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(tmp_path / "c.jsonl"))
     assert any(c.entropy.width > DEFAULT_EPS for c in coarse.centers)
     for r in (F(7, 2), F(383, 100)):
@@ -152,7 +151,7 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
     try:
         logistic_entropy(
             F(383, 100),
-            F(1, 2**38),  # centers at 2^-40, finer than every stored enclosure
+            F(1, 2**38),  # centers at 2^-40, finer than the enumeration's
             SandwichBudget(max_period=8),
             cache=session_cache,
         )
@@ -164,13 +163,29 @@ def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
 
 
 def test_stored_refinement_follows_eps(tmp_path):
-    # a stored center's refinement follows the eps asked, whatever eps came before
+    # a stored center's entropy follows the eps asked, whatever eps came
+    # before: it is sft_entropy of the SFT rebuilt from the proved order
     path = tmp_path / "c.jsonl"
     enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
     stored = CenterCache(path).centers
     for eps in (F(1, 2**20), F(1, 2**20), F(1, 2**40), F(1, 2**20)):
         for center in stored:
-            assert entrolab.logistic._refined(center, eps) == entrolab.logistic._refined(center.center(), eps)
+            got = entrolab.logistic._refined(center, eps)
+            assert got.sft == _transitions(got.orbit_order)
+            assert got.entropy == sft_entropy(got.sft, eps)
+
+
+def test_center_memos_stay_bounded(tmp_path, monkeypatch):
+    # with room for two entries, each memo evicts its oldest; an evicted
+    # center is proved again from its record, to the same result
+    path = tmp_path / "c.jsonl"
+    want = enumerate_centers(5, cache=CenterCache(path)).centers
+    monkeypatch.setattr(entrolab.logistic, "_MEMO_SIZE", 2)
+    entrolab.logistic._ORDERS.clear()
+    entrolab.logistic._ENTROPIES.clear()
+    for _ in range(2):
+        assert enumerate_centers(5, cache=CenterCache(path)).centers == want
+    assert len(entrolab.logistic._ORDERS) == len(entrolab.logistic._ENTROPIES) == 2
 
 
 def _reference_bracket(query, centers):
@@ -306,15 +321,17 @@ def test_markov_data_matches_fraction_reference(centers8, data):
     r_enc = RatInterval(max(lo, 0), min(hi, 4))
     want = _reference_markov_data(r_enc, period)
     try:
-        ordered, sft, ranks = _markov_data(r_enc, period)
+        ordered, ranks = _markov_data(r_enc, period)
     except _SeparationError:
         assert want is None
         return
-    except ValueError:
-        assert want is not None and want[1] is ValueError
-        return
     assert want is not None
-    assert ([from_mantissas(pair) for pair in ordered], sft, ranks) == want
+    assert ([from_mantissas(pair) for pair in ordered], ranks) == (want[0], want[2])
+    if want[1] is ValueError:
+        with pytest.raises(ValueError):
+            _transitions(ranks)
+    else:
+        assert _transitions(ranks) == want[1]
 
 
 def test_rebuilt_sft_matches_scan(period_9_scan):
@@ -411,7 +428,7 @@ def test_collect_brackets_ties_follow_sorted_rule():
 
 
 # orbit orders that rebuild to a valid SFT, by period
-_HAND_ORDERS = {1: [0], 2: [1, 0], 3: [2, 0, 1]}
+_HAND_ORDERS = {1: (0,), 2: (1, 0), 3: (2, 0, 1)}
 _hand_end = st.sampled_from([1, 2, 4, 5, 8]).flatmap(
     lambda d: st.integers(0, 4 * d).map(lambda n: F(n, d))
 )
@@ -451,10 +468,9 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
     lines = [json.dumps({"schema": entrolab.logistic.CACHE_SCHEMA})]
     for lo, hi, period, lo_style, hi_style in records:
         lo, hi = min(lo, hi), max(lo, hi)
-        entropy = {"lo": "0/1", "hi": "0/1", "provenance": "SFT", "certified": True}
         lines.append(json.dumps({
-            "type": "center", "period": period, "orbit_order": _HAND_ORDERS[period],
-            "r_enc": [_cache_text(lo, lo_style), _cache_text(hi, hi_style)], "entropy": entropy,
+            "type": "center", "period": period,
+            "r_enc": [_cache_text(lo, lo_style), _cache_text(hi, hi_style)],
         }))
     path = tmp_path_factory.getbasetemp() / "hand.jsonl"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -467,6 +483,10 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
             kept.append(record)
     stored = CenterCache(path).centers
     assert len(stored) == len(kept)
+    # no hand record is a center: each is taken as proved, with a hand order
+    entrolab.logistic._ORDERS.clear()
+    for center in stored:
+        entrolab.logistic._ORDERS[(center.period, *center.ends)] = _HAND_ORDERS[center.period]
     for center, record in zip(stored, kept):
         assert center.period == record["period"]
         assert center.r_enc == RatInterval.from_json(record["r_enc"])
@@ -478,7 +498,7 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
         # a fresh load, its centers unread, with every third one parsed: the
         # search takes a Center as it takes a stored center
         fresh = CenterCache(path).centers
-        mixed = [c.center() if i % 3 == 0 else c for i, c in enumerate(fresh)]
+        mixed = [c.center(CENTER_EPS) if i % 3 == 0 else c for i, c in enumerate(fresh)]
         got = collect_brackets(query, mixed, eps=CENTER_EPS)
         want = _reference_bracket(query, stored)
         assert [(c.period, c.r_enc) if c else None for c in got] == [

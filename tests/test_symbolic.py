@@ -531,5 +531,3 @@ def test_entropy_bound_validation():
         EntropyBound(F(1), F(0), Provenance.SFT)
     with pytest.raises(ValueError):
         EntropyBound(F(-1), F(0), Provenance.SFT)
-    b = EntropyBound(F(0), F(1, 2), Provenance.SFT, certified=True)
-    assert EntropyBound.from_json(b.to_json()) == b
