@@ -7,6 +7,12 @@ an induced subshift of finite type whose certified Perron bound gives the
 entropy of the map there. Since the entropy is weakly increasing in the
 parameter, centers on both sides of a query bracket its entropy, and the
 brackets tighten as the enumerated period grows.
+
+The centers of a period are located by their kneading words (``kneading``)
+and proved here: exact signs of the closing condition at a cell's ends
+show a root in it, separated orbit enclosures show its period minimal,
+and the count of centers of the period (``_center_count``) shows the list
+complete.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from .kneading import locate_centers
 from .numkit import (
     ENCLOSURE_BITS,
     IterMapExpr,
@@ -31,7 +38,7 @@ from .numkit import (
     parse_interval,
     parse_rational,
     refine_root,
-    root_isolate,
+    root_isolate,  # unused here; perfbench's tracer wraps this binding by name
 )
 from .symbolic import SFT, EntropyBound, Provenance, sft_entropy
 
@@ -164,6 +171,16 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
 
 _Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
 
+# the most bits the reduced denominator of a stored r_enc end may have. The
+# scan's cells (_GRID) start at 2 + 2^-26 and are (2 - 2^-26)/2^k wide, k =
+# 25, and _build_center refines a cell to a quarter of its width, k + 2,
+# only while it is wider than _SEPARATION_FLOOR = 2^-300, that is while
+# k <= 300. So k <= 301, and every end written is a multiple of 2^-(26 + k),
+# at most 328 bits; the rest is margin. A longer end is refused: the exact
+# sign behind the proof of a center (sign_at) forms integers that grow like
+# the denominator to the power 2^period
+_MAX_END_BITS = 384
+
 # per-process memos, bounded well above the 380 centers of period <= 12:
 # the proved orbit order of a (period, *ends), and sft_entropy of the SFT
 # rebuilt from an orbit order at an eps, keyed (orbit order, eps)
@@ -255,11 +272,12 @@ class CenterCache:
     each record's ``type`` (``"center"``), ``period`` (a JSON integer >= 1)
     and ``r_enc``, and reads nothing else. The ``r_enc`` is read into
     reduced integers, ``"p/q"`` text with no Fraction built, its ends
-    checked in order by cross-multiplication, and it is compared as
-    integers from then on: by the duplicate check at load and by
-    ``collect_brackets``. A center is proved on first use (``_Stored``). A
-    malformed line, or one whose center fails its proof, raises
-    ``ValueError`` naming the line, at load or at first use.
+    checked in order by cross-multiplication and their denominators
+    against the longest the scan writes (``_MAX_END_BITS``), and it is
+    compared as integers from then on: by the duplicate check at load and
+    by ``collect_brackets``. A center is proved on first use
+    (``_Stored``). A malformed line, or one whose center fails its proof,
+    raises ``ValueError`` naming the line, at load or at first use.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -304,6 +322,8 @@ class CenterCache:
             raise ValueError("not a center record")
         period = json_int(data["period"], 1)
         ends = parse_interval(data["r_enc"])
+        if (ends[1] | ends[3]) >> _MAX_END_BITS:  # a denominator of more bits
+            raise ValueError(f"an r_enc denominator has more than {_MAX_END_BITS} bits")
         if self._add_key(period, ends):
             self.centers.append(_Stored(period, ends, None, number + 1, self.path))
 
@@ -377,21 +397,41 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
+# the grid the centers are located on: [2 + DEFAULT_ROOT_WIDTH/4, 4], halved
+# into cells no wider than DEFAULT_ROOT_WIDTH. numkit.root_isolate bisects
+# the same grid on [0, 4] once past its exact zero at r = 2, so both find
+# the same cells and write the same cache records. Every center of period
+# >= 2 lies in (3, 4).
+_GRID = (2 + DEFAULT_ROOT_WIDTH / 4, Fraction(4))
+
+
 def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
-    """Scan period p and add each center it accepts to the cache, where one
-    already stored is not added again. Returns the unresolved cells."""
+    """Locate the centers of period p by their kneading words
+    (``kneading.locate_centers``), in ascending r, prove each one and add
+    it to the cache, where one already stored is not added again. Period 1
+    is the point r = 2. A cell is proved in this process: the exact signs
+    of the closing condition at its ends differ, or vanish at a point cell,
+    so it holds a root, and ``_build_center`` proves that root's period
+    minimal. A cell that holds more than one word, or fails its proof, is
+    returned unresolved."""
     expr = critical_orbit_expr(p)
-    iso = root_isolate(expr, RatInterval(_ZERO, Fraction(4)), DEFAULT_ROOT_WIDTH)
-    unresolved = list(iso.unresolved)
-    for root in iso.roots:
-        if root.hi <= 0 or root.lo >= 4:
-            continue
-        try:
-            found = _build_center(expr, root, p)
-        except RefinementBudgetError:
-            unresolved.append(root)
-            continue
-        if found is not None:
+    if p == 1:
+        leaves = [(Fraction(2), Fraction(2), 1)]
+    else:
+        leaves = locate_centers(p, *_GRID, DEFAULT_ROOT_WIDTH)
+    unresolved = []
+    for lo, hi, n_words in leaves:
+        cell = RatInterval(lo, hi)
+        s_lo, s_hi = expr.sign_at(lo), expr.sign_at(hi)
+        found = None
+        if n_words == 1 and (s_lo * s_hi < 0 or lo == hi and s_lo == 0):
+            try:
+                found = _build_center(expr, cell, p)
+            except RefinementBudgetError:
+                pass
+        if found is None:
+            unresolved.append(cell)
+        else:
             cache.add_center(p, *found)
     return unresolved
 
@@ -459,23 +499,25 @@ def enumerate_centers(
 ) -> EnumerationResult:
     """All superattracting centers of period <= p_max in (0, 4).
 
-    Roots of the closing condition are isolated per period. A root is
-    accepted once the enclosures of its critical orbit are separated, which
-    proves its period minimal; a root cell that holds a root of a
-    proper-divisor closing condition is dropped, and any other is refined
-    until its orbit separates. No stored center is read to decide a period.
-    A period is complete when the cache holds its known number of centers;
-    a period short of it is scanned, and one with more raises ValueError.
-    Every stored center returned is proved in this process as the scan
-    proves one, and gets its induced subshift, rebuilt from its orbit
-    order, and the entropy enclosure ``sft_entropy`` gives at eps. Two
+    The centers of a period are located by bisection in the kneading order,
+    one cell per word of ``kneading.mss_words`` (``_scan``). A cell is
+    accepted once the exact signs of the closing condition at its ends
+    differ and the enclosures of its critical orbit are separated, which
+    proves it holds a root of minimal period; a cell that holds a root of a
+    proper-divisor closing condition is left unresolved, and any other is
+    refined until its orbit separates. No stored center is read to decide a
+    period. A period is complete when the cache holds its known number of
+    centers; a period short of it is scanned, and one with more raises
+    ValueError. Every stored center returned is proved in this process as
+    the scan proves one, and gets its induced subshift, rebuilt from its
+    orbit order, and the entropy enclosure ``sft_entropy`` gives at eps. Two
     centers of one period whose r_enc intersect raise ValueError: with the
     count, each center of the period is then in exactly one r_enc. The
     unresolved cells are those of the periods still short after this run's
     scan, in period order: a complete period has no cell that could hold a
     missing center. A nonpositive eps is refused before the cache is read,
     and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in the
-    sandwich: scan cost grows steeply with the period.
+    sandwich: the number of centers roughly doubles with each period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")

@@ -9,7 +9,13 @@ import entrolab.logistic as logistic
 from entrolab.cli import main
 from entrolab.interval_maps import PWLMap, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
-from entrolab.numkit import RatInterval, format_rational, parse_rational
+from entrolab.numkit import (
+    RatInterval,
+    critical_orbit_expr,
+    format_rational,
+    parse_rational,
+    refine_root,
+)
 
 
 def write_json(path, payload):
@@ -792,6 +798,47 @@ def test_moved_center_exit_2(tmp_path, run):
     code, out, err = run(argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error: malformed line {number} in {path}")
+
+
+def test_long_r_enc_end_exit_2_at_once(tmp_path, run):
+    # a period-12 record whose upper end lies 3^-2096 above its center's
+    # cell refined to 2^-130: a 1 000-digit denominator where the orbit
+    # enclosure straddles 1/2, so its proof would fall back to the exact
+    # sign, whose integers grow like the denominator to the power 2^12. It
+    # took about 7 s; the end is refused at load
+    path = tmp_path / "c.jsonl"
+    argv = ["centers", "--max-period", "12", "--cache-path", str(path)]
+    assert run(argv)[0] == 0
+    lines, records = _center_lines(path)
+    number = min(n for n in records if records[n]["period"] == 12)
+    cell = RatInterval.from_json(records[number]["r_enc"])
+    deep = refine_root(critical_orbit_expr(12), cell, F(1, 1 << 130))
+    r_enc = [format_rational(deep.lo), format_rational(deep.hi + F(1, 3**2096))]
+    path.write_text(_with(lines, number, r_enc=r_enc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed line {number} in {path}")
+
+
+def test_deepest_refinement_end_loads(tmp_path, run):
+    # the period-3 cell refined as far as _build_center may refine one: it
+    # refines a cell to a quarter of its width while it is wider than
+    # 2^-300, which leaves ends of 328-bit denominators
+    path = tmp_path / "c.jsonl"
+    argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
+    assert run(argv)[0] == 0
+    lines, records = _center_lines(path)
+    [number] = [n for n in records if records[n]["period"] == 3]
+    cell = RatInterval.from_json(records[number]["r_enc"])
+    deep = refine_root(critical_orbit_expr(3), cell, cell.width / (1 << 276))
+    assert deep.width <= logistic._SEPARATION_FLOOR < 4 * deep.width
+    assert max(deep.lo.denominator, deep.hi.denominator).bit_length() == 328
+    path.write_text(_with(lines, number, r_enc=deep.to_json()), encoding="utf-8")
+    code, out, _ = run(argv)
+    assert code == 0
+    assert [c["r_enc"] for c in json.loads(out)["centers"] if c["period"] == 3] == [deep.to_json()]
 
 
 def _period_5(path, run):

@@ -6,7 +6,8 @@ with ``--eps 1/1000``, which writes the same file, since a record holds
 only a center's period and r_enc, or on a map file written by ``realize``
 or by the test itself; ``centers --max-period 10`` also runs
 alone on a fresh cache, and ``centers --max-period 11`` on a copy of that
-cache, so it adds only the period-11 scan. ``entropy logistic --max-period
+cache, so it adds only the period-11 scan; ``centers --max-period 12``, the
+period cap, runs alone on a fresh cache. ``entropy logistic --max-period
 9`` runs on a period-9 cache, the shape of the benchmark's warm sandwich,
 where each query reads only a few of the 66 stored centers. The SHA-256 of
 every stdout, and of the cache file, must match the recorded digest. A
@@ -74,6 +75,11 @@ PERIOD_10_CACHE = "0108cd2c10acdf2c16876a80fba48e4a8189d587755d83114482a88bc4883
 # proof and the rebuild byte for byte
 PERIOD_11_STDOUT = "de2ffd9ad112ead75b4e25788dffbde6d4f82e02620387a7a67b97fe8281e88c"
 PERIOD_11_CACHE = "f6cf2f3e6dcc3e0141dd27c464dd1df9cb724ca513ad89a77b23e6590e1bd6ab"
+
+# ``centers --max-period 12`` on a fresh cache: the period cap, 380 centers,
+# each located and proved in this run
+PERIOD_12_STDOUT = "54f8f887e5194a646a94a57fc19b0c4e68f8e32968f294139b28166be83fde4b"
+PERIOD_12_CACHE = "e01dac2401d53fb647f2fa927d9d0cbaac81d588e18d80235b8f1be462ee127d"
 
 # (r, eps, exit code, stdout digest) on the period-9 cache
 PERIOD_9_LOGISTIC = [
@@ -226,6 +232,14 @@ def test_golden_centers_period_11(period_10_cache, tmp_path):
     code, out = run_json(["centers", "--max-period", "11", "--cache-path", str(path)])
     check(code, out, 0, PERIOD_11_STDOUT)
     assert _sha(path.read_bytes()) == PERIOD_11_CACHE
+
+
+def test_golden_centers_period_12(tmp_path_factory):
+    path, code, out = build_cache(tmp_path_factory, "12")
+    check(code, out, 0, PERIOD_12_STDOUT)
+    assert _sha(path.read_bytes()) == PERIOD_12_CACHE
+    data = json.loads(out)
+    assert (len(data["centers"]), data["unresolved"]) == (380, [])
 
 
 @pytest.mark.parametrize(
