@@ -7,12 +7,10 @@ rounding underneath; every reported bound is a rigorous enclosure.
 from .numkit import (
     IterMapExpr,
     RatInterval,
-    RootIsolation,
     critical_orbit_expr,
     exp2_enclosure,
     log2_enclosure,
     parse_rational,
-    root_isolate,
 )
 from .symbolic import (
     SFT,

@@ -19,8 +19,9 @@ Two theorems make the centers of period p findable by their words:
 So ``locate_centers`` bisects a dyadic grid, reads K at each midpoint and
 sends each word to the side of the midpoint its center lies on. Nothing
 here proves anything: each cell it returns is proved by its caller
-(``logistic._scan``), with the exact closing-condition signs and the orbit
-separation, and completeness by the center count.
+(``logistic._scan``, through ``logistic._prove``), with the exact
+closing-condition signs and the orbit separation, and completeness by the
+center count.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from typing import Optional, Sequence, Union
 from .kneading import locate_centers
 from .numkit import (
     ENCLOSURE_BITS,
-    IterMapExpr,
     RatInterval,
     RationalLike,
     critical_orbit_expr,
@@ -37,8 +36,9 @@ from .numkit import (
     orbit_mantissas,
     parse_interval,
     parse_rational,
+    # unused here; perfbench's tracer wraps both bindings by name
     refine_root,
-    root_isolate,  # unused here; perfbench's tracer wraps this binding by name
+    root_isolate,
 )
 from .symbolic import SFT, EntropyBound, Provenance, sft_entropy
 
@@ -51,11 +51,6 @@ CACHE_SCHEMA = 5
 DEFAULT_EPS = Fraction(1, 10**7)
 CENTER_EPS = Fraction(1, 1 << 24)
 DEFAULT_ROOT_WIDTH = Fraction(1, 1 << 24)
-_SEPARATION_FLOOR = Fraction(1, 1 << 300)
-
-
-class RefinementBudgetError(RuntimeError):
-    """Orbit separation could not be certified at the precision cap."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -172,13 +167,12 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
 _Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
 
 # the most bits the reduced denominator of a stored r_enc end may have. The
-# scan's cells (_GRID) start at 2 + 2^-26 and are (2 - 2^-26)/2^k wide, k =
-# 25, and _build_center refines a cell to a quarter of its width, k + 2,
-# only while it is wider than _SEPARATION_FLOOR = 2^-300, that is while
-# k <= 300. So k <= 301, and every end written is a multiple of 2^-(26 + k),
-# at most 328 bits; the rest is margin. A longer end is refused: the exact
-# sign behind the proof of a center (sign_at) forms integers that grow like
-# the denominator to the power 2^period
+# scan writes the ends of its cells (_GRID), [2 + 2^-26, 4] halved 25 times:
+# multiples of 2^-51, at most 52 bits. Earlier writers of this schema also
+# refined a cell by quarters while it was wider than 2^-300, which wrote ends
+# of up to 328 bits; those files still load, and the rest is margin. A longer
+# end is refused: the exact sign behind the proof of a center (sign_at) forms
+# integers that grow like the denominator to the power 2^period
 _MAX_END_BITS = 384
 
 # per-process memos, bounded well above the 380 centers of period <= 12:
@@ -198,11 +192,12 @@ def _remember(memo: dict, key: tuple, value):
 
 
 def _prove(r_enc: RatInterval, period: int) -> tuple[int, ...]:
-    """The orbit order of the center of period ``period`` in r_enc, proved
-    as the scan proves one: the closing condition changes sign or vanishes
-    at the ends of r_enc, so r_enc holds one of its roots, and the critical
-    orbit separates over all of r_enc, so that root has minimal period
-    ``period`` and its orbit has this order. ValueError otherwise."""
+    """The orbit order of the center of period ``period`` in r_enc, the one
+    proof of a located cell and of a stored center: the closing condition
+    changes sign or vanishes at the ends of r_enc, so r_enc holds one of its
+    roots, and the critical orbit separates over all of r_enc, so that root
+    has minimal period ``period`` and its orbit has this order. ValueError
+    otherwise."""
     expr = critical_orbit_expr(period)
     if expr.sign_at(r_enc.lo) * expr.sign_at(r_enc.hi) > 0:
         raise ValueError("the closing condition keeps one sign on r_enc")
@@ -363,30 +358,6 @@ class CenterCache:
 # ---------------------------------------------------------------------------
 
 
-def _build_center(
-    expr: IterMapExpr, root: RatInterval, period: int
-) -> Optional[tuple[RatInterval, tuple[int, ...]]]:
-    """The center of the root cell, as its r_enc and orbit order, or None
-    when the cell holds a center of a proper-divisor period instead.
-    Separated orbit enclosures prove the minimal period is ``period``: a
-    center of period d | period would put f^d(1/2) = 1/2 on the closing
-    point. A cell whose orbit does not separate is dropped when the closing
-    condition of a proper divisor has a root in it, and refined otherwise."""
-    divisors = [critical_orbit_expr(d) for d in range(1, period) if period % d == 0]
-    r_enc = root
-    while True:
-        try:
-            return r_enc, _markov_data(r_enc, period)[1]
-        except _SeparationError:
-            if any(e.sign_at(r_enc.lo) * e.sign_at(r_enc.hi) <= 0 for e in divisors):
-                return None
-            if r_enc.is_point or r_enc.width <= _SEPARATION_FLOOR:
-                raise RefinementBudgetError(
-                    f"cannot certify orbit separation near {r_enc}"
-                )
-            r_enc = refine_root(expr, r_enc, r_enc.width / 4)
-
-
 # the highest period scanned, by `centers` and by the sandwich alike: the
 # number of centers, and with it the scan cost, roughly doubles per period
 DEFAULT_PERIOD_CAP = 12
@@ -409,12 +380,9 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     """Locate the centers of period p by their kneading words
     (``kneading.locate_centers``), in ascending r, prove each one and add
     it to the cache, where one already stored is not added again. Period 1
-    is the point r = 2. A cell is proved in this process: the exact signs
-    of the closing condition at its ends differ, or vanish at a point cell,
-    so it holds a root, and ``_build_center`` proves that root's period
-    minimal. A cell that holds more than one word, or fails its proof, is
-    returned unresolved."""
-    expr = critical_orbit_expr(p)
+    is the point r = 2. A cell is proved in this process exactly as a
+    stored center is (``_prove``), with no refinement. A cell that holds
+    more than one word, or fails its proof, is returned unresolved."""
     if p == 1:
         leaves = [(Fraction(2), Fraction(2), 1)]
     else:
@@ -422,17 +390,14 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     unresolved = []
     for lo, hi, n_words in leaves:
         cell = RatInterval(lo, hi)
-        s_lo, s_hi = expr.sign_at(lo), expr.sign_at(hi)
-        found = None
-        if n_words == 1 and (s_lo * s_hi < 0 or lo == hi and s_lo == 0):
-            try:
-                found = _build_center(expr, cell, p)
-            except RefinementBudgetError:
-                pass
-        if found is None:
+        try:
+            if n_words != 1:
+                raise ValueError("the cell holds more than one word")
+            order = _prove(cell, p)
+        except ValueError:
             unresolved.append(cell)
         else:
-            cache.add_center(p, *found)
+            cache.add_center(p, cell, order)
     return unresolved
 
 
@@ -503,21 +468,20 @@ def enumerate_centers(
     one cell per word of ``kneading.mss_words`` (``_scan``). A cell is
     accepted once the exact signs of the closing condition at its ends
     differ and the enclosures of its critical orbit are separated, which
-    proves it holds a root of minimal period; a cell that holds a root of a
-    proper-divisor closing condition is left unresolved, and any other is
-    refined until its orbit separates. No stored center is read to decide a
-    period. A period is complete when the cache holds its known number of
-    centers; a period short of it is scanned, and one with more raises
-    ValueError. Every stored center returned is proved in this process as
-    the scan proves one, and gets its induced subshift, rebuilt from its
-    orbit order, and the entropy enclosure ``sft_entropy`` gives at eps. Two
-    centers of one period whose r_enc intersect raise ValueError: with the
-    count, each center of the period is then in exactly one r_enc. The
-    unresolved cells are those of the periods still short after this run's
-    scan, in period order: a complete period has no cell that could hold a
-    missing center. A nonpositive eps is refused before the cache is read,
-    and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in the
-    sandwich: the number of centers roughly doubles with each period.
+    proves it holds a root of minimal period (``_prove``); any other cell
+    is left unresolved, with no refinement. No stored center is read to
+    decide a period. A period is complete when the cache holds its known
+    number of centers; a period short of it is scanned, and one with more
+    raises ValueError. Every stored center returned is proved in this
+    process by the same ``_prove``, and gets its induced subshift, rebuilt
+    from its orbit order, and the entropy enclosure ``sft_entropy`` gives at
+    eps. Two centers of one period whose r_enc intersect raise ValueError:
+    with the count, each center of the period is then in exactly one r_enc.
+    The unresolved cells are those of the periods still short after this
+    run's scan, in period order: a complete period has no cell that could
+    hold a missing center. A nonpositive eps is refused before the cache is
+    read, and periods beyond ``DEFAULT_PERIOD_CAP`` = 12 are refused, as in
+    the sandwich: the number of centers roughly doubles with each period.
     """
     if p_max < 1:
         raise ValueError("p_max must be >= 1")

@@ -25,6 +25,13 @@ per cell and forms each cell's centered form on the mantissas. The scan's
 cells, their midpoints and half-widths are still `Fraction`s and
 `RatInterval`s; only the enclosures over them are integers.
 
+No product path runs the root scan (`root_isolate`, `_scan_enclosure`,
+`refine_root`, `derivative_enclosure`): centers are located by their
+kneading words (`kneading`) and proved by `logistic._prove`. The scan, and
+`_critical_orbit`'s memo, which pays only where the scan reads an orbit
+twice in a row, are kept only for the benchmark tracer, which wraps the
+scan's functions by name.
+
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
 """

@@ -823,8 +823,8 @@ def test_long_r_enc_end_exit_2_at_once(tmp_path, run):
 
 
 def test_deepest_refinement_end_loads(tmp_path, run):
-    # the period-3 cell refined as far as _build_center may refine one: it
-    # refines a cell to a quarter of its width while it is wider than
+    # the period-3 cell refined as far as earlier writers of this cache
+    # schema refined one: to a quarter of its width while it was wider than
     # 2^-300, which leaves ends of 328-bit denominators
     path = tmp_path / "c.jsonl"
     argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
@@ -833,7 +833,7 @@ def test_deepest_refinement_end_loads(tmp_path, run):
     [number] = [n for n in records if records[n]["period"] == 3]
     cell = RatInterval.from_json(records[number]["r_enc"])
     deep = refine_root(critical_orbit_expr(3), cell, cell.width / (1 << 276))
-    assert deep.width <= logistic._SEPARATION_FLOOR < 4 * deep.width
+    assert deep.width <= F(1, 1 << 300) < 4 * deep.width
     assert max(deep.lo.denominator, deep.hi.denominator).bit_length() == 328
     path.write_text(_with(lines, number, r_enc=deep.to_json()), encoding="utf-8")
     code, out, _ = run(argv)
@@ -928,16 +928,16 @@ def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
     # a period-5 scan that cannot certify the root near 3.9903 leaves its
     # cell unresolved and the period one center short: the cell is listed
     # with exit 0, and a rerun scans the period again and lists it again
-    build = logistic._build_center
+    prove = logistic._prove
     failed = []
 
-    def build_or_fail(expr, root, period):
-        if period == 5 and root.lo > F(398, 100):
-            failed.append(root)
-            raise logistic.RefinementBudgetError("forced")
-        return build(expr, root, period)
+    def prove_or_fail(r_enc, period):
+        if period == 5 and r_enc.lo > F(398, 100):
+            failed.append(r_enc)
+            raise ValueError("forced")
+        return prove(r_enc, period)
 
-    monkeypatch.setattr(logistic, "_build_center", build_or_fail)
+    monkeypatch.setattr(logistic, "_prove", prove_or_fail)
     path = tmp_path / "c.jsonl"
     argv = ["--format", "json", "centers", "--max-period", "5", "--cache-path", str(path)]
     for run in (1, 2):

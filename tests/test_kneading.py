@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import entrolab.logistic as logistic
 import entrolab.numkit as numkit
 from entrolab.kneading import C, L, R, locate_centers, mss_words, read_symbols, unimodal_key
-from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _build_center, _center_count, _scan
+from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _center_count, _prove, _scan
 from entrolab.numkit import (
     RatInterval,
     critical_orbit_expr,
@@ -84,13 +84,21 @@ def test_kneading_sequence_is_monotone_in_r(r1, r2, n):
     assert k1 <= k2
 
 
+def _proves(cell: RatInterval, p: int) -> bool:
+    try:
+        _prove(cell, p)
+    except ValueError:
+        return False
+    return True
+
+
 def test_located_cells_are_the_interval_scan_cells():
     # the cells of the interval root scan on [0, 4] that hold a center of
     # minimal period p, against the one-word leaves of the kneading descent
     for p in range(2, 11):
         expr = critical_orbit_expr(p)
         iso = root_isolate(expr, RatInterval(0, 4), DEFAULT_ROOT_WIDTH)
-        scanned = [c for c in iso.roots if _build_center(expr, c, p) is not None]
+        scanned = [c for c in iso.roots if _proves(c, p)]
         leaves = list(locate_centers(p, *logistic._GRID, DEFAULT_ROOT_WIDTH))
         assert [n for *_, n in leaves] == [1] * _center_count(p), p
         assert [RatInterval(lo, hi) for lo, hi, _ in leaves] == scanned, p
@@ -117,3 +125,24 @@ def test_scan_runs_no_interval_root_scan(monkeypatch):
         assert _scan(p, cache) == []
         assert [c.period for c in cache.centers].count(p) == _center_count(p)
     assert calls == {"root_isolate": 0, "derivative_enclosure": 0}
+
+
+def test_scan_leaves_an_unseparated_cell_unrefined(monkeypatch):
+    # the one-word cell of the period-5 center near 3.9903, widened to
+    # [3.98, 3.999]: its closing condition changes sign, but its orbit does
+    # not separate. It is returned unresolved, not refined until it does
+    cell = RatInterval(F(398, 100), F(3999, 1000))
+    monkeypatch.setattr(logistic, "locate_centers", lambda *args: iter([(cell.lo, cell.hi, 1)]))
+    calls = []
+    refine = numkit.refine_root
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(logistic, "refine_root", counted)
+    monkeypatch.setattr(numkit, "refine_root", counted)
+    cache = CenterCache(None)
+    assert _scan(5, cache) == [cell]
+    assert cache.centers == []
+    assert calls == []

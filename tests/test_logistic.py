@@ -23,9 +23,9 @@ from entrolab.logistic import (
     enumerate_centers,
     logistic_entropy,
     markov_partition,
-    _build_center,
     _markov_data,
     _SeparationError,
+    _prove,
     _transitions,
 )
 from test_numkit import from_mantissas, reference_orbit
@@ -92,18 +92,20 @@ def test_primitive_period_filter(centers3):
                 assert not c.r_enc.intersects(other.r_enc)
 
 
-def test_build_center_drops_proper_divisor_roots():
+def test_prove_rejects_proper_divisor_roots():
     # the orbit of a root of a proper-divisor closing condition never
-    # separates; the root is dropped without refining it
+    # separates; the proof fails on its cell
     two = RatInterval.point(2)
     for p in range(2, 7):
-        assert _build_center(critical_orbit_expr(p), two, p) is None
-    assert _build_center(critical_orbit_expr(1), two, 1) == (two, (0,))
+        with pytest.raises(ValueError):
+            _prove(two, p)
+    assert _prove(two, 1) == (0,)
     # the period-4 root cell that holds the period-2 center 1 + sqrt(5)
     expr = critical_orbit_expr(4)
     roots = root_isolate(expr, RatInterval(0, 4), DEFAULT_ROOT_WIDTH).roots
     [cell] = [iv for iv in roots if (iv.lo - 1) ** 2 < 5 < (iv.hi - 1) ** 2]
-    assert _build_center(expr, cell, 4) is None
+    with pytest.raises(ValueError):
+        _prove(cell, 4)
 
 
 def test_enumeration_idempotent(session_cache, tmp_path):
