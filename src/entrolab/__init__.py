@@ -48,7 +48,6 @@ from .logistic import (
     Center,
     CenterCache,
     SandwichBudget,
-    collect_brackets,
     enumerate_centers,
     logistic_entropy,
     markov_partition,

@@ -371,9 +371,9 @@ class QuadMap:
     @classmethod
     def from_json(cls, data: dict) -> "QuadMap":
         r = data["r"]
-        if isinstance(r, str):
-            return cls(RatInterval.point(parse_rational(r)))
-        return cls(RatInterval.from_json(r))
+        if isinstance(r, list):
+            return cls(RatInterval.from_json(r))
+        return cls(RatInterval.point(parse_rational(r)))
 
 
 IntervalMap = Union[PWLMap, QuadMap]

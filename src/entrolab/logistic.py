@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -95,26 +95,22 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
-class _SeparationError(Exception):
-    pass
-
-
 def _markov_data(
     r_enc: RatInterval, period: int
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     # mantissas over 2**ENCLOSURE_BITS of f(c), ..., f^{p-1}(c), and of the
-    # closing point f^p(c), which is c itself; returned in ascending order
+    # closing point f^p(c), which is c itself; returned in ascending order.
+    # ValueError where they do not separate
     half = 1 << (ENCLOSURE_BITS - 1)
     orbit = [*orbit_mantissas(r_enc, _HALF_POINT, period - 1), (half, half)]
     order = sorted(range(period), key=lambda k: orbit[k][0])
     ordered = [orbit[k] for k in order]
     # a separated orbit lies between its first lo and its last hi, and an
     # unseparated one is refused below either way
-    if ordered[0][0] <= 0 or ordered[-1][1] >= 1 << ENCLOSURE_BITS:
-        raise _SeparationError
-    for (_, a_hi), (b_lo, _) in zip(ordered, ordered[1:]):
-        if a_hi >= b_lo:
-            raise _SeparationError
+    if ordered[0][0] <= 0 or ordered[-1][1] >= 1 << ENCLOSURE_BITS or any(
+        a_hi >= b_lo for (_, a_hi), (b_lo, _) in zip(ordered, ordered[1:])
+    ):
+        raise ValueError("the critical orbit does not separate on r_enc")
     rank = {k: i for i, k in enumerate(order)}
     return ordered, tuple(rank[k] for k in range(period))
 
@@ -175,36 +171,34 @@ _Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den
 # integers that grow like the denominator to the power 2^period
 _MAX_END_BITS = 384
 
-# per-process memos, bounded well above the 380 centers of period <= 12:
-# the proved orbit order of a (period, *ends), and sft_entropy of the SFT
-# rebuilt from an orbit order at an eps, keyed (orbit order, eps)
-_MEMO_SIZE = 1024
-_ORDERS: dict[tuple, tuple[int, ...]] = {}
-_ENTROPIES: dict[tuple, EntropyBound] = {}
-
-
-def _remember(memo: dict, key: tuple, value):
-    """Store key -> value, first evicting the oldest entry of a full memo."""
-    if len(memo) >= _MEMO_SIZE:
-        del memo[next(iter(memo))]
-    memo[key] = value
-    return value
-
-
 def _prove(r_enc: RatInterval, period: int) -> tuple[int, ...]:
     """The orbit order of the center of period ``period`` in r_enc, the one
     proof of a located cell and of a stored center: the closing condition
     changes sign or vanishes at the ends of r_enc, so r_enc holds one of its
     roots, and the critical orbit separates over all of r_enc, so that root
     has minimal period ``period`` and its orbit has this order. ValueError
-    otherwise."""
+    otherwise. Callers reach it through the memo ``_proved_order``."""
     expr = critical_orbit_expr(period)
     if expr.sign_at(r_enc.lo) * expr.sign_at(r_enc.hi) > 0:
         raise ValueError("the closing condition keeps one sign on r_enc")
-    try:
-        return _markov_data(r_enc, period)[1]
-    except _SeparationError:
-        raise ValueError("the critical orbit does not separate on r_enc") from None
+    return _markov_data(r_enc, period)[1]
+
+
+# per-process memos, each well above the 380 centers of period <= 12
+@lru_cache(maxsize=1024)
+def _proved_order(
+    period: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int
+) -> tuple[int, ...]:
+    """``_prove`` of the r_enc with these reduced ends."""
+    return _prove(RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)), period)
+
+
+@lru_cache(maxsize=1024)
+def _center_model(order: tuple[int, ...], eps: Fraction) -> tuple[SFT, EntropyBound]:
+    """The SFT rebuilt from a proved orbit order, and the entropy enclosure
+    ``sft_entropy`` computes for it at eps."""
+    sft = _transitions(order)
+    return sft, sft_entropy(sft, eps)
 
 
 def _ends(r_enc: RatInterval) -> _Ends:
@@ -216,13 +210,14 @@ def _ends(r_enc: RatInterval) -> _Ends:
 class _Stored:
     """A center of the cache: ``period`` and ``ends``, the ``r_enc`` as
     reduced integers with positive denominators. The ``r_enc`` RatInterval
-    is built from them on first read: for the centers ``collect_brackets``
-    picks, and for every center ``enumerate_centers`` returns.
-    ``center(eps)`` is the one place a stored center becomes a ``Center``:
-    it proves the center on its first use in the process (``_prove``),
-    rebuilds the SFT from the proved orbit order and gives it the entropy
-    enclosure ``sft_entropy`` computes at eps. A center the scan added in
-    this process is proved already."""
+    is built from them on first read, for every center ``enumerate_centers``
+    returns. ``order()`` is the proved orbit order: the center is proved on
+    its first use in the process (``_proved_order``), and a failed proof is
+    reported as a malformed line of its file. A center the scan added in
+    this process is proved already. ``center(eps)`` is the one place a
+    stored center becomes a ``Center``, for output: it takes the SFT rebuilt
+    from the orbit order and the entropy enclosure ``sft_entropy`` computes
+    at eps (``_center_model``)."""
 
     period: int
     ends: _Ends
@@ -237,19 +232,15 @@ class _Stored:
             self._r_enc = RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
         return self._r_enc
 
+    def order(self) -> tuple[int, ...]:
+        try:
+            return _proved_order(self.period, *self.ends)
+        except ValueError as exc:
+            raise _malformed(self._line, self._path, exc) from exc
+
     def center(self, eps: Fraction) -> Center:
-        key = (self.period, *self.ends)
-        order = _ORDERS.get(key)
-        if order is None:
-            try:
-                order = _remember(_ORDERS, key, _prove(self.r_enc, self.period))
-            except ValueError as exc:
-                raise _malformed(self._line, self._path, exc) from exc
-        sft = _transitions(order)
-        entropy = _ENTROPIES.get((order, eps))
-        if entropy is None:
-            entropy = _remember(_ENTROPIES, (order, eps), sft_entropy(sft, eps))
-        return Center(self.r_enc, self.period, order, sft, entropy)
+        order = self.order()
+        return Center(self.r_enc, self.period, order, *_center_model(order, eps))
 
 
 class CenterCache:
@@ -343,12 +334,11 @@ class CenterCache:
                 fh.write(json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n")
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def add_center(self, period: int, r_enc: RatInterval, order: tuple[int, ...]) -> None:
-        """Add a center the scan proved, with its orbit order."""
+    def add_center(self, period: int, r_enc: RatInterval) -> None:
+        """Add a center the scan proved."""
         ends = _ends(r_enc)
         if not self._add_key(period, ends):
             return
-        _remember(_ORDERS, (period, *ends), order)
         self.centers.append(_Stored(period, ends, r_enc))
         self._append({"type": "center", "period": period, "r_enc": r_enc.to_json()})
 
@@ -381,7 +371,7 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     (``kneading.locate_centers``), in ascending r, prove each one and add
     it to the cache, where one already stored is not added again. Period 1
     is the point r = 2. A cell is proved in this process exactly as a
-    stored center is (``_prove``), with no refinement. A cell that holds
+    stored center is (``_proved_order``), with no refinement. A cell that holds
     more than one word, or fails its proof, is returned unresolved."""
     if p == 1:
         leaves = [(Fraction(2), Fraction(2), 1)]
@@ -393,11 +383,11 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
         try:
             if n_words != 1:
                 raise ValueError("the cell holds more than one word")
-            order = _prove(cell, p)
+            _proved_order(p, *_ends(cell))
         except ValueError:
             unresolved.append(cell)
         else:
-            cache.add_center(p, cell, order)
+            cache.add_center(p, cell)
     return unresolved
 
 
@@ -442,18 +432,6 @@ def _complete_period(
             f"but there are {want}"
         )
     return stored, []
-
-
-def _refined(center: Union[Center, _Stored], eps: Fraction) -> Center:
-    """The center with an entropy enclosure of width <= eps. A stored center
-    is proved and gets the enclosure ``sft_entropy`` gives at eps; a
-    ``Center``, such as one a query holds from an earlier period, keeps an
-    enclosure already that fine and is refined in memory otherwise."""
-    if isinstance(center, _Stored):
-        return center.center(eps)
-    if center.entropy.width <= eps:
-        return center
-    return replace(center, entropy=sft_entropy(center.sft, eps))
 
 
 def enumerate_centers(
@@ -517,56 +495,44 @@ def _sign(a_num: int, a_den: int, b_num: int, b_den: int) -> int:
     return (diff > 0) - (diff < 0)
 
 
-def _precedes(a: tuple, b: tuple, *, by_hi: bool) -> bool:
-    """Whether the (ends, period, center) a goes before b as the nearest on
-    its side: below the query (``by_hi``) by the greatest hi, then the least
-    lo, then the least period; above it by the least lo, then the least
-    period."""
-    (a_lo_num, a_lo_den, a_hi_num, a_hi_den), a_period, _ = a
-    (b_lo_num, b_lo_den, b_hi_num, b_hi_den), b_period, _ = b
+def _precedes(a: _Stored, b: _Stored, *, by_hi: bool) -> bool:
+    """Whether the center a goes before b as the nearest on its side: below
+    the query (``by_hi``) by the greatest hi, then the least lo, then the
+    least period; above it by the least lo, then the least period."""
+    a_lo_num, a_lo_den, a_hi_num, a_hi_den = a.ends
+    b_lo_num, b_lo_den, b_hi_num, b_hi_den = b.ends
     order = _sign(b_hi_num, b_hi_den, a_hi_num, a_hi_den) if by_hi else 0
     order = order or _sign(a_lo_num, a_lo_den, b_lo_num, b_lo_den)
-    return order < 0 if order else a_period < b_period
+    return order < 0 if order else a.period < b.period
 
 
 def collect_brackets(
-    query: RatInterval,
-    centers: Sequence[Union[Center, _Stored]],
-    *,
-    eps: RationalLike,
-) -> tuple[Optional[Center], Optional[Center]]:
-    """The nearest center on each side of the query, as (below, above).
+    query: RatInterval, centers: Sequence[_Stored]
+) -> tuple[Optional[_Stored], Optional[_Stored]]:
+    """The nearest stored center on each side of the query, as (below,
+    above).
 
     ``below`` has the greatest r_enc.hi < query.lo and ``above`` the least
     r_enc.lo > query.hi; a side without one is None. Ties go to the least
     (r_enc.lo, period), then to the first in ``centers``, so the choice does
-    not depend on how ``centers`` is ordered otherwise. By the monotonicity
-    of the entropy in the parameter, below.entropy.lo and above.entropy.hi
-    bound the entropy at the query. The search compares only each center's
-    period and r_enc, the latter as integers by cross-multiplication; only
-    the two centers it picks are proved, if read from the cache, and get
-    entropy enclosures of width <= eps.
+    not depend on how ``centers`` is ordered otherwise. The search compares
+    only each center's period and its r_enc ends, as integers by
+    cross-multiplication; it proves nothing and computes no entropy.
     """
     if query.lo < 0 or query.hi > 4:
         raise ValueError("query must lie within [0, 4]")
-    eps = parse_rational(eps)
     q_lo_num, q_lo_den = query.lo.numerator, query.lo.denominator
     q_hi_num, q_hi_den = query.hi.numerator, query.hi.denominator
-    below = above = None  # the nearest (ends, period, center) so far on each side
+    below = above = None  # the nearest center so far on each side
     for center in centers:
-        ends = center.ends if isinstance(center, _Stored) else _ends(center.r_enc)
-        entry = (ends, center.period, center)
-        lo_num, lo_den, hi_num, hi_den = ends
+        lo_num, lo_den, hi_num, hi_den = center.ends
         if hi_num * q_lo_den < q_lo_num * hi_den:  # r_enc.hi < query.lo
-            if below is None or _precedes(entry, below, by_hi=True):
-                below = entry
+            if below is None or _precedes(center, below, by_hi=True):
+                below = center
         elif lo_num * q_hi_den > q_hi_num * lo_den:  # r_enc.lo > query.hi
-            if above is None or _precedes(entry, above, by_hi=False):
-                above = entry
-    return (
-        _refined(below[2], eps) if below else None,
-        _refined(above[2], eps) if above else None,
-    )
+            if above is None or _precedes(center, above, by_hi=False):
+                above = center
+    return below, above
 
 
 @dataclass(frozen=True)
@@ -597,10 +563,13 @@ def logistic_entropy(
     center on each side of the query (``collect_brackets``) among the pair
     held from period p - 1 and the centers of period p bounds the entropy
     by monotonicity, until the enclosure is tight enough: only a center of
-    period p can be nearer than the held one. Center entropies are computed
-    to min(CENTER_EPS, eps/4). When max_period or the deadline is reached
-    first, a BudgetExceeded carrying the best sound enclosure is raised. A
-    budget with max_period beyond ``DEFAULT_PERIOD_CAP`` is refused at once.
+    period p can be nearer than the held one. The pair is held as cache
+    records, and only their entropies are read: the lower end below and the
+    upper end above, computed to min(CENTER_EPS, eps/4) from the proved
+    orbit order (``_center_model``); no ``Center`` is built. When
+    max_period or the deadline is reached first, a BudgetExceeded carrying
+    the best sound enclosure is raised. A budget with max_period beyond
+    ``DEFAULT_PERIOD_CAP`` is refused at once.
     """
     _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
@@ -622,11 +591,9 @@ def logistic_entropy(
     below = above = None
     for p in range(1, budget.max_period + 1):
         held = [c for c in (below, above) if c is not None]
-        below, above = collect_brackets(
-            query, held + _complete_period(p, cache)[0], eps=center_eps
-        )
-        lo = below.entropy.lo if below else _ZERO
-        hi = above.entropy.hi if above else _ONE
+        below, above = collect_brackets(query, held + _complete_period(p, cache)[0])
+        lo = _center_model(below.order(), center_eps)[1].lo if below else _ZERO
+        hi = _center_model(above.order(), center_eps)[1].hi if above else _ONE
         if hi - lo <= target:
             return EntropyBound(lo, hi, Provenance.SANDWICH, certified=True)
         if deadline is not None and time.monotonic() > deadline:

@@ -192,6 +192,22 @@ def test_pwl_file_bool_coordinates_exit_2(tmp_path, capsys, payload, method):
     assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
 
 
+def test_quad_map_json_integer_r(tmp_path, capsys):
+    # a JSON integer r is the rational it spells, as the text "4" is; a
+    # float or a boolean r is malformed input
+    argv = ["--format", "json", "entropy", "pwl", "--method", "horseshoe", "--max-n", "4"]
+    outs = []
+    for name, r in (("int", 4), ("text", "4")):
+        path = write_json(tmp_path / f"{name}.json", {"r": r})
+        assert main(argv + ["--file", path]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != ""
+    for r in (3.5, True):
+        path = write_json(tmp_path / "bad.json", {"r": r})
+        assert main(argv + ["--file", path]) == 2
+        assert capsys.readouterr().err.startswith(f"error: malformed map file {path}")
+
+
 @pytest.mark.parametrize(
     "tail", ['{"type": "center", "period": 9, "r_', None], ids=["torn", "no-newline"]
 )

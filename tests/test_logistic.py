@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -24,8 +25,8 @@ from entrolab.logistic import (
     logistic_entropy,
     markov_partition,
     _markov_data,
-    _SeparationError,
     _prove,
+    _Stored,
     _transitions,
 )
 from test_numkit import from_mantissas, reference_orbit
@@ -120,17 +121,22 @@ def test_enumeration_idempotent(session_cache, tmp_path):
 
 
 def test_collect_brackets_sides(session_cache, tmp_path):
-    centers = enumerate_centers(8, cache=session_cache).centers
-    below, above = collect_brackets(RatInterval.point(F(7, 2)), centers, eps=DEFAULT_EPS)
+    enumerate_centers(8, cache=session_cache)
+    below, above = (
+        c.center(DEFAULT_EPS)
+        for c in collect_brackets(RatInterval.point(F(7, 2)), session_cache.centers)
+    )
     assert below.period == 4 and below.entropy.hi == 0 and below.r_enc.hi < F(7, 2)
     assert above.period == 8 and above.entropy.hi == 0 and above.r_enc.lo > F(7, 2)
-    # entropies coarser than eps are refined for both emitted centers
-    coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(tmp_path / "c.jsonl"))
+    # a cache written at a coarse eps: the picked records' entropies at eps
+    # are no wider than eps
+    path = tmp_path / "c.jsonl"
+    coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
     assert any(c.entropy.width > DEFAULT_EPS for c in coarse.centers)
     for r in (F(7, 2), F(383, 100)):
-        pair = collect_brackets(RatInterval.point(r), coarse.centers, eps=DEFAULT_EPS)
+        pair = collect_brackets(RatInterval.point(r), CenterCache(path).centers)
         for c in pair:
-            assert c is not None and c.entropy.width <= DEFAULT_EPS
+            assert c is not None and c.center(DEFAULT_EPS).entropy.width <= DEFAULT_EPS
 
 
 def test_sandwich_refines_only_bracketing_centers(session_cache, monkeypatch):
@@ -172,22 +178,27 @@ def test_stored_refinement_follows_eps(tmp_path):
     stored = CenterCache(path).centers
     for eps in (F(1, 2**20), F(1, 2**20), F(1, 2**40), F(1, 2**20)):
         for center in stored:
-            got = entrolab.logistic._refined(center, eps)
+            got = center.center(eps)
             assert got.sft == _transitions(got.orbit_order)
             assert got.entropy == sft_entropy(got.sft, eps)
 
 
 def test_center_memos_stay_bounded(tmp_path, monkeypatch):
-    # with room for two entries, each memo evicts its oldest; an evicted
-    # center is proved again from its record, to the same result
+    # each memo is bounded; with room for two entries, each evicts one, and
+    # an evicted center is proved again from its record, to the same result
+    memos = ("_proved_order", "_center_model")
+    for name in memos:
+        assert getattr(entrolab.logistic, name).cache_info().maxsize == 1024
     path = tmp_path / "c.jsonl"
     want = enumerate_centers(5, cache=CenterCache(path)).centers
-    monkeypatch.setattr(entrolab.logistic, "_MEMO_SIZE", 2)
-    entrolab.logistic._ORDERS.clear()
-    entrolab.logistic._ENTROPIES.clear()
+    for name in memos:
+        memo = getattr(entrolab.logistic, name)
+        small = functools.lru_cache(maxsize=2)(memo.__wrapped__)
+        monkeypatch.setattr(entrolab.logistic, name, small)
     for _ in range(2):
         assert enumerate_centers(5, cache=CenterCache(path)).centers == want
-    assert len(entrolab.logistic._ORDERS) == len(entrolab.logistic._ENTROPIES) == 2
+    for name in memos:
+        assert getattr(entrolab.logistic, name).cache_info().currsize == 2
 
 
 def _reference_bracket(query, centers):
@@ -324,7 +335,7 @@ def test_markov_data_matches_fraction_reference(centers8, data):
     want = _reference_markov_data(r_enc, period)
     try:
         ordered, ranks = _markov_data(r_enc, period)
-    except _SeparationError:
+    except ValueError:
         assert want is None
         return
     assert want is not None
@@ -358,7 +369,7 @@ def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps,
     # rescan per period; the centers are refined to min(2^-24, eps/4)
     assert all(min(CENTER_EPS, eps / 4) == center_eps for eps in eps_choices)
     cache = CenterCache(period_9_cache_path)
-    refined = [entrolab.logistic._refined(c, center_eps) for c in cache.centers]  # cache order
+    refined = [c.center(center_eps) for c in cache.centers]  # cache order
     ends = sorted({e for c in refined if 3 < c.r_enc.lo for e in (c.r_enc.lo, c.r_enc.hi)})
     rng = random.Random(14)
     rationals = set()
@@ -396,9 +407,39 @@ def test_sandwich_matches_full_rescan_reference_cold(tmp_path):
         assert new.read_bytes() == old.read_bytes()
 
 
-def _hand_center(lo, hi, period):
+def test_repeated_warm_query_builds_no_center_or_sft(period_9_cache_path, monkeypatch):
+    # the sandwich holds cache records and reads only their entropies: the
+    # same query again in the process finds each picked center's proof and
+    # entropy in the memos, and builds no Center and no SFT
+    def query():
+        return _sandwich(F(37, 10), F(1, 128), 9, CenterCache(period_9_cache_path))
+
+    first = query()
+    built = []
+    for name in ("Center", "_transitions"):
+        original = getattr(entrolab.logistic, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            built.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(entrolab.logistic, name, counted)
+    assert query() == first
+    assert built == []
+
+
+def test_markov_partition_refuses_unseparated_orbit():
+    # over [3, 4] the period-3 critical orbit does not separate: the
+    # partition raises ValueError, as the proof does
     entropy = EntropyBound(F(0), F(0), Provenance.EXACT, certified=True)
-    return Center(RatInterval(F(lo), F(hi)), period, (0,), SFT(((1,),)), entropy)
+    center = Center(RatInterval(F(3), F(4)), 3, (2, 0, 1), SFT(((1,),)), entropy)
+    with pytest.raises(ValueError):
+        markov_partition(center)
+
+
+def _hand_center(lo, hi, period):
+    lo, hi = F(lo), F(hi)
+    return _Stored(period, (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
 
 
 def test_collect_brackets_ties_follow_sorted_rule():
@@ -422,15 +463,13 @@ def test_collect_brackets_ties_follow_sorted_rule():
     for _ in range(200):
         centers = below + above
         rng.shuffle(centers)
-        got = collect_brackets(query, centers, eps=DEFAULT_EPS)
+        got = collect_brackets(query, centers)
         want = _reference_bracket(query, centers)
         assert got[0] is want[0] is below[1]
         assert got[1] is want[1]
         assert got[1] is next(c for c in centers if c in above[1:3])
 
 
-# orbit orders that rebuild to a valid SFT, by period
-_HAND_ORDERS = {1: (0,), 2: (1, 0), 3: (2, 0, 1)}
 _hand_end = st.sampled_from([1, 2, 4, 5, 8]).flatmap(
     lambda d: st.integers(0, 4 * d).map(lambda n: F(n, d))
 )
@@ -485,10 +524,6 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
             kept.append(record)
     stored = CenterCache(path).centers
     assert len(stored) == len(kept)
-    # no hand record is a center: each is taken as proved, with a hand order
-    entrolab.logistic._ORDERS.clear()
-    for center in stored:
-        entrolab.logistic._ORDERS[(center.period, *center.ends)] = _HAND_ORDERS[center.period]
     for center, record in zip(stored, kept):
         assert center.period == record["period"]
         assert center.r_enc == RatInterval.from_json(record["r_enc"])
@@ -497,11 +532,9 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
     for a, b, point in queries:
         a, b = (ends[v % len(ends)] if type(v) is int else v for v in (a, b))
         query = RatInterval.point(a) if point else RatInterval(min(a, b), max(a, b))
-        # a fresh load, its centers unread, with every third one parsed: the
-        # search takes a Center as it takes a stored center
-        fresh = CenterCache(path).centers
-        mixed = [c.center(CENTER_EPS) if i % 3 == 0 else c for i, c in enumerate(fresh)]
-        got = collect_brackets(query, mixed, eps=CENTER_EPS)
+        # a fresh load, its centers unread: the search compares only the
+        # integer ends (no hand record is a center, and none is proved)
+        got = collect_brackets(query, CenterCache(path).centers)
         want = _reference_bracket(query, stored)
         assert [(c.period, c.r_enc) if c else None for c in got] == [
             (c.period, c.r_enc) if c else None for c in want
