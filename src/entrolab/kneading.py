@@ -1,4 +1,5 @@
-"""Kneading theory of the quadratic family x -> r*x*(1-x), in plain integers.
+"""Kneading theory of the quadratic family x -> r*x*(1-x), in plain integers
+(and one float guide that nothing trusts).
 
 The symbol of a point x is L, C or R as x < 1/2, x = 1/2 or x > 1/2,
 written -1, 0 and 1. The kneading sequence K(r) is the sequence of symbols
@@ -16,9 +17,12 @@ Two theorems make the centers of period p findable by their words:
   whose (W C)^oo is shift-maximal, and every such word is the sequence of
   exactly one center (Metropolis-Stein-Stein, J. Combin. Theory A 1973).
 
-So ``locate_centers`` bisects a dyadic grid, reads K at each midpoint and
-sends each word to the side of the midpoint its center lies on. Nothing
-here proves anything: each cell it returns is proved by its caller
+So every center of period p can be named in advance, and ``locate_centers``
+finds the cell of a dyadic grid that holds it from the two ends of that cell
+alone: the cell's word lies between the kneading sequences read there. A
+float orbit guesses the cell and two exact reads of K, at its ends, decide
+it; a wrong guess costs more exact reads and changes no cell. Nothing here
+proves anything: each cell it returns is proved by its caller
 (``logistic._scan``, through ``logistic._prove``), with the exact
 closing-condition signs and the orbit separation, and completeness by the
 center count.
@@ -30,16 +34,17 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .numkit import _HALF_MANTISSA, _orbit_mantissas, critical_orbit_expr
 
 L, C, R = -1, 0, 1
 
 Word = tuple[int, ...]
+Key = tuple[int, ...]  # a sequence's place in the unimodal order
 
 
-def unimodal_key(symbols: Sequence[int]) -> tuple[int, ...]:
+def unimodal_key(symbols: Sequence[int]) -> Key:
     """The symbols, each times -1 to the number of R's before it, so that
     tuple order is the unimodal order; every entry after a C is 0."""
     key, sign = [], 1
@@ -96,30 +101,94 @@ def read_symbols(a: int, b: int, n: int) -> Word:
     return tuple(out)
 
 
+def _float_symbols(r: float, n: int) -> Word:
+    """The symbols of f_r^k(1/2), k = 1..n, in plain floats: a guess,
+    which ``locate_centers`` only uses to choose where to read exactly."""
+    x, out = 0.5, []
+    for _ in range(n):
+        x = r * x * (1 - x)
+        out.append((x > 0.5) - (x < 0.5))
+    return tuple(out)
+
+
+def _guide(read: Callable[[int], Key], key: Key, n: int) -> int:
+    """The cell k in [0, n) whose float reads put key in [K(x_k),
+    K(x_(k+1))), by bisection over k; ``read(k)`` is the key of the float
+    read at grid point k. Untrusted: ``locate_centers`` checks it exactly."""
+    a, b = 0, n
+    while b - a > 1:
+        m = (a + b) >> 1
+        if read(m) <= key:
+            a = m
+        else:
+            b = m
+    return a
+
+
 def locate_centers(
     p: int, lo: Fraction, hi: Fraction, min_width: Fraction
 ) -> Iterator[tuple[Fraction, Fraction, int]]:
-    """The leaves of the bisection of [lo, hi] that hold the center of at
+    """The cells of the 2^depth grid on [lo, hi] that hold the center of at
     least one word of ``mss_words(p)``, in ascending order, as (lo, hi,
-    number of words). A cell is halved while it is wider than min_width
-    and holds a word. At each midpoint the first p symbols of K are read,
-    and the words whose W C lies below them go left: by the monotonicity
-    of K their centers lie below the midpoint. The grid is kept as integer
-    numerators over one power-of-two multiple of the ends' denominator."""
+    number of words). depth is the least number of halvings that leaves
+    cells no wider than min_width, and the grid points are x_0 = lo, ...,
+    x_(2^depth) = hi. Cell k holds the words whose W C lies in
+    [K(x_k), K(x_(k+1))), with K(lo) taken as -oo and K(hi) as +oo: by the
+    monotonicity of K, a center lies in the cell of its word.
+
+    For the first word not yet placed a float guide (``_guide``) picks a
+    cell; two exact reads of the first p symbols of K, at its two ends,
+    decide it. On a miss the search gallops 1, 2, 4, ... cells the way the
+    exact reads point and then bisects, still exactly, so the guide costs
+    reads when it is wrong but never changes a cell. The words below the
+    right end's read are all placed in that cell. Exact reads are memoized
+    for the call. The grid is kept as integer numerators over one
+    power-of-two multiple of the ends' denominator."""
+    if min_width <= 0:
+        raise ValueError(f"min_width must be positive, not {min_width}")
+    if lo >= hi:
+        raise ValueError(f"need lo < hi, not [{lo}, {hi}]")
     depth, width = 0, hi - lo
     while width > min_width:
         depth, width = depth + 1, width / 2
-    den = lcm(lo.denominator, hi.denominator) << depth
+    n, den = 1 << depth, lcm(lo.denominator, hi.denominator) << depth
+    start, step = int(lo * den), int((hi - lo) * den) >> depth
     keys = [unimodal_key(w + (C,)) for w in mss_words(p)]
-    stack = [(int(lo * den), int(hi * den), 0, len(keys), depth)]
-    while stack:
-        a, b, i, j, d = stack.pop()
-        if i == j:
-            continue
-        if d == 0:
-            yield Fraction(a, den), Fraction(b, den), j - i
-            continue
-        mid = (a + b) >> 1
-        k = bisect_left(keys, unimodal_key(read_symbols(mid, den, p)), i, j)
-        stack.append((mid, b, k, j, d - 1))
-        stack.append((a, mid, i, k, d - 1))
+
+    @lru_cache(maxsize=None)
+    def exact(k: int) -> Key:
+        return unimodal_key(read_symbols(start + k * step, den, p))
+
+    @lru_cache(maxsize=None)
+    def guess(k: int) -> Key:
+        return unimodal_key(_float_symbols((start + k * step) / den, p))
+
+    def at_or_below(k: int, key: Key) -> bool:
+        return k == 0 or k < n and exact(k) <= key
+
+    leaves, i = [], 0
+    while i < len(keys):
+        key = keys[i]
+        # good and bad bracket the answer, the last k with K(x_k) <= key
+        good = _guide(guess, key, n)
+        if at_or_below(good, key):
+            bad, gap = good + 1, 1
+            while at_or_below(bad, key):
+                good, gap = bad, 2 * gap
+                bad = min(good + gap, n)
+        else:
+            bad, good, gap = good, good - 1, 1
+            while not at_or_below(good, key):
+                bad, gap = good, 2 * gap
+                good = max(bad - gap, 0)
+        while bad - good > 1:
+            m = (good + bad) >> 1
+            if at_or_below(m, key):
+                good = m
+            else:
+                bad = m
+        j = len(keys) if bad == n else bisect_left(keys, exact(bad), i)
+        a = start + good * step
+        leaves.append((Fraction(a, den), Fraction(a + step, den), j - i))
+        i = j
+    return iter(leaves)

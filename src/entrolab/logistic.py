@@ -358,11 +358,13 @@ def _check_period_cap(p_max: int) -> None:
         raise ValueError(f"period {p_max} exceeds the period cap {DEFAULT_PERIOD_CAP}")
 
 
-# the grid the centers are located on: [2 + DEFAULT_ROOT_WIDTH/4, 4], halved
-# into cells no wider than DEFAULT_ROOT_WIDTH. numkit.root_isolate bisects
-# the same grid on [0, 4] once past its exact zero at r = 2, so both find
-# the same cells and write the same cache records. Every center of period
-# >= 2 lies in (3, 4).
+# the grid the centers are located on: [2 + DEFAULT_ROOT_WIDTH/4, 4] cut
+# into 2^25 cells no wider than DEFAULT_ROOT_WIDTH. locate_centers reads the
+# kneading sequence exactly at the two ends of each cell that holds a center
+# (a float guide picks the cell). numkit.root_isolate bisects the same grid
+# on [0, 4] once past its exact zero at r = 2, so both find the same cells
+# and write the same cache records. Every center of period >= 2 lies in
+# (3, 4).
 _GRID = (2 + DEFAULT_ROOT_WIDTH / 4, Fraction(4))
 
 

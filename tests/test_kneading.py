@@ -1,8 +1,12 @@
+from bisect import bisect_left
 from fractions import Fraction as F
+from math import lcm
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entrolab.kneading as kneading
 import entrolab.logistic as logistic
 import entrolab.numkit as numkit
 from entrolab.kneading import C, L, R, locate_centers, mss_words, read_symbols, unimodal_key
@@ -102,6 +106,116 @@ def test_located_cells_are_the_interval_scan_cells():
         leaves = list(locate_centers(p, *logistic._GRID, DEFAULT_ROOT_WIDTH))
         assert [n for *_, n in leaves] == [1] * _center_count(p), p
         assert [RatInterval(lo, hi) for lo, hi, _ in leaves] == scanned, p
+
+
+def reference_locate(p: int, lo: F, hi: F, min_width: F) -> list[tuple[F, F, int]]:
+    """The leaves of the exact bisection ``locate_centers`` replaced: every
+    grid midpoint on the way down is read exactly, and the words whose W C
+    lies below the read go left."""
+    depth, width = 0, hi - lo
+    while width > min_width:
+        depth, width = depth + 1, width / 2
+    den = lcm(lo.denominator, hi.denominator) << depth
+    keys = [unimodal_key(w + (C,)) for w in mss_words(p)]
+    stack = [(int(lo * den), int(hi * den), 0, len(keys), depth)]
+    leaves = []
+    while stack:
+        a, b, i, j, d = stack.pop()
+        if i == j:
+            continue
+        if d == 0:
+            leaves.append((F(a, den), F(b, den), j - i))
+            continue
+        mid = (a + b) >> 1
+        k = bisect_left(keys, unimodal_key(read_symbols(mid, den, p)), i, j)
+        stack.append((mid, b, k, j, d - 1))
+        stack.append((a, mid, i, k, d - 1))
+    return leaves
+
+
+@st.composite
+def dyadic_intervals(draw):
+    """[lo, hi] within [2, 4], both multiples of 2^-m for some m <= 24."""
+    m = draw(st.integers(0, 24))
+    a = draw(st.integers(0, (2 << m) - 1))
+    b = draw(st.integers(a + 1, 2 << m))
+    return 2 + F(a, 1 << m), 2 + F(b, 1 << m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 9), dyadic_intervals(), st.integers(8, 30).map(lambda k: F(1, 1 << k)))
+@example(11, logistic._GRID, DEFAULT_ROOT_WIDTH)
+@example(12, logistic._GRID, DEFAULT_ROOT_WIDTH)
+def test_locate_centers_matches_the_exact_descent(p, interval, min_width):
+    leaves = list(locate_centers(p, *interval, min_width))
+    assert leaves == reference_locate(p, *interval, min_width)
+
+
+class _CountedReads:
+    """Wraps ``kneading.read_symbols`` and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        read = kneading.read_symbols
+
+        def counted(*args):
+            self.calls += 1
+            return read(*args)
+
+        monkeypatch.setattr(kneading, "read_symbols", counted)
+
+
+@pytest.mark.parametrize("guide", ["first", "last"])
+@pytest.mark.parametrize(
+    "lo, hi, min_width",
+    [
+        (*logistic._GRID, DEFAULT_ROOT_WIDTH),
+        # words whose centers lie outside go to the first and the last cell
+        (F(7, 2), F(15, 4), F(1, 1 << 20)),
+    ],
+)
+def test_a_useless_guide_changes_no_leaf(monkeypatch, guide, lo, hi, min_width):
+    # the guide puts every word in the first cell, or in the last; the exact
+    # gallop and bisection still find each word's cell, in at most
+    # 2*log2(cells) + 2 exact reads per leaf
+    monkeypatch.setattr(
+        kneading, "_guide", lambda read, key, n: 0 if guide == "first" else n - 1
+    )
+    depth = 0
+    while (hi - lo) / (1 << depth) > min_width:
+        depth += 1
+    for p in range(2, 10):
+        reference = reference_locate(p, lo, hi, min_width)
+        reads = _CountedReads(monkeypatch)
+        assert list(locate_centers(p, lo, hi, min_width)) == reference, p
+        assert reads.calls <= (2 * depth + 2) * len(reference), p
+
+
+def test_located_cells_take_two_exact_reads_each(monkeypatch):
+    # the float guide is right for every center of period <= 12 on the real
+    # grid: each leaf costs the two reads at its ends, where the exact
+    # descent read about 22 midpoints per word
+    for p in range(1, 13):
+        reads = _CountedReads(monkeypatch)
+        leaves = list(locate_centers(p, *logistic._GRID, DEFAULT_ROOT_WIDTH))
+        assert len(leaves) == _center_count(p), p
+        assert reads.calls <= 2 * len(leaves), p
+
+
+@pytest.mark.parametrize(
+    "lo, hi, min_width",
+    [
+        (F(3), F(4), F(0)),  # halving until no wider than 0 never ends
+        (F(3), F(4), F(-1, 64)),
+        (F(4), F(3), F(1, 64)),  # the descent yielded the bogus leaf (4, 3, 1)
+        (F(3), F(3), F(1, 64)),
+    ],
+)
+def test_locate_centers_refuses_bad_arguments_before_any_read(monkeypatch, lo, hi, min_width):
+    reads = _CountedReads(monkeypatch)
+    with pytest.raises(ValueError):
+        locate_centers(3, lo, hi, min_width)
+    assert reads.calls == 0
 
 
 def test_scan_runs_no_interval_root_scan(monkeypatch):
