@@ -23,6 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -31,9 +32,9 @@ from .numkit import (
     ENCLOSURE_BITS,
     RatInterval,
     RationalLike,
+    _orbit_mantissas,
     critical_orbit_expr,
     json_int,
-    orbit_mantissas,
     parse_interval,
     parse_rational,
     # unused here; perfbench's tracer wraps both bindings by name
@@ -44,7 +45,6 @@ from .symbolic import SFT, EntropyBound, Provenance, sft_entropy
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_HALF_POINT = RatInterval.point(Fraction(1, 2))
 
 CACHE_SCHEMA = 5
 
@@ -95,14 +95,24 @@ class EnumerationResult:
 # ---------------------------------------------------------------------------
 
 
+_Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
+
+
+def _ends(lo: Fraction, hi: Fraction) -> _Ends:
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
+
 def _markov_data(
-    r_enc: RatInterval, period: int
+    ends: _Ends, period: int
 ) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     # mantissas over 2**ENCLOSURE_BITS of f(c), ..., f^{p-1}(c), and of the
     # closing point f^p(c), which is c itself; returned in ascending order.
     # ValueError where they do not separate
+    lo_num, lo_den, hi_num, hi_den = ends
+    b = lcm(lo_den, hi_den)
     half = 1 << (ENCLOSURE_BITS - 1)
-    orbit = [*orbit_mantissas(r_enc, _HALF_POINT, period - 1), (half, half)]
+    orbit = _orbit_mantissas(lo_num * (b // lo_den), hi_num * (b // hi_den), b, 1, 1, 2, period - 1)
+    orbit.append((half, half))
     order = sorted(range(period), key=lambda k: orbit[k][0])
     ordered = [orbit[k] for k in order]
     # a separated orbit lies between its first lo and its last hi, and an
@@ -137,7 +147,7 @@ def _transitions(ranks: Sequence[int]) -> SFT:
 
 def markov_partition(center: Center) -> tuple[tuple[RatInterval, ...], SFT]:
     """Partition-point enclosures and the induced transition structure."""
-    ordered, orbit_rank = _markov_data(center.r_enc, center.period)
+    ordered, orbit_rank = _markov_data(_ends(center.r_enc.lo, center.r_enc.hi), center.period)
     scale = 1 << ENCLOSURE_BITS
     inner = (RatInterval(Fraction(lo, scale), Fraction(hi, scale)) for lo, hi in ordered)
     return (RatInterval.point(_ZERO), *inner, RatInterval.point(_ONE)), _transitions(orbit_rank)
@@ -160,37 +170,28 @@ def _malformed(line: int, path: Optional[Path], exc: Exception) -> ValueError:
     return ValueError(f"malformed line {line} in {path}: {exc!r}")
 
 
-_Ends = tuple[int, int, int, int]  # an r_enc as (lo_num, lo_den, hi_num, hi_den)
-
-# the most bits the reduced denominator of a stored r_enc end may have. The
-# scan writes the ends of its cells (_GRID), [2 + 2^-26, 4] halved 25 times:
-# multiples of 2^-51, at most 52 bits. Earlier writers of this schema also
-# refined a cell by quarters while it was wider than 2^-300, which wrote ends
-# of up to 328 bits; those files still load, and the rest is margin. A longer
-# end is refused: the exact sign behind the proof of a center (sign_at) forms
-# integers that grow like the denominator to the power 2^period
-_MAX_END_BITS = 384
-
-def _prove(r_enc: RatInterval, period: int) -> tuple[int, ...]:
-    """The orbit order of the center of period ``period`` in r_enc, the one
-    proof of a located cell and of a stored center: the closing condition
-    changes sign or vanishes at the ends of r_enc, so r_enc holds one of its
-    roots, and the critical orbit separates over all of r_enc, so that root
-    has minimal period ``period`` and its orbit has this order. ValueError
-    otherwise. Callers reach it through the memo ``_proved_order``."""
-    expr = critical_orbit_expr(period)
-    if expr.sign_at(r_enc.lo) * expr.sign_at(r_enc.hi) > 0:
-        raise ValueError("the closing condition keeps one sign on r_enc")
-    return _markov_data(r_enc, period)[1]
+# the most bits the reduced denominator of a stored r_enc end may have: the
+# scan writes the ends of its cells (_GRID), [2 + 2^-26, 4] halved 25 times,
+# multiples of 2^-51 of at most 52 bits. A longer end is refused: the exact
+# sign behind the proof of a center (sign_at) forms integers that grow like
+# the denominator to the power 2^period
+_MAX_END_BITS = 52
 
 
 # per-process memos, each well above the 380 centers of period <= 12
 @lru_cache(maxsize=1024)
-def _proved_order(
-    period: int, lo_num: int, lo_den: int, hi_num: int, hi_den: int
-) -> tuple[int, ...]:
-    """``_prove`` of the r_enc with these reduced ends."""
-    return _prove(RatInterval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)), period)
+def _prove(period: int, ends: _Ends) -> tuple[int, ...]:
+    """The orbit order of the center of period ``period`` in the r_enc with
+    these reduced ends, the one proof of a located cell and of a stored
+    center: the closing condition changes sign or vanishes at the ends, so
+    r_enc holds one of its roots, and the critical orbit separates over all
+    of r_enc, so that root has minimal period ``period`` and its orbit has
+    this order. ValueError otherwise."""
+    lo_num, lo_den, hi_num, hi_den = ends
+    expr = critical_orbit_expr(period)
+    if expr.sign_at(Fraction(lo_num, lo_den)) * expr.sign_at(Fraction(hi_num, hi_den)) > 0:
+        raise ValueError("the closing condition keeps one sign on r_enc")
+    return _markov_data(ends, period)[1]
 
 
 @lru_cache(maxsize=1024)
@@ -201,23 +202,18 @@ def _center_model(order: tuple[int, ...], eps: Fraction) -> tuple[SFT, EntropyBo
     return sft, sft_entropy(sft, eps)
 
 
-def _ends(r_enc: RatInterval) -> _Ends:
-    lo, hi = r_enc.lo, r_enc.hi
-    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
-
-
 @dataclass(eq=False, slots=True)
 class _Stored:
     """A center of the cache: ``period`` and ``ends``, the ``r_enc`` as
     reduced integers with positive denominators. The ``r_enc`` RatInterval
-    is built from them on first read, for every center ``enumerate_centers``
-    returns. ``order()`` is the proved orbit order: the center is proved on
-    its first use in the process (``_proved_order``), and a failed proof is
-    reported as a malformed line of its file. A center the scan added in
-    this process is proved already. ``center(eps)`` is the one place a
-    stored center becomes a ``Center``, for output: it takes the SFT rebuilt
-    from the orbit order and the entropy enclosure ``sft_entropy`` computes
-    at eps (``_center_model``)."""
+    is built from them on first read, which only ``enumerate_centers``
+    makes, for its overlap check and its output. ``order()`` is the proved
+    orbit order: the center is proved from its ends on its first use in the
+    process (``_prove``), and a failed proof is reported as a malformed line
+    of its file. A center the scan added in this process is proved already.
+    ``center(eps)`` is the one place a stored center becomes a ``Center``,
+    for output: it takes the SFT rebuilt from the orbit order and the
+    entropy enclosure ``sft_entropy`` computes at eps (``_center_model``)."""
 
     period: int
     ends: _Ends
@@ -234,7 +230,7 @@ class _Stored:
 
     def order(self) -> tuple[int, ...]:
         try:
-            return _proved_order(self.period, *self.ends)
+            return _prove(self.period, self.ends)
         except ValueError as exc:
             raise _malformed(self._line, self._path, exc) from exc
 
@@ -334,13 +330,14 @@ class CenterCache:
                 fh.write(json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n")
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    def add_center(self, period: int, r_enc: RatInterval) -> None:
-        """Add a center the scan proved."""
-        ends = _ends(r_enc)
+    def add_center(self, period: int, ends: _Ends) -> None:
+        """Add a center the scan proved, its r_enc as reduced integer ends."""
         if not self._add_key(period, ends):
             return
-        self.centers.append(_Stored(period, ends, r_enc))
-        self._append({"type": "center", "period": period, "r_enc": r_enc.to_json()})
+        self.centers.append(_Stored(period, ends))
+        lo_num, lo_den, hi_num, hi_den = ends
+        r_enc = [f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"]
+        self._append({"type": "center", "period": period, "r_enc": r_enc})
 
 
 # ---------------------------------------------------------------------------
@@ -372,24 +369,25 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     """Locate the centers of period p by their kneading words
     (``kneading.locate_centers``), in ascending r, prove each one and add
     it to the cache, where one already stored is not added again. Period 1
-    is the point r = 2. A cell is proved in this process exactly as a
-    stored center is (``_proved_order``), with no refinement. A cell that holds
-    more than one word, or fails its proof, is returned unresolved."""
+    is the point r = 2. A cell is proved from its integer ends in this
+    process exactly as a stored center is (``_prove``), with no refinement
+    and no RatInterval. A cell that holds more than one word, or fails its
+    proof, is returned unresolved, as a RatInterval."""
     if p == 1:
         leaves = [(Fraction(2), Fraction(2), 1)]
     else:
         leaves = locate_centers(p, *_GRID, DEFAULT_ROOT_WIDTH)
     unresolved = []
     for lo, hi, n_words in leaves:
-        cell = RatInterval(lo, hi)
+        ends = _ends(lo, hi)
         try:
             if n_words != 1:
                 raise ValueError("the cell holds more than one word")
-            _proved_order(p, *_ends(cell))
+            _prove(p, ends)
         except ValueError:
-            unresolved.append(cell)
+            unresolved.append(RatInterval(lo, hi))
         else:
-            cache.add_center(p, cell)
+            cache.add_center(p, ends)
     return unresolved
 
 

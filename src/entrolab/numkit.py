@@ -19,18 +19,15 @@ lie in range. `orbit_mantissas`, `IterMapExpr.evaluate` and
 chain rule the same way, and their readers compare the integers.
 `IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
 decides when it excludes 1/2, and otherwise an exact integer recurrence
-does. All three read the critical orbit through one small memo,
-`_critical_orbit`, keyed on integers, so the root scan runs each orbit once
-per cell and forms each cell's centered form on the mantissas. The scan's
-cells, their midpoints and half-widths are still `Fraction`s and
-`RatInterval`s; only the enclosures over them are integers.
+does. Each of the three runs `_orbit_mantissas` once per call. The root
+scan forms each cell's centered form on the mantissas; its cells, their
+midpoints and half-widths are still `Fraction`s and `RatInterval`s.
 
 No product path runs the root scan (`root_isolate`, `_scan_enclosure`,
 `refine_root`, `derivative_enclosure`): centers are located by their
-kneading words (`kneading`) and proved by `logistic._prove`. The scan, and
-`_critical_orbit`'s memo, which pays only where the scan reads an orbit
-twice in a row, are kept only for the benchmark tracer, which wraps the
-scan's functions by name.
+kneading words (`kneading`) and proved by `logistic._prove`. The scan is
+kept for the benchmark tracer, which wraps its functions by name, and as
+the reference the located cells are tested against.
 
 All functions are pure; all values are immutable and safe to share between
 threads or processes.
@@ -41,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt, lcm
 from typing import Optional, Union
 
@@ -426,15 +422,6 @@ def _orbit_mantissas(
     return out
 
 
-@lru_cache(maxsize=4)
-def _critical_orbit(a_lo: int, a_hi: int, b: int, n: int) -> tuple[tuple[int, int], ...]:
-    """``_orbit_mantissas`` of the critical point 1/2 for r = [a_lo, a_hi]/b,
-    kept for the last few (r, n): the root scan reads each orbit twice in a
-    row, a cell's for its value and derivative, a midpoint's for its
-    centered form and sign."""
-    return tuple(_orbit_mantissas(a_lo, a_hi, b, 1, 1, 2, n))
-
-
 def orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, int]]:
     """Enclosures of f(x0), ..., f^n(x0) for the family r*x*(1-x), as
     integer mantissas (lo, hi) over 2**ENCLOSURE_BITS.
@@ -465,7 +452,7 @@ class IterMapExpr:
     def evaluate(self, r: RatInterval) -> tuple[int, int]:
         """Enclosure of the expression over ``r``, as integer mantissas
         (lo, hi) over 2**ENCLOSURE_BITS."""
-        lo, hi = _critical_orbit(*_over_one_denominator(r), self.iterations)[-1]
+        lo, hi = _orbit_mantissas(*_over_one_denominator(r), 1, 1, 2, self.iterations)[-1]
         return lo - _HALF_MANTISSA, hi - _HALF_MANTISSA
 
     def sign_at(self, t: Fraction) -> int:
@@ -477,7 +464,7 @@ class IterMapExpr:
         """
         t = parse_rational(t)
         a, b = t.numerator, t.denominator
-        lo, hi = _critical_orbit(a, a, b, self.iterations)[-1]
+        lo, hi = _orbit_mantissas(a, a, b, 1, 1, 2, self.iterations)[-1]
         if lo > _HALF_MANTISSA:
             return 1
         if hi < _HALF_MANTISSA:
@@ -497,7 +484,7 @@ class IterMapExpr:
         """
         a_lo, a_hi, b = _over_one_denominator(r)
         # the first n - 1 steps of the n-step orbit that `evaluate` reads
-        orbit = _critical_orbit(a_lo, a_hi, b, self.iterations)[:-1]
+        orbit = _orbit_mantissas(a_lo, a_hi, b, 1, 1, 2, self.iterations - 1)
         q = 4 * b * _SCALE * _SCALE
         d_lo = d_hi = 0
         for x_lo, x_hi in [(_HALF_MANTISSA, _HALF_MANTISSA), *orbit]:
@@ -545,13 +532,11 @@ def _scan_enclosure(
     at the midpoint. When the plain one already excludes 0 its mantissas
     p over 2**ENCLOSURE_BITS are returned alone, with no derivative: the
     intersection would exclude 0 as well, and the scan reads the derivative
-    only of a cell whose enclosure holds 0. Each orbit runs once: the
-    derivative reads the orbit of the plain enclosure, and the scan's sign
-    at the midpoint the orbit of the centered form, through
-    `_critical_orbit`. With midpoint and slope mantissas m and s and a
-    half-width u/v, the centered form over 2**ENCLOSURE_BITS * v is
-    [m_lo*v - radius, m_hi*v + radius] with radius = max(-s_lo, s_hi)*u,
-    and the intersection comes back over that denominator, with s.
+    only of a cell whose enclosure holds 0. With midpoint and slope
+    mantissas m and s and a half-width u/v, the centered form over
+    2**ENCLOSURE_BITS * v is [m_lo*v - radius, m_hi*v + radius] with
+    radius = max(-s_lo, s_hi)*u, and the intersection comes back over that
+    denominator, with s.
     """
     p_lo, p_hi = expr.evaluate(cell)
     if p_lo > 0 or p_hi < 0:

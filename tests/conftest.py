@@ -17,5 +17,5 @@ def fresh_center_memos():
     """Each test starts with empty per-process memos of center proofs and
     entropies, so counts of the work a call does do not hang on which
     tests ran before it."""
-    logistic._proved_order.cache_clear()
+    logistic._prove.cache_clear()
     logistic._center_model.cache_clear()

@@ -298,11 +298,11 @@ def _nearest_below(centers, key):
 
 
 def test_logistic_malformed_bracketing_center_exit_2(tmp_path, capsys, period_5_lines):
-    # a center is proved when the sandwich first reads it: moved by 1/1000,
+    # a center is proved when the sandwich first reads it: moved by 1/1024,
     # its r_enc no longer holds a root of the closing condition
     number = _center_line(period_5_lines, _nearest_below)
     path = tmp_path / "c.jsonl"
-    r_enc = _shifted(period_5_lines, number, F(1, 1000))
+    r_enc = _shifted(period_5_lines, number, F(1, 1024))
     path.write_text(_with(period_5_lines, number, r_enc=r_enc), encoding="utf-8")
     assert main(_QUERY + [str(path)]) == 2
     assert f"malformed line {number} in {path}" in capsys.readouterr().err
@@ -314,7 +314,7 @@ def test_malformed_far_center_read_only_by_centers(tmp_path, capsys, period_5_li
     clean, bad = tmp_path / "clean.jsonl", tmp_path / "bad.jsonl"
     clean.write_text("\n".join(period_5_lines) + "\n", encoding="utf-8")
     number = _center_line(period_5_lines, max)
-    r_enc = _shifted(period_5_lines, number, F(1, 1000))
+    r_enc = _shifted(period_5_lines, number, F(1, 1024))
     bad.write_text(_with(period_5_lines, number, r_enc=r_enc), encoding="utf-8")
     results = []
     for path in (clean, bad):
@@ -412,9 +412,10 @@ def test_sandwich_parses_only_bracketing_centers(period_9_path, capsys, monkeypa
 
 
 def test_sandwich_builds_intervals_only_for_bracketing_centers(period_9_path, capsys, monkeypatch):
-    # a stored center's r_enc stays integers until the center is picked; the
-    # RatInterval is built for at most the two bracketing centers of each
-    # period, where every one of the 66 was built at load
+    # a stored center's r_enc stays integers: the bracketing centers are
+    # picked and proved from their integer ends, and no RatInterval is built
+    # from any stored r_enc. Every one of the 66 was built at load, and later
+    # one for each proof of a bracketing center
     stored = set()
     for line in period_9_path.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
@@ -430,7 +431,7 @@ def test_sandwich_builds_intervals_only_for_bracketing_centers(period_9_path, ca
     monkeypatch.setattr(RatInterval, "__post_init__", counted)
     argv = ["entropy", "logistic", "--r", "3.7", "--eps", "1/128", "--max-period", "9"]
     assert main(argv + ["--cache-path", str(period_9_path)]) == 3
-    assert 0 < sum(ends in stored for ends in built) <= 2 * 9
+    assert sum(ends in stored for ends in built) == 0
 
 
 def test_sandwich_refines_each_center_once(period_9_path, capsys, monkeypatch):
@@ -605,6 +606,24 @@ def test_logistic_precision_at_cap(tmp_path, capsys):
     assert main(argv + ["--max-period", "4", "--cache-path", str(tmp_path / "c.jsonl")]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["centers", "--max-period", "2", "--cache-path", "{dir}"],  # IsADirectoryError
+        ["centers", "--max-period", "2", "--cache-path", "{file}/c.jsonl"],  # FileExistsError
+        ["realize", "--h", "1/2", "--out", "{dir}"],  # IsADirectoryError
+    ],
+    ids=["cache-is-a-directory", "cache-under-a-file", "out-is-a-directory"],
+)
+def test_os_error_on_a_named_path_exit_2(tmp_path, run, argv):
+    # each raised its OSError as a traceback, with exit 1
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    argv = [a.format(dir=tmp_path, file=tmp_path / "file") for a in argv]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as err:
         main(["entropy", "logistic"])  # missing required flags
@@ -738,7 +757,7 @@ def test_centers_extra_record_exit_2(tmp_path, capsys):
     assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 0
     lines = path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[_center_line(lines, max) - 1])
-    record["r_enc"] = [format_rational(parse_rational(v) - F(1, 1000)) for v in record["r_enc"]]
+    record["r_enc"] = [format_rational(parse_rational(v) - F(1, 1024)) for v in record["r_enc"]]
     path.write_text("\n".join(lines + [json.dumps(record, sort_keys=True)]) + "\n", encoding="utf-8")
     capsys.readouterr()
     assert main(["centers", "--max-period", "3", "--cache-path", str(path)]) == 2
@@ -841,7 +860,9 @@ def test_long_r_enc_end_exit_2_at_once(tmp_path, run):
 def test_deepest_refinement_end_loads(tmp_path, run):
     # the period-3 cell refined as far as earlier writers of this cache
     # schema refined one: to a quarter of its width while it was wider than
-    # 2^-300, which leaves ends of 328-bit denominators
+    # 2^-300, which leaves ends of 328-bit denominators. Such a file loaded;
+    # now that the only writer is the scan, whose ends have at most 52 bits,
+    # the record is malformed at load
     path = tmp_path / "c.jsonl"
     argv = ["--format", "json", "centers", "--max-period", "3", "--cache-path", str(path)]
     assert run(argv)[0] == 0
@@ -852,9 +873,57 @@ def test_deepest_refinement_end_loads(tmp_path, run):
     assert deep.width <= F(1, 1 << 300) < 4 * deep.width
     assert max(deep.lo.denominator, deep.hi.denominator).bit_length() == 328
     path.write_text(_with(lines, number, r_enc=deep.to_json()), encoding="utf-8")
-    code, out, _ = run(argv)
-    assert code == 0
-    assert [c["r_enc"] for c in json.loads(out)["centers"] if c["period"] == 3] == [deep.to_json()]
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed line {number} in {path}")
+
+
+def _tight_ends(lo, hi, period, bits):
+    """Ends k/2^bits and (k + 1)/2^bits around the root of f^period(1/2) - 1/2
+    in [lo, hi], a cell whose closing condition changes sign: bisection on
+    signs read in fixed point at 2*bits + 64 bits, whose error stays far
+    below the value at any point 2^-bits or more from the root."""
+    w = 2 * bits + 64
+    half = 1 << (w - 1)
+
+    def sign(k):
+        x = half
+        for _ in range(period):
+            x = (k * x * ((1 << w) - x)) >> (w + bits)
+        return (x > half) - (x < half)
+
+    a, b = int(lo * (1 << bits)), int(hi * (1 << bits))
+    s_a = sign(a)
+    assert s_a * sign(b) < 0
+    while b - a > 1:
+        m = (a + b) >> 1
+        if sign(m) == s_a:
+            a = m
+        else:
+            b = m
+    return [format_rational(F(a, 1 << bits)), format_rational(F(b, 1 << bits))]
+
+
+def test_tight_long_r_enc_ends_exit_2_at_once(tmp_path, run):
+    # a period-12 record with ends 2^-379 apart around its center, of 380-bit
+    # denominators: the orbit enclosure straddles 1/2 at both, so its proof
+    # falls back to the exact sign, whose integers grow like the denominator
+    # to the power 2^12. Such ends loaded and were proved, with exit 0 (the
+    # limit was 384 bits); the end is refused at load
+    path = tmp_path / "c.jsonl"
+    argv = ["centers", "--max-period", "12", "--cache-path", str(path)]
+    assert run(argv)[0] == 0
+    lines, records = _center_lines(path)
+    number = min(n for n in records if records[n]["period"] == 12)
+    lo, hi = map(parse_rational, records[number]["r_enc"])
+    r_enc = _tight_ends(lo, hi, 12, 379)
+    assert max(parse_rational(v).denominator for v in r_enc).bit_length() == 380
+    path.write_text(_with(lines, number, r_enc=r_enc), encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: malformed line {number} in {path}")
 
 
 def _period_5(path, run):
@@ -947,11 +1016,12 @@ def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
     prove = logistic._prove
     failed = []
 
-    def prove_or_fail(r_enc, period):
+    def prove_or_fail(period, ends):
+        r_enc = RatInterval(F(*ends[:2]), F(*ends[2:]))
         if period == 5 and r_enc.lo > F(398, 100):
             failed.append(r_enc)
             raise ValueError("forced")
-        return prove(r_enc, period)
+        return prove(period, ends)
 
     monkeypatch.setattr(logistic, "_prove", prove_or_fail)
     path = tmp_path / "c.jsonl"

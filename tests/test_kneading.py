@@ -10,7 +10,7 @@ import entrolab.kneading as kneading
 import entrolab.logistic as logistic
 import entrolab.numkit as numkit
 from entrolab.kneading import C, L, R, locate_centers, mss_words, read_symbols, unimodal_key
-from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _center_count, _prove, _scan
+from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _center_count, _ends, _prove, _scan
 from entrolab.numkit import (
     RatInterval,
     critical_orbit_expr,
@@ -90,7 +90,7 @@ def test_kneading_sequence_is_monotone_in_r(r1, r2, n):
 
 def _proves(cell: RatInterval, p: int) -> bool:
     try:
-        _prove(cell, p)
+        _prove(p, _ends(cell.lo, cell.hi))
     except ValueError:
         return False
     return True
@@ -239,6 +239,24 @@ def test_scan_runs_no_interval_root_scan(monkeypatch):
         assert _scan(p, cache) == []
         assert [c.period for c in cache.centers].count(p) == _center_count(p)
     assert calls == {"root_isolate": 0, "derivative_enclosure": 0}
+
+
+def test_scan_builds_no_interval_for_a_proved_cell(tmp_path, monkeypatch):
+    # a located cell is proved and stored from its integer ends; each one
+    # was built as a RatInterval, then built again for its proof
+    check = RatInterval.__post_init__
+    built = []
+
+    def counted(self):
+        check(self)
+        built.append(self)
+
+    monkeypatch.setattr(RatInterval, "__post_init__", counted)
+    cache = CenterCache(tmp_path / "c.jsonl")
+    for p in range(1, 10):
+        assert _scan(p, cache) == []
+    assert len(cache.centers) == sum(map(_center_count, range(1, 10)))
+    assert built == []
 
 
 def test_scan_leaves_an_unseparated_cell_unrefined(monkeypatch):

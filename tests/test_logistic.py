@@ -24,6 +24,7 @@ from entrolab.logistic import (
     enumerate_centers,
     logistic_entropy,
     markov_partition,
+    _ends,
     _markov_data,
     _prove,
     _Stored,
@@ -96,17 +97,17 @@ def test_primitive_period_filter(centers3):
 def test_prove_rejects_proper_divisor_roots():
     # the orbit of a root of a proper-divisor closing condition never
     # separates; the proof fails on its cell
-    two = RatInterval.point(2)
+    two = (2, 1, 2, 1)
     for p in range(2, 7):
         with pytest.raises(ValueError):
-            _prove(two, p)
-    assert _prove(two, 1) == (0,)
+            _prove(p, two)
+    assert _prove(1, two) == (0,)
     # the period-4 root cell that holds the period-2 center 1 + sqrt(5)
     expr = critical_orbit_expr(4)
     roots = root_isolate(expr, RatInterval(0, 4), DEFAULT_ROOT_WIDTH).roots
     [cell] = [iv for iv in roots if (iv.lo - 1) ** 2 < 5 < (iv.hi - 1) ** 2]
     with pytest.raises(ValueError):
-        _prove(cell, 4)
+        _prove(4, _ends(cell.lo, cell.hi))
 
 
 def test_enumeration_idempotent(session_cache, tmp_path):
@@ -186,7 +187,7 @@ def test_stored_refinement_follows_eps(tmp_path):
 def test_center_memos_stay_bounded(tmp_path, monkeypatch):
     # each memo is bounded; with room for two entries, each evicts one, and
     # an evicted center is proved again from its record, to the same result
-    memos = ("_proved_order", "_center_model")
+    memos = ("_prove", "_center_model")
     for name in memos:
         assert getattr(entrolab.logistic, name).cache_info().maxsize == 1024
     path = tmp_path / "c.jsonl"
@@ -334,7 +335,7 @@ def test_markov_data_matches_fraction_reference(centers8, data):
     r_enc = RatInterval(max(lo, 0), min(hi, 4))
     want = _reference_markov_data(r_enc, period)
     try:
-        ordered, ranks = _markov_data(r_enc, period)
+        ordered, ranks = _markov_data(_ends(r_enc.lo, r_enc.hi), period)
     except ValueError:
         assert want is None
         return

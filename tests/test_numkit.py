@@ -469,27 +469,6 @@ def dyadic_cells(lo=0, max_e=40):
     )
 
 
-@settings(max_examples=100, deadline=None)
-@given(period=st.integers(1, 9), cell=dyadic_cells(), t=rationals(0, 4), at_mid=st.booleans())
-def test_orbit_memo_hit_equals_miss(period, cell, t, at_mid):
-    expr = critical_orbit_expr(period)
-    t = cell.mid if at_mid else t
-    reads = [
-        lambda: expr.evaluate(cell),
-        lambda: expr.derivative_enclosure(cell),
-        lambda: expr.evaluate(RatInterval.point(t)),
-        lambda: expr.sign_at(t),
-    ]
-    misses = []
-    for read in reads:
-        numkit._critical_orbit.cache_clear()
-        misses.append(read())
-    for order in (reads, reads[::-1]):
-        numkit._critical_orbit.cache_clear()
-        results = [read() for read in order]
-        assert results == (misses if order is reads else misses[::-1])
-
-
 def reference_scan_enclosure(expr, cell):
     """Both enclosures formed in RatInterval arithmetic and intersected on
     every cell, as before the early exit. They come back as (lo, hi) pairs
@@ -546,27 +525,6 @@ def test_root_isolate_decisions_match_reference_scan(period, cell, depth):
     assert runs[1] == runs[0]
 
 
-def test_scan_runs_at_most_two_orbits_per_cell(monkeypatch):
-    # the derivative reuses the cell's orbit and the midpoint sign the
-    # orbit of the centered form; a cell excluded by its plain enclosure
-    # runs one orbit
-    counts = {"orbits": 0, "scans": 0}
-
-    def counted(name, fn):
-        def call(*args):
-            counts[name] += 1
-            return fn(*args)
-
-        return call
-
-    monkeypatch.setattr(numkit, "_orbit_mantissas", counted("orbits", numkit._orbit_mantissas))
-    monkeypatch.setattr(numkit, "_scan_enclosure", counted("scans", numkit._scan_enclosure))
-    numkit._critical_orbit.cache_clear()
-    root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
-    assert counts["scans"] > 1000
-    assert counts["orbits"] <= 2 * counts["scans"]
-
-
 def test_scan_does_no_interval_arithmetic():
     # the centered form and its intersection with the plain enclosure run
     # on integer mantissas: RatInterval has no arithmetic operators to run
@@ -574,16 +532,5 @@ def test_scan_does_no_interval_arithmetic():
     for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__"):
         assert not hasattr(RatInterval, name), name
     assert not hasattr(numkit, "_from_mantissas")
-    numkit._critical_orbit.cache_clear()
     iso = root_isolate(critical_orbit_expr(9), RatInterval(0, 4), F(1, 1 << 24))
     assert len(iso.roots) == 30  # the centers of periods 1, 3 and 9
-
-
-def test_point_and_its_sign_share_one_orbit():
-    # the memo key of the point [a/b, a/b] is that of sign_at(a/b)
-    expr = critical_orbit_expr(7)
-    numkit._critical_orbit.cache_clear()
-    for t in (F(37, 10), F(7, 2)):
-        expr.evaluate(RatInterval.point(t))
-        expr.sign_at(t)
-    assert numkit._critical_orbit.cache_info().misses == 2
