@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg
 from typing import Iterator, Optional, Sequence
 
 from .numkit import (
@@ -211,14 +212,12 @@ def _preimage(
 
     def solve(y: int) -> Fraction:
         q = y // scale  # an ordinate Y[k] <= y/scale exactly when Y[k] <= q
-        a, b = first, last
-        # binary search the segment whose y-span contains y
-        while a + 1 < b:
-            mid = (a + b) // 2
-            if (Y[mid] <= q) == rising:
-                a = mid
-            else:
-                b = mid
+        # the segment whose y-span contains y starts at the last node of the
+        # run, its end node excluded, on the same side of q as the first
+        if rising:
+            a = bisect_right(Y, q, first + 1, last) - 1
+        else:
+            a = bisect_left(Y, -q, first + 1, last, key=neg) - 1
         rise = (Y[a + 1] - Y[a]) * scale
         return Fraction(X[a] * rise + (y - Y[a] * scale) * (X[a + 1] - X[a]), rise * g.Dx)
 

@@ -17,12 +17,14 @@ Two theorems make the centers of period p findable by their words:
   whose (W C)^oo is shift-maximal, and every such word is the sequence of
   exactly one center (Metropolis-Stein-Stein, J. Combin. Theory A 1973).
 
-So every center of period p can be named in advance, and ``locate_centers``
-finds the cell of a dyadic grid that holds it from the two ends of that cell
-alone: the cell's word lies between the kneading sequences read there. A
-float orbit guesses the cell and two exact reads of K, at its ends, decide
-it; a wrong guess costs more exact reads and changes no cell. Nothing here
-proves anything: each cell it returns is proved by its caller
+So every center of period p can be named in advance, and the cell of a
+dyadic grid that holds it is the answer to a search over a monotone key,
+the stdlib ``bisect``'s job: ``locate_centers`` decides the cell from its
+two ends alone, since the cell's word lies between the kneading sequences
+read there. A bisection over float orbits guesses the cell and two exact
+reads of K, at its ends, check it; on a miss the same bisection runs over
+exact reads, so a wrong guess costs exact reads and changes no cell.
+Nothing here proves anything: each cell it returns is proved by its caller
 (``logistic._scan``, through ``logistic._prove``), with the exact
 closing-condition signs and the orbit separation, and completeness by the
 center count.
@@ -30,11 +32,11 @@ center count.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .numkit import _HALF_MANTISSA, _orbit_mantissas, critical_orbit_expr
 
@@ -111,20 +113,6 @@ def _float_symbols(r: float, n: int) -> Word:
     return tuple(out)
 
 
-def _guide(read: Callable[[int], Key], key: Key, n: int) -> int:
-    """The cell k in [0, n) whose float reads put key in [K(x_k),
-    K(x_(k+1))), by bisection over k; ``read(k)`` is the key of the float
-    read at grid point k. Untrusted: ``locate_centers`` checks it exactly."""
-    a, b = 0, n
-    while b - a > 1:
-        m = (a + b) >> 1
-        if read(m) <= key:
-            a = m
-        else:
-            b = m
-    return a
-
-
 def locate_centers(
     p: int, lo: Fraction, hi: Fraction, min_width: Fraction
 ) -> Iterator[tuple[Fraction, Fraction, int]]:
@@ -136,14 +124,15 @@ def locate_centers(
     [K(x_k), K(x_(k+1))), with K(lo) taken as -oo and K(hi) as +oo: by the
     monotonicity of K, a center lies in the cell of its word.
 
-    For the first word not yet placed a float guide (``_guide``) picks a
-    cell; two exact reads of the first p symbols of K, at its two ends,
-    decide it. On a miss the search gallops 1, 2, 4, ... cells the way the
-    exact reads point and then bisects, still exactly, so the guide costs
-    reads when it is wrong but never changes a cell. The words below the
-    right end's read are all placed in that cell. Exact reads are memoized
-    for the call. The grid is kept as integer numerators over one
-    power-of-two multiple of the ends' denominator."""
+    For the first word not yet placed, ``bisect_right`` over the float
+    reads (``_float_symbols``) of the grid points right of the last leaf's
+    cell guesses a cell; two exact reads of the first p symbols of K, at its
+    two ends, check it. On a miss the same ``bisect_right`` runs over the
+    exact reads, from the same start, so the guess costs reads when it is
+    wrong but never changes a cell. The words below the right end's read are
+    all placed in that cell. Exact reads are memoized for the call. The grid
+    is kept as integer numerators over one power-of-two multiple of the
+    ends' denominator."""
     if min_width <= 0:
         raise ValueError(f"min_width must be positive, not {min_width}")
     if lo >= hi:
@@ -159,36 +148,25 @@ def locate_centers(
     def exact(k: int) -> Key:
         return unimodal_key(read_symbols(start + k * step, den, p))
 
-    @lru_cache(maxsize=None)
     def guess(k: int) -> Key:
         return unimodal_key(_float_symbols((start + k * step) / den, p))
 
     def at_or_below(k: int, key: Key) -> bool:
         return k == 0 or k < n and exact(k) <= key
 
-    leaves, i = [], 0
+    leaves, i, cell = [], 0, 0
     while i < len(keys):
         key = keys[i]
-        # good and bad bracket the answer, the last k with K(x_k) <= key
-        good = _guide(guess, key, n)
-        if at_or_below(good, key):
-            bad, gap = good + 1, 1
-            while at_or_below(bad, key):
-                good, gap = bad, 2 * gap
-                bad = min(good + gap, n)
+        # the cell is the last k with K(x_k) <= key; the last leaf's cell (or
+        # 0) is one such k, so only the grid points right of it are searched
+        right = range(cell + 1, n)
+        guessed = cell + bisect_right(right, key, key=guess)
+        if at_or_below(guessed, key) and not at_or_below(guessed + 1, key):
+            cell = guessed
         else:
-            bad, good, gap = good, good - 1, 1
-            while not at_or_below(good, key):
-                bad, gap = good, 2 * gap
-                good = max(bad - gap, 0)
-        while bad - good > 1:
-            m = (good + bad) >> 1
-            if at_or_below(m, key):
-                good = m
-            else:
-                bad = m
-        j = len(keys) if bad == n else bisect_left(keys, exact(bad), i)
-        a = start + good * step
+            cell += bisect_right(right, key, key=exact)
+        j = len(keys) if cell + 1 == n else bisect_left(keys, exact(cell + 1), i)
+        a = start + cell * step
         leaves.append((Fraction(a, den), Fraction(a + step, den), j - i))
         i = j
     return iter(leaves)

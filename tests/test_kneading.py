@@ -175,11 +175,14 @@ class _CountedReads:
     ],
 )
 def test_a_useless_guide_changes_no_leaf(monkeypatch, guide, lo, hi, min_width):
-    # the guide puts every word in the first cell, or in the last; the exact
-    # gallop and bisection still find each word's cell, in at most
-    # 2*log2(cells) + 2 exact reads per leaf
+    # every float read lies above each word's W C, which puts the word in the
+    # first cell searched, or below each, which puts it in the last; the
+    # exact bisection still finds each word's cell, in at most log2(cells) + 2
+    # exact reads per leaf
     monkeypatch.setattr(
-        kneading, "_guide", lambda read, key, n: 0 if guide == "first" else n - 1
+        kneading,
+        "_float_symbols",
+        lambda r, n: (R,) + (L,) * (n - 1) if guide == "first" else (C,) * n,
     )
     depth = 0
     while (hi - lo) / (1 << depth) > min_width:
@@ -188,7 +191,7 @@ def test_a_useless_guide_changes_no_leaf(monkeypatch, guide, lo, hi, min_width):
         reference = reference_locate(p, lo, hi, min_width)
         reads = _CountedReads(monkeypatch)
         assert list(locate_centers(p, lo, hi, min_width)) == reference, p
-        assert reads.calls <= (2 * depth + 2) * len(reference), p
+        assert reads.calls <= (depth + 2) * len(reference), p
 
 
 def test_located_cells_take_two_exact_reads_each(monkeypatch):
@@ -200,6 +203,19 @@ def test_located_cells_take_two_exact_reads_each(monkeypatch):
         leaves = list(locate_centers(p, *logistic._GRID, DEFAULT_ROOT_WIDTH))
         assert len(leaves) == _center_count(p), p
         assert reads.calls <= 2 * len(leaves), p
+
+
+def test_max_end_bits_is_the_longest_grid_end():
+    # the cache refuses an r_enc end whose reduced denominator has more bits
+    # than _MAX_END_BITS, so that bound must be the most the located cells
+    # of the real grid ever write, and no less
+    bits = {
+        end.denominator.bit_length()
+        for p in range(2, 13)
+        for lo, hi, _ in locate_centers(p, *logistic._GRID, DEFAULT_ROOT_WIDTH)
+        for end in (lo, hi)
+    }
+    assert max(bits) == logistic._MAX_END_BITS
 
 
 @pytest.mark.parametrize(

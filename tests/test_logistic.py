@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -606,6 +607,21 @@ def test_sandwich_budget_refuses_out_of_range(kwargs):
     with pytest.raises(ValueError):
         SandwichBudget(**kwargs)
     assert SandwichBudget(max_period=1, seconds=1e-9).seconds == 1e-9
+
+
+@pytest.mark.parametrize("seconds", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
+def test_sandwich_deadline_overrun_is_bounded(seconds):
+    # a cold query that no period up to the cap settles: the sandwich checks
+    # its deadline once per period, so it stops within one period's work of
+    # it (under 0.03 s measured), or at the cap, about 0.1 s in
+    entrolab.logistic._prove.cache_clear()
+    entrolab.logistic._center_model.cache_clear()
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        logistic_entropy(
+            F(37, 10), F(1, 1 << 20), SandwichBudget(seconds=seconds), cache=CenterCache(None)
+        )
+    assert time.monotonic() - start < seconds + 0.2
 
 
 def test_sandwich_rejects_bad_inputs():
