@@ -20,6 +20,7 @@ from typing import Optional
 
 from .numkit import format_rational, parse_rational
 from .interval_maps import (
+    BOUND_BITS,
     DEFAULT_NODE_CAP,
     NodeCapExceeded,
     PWLMap,
@@ -97,9 +98,9 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise InputError(f"cannot parse {what} {text!r}: {exc}") from exc
 
 
-def _check_precision(eps: Fraction = Fraction(0), bits: int = 0) -> None:
+def _check_precision(eps: Fraction) -> None:
     # a nonpositive eps is left to the callers' own checks and messages
-    if bits > MAX_PRECISION_BITS or 0 < eps < Fraction(1, 2**MAX_PRECISION_BITS):
+    if 0 < eps < Fraction(1, 2**MAX_PRECISION_BITS):
         raise InputError(
             f"precision finer than 2^-{MAX_PRECISION_BITS} is not supported"
         )
@@ -158,15 +159,14 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
 
 def cmd_entropy_pwl(args: argparse.Namespace) -> int:
     f = _load_map(args.file)
-    if (args.node_cap is not None and args.node_cap <= 0) or args.bits <= 0:
+    if args.node_cap is not None and args.node_cap <= 0:
         raise InputError("numeric options must be positive")
-    _check_precision(bits=args.bits)
     if args.method == "variation":
         if not isinstance(f, PWLMap):
             raise InputError("the variation method needs a piecewise-linear map")
         try:
             bound = entropy_via_variation(
-                f, args.n_max, bits=args.bits, node_cap=args.node_cap or DEFAULT_NODE_CAP
+                f, args.n_max, node_cap=args.node_cap or DEFAULT_NODE_CAP
             )
         except NodeCapExceeded as exc:
             raise InputError(f"{exc}; raise --node-cap or lower --n-max") from exc
@@ -221,14 +221,10 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    h = _parse_fraction(args.h, "--h")
-    if args.bits <= 0:
-        raise InputError("numeric options must be positive")
-    _check_precision(bits=args.bits)
-    f = constant_slope_map(h, bits=args.bits)
+    f = constant_slope_map(_parse_fraction(args.h, "--h"))
     out = Path(args.out)
     out.write_text(json.dumps(f.to_json(), sort_keys=True) + "\n", encoding="utf-8")
-    bound = entropy_via_variation(f, 1, bits=args.bits)
+    bound = entropy_via_variation(f, 1)
     _emit(
         {"out": str(out), "h": [format_rational(bound.lo), format_rational(bound.hi)]},
         args.format,
@@ -327,15 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     logi.add_argument("--cache-path", default=None, help="center cache file")
     logi.set_defaults(func=cmd_entropy_logistic)
 
-    pwl = esub.add_parser("pwl", help="entropy bounds for a stored map")
+    pwl = esub.add_parser("pwl", help="entropy bounds for a stored map, "
+                          f"each from a log2 enclosure at most 2^-{BOUND_BITS} wide")
     pwl.add_argument("--file", required=True, help="map JSON file")
     pwl.add_argument("--method", choices=("horseshoe", "variation"), required=True)
     pwl.add_argument("--n-max", type=int, default=6, help="iterate for the variation estimate")
     pwl.add_argument("--max-n", type=int, default=8, help="horseshoe iterate budget")
     pwl.add_argument("--max-p", type=int, default=4096)
     pwl.add_argument("--grid-depth", type=int, default=3)
-    pwl.add_argument("--bits", type=int, default=32,
-                     help="--method variation only; horseshoe bounds use 32 bits")
     pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "
                      f"or {QUAD_NODE_CAP} breakpoints for a quadratic map")
     pwl.set_defaults(func=cmd_entropy_pwl)
@@ -343,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     realize = sub.add_parser("realize", help="construct a map with prescribed entropy")
     realize.add_argument("--h", required=True, help="entropy target in [0,1]")
     realize.add_argument("--out", required=True, help="output map JSON path")
-    realize.add_argument("--bits", type=int, default=24)
     realize.set_defaults(func=cmd_realize)
 
     sft = sub.add_parser("sft", help="subshift-of-finite-type operations")

@@ -28,6 +28,7 @@ from .numkit import (
     orbit_mantissas,
 )
 from .interval_maps import (
+    BOUND_BITS,
     DEFAULT_NODE_CAP,
     IntervalMap,
     NodeCapExceeded,
@@ -38,9 +39,6 @@ from .interval_maps import (
 )
 
 _ZERO = Fraction(0)
-
-# precision of the log2(p)/n enclosure of each streamed bound
-_BOUND_BITS = 32
 
 # the default cap on the breakpoints of a quadratic iterate f^n, which
 # roughly double per iterate and each cost far more than a piecewise-linear
@@ -446,7 +444,7 @@ def search_lower_bounds(
         except NodeCapExceeded as exc:
             raise NodeCapExceeded(f"{exc} at n = {n}") from exc
         for p, intervals in candidates:
-            bound = log2_enclosure(RatInterval.point(p), _BOUND_BITS) / n
+            bound = log2_enclosure(RatInterval.point(p), BOUND_BITS) / n
             if bound.lo <= best:
                 break  # candidates are sorted by p descending
             cert = HorseshoeCert(intervals, n)

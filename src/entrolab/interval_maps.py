@@ -34,6 +34,12 @@ _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_CAP = 1_000_000
 
+# every printed piecewise-linear bound rests on a log2 enclosure at most
+# 2^-BOUND_BITS wide: of the slope or variation here, of p in horseshoe log2(p)/n
+BOUND_BITS = 32
+# a realized slope lies within 2^-_SLOPE_BITS of 2^h
+_SLOPE_BITS = 24
+
 
 class NodeCapExceeded(RuntimeError):
     """Composition would exceed the configured node budget."""
@@ -384,7 +390,7 @@ IntervalMap = Union[PWLMap, QuadMap]
 # ---------------------------------------------------------------------------
 
 
-def constant_slope_map(h: Union[RatInterval, RationalLike], bits: int = 24) -> PWLMap:
+def constant_slope_map(h: Union[RatInterval, RationalLike]) -> PWLMap:
     """A three-branch map with every slope +s or -s, s a rational inside the
     certified enclosure of 2**h; its entropy is exactly log2(s).
 
@@ -396,10 +402,10 @@ def constant_slope_map(h: Union[RatInterval, RationalLike], bits: int = 24) -> P
         raise ValueError("entropy target must lie within [0, 1]")
     if h.hi == 0:
         return identity_map()
-    s_enc = exp2_enclosure(h, bits + 4)
-    if s_enc.width > Fraction(1, 1 << bits):
+    s_enc = exp2_enclosure(h, _SLOPE_BITS + 4)
+    if s_enc.width > Fraction(1, 1 << _SLOPE_BITS):
         raise PrecisionError(
-            "slope enclosure wider than 2^-bits; tighten the entropy input"
+            f"slope enclosure wider than 2^-{_SLOPE_BITS}; tighten the entropy input"
         )
     s = simplest_rational_in(s_enc.lo, s_enc.hi)
     if s <= 1:
@@ -411,10 +417,7 @@ def constant_slope_map(h: Union[RatInterval, RationalLike], bits: int = 24) -> P
     return PWLMap(((_ZERO, _ZERO), (x1, y1), (x2, y2), (_ONE, _ONE)))
 
 
-def staircase_map(
-    h_values: Sequence[Union[RatInterval, RationalLike]],
-    bits: int = 24,
-) -> PWLMap:
+def staircase_map(h_values: Sequence[Union[RatInterval, RationalLike]]) -> PWLMap:
     """A self-map realizing the largest of a nondecreasing list of entropy
     targets in (0, 1].
 
@@ -441,7 +444,7 @@ def staircase_map(
     for k, h in enumerate(reversed(targets)):
         start = 1 - Fraction(1, 1 << k)
         scale = Fraction(1, 1 << (k + 1))
-        block = constant_slope_map(h, bits)
+        block = constant_slope_map(h)
         for gx, gy in block.nodes[1:]:
             nodes.append((start + scale * gx, start + scale * gy))
     nodes.append((_ONE, _ONE))
@@ -451,7 +454,6 @@ def staircase_map(
 def entropy_via_variation(
     f: PWLMap,
     n_max: int,
-    bits: int = 24,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> EntropyBound:
     """Entropy of a piecewise-linear map via the growth of its variation.
@@ -466,7 +468,7 @@ def entropy_via_variation(
     if s is not None:
         if s <= 1:
             return EntropyBound(_ZERO, _ZERO, Provenance.VARIATION, certified=True)
-        enc = log2_enclosure(RatInterval.point(s), bits)
+        enc = log2_enclosure(RatInterval.point(s), BOUND_BITS)
         return EntropyBound(
             max(_ZERO, enc.lo), max(_ZERO, enc.hi), Provenance.VARIATION, certified=True
         )
@@ -474,7 +476,7 @@ def entropy_via_variation(
     v = variation(g)
     if v <= 1:
         return EntropyBound(_ZERO, _ZERO, Provenance.VARIATION, certified=False)
-    enc = log2_enclosure(RatInterval.point(v), bits)
+    enc = log2_enclosure(RatInterval.point(v), BOUND_BITS)
     return EntropyBound(
         max(_ZERO, enc.lo / n_max),
         max(_ZERO, enc.hi / n_max),

@@ -319,8 +319,8 @@ class CenterCache:
         if self.path is None:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        size = self.path.stat().st_size if self.path.exists() else 0
         with open(self.path, "a", encoding="utf-8") as fh:
+            size = fh.tell()  # append mode opens at the end: the file's length
             if self._tail is not None:
                 size, lead = self._tail
                 fh.truncate(size)

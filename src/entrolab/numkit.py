@@ -149,10 +149,10 @@ def floor_log2(q: Fraction) -> int:
     """Largest e with 2**e <= q, for q > 0."""
     if q <= 0:
         raise ValueError("floor_log2 requires a positive argument")
-    e = q.numerator.bit_length() - q.denominator.bit_length()
-    while Fraction(1) <= q / Fraction(2) ** (e + 1):
-        e += 1
-    while q < Fraction(2) ** e:
+    num, den = q.numerator, q.denominator
+    # the bit lengths put q in (2^(e-1), 2^(e+1)); one exact compare decides
+    e = num.bit_length() - den.bit_length()
+    if num << max(0, -e) < den << max(0, e):
         e -= 1
     return e
 

@@ -30,7 +30,6 @@ _ZERO = Fraction(0)
 
 
 class Provenance(str, Enum):
-    HORSESHOE = "HORSESHOE"
     VARIATION = "VARIATION"
     SFT = "SFT"
     SANDWICH = "SANDWICH"

@@ -65,8 +65,8 @@ def test_criterion_01_realization_round_trip():
         RatInterval.point(1),
     ]
     for h in targets:
-        f = constant_slope_map(h, bits=24)
-        bound = entropy_via_variation(f, 1, bits=30)
+        f = constant_slope_map(h)
+        bound = entropy_via_variation(f, 1)
         assert bound.certified
         widened = RatInterval(h.lo - tol, h.hi + tol)
         assert widened.intersects(RatInterval(bound.lo, bound.hi)), (h, bound)
@@ -81,10 +81,10 @@ def test_criterion_01_realization_round_trip():
 
 def test_criterion_02_staircase_variation_law():
     start = time.monotonic()
-    st3 = staircase_map([H_LOG32, H_LOG32, RatInterval.point(1)], bits=24)
+    st3 = staircase_map([H_LOG32, H_LOG32, RatInterval.point(1)])
     prev = None
     for n in range(1, 7):
-        e = entropy_via_variation(st3, n, bits=30)
+        e = entropy_via_variation(st3, n)
         mid = (e.lo + e.hi) / 2
         if prev is not None:
             assert mid >= prev, f"estimate dropped at n={n}"

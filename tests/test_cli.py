@@ -7,12 +7,13 @@ import pytest
 
 import entrolab.logistic as logistic
 from entrolab.cli import main
-from entrolab.interval_maps import PWLMap, tent_map
+from entrolab.interval_maps import BOUND_BITS, PWLMap, slope_detect, tent_map
 from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
 from entrolab.numkit import (
     RatInterval,
     critical_orbit_expr,
     format_rational,
+    log2_enclosure,
     parse_rational,
     refine_root,
 )
@@ -540,10 +541,8 @@ def _fill(argv, map_file, out):
     [
         ["entropy", "logistic", "--r", "3.7", "--eps", "1e-309", "--cache-path", "OUT"],
         ["centers", "--max-period", "1", "--eps", "1e-309", "--cache-path", "OUT"],
-        ["realize", "--h", "0.6", "--bits", "1025", "--out", "OUT"],
-        _PWL_VARIATION + ["--bits", "1025"],
     ],
-    ids=["logistic-eps", "centers-eps", "realize-bits", "pwl-bits"],
+    ids=["logistic-eps", "centers-eps"],
 )
 def test_precision_beyond_cap_exit_2(tmp_path, capsys, skew_file, argv):
     # finer than 2^-1024 is refused before any Perron bracket runs or any
@@ -554,17 +553,32 @@ def test_precision_beyond_cap_exit_2(tmp_path, capsys, skew_file, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bits", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
-    [["realize", "--h", "0.6", "--out", "OUT"], _PWL_VARIATION],
+    [["realize", "--h", "0.6", "--out", "OUT", "--bits", "24"],
+     _PWL_VARIATION + ["--bits", "32"]],
     ids=["realize", "pwl"],
 )
-def test_nonpositive_bits_exit_2(tmp_path, capsys, skew_file, argv, bits):
+def test_bits_is_an_unknown_option(tmp_path, capsys, skew_file, argv):
+    # piecewise-linear bounds have one fixed precision, so no command takes
+    # --bits; argparse refuses it before anything runs
     out = tmp_path / "out"
-    assert main(_fill(argv, skew_file, out) + ["--bits", bits]) == 2
-    assert "must be positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(_fill(argv, skew_file, out))
+    assert err.value.code == 2
+    assert "unrecognized arguments: --bits" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_realize_prints_h_at_bound_bits(tmp_path, capsys):
+    out = tmp_path / "m.json"
+    assert main(["--format", "json", "realize", "--h", "0.6", "--out", str(out)]) == 0
+    h = json.loads(capsys.readouterr().out)["h"]
+    assert h == ["5153960755/8589934592", "20615843021/34359738368"]
+    printed = RatInterval(*map(parse_rational, h))
+    assert 0 < printed.width <= F(1, 1 << BOUND_BITS)
+    s = slope_detect(PWLMap.from_json(json.loads(out.read_text(encoding="utf-8"))))
+    assert printed.intersects(log2_enclosure(RatInterval.point(s), 64))
 
 
 def test_sft_precision_beyond_cap_exit_2(golden_file, capsys):

@@ -182,17 +182,17 @@ def test_entropy_via_variation_certified():
     assert e.certified and e.lo == e.hi == 0
     e = entropy_via_variation(constant_slope_map(RatInterval.point(1)), 1)
     assert e.certified and e.lo == e.hi == 1
-    e = entropy_via_variation(constant_slope_map(H_LOG32), 1, bits=30)
+    e = entropy_via_variation(constant_slope_map(H_LOG32), 1)
     assert e.certified
     assert float(e.lo) <= math.log2(1.5) <= float(e.hi)
 
 
 def test_entropy_power_law_constant_slope():
     f = constant_slope_map(H_LOG32)
-    base = entropy_via_variation(f, 1, bits=40)
+    base = entropy_via_variation(f, 1)
     for n in range(2, 7):
         g = compose_iterate(f, n)
-        e = entropy_via_variation(g, 1, bits=40)
+        e = entropy_via_variation(g, 1)
         scaled = RatInterval(base.lo * n, base.hi * n)
         assert scaled.intersects(RatInterval(e.lo, e.hi))
 
@@ -217,8 +217,8 @@ def test_realize_degenerate_and_errors():
 
 def test_realize_round_trip():
     for h in (F(1, 2), F(1, 3), F(9, 10)):
-        f = constant_slope_map(RatInterval.point(h), bits=26)
-        e = entropy_via_variation(f, 1, bits=30)
+        f = constant_slope_map(RatInterval.point(h))
+        e = entropy_via_variation(f, 1)
         assert e.certified
         widened = RatInterval(h - F(1, 1 << 24), h + F(1, 1 << 24))
         assert widened.intersects(RatInterval(e.lo, e.hi))
@@ -255,7 +255,7 @@ def test_staircase_estimates_climb_to_max():
     st3 = staircase_map([H_LOG32, H_LOG32, RatInterval.point(1)])
     prev = None
     for n in range(1, 7):
-        e = entropy_via_variation(st3, n, bits=30)
+        e = entropy_via_variation(st3, n)
         mid = (e.lo + e.hi) / 2
         if prev is not None:
             assert mid >= prev

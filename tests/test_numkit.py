@@ -105,6 +105,20 @@ def test_floor_log2():
     assert floor_log2(F(1, 3)) == -2
 
 
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(1, 1 << 200), den=st.integers(1, 1 << 200))
+@example(num=1, den=1)
+@example(num=1 << 200, den=1)
+@example(num=1, den=1 << 200)
+@example(num=(1 << 200) - 1, den=1 << 200)
+@example(num=1 << 100, den=(1 << 100) + 1)
+@example(num=2, den=3)
+def test_floor_log2_brackets(num, den):
+    q = F(num, den)
+    e = floor_log2(q)
+    assert F(2) ** e <= q < F(2) ** (e + 1)
+
+
 def test_log2_exact_powers():
     enc = log2_enclosure(RatInterval.point(2), 20)
     assert enc.lo == enc.hi == 1
