@@ -54,6 +54,7 @@ EXIT_BUDGET = 3
 # the Perron bracket grows with the bits asked for, and a center precision of
 # 2^-100000 ran for minutes on one center
 MAX_PRECISION_BITS = 1024
+_FINEST_EPS = Fraction(1, 2**MAX_PRECISION_BITS)
 
 
 class InputError(Exception):
@@ -100,7 +101,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 def _check_precision(eps: Fraction) -> None:
     # a nonpositive eps is left to the callers' own checks and messages
-    if 0 < eps < Fraction(1, 2**MAX_PRECISION_BITS):
+    if 0 < eps < _FINEST_EPS:
         raise InputError(
             f"precision finer than 2^-{MAX_PRECISION_BITS} is not supported"
         )

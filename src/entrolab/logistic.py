@@ -17,6 +17,7 @@ complete.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import time
@@ -239,6 +240,56 @@ class _Stored:
         return Center(self.r_enc, self.period, order, *_center_model(order, eps))
 
 
+# memoized on the file's exact bytes: a byte-identical file loaded again in
+# the process reuses the checks already run on it, and any changed byte is a
+# new key, parsed again; an error is raised every time, never memoized. The
+# _Stored records are shared between the loads of one key: their one mutable
+# field, _r_enc, is built from ends alone, and _line and _path come from the
+# key. Proofs are not memoized here: _prove runs on a center's first use
+@lru_cache(maxsize=16)
+def _parse_cache(
+    path: Path, data: bytes
+) -> tuple[tuple[_Stored, ...], frozenset[tuple[int, ...]], Optional[tuple[int, str]]]:
+    """The centers of a cache file with contents ``data`` (``path`` only
+    names it in messages), the (period, *ends) key of each, and the torn
+    tail: None when the file ends in a complete line, else the offset just
+    past the last line that parsed and what the next append writes first.
+    Lines are split on b"\\n" only, as iterating the binary file splits them."""
+    centers: list[_Stored] = []
+    keys: set[tuple[int, ...]] = set()
+    end = 0  # offset just past the last line that parsed
+    raw = b"\n"
+    for number, raw in enumerate(io.BytesIO(data)):
+        blank = raw.isspace()
+        try:
+            record = None if blank else _decode(raw.decode())
+        except ValueError as exc:  # not UTF-8, or not JSON
+            if raw.endswith(b"\n"):
+                raise _malformed(number + 1, path, exc) from exc
+            # the torn tail of an interrupted append; the next append cuts it
+            return tuple(centers), frozenset(keys), (end, "")
+        end += len(raw)
+        if number == 0:
+            if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA:
+                raise ValueError(f"unsupported cache schema in {path}")
+        elif not blank:
+            try:
+                if record.get("type") != "center":
+                    raise ValueError("not a center record")
+                period = json_int(record["period"], 1)
+                ends = parse_interval(record["r_enc"])
+                if (ends[1] | ends[3]) >> _MAX_END_BITS:  # a denominator of more bits
+                    raise ValueError(f"an r_enc denominator has more than {_MAX_END_BITS} bits")
+            except _MALFORMED as exc:
+                raise _malformed(number + 1, path, exc) from exc
+            key = (period, *ends)
+            if key not in keys:
+                keys.add(key)
+                centers.append(_Stored(period, ends, None, number + 1, path))
+    tail = None if raw.endswith(b"\n") else (end, "\n")
+    return tuple(centers), frozenset(keys), tail
+
+
 class CenterCache:
     """Append-only JSON-lines store of where the centers are.
 
@@ -260,6 +311,11 @@ class CenterCache:
     by ``collect_brackets``. A center is proved on first use
     (``_Stored``). A malformed line, or one whose center fails its proof,
     raises ``ValueError`` naming the line, at load or at first use.
+
+    A second load of byte-identical contents in one process reuses the
+    first load's checks (``_parse_cache``); any changed byte is parsed
+    again. Proofs stay per process: a center is proved on its first use in
+    the process, whichever load read it.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -274,40 +330,9 @@ class CenterCache:
             self._load()
 
     def _load(self) -> None:
-        end = 0  # offset just past the last line that parsed
-        raw = b"\n"
-        with open(self.path, "rb") as fh:
-            for number, raw in enumerate(fh):
-                blank = raw.isspace()
-                try:
-                    data = None if blank else _decode(raw.decode())
-                except ValueError as exc:  # not UTF-8, or not JSON
-                    if raw.endswith(b"\n"):
-                        raise _malformed(number + 1, self.path, exc) from exc
-                    # the torn tail of an interrupted append; the next append cuts it
-                    self._tail = (end, "")
-                    return
-                end += len(raw)
-                if number == 0:
-                    if not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA:
-                        raise ValueError(f"unsupported cache schema in {self.path}")
-                elif not blank:
-                    try:
-                        self._read_line(number, data)
-                    except _MALFORMED as exc:
-                        raise _malformed(number + 1, self.path, exc) from exc
-        if not raw.endswith(b"\n"):
-            self._tail = (end, "\n")
-
-    def _read_line(self, number: int, data: dict) -> None:
-        if data.get("type") != "center":
-            raise ValueError("not a center record")
-        period = json_int(data["period"], 1)
-        ends = parse_interval(data["r_enc"])
-        if (ends[1] | ends[3]) >> _MAX_END_BITS:  # a denominator of more bits
-            raise ValueError(f"an r_enc denominator has more than {_MAX_END_BITS} bits")
-        if self._add_key(period, ends):
-            self.centers.append(_Stored(period, ends, None, number + 1, self.path))
+        records, keys, self._tail = _parse_cache(self.path, self.path.read_bytes())
+        self.centers = list(records)
+        self._keys = set(keys)
 
     def _add_key(self, period: int, ends: _Ends) -> bool:
         """Record the center's key; False when it was there already."""

@@ -14,8 +14,9 @@ def session_cache(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def fresh_center_memos():
-    """Each test starts with empty per-process memos of center proofs and
-    entropies, so counts of the work a call does do not hang on which
-    tests ran before it."""
+    """Each test starts with empty per-process memos of center proofs,
+    entropies and parsed cache files, so counts of the work a call does do
+    not hang on which tests ran before it."""
+    logistic._parse_cache.cache_clear()
     logistic._prove.cache_clear()
     logistic._center_model.cache_clear()

@@ -660,3 +660,100 @@ def test_cascade_centers_have_zero_entropy(session_cache):
     for c in cascade:
         assert c.entropy.lo == 0
         assert c.entropy.hi <= eps
+
+
+# ---------------------------------------------------------------------------
+# Loading: one parse per file contents
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def period_5_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("p5") / "c.jsonl"
+    enumerate_centers(5, cache=CenterCache(path))
+    return path.read_bytes()
+
+
+def _loaded(path):
+    """What a load of ``path`` gives: each center's (period, ends, line) and
+    the torn tail, or the message of the error it raises."""
+    try:
+        cache = CenterCache(path)
+    except ValueError as exc:
+        return str(exc)
+    return [(c.period, c.ends, c._line) for c in cache.centers], cache._tail
+
+
+def test_identical_bytes_decoded_once(tmp_path, monkeypatch, period_5_bytes):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(period_5_bytes)
+    decoded = []
+    decode = entrolab.logistic._decode
+    monkeypatch.setattr(entrolab.logistic, "_decode", lambda s: decoded.append(s) or decode(s))
+    first = _loaded(path)
+    second = _loaded(path)
+    assert second == first
+    assert len(first[0]) == 1 + 1 + 1 + 2 + 3
+    assert len(decoded) == period_5_bytes.count(b"\n")
+    # each load holds its own lists: an append to one is not seen by the next
+    CenterCache(path).centers.clear()
+    assert _loaded(path) == first
+
+
+def test_same_length_edit_in_place_is_parsed_again(tmp_path, period_5_bytes):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(period_5_bytes)
+    assert isinstance(_loaded(path), tuple)
+    lines = period_5_bytes.split(b"\n")
+    number = next(n for n, line in enumerate(lines, 1) if b'"period": 5' in line)
+    lines[number - 1] = lines[number - 1].replace(b'"period": 5', b'"period": 0')
+    path.write_bytes(b"\n".join(lines))
+    assert path.stat().st_size == len(period_5_bytes)
+    for _ in range(2):  # errors are not memoized
+        with pytest.raises(ValueError, match=f"malformed line {number} in {path}"):
+            CenterCache(path)
+
+
+def test_carriage_return_between_tokens_loads(tmp_path, period_5_bytes):
+    # lines split on b"\n" only, as iterating the binary file does; a
+    # bytes.splitlines split would also cut this record at its "\r"
+    clean, path = tmp_path / "clean.jsonl", tmp_path / "cr.jsonl"
+    clean.write_bytes(period_5_bytes)
+    path.write_bytes(period_5_bytes.replace(b'"period": 3,', b'"period": 3,\r', 1))
+    assert path.read_bytes().count(b"\r") == 1
+    want = _loaded(clean)
+    entrolab.logistic._parse_cache.cache_clear()
+    assert _loaded(path) == want  # cold
+    assert _loaded(path) == want  # warm
+
+
+_EDIT = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 10**6), st.integers(1, 255)),
+    st.tuples(st.just("delete"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6), st.just(0)),
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(b"\r\n\xff")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+def test_warm_load_after_edit_matches_cold_load(tmp_path_factory, period_5_bytes, edits):
+    path = tmp_path_factory.getbasetemp() / "edited.jsonl"
+    data = bytearray(period_5_bytes)
+    for op, at, value in edits:
+        at %= len(data) + 1
+        if op == "flip" and at < len(data):
+            data[at] ^= value
+        elif op == "delete":
+            del data[at : at + 1]
+        elif op == "truncate":
+            del data[at:]
+        elif op == "insert":
+            data[at:at] = bytes([value])
+    path.write_bytes(period_5_bytes)
+    _loaded(path)  # the memo holds the file before the edit
+    path.write_bytes(bytes(data))
+    warm = _loaded(path)
+    again = _loaded(path)
+    entrolab.logistic._parse_cache.cache_clear()
+    assert warm == again == _loaded(path)
