@@ -54,11 +54,7 @@ class HorseshoeCert:
     n: int
 
     def __post_init__(self) -> None:
-        ivs = tuple(
-            iv if isinstance(iv, RatInterval) else RatInterval.from_json(iv)
-            for iv in self.intervals
-        )
-        object.__setattr__(self, "intervals", ivs)
+        ivs = self.intervals
         if self.n < 1:
             raise ValueError("iterate count must be >= 1")
         if len(ivs) < 2:

@@ -23,7 +23,9 @@ the stdlib ``bisect``'s job: ``locate_centers`` decides the cell from its
 two ends alone, since the cell's word lies between the kneading sequences
 read there. A bisection over float orbits guesses the cell and two exact
 reads of K, at its ends, check it; on a miss the same bisection runs over
-exact reads, so a wrong guess costs exact reads and changes no cell.
+exact reads, so a wrong guess costs exact reads and changes no cell. Each
+exact read is ``numkit.read_symbols``, the package's one exact reader of
+the signs of f_r^k(1/2) - 1/2.
 Nothing here proves anything: each cell it returns is proved by its caller
 (``logistic._scan``, through ``logistic._prove``), with the exact
 closing-condition signs and the orbit separation, and completeness by the
@@ -38,7 +40,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Iterator, Sequence
 
-from .numkit import _HALF_MANTISSA, _orbit_mantissas, critical_orbit_expr
+from .numkit import read_symbols
 
 L, C, R = -1, 0, 1
 
@@ -86,23 +88,6 @@ def mss_words(p: int) -> tuple[Word, ...]:
     return tuple(sorted(words, key=lambda w: unimodal_key(w + (C,))))
 
 
-def read_symbols(a: int, b: int, n: int) -> Word:
-    """The symbols of f_r^k(1/2), k = 1..n, at r = a/b in [0, 4], exact.
-
-    One orbit enclosure at 2**-ENCLOSURE_BITS gives each symbol whose
-    enclosure excludes 1/2; a step whose enclosure straddles 1/2 is signed
-    by the exact ``IterMapExpr.sign_at``."""
-    out = []
-    for k, (lo, hi) in enumerate(_orbit_mantissas(a, a, b, 1, 1, 2, n), 1):
-        if lo > _HALF_MANTISSA:
-            out.append(R)
-        elif hi < _HALF_MANTISSA:
-            out.append(L)
-        else:
-            out.append(critical_orbit_expr(k).sign_at(Fraction(a, b)))
-    return tuple(out)
-
-
 def _float_symbols(r: float, n: int) -> Word:
     """The symbols of f_r^k(1/2), k = 1..n, in plain floats: a guess,
     which ``locate_centers`` only uses to choose where to read exactly."""
@@ -126,11 +111,12 @@ def locate_centers(
 
     For the first word not yet placed, ``bisect_right`` over the float
     reads (``_float_symbols``) of the grid points right of the last leaf's
-    cell guesses a cell; two exact reads of the first p symbols of K, at its
-    two ends, check it. On a miss the same ``bisect_right`` runs over the
-    exact reads, from the same start, so the guess costs reads when it is
-    wrong but never changes a cell. The words below the right end's read are
-    all placed in that cell. Exact reads are memoized for the call. The grid
+    cell guesses a cell; two exact reads of the first p symbols of K
+    (``numkit.read_symbols``), at its two ends, check it. On a miss the
+    same ``bisect_right`` runs over the exact reads, from the same start, so
+    the guess costs reads when it is wrong but never changes a cell. The
+    words below the right end's read are all placed in that cell. Exact
+    reads are memoized for the call. The grid
     is kept as integer numerators over one power-of-two multiple of the
     ends' denominator."""
     if min_width <= 0:

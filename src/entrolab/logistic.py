@@ -304,11 +304,10 @@ class CenterCache:
     Loading checks every line's UTF-8 and JSON, the header's schema, and
     each record's ``type`` (``"center"``), ``period`` (a JSON integer >= 1)
     and ``r_enc``, and reads nothing else. The ``r_enc`` is read into
-    reduced integers, ``"p/q"`` text with no Fraction built, its ends
-    checked in order by cross-multiplication and their denominators
-    against the longest the scan writes (``_MAX_END_BITS``), and it is
-    compared as integers from then on: by the duplicate check at load and
-    by ``collect_brackets``. A center is proved on first use
+    reduced integers (``numkit.parse_interval``), its ends checked in order
+    and their denominators against the longest the scan writes
+    (``_MAX_END_BITS``), and it is compared as integers from then on: by
+    the duplicate check at load and by ``collect_brackets``. A center is proved on first use
     (``_Stored``). A malformed line, or one whose center fails its proof,
     raises ``ValueError`` naming the line, at load or at first use.
 
@@ -334,14 +333,22 @@ class CenterCache:
         self.centers = list(records)
         self._keys = set(keys)
 
-    def _add_key(self, period: int, ends: _Ends) -> bool:
-        """Record the center's key; False when it was there already."""
-        size = len(self._keys)
-        self._keys.add((period, *ends))
-        return len(self._keys) > size
-
-    def _append(self, record: dict) -> None:
-        if self.path is None:
+    def add_center(self, period: int, cells: Sequence[_Ends]) -> None:
+        """Add the centers of one period that the scan proved, each r_enc as
+        reduced integer ends, skipping any already held; the new records are
+        written with one append."""
+        lines = []
+        for ends in cells:
+            key = (period, *ends)
+            if key in self._keys:
+                continue
+            self._keys.add(key)
+            self.centers.append(_Stored(period, ends))
+            lo_num, lo_den, hi_num, hi_den = ends
+            r_enc = [f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"]
+            record = {"type": "center", "period": period, "r_enc": r_enc}
+            lines.append(json.dumps(record, sort_keys=True) + "\n")
+        if self.path is None or not lines:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
@@ -353,16 +360,7 @@ class CenterCache:
                 self._tail = None
             if size == 0:
                 fh.write(json.dumps({"schema": CACHE_SCHEMA}, sort_keys=True) + "\n")
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-
-    def add_center(self, period: int, ends: _Ends) -> None:
-        """Add a center the scan proved, its r_enc as reduced integer ends."""
-        if not self._add_key(period, ends):
-            return
-        self.centers.append(_Stored(period, ends))
-        lo_num, lo_den, hi_num, hi_den = ends
-        r_enc = [f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"]
-        self._append({"type": "center", "period": period, "r_enc": r_enc})
+            fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,8 @@ _GRID = (2 + DEFAULT_ROOT_WIDTH / 4, Fraction(4))
 def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
     """Locate the centers of period p by their kneading words
     (``kneading.locate_centers``), in ascending r, prove each one and add
-    it to the cache, where one already stored is not added again. Period 1
+    the proved ones to the cache in one append, where one already stored is
+    not added again. Period 1
     is the point r = 2. A cell is proved from its integer ends in this
     process exactly as a stored center is (``_prove``), with no refinement
     and no RatInterval. A cell that holds more than one word, or fails its
@@ -402,7 +401,7 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
         leaves = [(Fraction(2), Fraction(2), 1)]
     else:
         leaves = locate_centers(p, *_GRID, DEFAULT_ROOT_WIDTH)
-    unresolved = []
+    proved, unresolved = [], []
     for lo, hi, n_words in leaves:
         ends = _ends(lo, hi)
         try:
@@ -412,7 +411,8 @@ def _scan(p: int, cache: CenterCache) -> list[RatInterval]:
         except ValueError:
             unresolved.append(RatInterval(lo, hi))
         else:
-            cache.add_center(p, ends)
+            proved.append(ends)
+    cache.add_center(p, proved)
     return unresolved
 
 

@@ -17,9 +17,12 @@ denominator and rounds outward once to integer mantissas over
 lie in range. `orbit_mantissas`, `IterMapExpr.evaluate` and
 `derivative_enclosure` return such mantissa pairs, the last running the
 chain rule the same way, and their readers compare the integers.
-`IterMapExpr.sign_at` is filtered, then exact: the 2^-128 point enclosure
-decides when it excludes 1/2, and otherwise an exact integer recurrence
-does. Each of the three runs `_orbit_mantissas` once per call. The root
+`read_symbols` is the one exact reader of the signs of f_r^k(1/2) - 1/2 at
+a rational r, filtered, then exact: the 2^-128 point enclosure decides each
+step that excludes 1/2, and an exact integer recurrence only a step that
+straddles it. `IterMapExpr.sign_at` is its last symbol, and `kneading`
+reads kneading sequences with it. Every one of these runs
+`_orbit_mantissas` once per call. The root
 scan forms each cell's centered form on the mantissas; its cells, their
 midpoints and half-widths are still `Fraction`s and `RatInterval`s.
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Optional, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -63,18 +66,6 @@ class PrecisionError(ValueError):
     """An enclosure cannot be produced at the requested precision."""
 
 
-def _split_ratio(text: str) -> Optional[tuple[int, int]]:
-    """format_rational's "p/q" as the integers (p, q), not reduced, with no
-    regex; None for any other text. A zero q is refused with ValueError."""
-    num, slash, den = text.partition("/")
-    if not (slash and den.isdecimal() and num.removeprefix("-").isdecimal()):
-        return None
-    q = int(den)
-    if q == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    return int(num), q
-
-
 def parse_rational(text: RationalLike) -> Fraction:
     """Parse "p/q", integer, or decimal/scientific text into an exact Fraction.
 
@@ -91,9 +82,6 @@ def parse_rational(text: RationalLike) -> Fraction:
             f"refusing to convert a {type(text).__name__}; pass a string or Fraction"
         )
     if isinstance(text, str):
-        pair = _split_ratio(text)
-        if pair is not None:
-            return Fraction(*pair)
         match = ("e" in text or "E" in text) and _EXPONENT.search(text)
         if match:
             digits = match.group(1).replace("_", "").lstrip("0")
@@ -107,30 +95,15 @@ def parse_rational(text: RationalLike) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_ratio(text: RationalLike) -> tuple[int, int]:
-    """The rational as its reduced (numerator, denominator), denominator > 0.
-    format_rational's "p/q" is read as two integers divided by their gcd,
-    with no Fraction built; any other input goes through parse_rational,
-    with its refusals."""
-    pair = _split_ratio(text) if isinstance(text, str) else None
-    if pair is None:
-        q = parse_rational(text)
-        return q.numerator, q.denominator
-    num, den = pair
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def parse_interval(data: object) -> tuple[int, int, int, int]:
-    """A JSON interval [lo, hi] as (lo_num, lo_den, hi_num, hi_den), each
-    end read by _parse_ratio; lo <= hi is checked by cross-multiplication."""
+    """A JSON interval [lo, hi] as its reduced ends (lo_num, lo_den, hi_num,
+    hi_den), each end read by parse_rational; lo <= hi is checked."""
     if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise ValueError("interval JSON must be a two-element array")
-    (lo_num, lo_den), (hi_num, hi_den) = _parse_ratio(data[0]), _parse_ratio(data[1])
-    if lo_num * hi_den > hi_num * lo_den:
-        lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    lo, hi = parse_rational(data[0]), parse_rational(data[1])
+    if lo > hi:
         raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
-    return lo_num, lo_den, hi_num, hi_den
+    return lo.numerator, lo.denominator, hi.numerator, hi.denominator
 
 
 def json_int(value: object, least: int) -> int:
@@ -433,6 +406,29 @@ def orbit_mantissas(r: RatInterval, x0: RatInterval, n: int) -> list[tuple[int, 
     return _orbit_mantissas(*_over_one_denominator(r), *_over_one_denominator(x0), n)
 
 
+def read_symbols(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The symbols of f_r^k(1/2), k = 1..n, at r = a/b in [0, 4], b > 0,
+    exact: -1, 0 or 1 as the point lies below, at or above 1/2.
+
+    One orbit enclosure at 2**-ENCLOSURE_BITS gives each symbol whose
+    enclosure excludes 1/2. Only at a step whose enclosure straddles 1/2 is
+    the orbit x = N/D carried exactly up to that step, N <- a*N*(D - N),
+    D <- b*D**2, and 2*N compared with D."""
+    out = []
+    num, den, done = 1, 2, 0  # the exact f^done(1/2) = num/den
+    for k, (lo, hi) in enumerate(_orbit_mantissas(a, a, b, 1, 1, 2, n), 1):
+        if lo > _HALF_MANTISSA:
+            out.append(1)
+        elif hi < _HALF_MANTISSA:
+            out.append(-1)
+        else:
+            for _ in range(k - done):
+                num, den = a * num * (den - num), b * den * den
+            done = k
+            out.append((2 * num > den) - (2 * num < den))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class IterMapExpr:
     """The closing condition r -> f_r^n(1/2) - 1/2 of the critical orbit of
@@ -456,23 +452,10 @@ class IterMapExpr:
         return lo - _HALF_MANTISSA, hi - _HALF_MANTISSA
 
     def sign_at(self, t: Fraction) -> int:
-        """Exact sign of the expression at a rational point.
-
-        The point enclosure decides whenever it excludes 1/2; otherwise the
-        orbit x = N/D is iterated exactly, N <- a*N*(D - N), D <- b*D**2
-        for r = a/b, and 2*N is compared with D.
-        """
+        """Exact sign of the expression at a rational point: the last
+        symbol ``read_symbols`` reads there."""
         t = parse_rational(t)
-        a, b = t.numerator, t.denominator
-        lo, hi = _orbit_mantissas(a, a, b, 1, 1, 2, self.iterations)[-1]
-        if lo > _HALF_MANTISSA:
-            return 1
-        if hi < _HALF_MANTISSA:
-            return -1
-        num, den = 1, 2
-        for _ in range(self.iterations):
-            num, den = a * num * (den - num), b * den * den
-        return (2 * num > den) - (2 * num < den)
+        return read_symbols(t.numerator, t.denominator, self.iterations)[-1]
 
     def derivative_enclosure(self, r: RatInterval) -> tuple[int, int]:
         """Enclosure of d(expr)/dr over ``r``, as integer mantissas (lo, hi)

@@ -11,21 +11,8 @@ import entrolab.logistic as logistic
 import entrolab.numkit as numkit
 from entrolab.kneading import C, L, R, locate_centers, mss_words, read_symbols, unimodal_key
 from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _center_count, _ends, _prove, _scan
-from entrolab.numkit import (
-    RatInterval,
-    critical_orbit_expr,
-    dyadic_floor,
-    refine_root,
-    root_isolate,
-)
-
-# the period-3 center near 3.8319, to within 2^-210
-_PERIOD_3 = refine_root(
-    critical_orbit_expr(3), RatInterval(F(383, 100), F(384, 100)), F(1, 1 << 210)
-)
-# a dyadic within 2^-200 of it: f^3(1/2) is within 2^-128 of 1/2 there, so
-# the orbit enclosure straddles 1/2 and the exact sign decides
-_NEAR_PERIOD_3 = dyadic_floor(_PERIOD_3.lo, 201)
+from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
+from test_numkit import _NEAR_PERIOD_3
 
 rationals = st.fractions(min_value=2, max_value=4, max_denominator=1 << 40)
 
@@ -67,15 +54,12 @@ def test_read_symbols_match_fraction_reference(r, n):
     assert read_symbols(r.numerator, r.denominator, n) == reference_symbols(r, n)
 
 
-def test_read_symbols_signs_exactly_near_a_center(monkeypatch):
-    calls = []
-    sign_at = numkit.IterMapExpr.sign_at
-    monkeypatch.setattr(
-        numkit.IterMapExpr, "sign_at", lambda self, t: calls.append(t) or sign_at(self, t)
-    )
+def test_read_symbols_signs_exactly_near_a_center():
     r = _NEAR_PERIOD_3
+    # the orbit enclosure straddles 1/2 at step 3, so the exact recurrence decides
+    lo, hi = critical_orbit_expr(3).evaluate(RatInterval.point(r))
+    assert lo <= 0 <= hi
     assert read_symbols(r.numerator, r.denominator, 8) == reference_symbols(r, 8)
-    assert calls  # the orbit enclosure straddled 1/2
 
 
 @settings(max_examples=150, deadline=None)

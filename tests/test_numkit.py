@@ -18,6 +18,7 @@ from entrolab.numkit import (
     format_rational,
     log2_enclosure,
     orbit_mantissas,
+    parse_interval,
     parse_rational,
     refine_root,
     root_isolate,
@@ -71,13 +72,104 @@ def _outcome(parse, text):
 @example(text=" 1/2")
 @example(text="\u0663/\u0663")
 def test_parse_rational_matches_fraction(text):
-    # "p/q" text takes an integer path that skips Fraction's own parser; a
-    # zero denominator is refused with ValueError, where Fraction raises
+    # a zero denominator is refused with ValueError, where Fraction raises
     # ZeroDivisionError
     expected = _outcome(F, text)
     if expected is ZeroDivisionError:
         expected = ValueError
     assert _outcome(parse_rational, text) == expected
+
+
+def _split_ratio(text):
+    """The "p/q" fast path parse_rational and parse_interval once took: the
+    integers (p, q), not reduced, of a decimal numerator after at most one
+    "-" over a decimal denominator; None for any other text."""
+    num, slash, den = text.partition("/")
+    if not (slash and den.isdecimal() and num.removeprefix("-").isdecimal()):
+        return None
+    q = int(den)
+    if q == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    return int(num), q
+
+
+def reference_parse_rational(text):
+    pair = _split_ratio(text)
+    return parse_rational(text) if pair is None else F(*pair)
+
+
+def reference_parse_interval(data):
+    """The fast path's interval reader: each end as reduced integers,
+    ordered by cross-multiplication."""
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
+        raise ValueError("interval JSON must be a two-element array")
+    ends = []
+    for text in data:
+        pair = _split_ratio(text)
+        if pair is None:
+            q = parse_rational(text)
+            pair = q.numerator, q.denominator
+        g = math.gcd(*pair)
+        ends += pair[0] // g, pair[1] // g
+    lo_num, lo_den, hi_num, hi_den = ends
+    if lo_num * hi_den > hi_num * lo_den:
+        raise ValueError(
+            f"interval endpoints out of order: {F(lo_num, lo_den)} > {F(hi_num, hi_den)}"
+        )
+    return tuple(ends)
+
+
+def _result(parse, arg):
+    try:
+        return parse(arg)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_result(want, got, texts):
+    # the fast path read the denominator first, so where the numerator
+    # passes int's 4300-digit limit and the denominator is zero or also too
+    # long, it named the denominator; both refuse with ValueError
+    long_numerator = any(len(t.partition("/")[0].strip(" -+")) > 4300 for t in texts)
+    if want != got and long_numerator:
+        assert want[0] is got[0] is ValueError and "4300 digits" in got[1]
+    else:
+        assert want == got
+
+
+# decimal digits in three scripts: ASCII, Arabic-Indic and fullwidth
+_DIGITS = st.sampled_from("0123456789\u0661\u0662\uff10\uff11\uff12")
+_ratio_texts = st.tuples(
+    st.sampled_from(["", "", " ", "\t", "  "]),
+    st.sampled_from(["", "", "-", "+", "--"]),
+    st.one_of(
+        st.lists(st.one_of(_DIGITS, st.just("_")), max_size=6).map("".join),
+        st.sampled_from(["9" * 4300, "0" + "1" * 4300, "9" * 4301, "-" + "7" * 4301]),
+    ),
+    st.sampled_from(["/", "/", "/", "/-", "/+", " /", "/ "]),
+    st.one_of(
+        st.lists(st.one_of(_DIGITS, st.just("_")), max_size=6).map("".join),
+        st.sampled_from(["0", "00", "\u0660", "\uff10", "-3", "8" * 4301]),
+    ),
+    st.sampled_from(["", "", " ", "\n"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_ratio_texts, other=_ratio_texts)
+@example(text="3/8", other="-7/0")
+@example(text="007/014", other="1/2")
+@example(text="\u0661/\u0662", other="\uff11/\uff12")
+@example(text=" -1_0/4 ", other="+5/2")
+@example(text="1/-2", other="1/2")
+@example(text="9" * 4300 + "/1", other="9" * 4301 + "/0")
+def test_parse_matches_the_deleted_ratio_path(text, other):
+    # every "p/q" text reaches Fraction behind parse_rational's guards and
+    # gives the value or the refusal the deleted fast path gave
+    _same_result(_result(reference_parse_rational, text), _result(parse_rational, text), [text])
+    for data in ([text, other], [other, text]):
+        want = _result(reference_parse_interval, data)
+        _same_result(want, _result(parse_interval, data), data)
 
 
 def test_interval_basics():
@@ -387,6 +479,14 @@ def reference_sign(r, n):
     return (x > F(1, 2)) - (x < F(1, 2))
 
 
+# the period-3 center near 3.8319, to within 2^-210
+_PERIOD_3 = refine_root(
+    critical_orbit_expr(3), RatInterval(F(383, 100), F(384, 100)), F(1, 1 << 210)
+)
+# a dyadic within 2^-200 of it: f^3(1/2) is within 2^-128 of 1/2 there, so
+# the orbit enclosure straddles 1/2 and the exact sign decides
+_NEAR_PERIOD_3 = dyadic_floor(_PERIOD_3.lo, 201)
+
 R0, R4, R04 = RatInterval.point(0), RatInterval.point(4), RatInterval(0, 4)
 X0, X1, X01 = RatInterval.point(0), RatInterval.point(1), RatInterval(0, 1)
 
@@ -402,6 +502,8 @@ X0, X1, X01 = RatInterval.point(0), RatInterval.point(1), RatInterval(0, 1)
 @example(period=6, r=R04, x0=X0)
 @example(period=6, r=R04, x0=X1)
 @example(period=6, r=R04, x0=X01)
+# step 3 straddles 1/2 and step 5 does not: the exact recurrence runs to step 3
+@example(period=5, r=RatInterval.point(_NEAR_PERIOD_3), x0=X01)
 @given(period=st.integers(1, 6), r=intervals(0, 4), x0=intervals(0, 1))
 def test_orbit_kernel_equals_fraction_reference(period, r, x0):
     # equal, not merely contained: one exact step, one outward rounding
