@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import symbolic
+from entrolab.logistic import CENTER_EPS, DEFAULT_EPS, enumerate_centers
 from entrolab.numkit import RatInterval, log2_enclosure
 from entrolab.symbolic import (
     SFT,
@@ -50,6 +51,14 @@ def test_sft_validation():
         SFT(((2, 0), (0, 0)))
     with pytest.raises(TypeError):  # entries are never truncated to 0/1
         SFT(((1.9, 1), (1, 0)))
+    with pytest.raises(TypeError):  # bool is a subclass of int, but no entry
+        SFT(((1, True), (1, 0)))
+    with pytest.raises(TypeError):
+        SFT(((1, "1"), (1, 0)))
+    with pytest.raises(ValueError):
+        SFT(((1, -1), (1, 0)))
+    with pytest.raises(ValueError):  # rows are checked in order, each in full
+        SFT(((1, 2), (1, 0.5)))
     with pytest.raises(TypeError):
         SFT.from_json({"alphabet": 2.0, "allowed": [[1, 1], [1, 0]]})
     assert SFT.from_json(GOLDEN.to_json()) == GOLDEN
@@ -229,6 +238,53 @@ def _perron_bracket_reference(succ, rel_gap, steps=200_000):
             shrink = math.gcd(shrink, v)
         x = [v // shrink for v in y] if shrink > 1 else y
     raise ArithmeticError("Perron bracket did not converge")
+
+
+@st.composite
+def blocks_and_vectors(draw):
+    """Successor lists of at most 40 states, empty rows and self-loops
+    allowed, with a vector of integers from 0 to 2^400."""
+    m = draw(st.integers(1, 40))
+    succ = draw(st.lists(st.lists(st.integers(0, m - 1), unique=True).map(sorted),
+                         min_size=m, max_size=m))
+    x = draw(st.lists(st.integers(0, 2**400), min_size=m, max_size=m))
+    return succ, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(block=blocks_and_vectors(), data=st.data())
+def test_times_b_equals_row_sums(block, data):
+    # the edge loop adds in another order than the rows; in integers the sums
+    # agree exactly, and for any order of the edges
+    succ, x = block
+    edges = [(i, j) for i, row in enumerate(succ) for j in row]
+    want = [x[i] + sum(x[j] for j in succ[i]) for i in range(len(succ))]
+    before = list(x)
+    assert symbolic._times_b(edges, x) == want
+    assert symbolic._times_b(data.draw(st.permutations(edges)), x) == want
+    assert x == before
+
+
+def test_center_blocks_settle_in_the_exact_prefix(monkeypatch, session_cache):
+    # the traffic the prefix serves: every component of every center SFT of
+    # period <= 12, at the default eps and at the sandwich's center eps. The
+    # plain loop stops within 92 and 95 steps, and the bracket is its pair,
+    # returned before the float guide runs
+    def no_guide(*args):
+        raise AssertionError("the float guide ran")
+
+    monkeypatch.setattr(symbolic, "_float_guide", no_guide)
+    blocks = []
+    for center in enumerate_centers(12, cache=session_cache).centers:
+        z = center.sft
+        for comp in symbolic._components(symbolic._reach(z)):
+            blocks.append([[j for j, b in enumerate(comp) if z.allowed[a][b]] for a in comp])
+    assert len(blocks) == 787
+    for eps in (DEFAULT_EPS, CENTER_EPS):
+        rel_gap = eps * F(3, 10)
+        for succ in blocks:
+            want = _perron_bracket_reference(succ, rel_gap, symbolic._PREFIX_STEPS)
+            assert _perron_bracket(succ, rel_gap) == want
 
 
 def _chord_cycle(m, source, target):
