@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pwl.add_argument("--n-max", type=int, default=6, help="iterate for the variation estimate")
     pwl.add_argument("--max-n", type=int, default=8, help="horseshoe iterate budget")
     pwl.add_argument("--max-p", type=int, default=4096)
-    pwl.add_argument("--grid-depth", type=int, default=3)
+    pwl.add_argument("--grid-depth", type=int, default=3, help="piecewise-linear maps only")
     pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "
                      f"or {QUAD_NODE_CAP} breakpoints for a quadratic map")
     pwl.set_defaults(func=cmd_entropy_pwl)

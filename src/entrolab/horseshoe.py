@@ -15,6 +15,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from operator import neg
 from typing import Iterator, Optional, Sequence
 
@@ -310,7 +311,14 @@ def _quad_candidates(
 ) -> list[tuple[int, tuple[RatInterval, ...]]]:
     """(p, intervals) candidates for f^n, largest p first, from float
     branches of f^n; ``NodeCapExceeded`` once f^n has more than
-    ``node_cap`` breakpoints, which roughly double per iterate."""
+    ``node_cap`` breakpoints, which roughly double per iterate.
+
+    Each window is pulled back through the branches whose float domain
+    (a, b) lies inside it and whose sorted end values lo < hi cover it with
+    a margin: as if the branch rose, then shaved and rounded inward to the
+    2^-(n+24) grid, which leaves each interval strictly inside (a, b).
+    Domains are ordered and disjoint, so each window's intervals are too.
+    """
     r = float(f.r.mid)
     if r <= 0:
         return []
@@ -338,23 +346,15 @@ def _quad_candidates(
             x = r * x * (1.0 - x)
         return x
 
-    vals = [iterate(x) for x in bps]
-    branches = []
-    for i in range(len(bps) - 1):
-        if bps[i + 1] - bps[i] < 1e-15:
-            continue
-        lo, hi = sorted((vals[i], vals[i + 1]))
-        branches.append((bps[i], bps[i + 1], lo, hi))
-    if not branches:
-        return []
+    ends = [(x, iterate(x)) for x in bps]
+    branches = [
+        (a, b, *sorted((ya, yb))) for (a, ya), (b, yb) in pairwise(ends) if b - a >= 1e-15
+    ]
 
     results: list[tuple[int, tuple[RatInterval, ...]]] = []
     grid = [2.0 ** -(n + 2), 2.0 ** -(n + 4), 1.0 / 64.0]
     target_list = [(g, 1.0 - g) for g in grid]
-    imgs = sorted({(round(lo, 9), round(hi, 9)) for _, _, lo, hi in branches})
-    counts = {key: 0 for key in imgs}
-    for _, _, lo, hi in branches:
-        counts[(round(lo, 9), round(hi, 9))] += 1
+    counts = Counter((round(lo, 9), round(hi, 9)) for _, _, lo, hi in branches)
     popular = sorted(counts, key=lambda key: (-counts[key], key))[:16]
     for glo, ghi in popular:
         # pull the certified window slightly inside a common branch image
@@ -371,32 +371,20 @@ def _quad_candidates(
                 chosen.append((a, b, lo, hi))
         if len(chosen) < 2:
             continue
-        if len(chosen) > budget.max_p:
-            chosen = chosen[: budget.max_p]
         js = []
-        ok = True
-        for a, b, lo, hi in chosen:
+        for a, b, lo, hi in chosen[: budget.max_p]:
             # pull the target back through the float branch, then shave
             width = b - a
             span = hi - lo
-            if span <= 0:
-                ok = False
-                break
-            frac_lo = (tlo - lo) / span
-            frac_hi = (thi - lo) / span
-            u = a + width * min(frac_lo, frac_hi)
-            v = a + width * max(frac_lo, frac_hi)
+            u = a + width * ((tlo - lo) / span)
+            v = a + width * ((thi - lo) / span)
             shave = (v - u) * 0.05 + 2.0**-bits
-            u += shave
-            v -= shave
+            u = dyadic_ceil(Fraction(u + shave), bits)
+            v = dyadic_floor(Fraction(v - shave), bits)
             if not u < v:
-                ok = False
                 break
-            js.append(RatInterval(dyadic_ceil(Fraction(u), bits), dyadic_floor(Fraction(v), bits)))
-        if not ok:
-            continue
-        js.sort(key=lambda iv: iv.lo)
-        if all(a.hi < b.lo for a, b in zip(js, js[1:])) and all(iv.lo < iv.hi for iv in js):
+            js.append(RatInterval(u, v))
+        else:
             results.append((len(js), tuple(js)))
     results.sort(key=lambda item: (-item[0], [(iv.lo, iv.hi) for iv in item[1]]))
     return results

@@ -342,35 +342,19 @@ def slope_detect(f: PWLMap) -> Optional[Fraction]:
 class QuadMap:
     """A member x -> r*x*(1-x) of the quadratic family on [0, 1].
 
-    The parameter is a rational or, for algebraic parameters, a rational
-    enclosure; orbits are enclosed for every parameter in it alike
-    (``numkit.orbit_mantissas``).
+    The parameter is a ``RatInterval``: a point for a rational r, and a
+    rational enclosure otherwise, as for algebraic parameters; orbits are
+    enclosed for every parameter in it alike (``numkit.orbit_mantissas``).
     """
 
     r: RatInterval
 
     def __post_init__(self) -> None:
-        r = self.r
-        if not isinstance(r, RatInterval):
-            r = RatInterval.point(parse_rational(r))
-        object.__setattr__(self, "r", r)
         if self.r.lo < 0 or self.r.hi > 4:
             raise ValueError("parameter must lie in [0, 4]")
 
-    @property
-    def is_exact(self) -> bool:
-        return self.r.is_point
-
-    def eval(self, x: RationalLike) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("point evaluation needs an exact parameter")
-        x = parse_rational(x)
-        if not (0 <= x <= 1):
-            raise ValueError("argument outside [0, 1]")
-        return self.r.lo * x * (1 - x)
-
     def to_json(self) -> dict:
-        if self.is_exact:
+        if self.r.is_point:
             return {"r": format_rational(self.r.lo)}
         return {"r": self.r.to_json()}
 

@@ -126,6 +126,8 @@ def locate_centers(
     depth, width = 0, hi - lo
     while width > min_width:
         depth, width = depth + 1, width / 2
+    if depth >= 64:
+        raise ValueError(f"a grid of 2^{depth} cells is past the limit of 2^63 cells")
     n, den = 1 << depth, lcm(lo.denominator, hi.denominator) << depth
     start, step = int(lo * den), int((hi - lo) * den) >> depth
     keys = [unimodal_key(w + (C,)) for w in mss_words(p)]

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -1075,3 +1079,41 @@ def test_centers_eps_zero_exit_2(tmp_path, capsys, state):
     assert main(["centers", "--max-period", "2", "--eps", "0", "--cache-path", str(path)]) == 2
     assert capsys.readouterr().err == "error: eps must be positive\n"
     assert (path.read_bytes() if path.exists() else None) == before
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+from entrolab.cli import main
+calls = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in calls]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "numpy")]))
+"""
+
+
+def test_certified_paths_never_import_numpy(tmp_path, tent_file, golden_file):
+    # numpy is no dependency: one call of each command, in a fresh
+    # interpreter, loads no numpy module
+    m = 60
+    chord = write_json(tmp_path / "chord.json", {
+        "alphabet": m,
+        "allowed": [[int(j == (i + 1) % m or (i, j) == (0, 2)) for j in range(m)] for i in range(m)],
+    })
+    quad = write_json(tmp_path / "quad.json", {"r": "39/10"})
+    cache = str(tmp_path / "c.jsonl")
+    calls = [
+        ["centers", "--max-period", "3", "--cache-path", cache],
+        ["entropy", "logistic", "--r", "3.2", "--eps", "1/4", "--max-period", "3", "--cache-path", cache],
+        ["entropy", "pwl", "--file", tent_file, "--method", "horseshoe", "--max-n", "4"],
+        ["entropy", "pwl", "--file", quad, "--method", "horseshoe", "--max-n", "4"],
+        ["sft", "entropy", "--file", chord, "--eps", "1e-30"],  # below float reach
+        ["realize", "--h", "0.6", "--out", str(tmp_path / "m.json")],
+        ["sft", "kappa", "encode", "--file", golden_file, "--word", "010"],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(calls)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0] * len(calls), []]

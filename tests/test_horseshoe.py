@@ -16,11 +16,13 @@ from entrolab.interval_maps import (
     tent_map,
 )
 from entrolab.horseshoe import (
+    QUAD_NODE_CAP,
     HorseshoeCert,
     LowerBoundRecord,
     SearchBudget,
     _preimage,
     _pwl_candidates,
+    _quad_candidates,
     _runs,
     check_certificate,
     search_lower_bounds,
@@ -348,6 +350,33 @@ def test_quad_certificate_rejected_where_some_parameter_fails(lo):
     cert = next(r.cert for r in search_lower_bounds(q4, SearchBudget(max_n=2)) if r.n == 2)
     assert check_certificate(QuadMap(RatInterval.point(lo)), cert) is False
     assert check_certificate(QuadMap(RatInterval(lo, 4)), cert) is False
+
+
+@st.composite
+def quad_parameters(draw):
+    """A point or an interval in [3, 4] of width 0 or 2^-k, its upper end
+    with a denominator of at most 64."""
+    den = draw(st.integers(1, 64))
+    hi = F(draw(st.integers(3 * den, 4 * den)), den)
+    width = draw(st.sampled_from([F(0)] + [F(1, 1 << k) for k in range(1, 41)]))
+    return RatInterval(max(hi - width, F(3)), hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(r=quad_parameters(), n=st.integers(1, 6), max_p=st.sampled_from((2, 3, 4096)))
+def test_quad_candidates_are_certificates(r, n, max_p):
+    # what the construction guarantees without a test of its own: each
+    # window's intervals are nonempty, ordered and disjoint, there are at
+    # most max_p of them, and the list runs largest p first
+    budget = SearchBudget(max_n=n, max_p=max_p)
+    candidates = _quad_candidates(QuadMap(r), n, budget, QUAD_NODE_CAP)
+    for p, js in candidates:
+        assert p == len(js) <= max_p
+        assert all(iv.lo < iv.hi for iv in js)
+        assert all(a.hi < b.lo for a, b in zip(js, js[1:]))
+        HorseshoeCert(js, n)
+    ps = [p for p, _ in candidates]
+    assert ps == sorted(ps, reverse=True)
 
 
 def _reference_quad_check(r, cert):

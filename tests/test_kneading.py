@@ -218,6 +218,27 @@ def test_locate_centers_refuses_bad_arguments_before_any_read(monkeypatch, lo, h
     assert reads.calls == 0
 
 
+def test_locate_centers_refuses_a_grid_past_2_63_cells(monkeypatch):
+    # bisect_right over a range of 2^64 or more grid points raised
+    # OverflowError, which the CLI does not catch; depth 63 still places the
+    # period-3 center, where f^3(1/2) - 1/2 changes sign
+    def closing(r):
+        x = F(1, 2)
+        for _ in range(3):
+            x = r * x * (1 - x)
+        return x - F(1, 2)
+
+    lo, hi = F(383, 100), F(384, 100)
+    [(a, b, count)] = locate_centers(3, lo, hi, (hi - lo) / (1 << 63))
+    assert b - a == (hi - lo) / (1 << 63) and count == 1
+    assert closing(a) * closing(b) < 0
+    reads = _CountedReads(monkeypatch)
+    for min_width in ((hi - lo) / (1 << 64), F(1, 1 << 210)):
+        with pytest.raises(ValueError, match=r"limit of 2\^63"):
+            locate_centers(3, lo, hi, min_width)
+    assert reads.calls == 0
+
+
 def test_scan_runs_no_interval_root_scan(monkeypatch):
     calls = {"root_isolate": 0, "derivative_enclosure": 0}
 

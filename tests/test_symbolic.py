@@ -429,6 +429,31 @@ def test_perron_bracket_clique_with_long_path(monkeypatch):
     assert float(lo) - slack <= f_hi and f_lo <= float(hi) + slack
 
 
+@pytest.mark.parametrize(
+    "m, source, target, k", [(200, 199, 120, 9), (120, 0, 2, 9), (60, 0, 2, 30)]
+)
+def test_long_small_gap_cycles_settle_at_the_guide(monkeypatch, m, source, target, k):
+    # past the exact prefix, Newton from the float guide's vector settles
+    # these blocks within a few exact steps; without the guide, Newton from
+    # the prefix vector stalled and truncated power steps took 6 772, 50 336
+    # and 47 305
+    steps = []
+    times_b = symbolic._times_b
+    monkeypatch.setattr(symbolic, "_times_b", lambda *args: steps.append(1) or times_b(*args))
+    rel_gap = F(3, 10) / F(10) ** k
+    lo, hi = _perron_bracket(_chord_cycle(m, source, target), rel_gap)
+    assert len(steps) <= symbolic._PREFIX_STEPS + 8
+    assert lo <= hi and hi - lo <= (lo + 1) * rel_gap
+    # the two cycles have lengths m and L = length, so the Perron root
+    # solves x^-m + x^-L = 1, whose left side falls from 2 at x = 1
+    length = (source - target) % m + 1
+    a, b = 1.0, 2.0
+    for _ in range(100):
+        mid = (a + b) / 2
+        a, b = (mid, b) if mid**-m + mid**-length > 1 else (a, mid)
+    assert float(lo) - 1e-12 <= a and b <= float(hi) + 1e-12
+
+
 def test_float_sums_run_left_to_right():
     # sum() compensates from Python 3.12 on and would give 1.0 here
     assert symbolic._fsum([1e16, 1.0, -1e16]) == 0.0
