@@ -22,6 +22,7 @@ from .numkit import format_rational, parse_rational
 from .interval_maps import (
     BOUND_BITS,
     DEFAULT_NODE_CAP,
+    MAX_ITERATE,
     NodeCapExceeded,
     PWLMap,
     QuadMap,
@@ -328,8 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
                           f"each from a log2 enclosure at most 2^-{BOUND_BITS} wide")
     pwl.add_argument("--file", required=True, help="map JSON file")
     pwl.add_argument("--method", choices=("horseshoe", "variation"), required=True)
-    pwl.add_argument("--n-max", type=int, default=6, help="iterate for the variation estimate")
-    pwl.add_argument("--max-n", type=int, default=8, help="horseshoe iterate budget")
+    pwl.add_argument("--n-max", type=int, default=6,
+                     help=f"iterate for the variation estimate, at most {MAX_ITERATE}")
+    pwl.add_argument("--max-n", type=int, default=8,
+                     help=f"horseshoe iterate budget, at most {MAX_ITERATE}")
     pwl.add_argument("--max-p", type=int, default=4096)
     pwl.add_argument("--grid-depth", type=int, default=3, help="piecewise-linear maps only")
     pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "

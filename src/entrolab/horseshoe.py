@@ -31,6 +31,7 @@ from .numkit import (
 from .interval_maps import (
     BOUND_BITS,
     DEFAULT_NODE_CAP,
+    MAX_ITERATE,
     IntervalMap,
     NodeCapExceeded,
     PWLMap,
@@ -109,6 +110,7 @@ class LowerBoundRecord:
 # the grid fallback tries 2^(d-1) (2^d + 1) targets per iterate at depth d:
 # 32 896 at the cap, while depth 9 already took 15 s on the tent map at n <= 4
 MAX_GRID_DEPTH = 8
+# max_n is capped at interval_maps.MAX_ITERATE, the largest iterate composed
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class SearchBudget:
             raise ValueError("budget out of range")
         if self.grid_depth > MAX_GRID_DEPTH:
             raise ValueError(f"grid depth {self.grid_depth} exceeds the cap of {MAX_GRID_DEPTH}")
+        if self.max_n > MAX_ITERATE:
+            raise ValueError(f"iterate count {self.max_n} exceeds the cap of {MAX_ITERATE}")
 
 
 def check_certificate(
@@ -406,12 +410,17 @@ def search_lower_bounds(
     Candidates come from the monotone-branch structure of the iterates
     (plus a dyadic-grid fallback); every emitted certificate has passed the
     exact check. An empty stream means no horseshoe was found within the
-    budget, which is the correct outcome for zero-entropy maps. When an
-    iterate would exceed ``node_cap`` nodes, or for a quadratic map
-    ``node_cap`` breakpoints, the stream raises ``NodeCapExceeded`` after
-    the records found before it. The default cap is ``DEFAULT_NODE_CAP``
-    nodes for a piecewise-linear map and ``QUAD_NODE_CAP`` breakpoints for
-    a quadratic one.
+    budget, which is the correct outcome for zero-entropy maps.
+
+    A piecewise-linear map's iterates are composed once each, as
+    f^n = compose(f^(n-1), f), and each candidate is checked on that f^n.
+    When composing f^n would make more than ``node_cap`` cuts (``compose``
+    counts them before collinear nodes drop), or for a quadratic map f^n
+    would have more than ``node_cap`` breakpoints, the stream raises
+    ``NodeCapExceeded`` after the records found before it. The default cap
+    is ``DEFAULT_NODE_CAP`` nodes for a piecewise-linear map and
+    ``QUAD_NODE_CAP`` breakpoints for a quadratic one. ``budget.max_n`` is
+    at most ``MAX_ITERATE``.
     """
     if node_cap is None:
         node_cap = DEFAULT_NODE_CAP if isinstance(f, PWLMap) else QUAD_NODE_CAP
@@ -421,7 +430,7 @@ def search_lower_bounds(
         try:
             if isinstance(f, PWLMap):
                 if n > 1:
-                    g = compose(f, g, node_cap)  # type: ignore[arg-type]
+                    g = compose(g, f, node_cap)  # type: ignore[arg-type]
                 candidates = _pwl_candidates(g, budget)  # type: ignore[arg-type]
             else:
                 candidates = _quad_candidates(f, n, budget, node_cap)

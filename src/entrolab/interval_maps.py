@@ -34,6 +34,11 @@ _HALF = Fraction(1, 2)
 
 DEFAULT_NODE_CAP = 1_000_000
 
+# the largest iterate count composed: on a monotone map the node count of
+# f^n grows only linearly, below any node cap, but the bit lengths grow with
+# it, so f^n costs about n^3: n = 256 takes about 0.1 s, n = 1000 about 5 s
+MAX_ITERATE = 256
+
 # every printed piecewise-linear bound rests on a log2 enclosure at most
 # 2^-BOUND_BITS wide: of the slope or variation here, of p in horseshoe log2(p)/n
 BOUND_BITS = 32
@@ -183,113 +188,127 @@ def compose(outer: PWLMap, inner: PWLMap, node_cap: int = DEFAULT_NODE_CAP) -> P
     """Exact composition outer(inner(x)) as a piecewise-linear map.
 
     The inner segments are walked left to right. A segment [x1, x2] emits
-    its left end (x1, outer(y1)), then one node per outer breakpoint gx
-    strictly between y1 and y2, ascending when the segment rises and
-    descending when it falls. The node sits at x1 + (gx - y1)(x2 - x1)/(y2 - y1),
-    where inner equals gx, so its value is the outer ordinate at gx. The
-    nodes come out sorted, with no sort and no evaluation of ``inner``.
+    its left end (x1, outer(y1)), then one node per outer bend gx strictly
+    between y1 and y2, ascending when the segment rises and descending when
+    it falls. The node sits at x1 + (gx - y1)(x2 - x1)/(y2 - y1), where
+    inner equals gx, so its value is the outer ordinate at gx. The nodes
+    come out sorted, with no sort and no evaluation of ``inner``.
 
-    The walk runs on integers: the outer abscissae and the inner ordinates
-    are rescaled once to one denominator, so locating an ordinate among the
-    outer breakpoints is a bisection of ints. Each emitted coordinate is an
-    exact num/den pair reduced by one gcd, and the result is put over the
-    lcm of those denominators on each axis.
+    The walk runs on integers, and apart from the nodes it emits, an
+    inner segment costs a few bisections and two gcds. The outer abscissae
+    and the inner ordinates are rescaled once to one denominator, and the
+    outer bends (the nodes where the outer slopes on the two sides differ)
+    are listed once. A segment's bends are one slice of that list, found by two
+    bisections and reversed when the segment falls. With the segment's
+    run/rise in lowest terms, their abscissae are one affine image of the
+    slice over one denominator, rise times the inner denominator, and
+    their ordinates are copied from ``outer.Y``. Each block of nodes keeps
+    its own denominator, and the result is put over the lcm of those on
+    each axis, which ``PWLMap._from_ints`` reduces.
 
     Collinear nodes are dropped in the same pass, so the nodes are the ones
     ``canonical()`` keeps. The composition is linear between consecutive
-    nodes, so a node drops exactly when the slopes on its two sides agree:
-    a breakpoint node when ``outer`` is straight at gx, a segment's left end
-    by the cross-multiplication test of ``canonical()`` against the last
-    kept node and the next node.
+    nodes and bends exactly at the outer bends inside a rising or falling
+    segment, so those are kept, the outer's straight nodes never appear,
+    and a segment's left end drops by the cross-multiplication test of
+    ``canonical()`` against the last kept node and the next node.
 
-    ``NodeCapExceeded`` is raised after a non-flat segment once the nodes so
-    far, counting the right end x = 1, outnumber ``node_cap``.
+    The node cap counts cuts: after a non-flat segment, the segment left
+    ends so far, the outer nodes strictly inside each non-flat segment's
+    image (bends or not) and the right end x = 1. ``NodeCapExceeded`` is
+    raised once that count exceeds ``node_cap``.
     """
     D = lcm(inner.Dy, outer.Dx)
     scale = D // outer.Dx
-    oxs = [v * scale for v in outer.X]
     OX, OY, ody = outer.X, outer.Y, outer.Dy
-    last = len(oxs) - 1
-    # bends[k]: the outer slopes on the two sides of node k differ
-    bends = [True] * (last + 1)
-    for k in range(1, last):
-        run_in, run_out = OX[k] - OX[k - 1], OX[k + 1] - OX[k]
-        bends[k] = (OY[k] - OY[k - 1]) * run_out != (OY[k + 1] - OY[k]) * run_in
-    oys = [_reduced(v, ody) for v in OY]
+    oxs = [v * scale for v in OX]
+    last = len(OX) - 1
+    bends = [
+        k
+        for k in range(1, last)
+        if (OY[k] - OY[k - 1]) * (OX[k + 1] - OX[k]) != (OY[k + 1] - OY[k]) * (OX[k] - OX[k - 1])
+    ]
+    bxs = [oxs[k] for k in bends]
+    bys = [OY[k] for k in bends]
 
-    def outer_at(y: int) -> tuple[int, tuple[int, int]]:
-        # (bisect_right(oxs, y), outer(y/D) as a reduced pair), for y in [0, D]
+    def outer_at(y: int) -> tuple[int, int]:
+        # outer(y/D) as a reduced pair, for y in [0, D]
         j = bisect_right(oxs, y)
-        gx = oxs[j - 1]
-        if j > last or gx == y:
-            return j, oys[j - 1]
-        w = oxs[j] - gx
-        return j, _reduced(OY[j - 1] * w + (OY[j] - OY[j - 1]) * (y - gx), w * ody)
+        if j > last or oxs[j - 1] == y:
+            return _reduced(OY[j - 1], ody)
+        gx, w = oxs[j - 1], oxs[j] - oxs[j - 1]
+        return _reduced(OY[j - 1] * w + (OY[j] - OY[j - 1]) * (y - gx), w * ody)
 
     IX, idx = inner.X, inner.Dx
     scale = D // inner.Dy
     iys = [v * scale for v in inner.Y]
-    # nodes are pairs of reduced (num, den) pairs
-    Node = tuple[tuple[int, int], tuple[int, int]]
-    kept: list[Node] = []
-    # a segment's left end, kept or dropped once the next node is known
-    pending: Optional[Node] = None
-    count = 1  # nodes emitted so far, plus the right end
+    # the kept nodes in order, as blocks (x den, x nums, y den, y nums)
+    blocks: list[tuple[int, list[int], int, list[int]]] = []
+    # the last kept node, and a segment's left end that is kept or dropped
+    # once the next node is known, each as (x num, x den, y num, y den)
+    kept = pending = None
+    count = 1  # cuts so far, plus the right end
 
-    def settle(node: Node) -> None:
+    def settle(node):
         # keep the pending node unless it lies on the segment from the last
         # kept node to the next node
-        nonlocal pending
+        nonlocal kept, pending
         if pending is None:
             return
-        (kxn, kxd), (kyn, kyd) = kept[-1]
-        (pxn, pxd), (pyn, pyd) = pending
-        (xn, xd), (yn, yd) = node
+        kxn, kxd, kyn, kyd = kept
+        pxn, pxd, pyn, pyd = pending
+        xn, xd, yn, yd = node
         rise_in = pyn * kyd - kyn * pyd  # (py - ky) * pyd * kyd
         run_out = xn * pxd - pxn * xd  # (x - px) * xd * pxd
         rise_out = yn * pyd - pyn * yd  # (y - py) * yd * pyd
         run_in = pxn * kxd - kxn * pxd  # (px - kx) * pxd * kxd
         if rise_in * run_out * yd * kxd != rise_out * run_in * kyd * xd:
-            kept.append(pending)
+            blocks.append((pxd, [pxn], pyd, [pyn]))
+            kept = pending
         pending = None
 
     for i in range(len(IX) - 1):
         x1, y1, y2 = IX[i], iys[i], iys[i + 1]
-        j, v = outer_at(y1)
-        node = (_reduced(x1, idx), v)
-        settle(node)
-        if kept:
-            pending = node
+        yn, yd = outer_at(y1)
+        node = (x1, idx, yn, yd)
+        if kept is None:
+            blocks.append((idx, [x1], yd, [yn]))
+            kept = node
         else:
-            kept.append(node)
+            settle(node)
+            pending = node
         count += 1
         if y1 == y2:
             continue
-        # x(gx) = (x1 * rise + (gx - y1) * run) / (rise * idx), for the
-        # segment's run/rise in lowest terms with rise > 0
-        run, rise = _reduced(IX[i + 1] - x1, y2 - y1)
-        base, den = x1 * rise, rise * idx
-        if y1 < y2:
-            ks = range(j, bisect_left(oxs, y2, j))
-        else:
-            # the breakpoints below y1: oxs[j - 1] itself when it equals y1
-            top = j - 1 if oxs[j - 1] == y1 else j
-            ks = range(top - 1, bisect_right(oxs, y2, 0, top) - 1, -1)
-        for k in ks:
-            if pending is None and not bends[k]:
-                continue
-            node = (_reduced(base + (oxs[k] - y1) * run, den), oys[k])
-            if pending is not None:
-                settle(node)
-            if bends[k]:
-                kept.append(node)
-        count += len(ks)
+        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
+        count += bisect_left(oxs, hi) - bisect_right(oxs, lo)
+        a, b = bisect_right(bxs, lo), bisect_left(bxs, hi)
+        if a < b:
+            # x(gx) = (x1 * rise + (gx - y1) * run) / (rise * idx), for the
+            # segment's run/rise in lowest terms with rise > 0
+            run, rise = _reduced(IX[i + 1] - x1, y2 - y1)
+            base, den = x1 * rise - y1 * run, rise * idx
+            gxs, gys = bxs[a:b], bys[a:b]
+            if y1 > y2:
+                gxs.reverse()
+                gys.reverse()
+            xs = [base + run * v for v in gxs]
+            settle((xs[0], den, gys[0], ody))
+            blocks.append((den, xs, ody, gys))
+            kept = (xs[-1], den, gys[-1], ody)
         if count > node_cap:
             raise NodeCapExceeded(f"composition exceeds {node_cap} nodes")
-    end = ((1, 1), outer_at(iys[-1])[1])
-    settle(end)
-    kept.append(end)
-    return PWLMap._from_ints(*_over_lcm([x for x, _ in kept]), *_over_lcm([y for _, y in kept]))
+    yn, yd = outer_at(iys[-1])
+    settle((1, 1, yn, yd))
+    blocks.append((1, [1], yd, [yn]))
+    Dx = lcm(*{xd for xd, _, _, _ in blocks})
+    Dy = lcm(*{yd for _, _, yd, _ in blocks})
+    X: list[int] = []
+    Y: list[int] = []
+    for xd, xs, yd, ys in blocks:
+        X.extend(xs if xd == Dx else [v * (Dx // xd) for v in xs])
+        Y.extend(ys if yd == Dy else [v * (Dy // yd) for v in ys])
+    return PWLMap._from_ints(tuple(X), Dx, tuple(Y), Dy)
 
 
 def _reduced(num: int, den: int) -> tuple[int, int]:
@@ -311,14 +330,19 @@ def _over_lcm(fracs: list[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
 
 
 def compose_iterate(f: PWLMap, n: int, node_cap: int = DEFAULT_NODE_CAP) -> PWLMap:
-    """Exact n-th iterate of ``f``."""
+    """Exact n-th iterate of ``f``, built as f^k = compose(f^(k-1), f).
+
+    The outer map is the long one, so each step walks only f's few segments
+    and emits f^(k-1)'s bends inside each segment's image as one slice.
+    ``node_cap`` bounds each step's cuts as ``compose`` counts them.
+    """
     if n < 1:
         raise ValueError("iterate count must be >= 1")
     if n == 1:
         return f
     g = f
     for _ in range(n - 1):
-        g = compose(f, g, node_cap)
+        g = compose(g, f, node_cap)
     return g
 
 
@@ -448,6 +472,8 @@ def entropy_via_variation(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    if n_max > MAX_ITERATE:
+        raise ValueError(f"iterate count {n_max} exceeds the cap of {MAX_ITERATE}")
     s = slope_detect(f)
     if s is not None:
         if s <= 1:

@@ -117,6 +117,25 @@ def test_pwl_horseshoe_interval_parameter_through_zero_entropy(tmp_path, capsys)
     ]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--method", "horseshoe", "--max-n"], ["--method", "variation", "--n-max"]]
+)
+def test_pwl_iterate_cap_exit_2(tmp_path, capsys, argv):
+    # an increasing map's iterates stay far below the node cap while their
+    # bit lengths grow, so an iterate count past 256 composed for minutes:
+    # it exits 2 naming the cap, and 256 itself runs to the end
+    mono = write_json(
+        tmp_path / "mono.json",
+        {"nodes": [["0", "0"], ["1/3", "1/4"], ["2/3", "3/4"], ["1", "1"]]},
+    )
+    base = ["entropy", "pwl", "--file", mono, *argv]
+    for n in ("257", "3000"):
+        assert main(base + [n]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap of 256" in err
+    assert main(base + ["256"]) == 0
+
+
 @pytest.mark.parametrize("cap", ["100", "0"])
 def test_pwl_variation_node_cap_exit_2(skew_file, capsys, cap):
     # the variation method honours --node-cap; an overrun is an input error

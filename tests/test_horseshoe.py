@@ -66,6 +66,12 @@ def test_search_budget_grid_depth_cap():
             SearchBudget(grid_depth=depth)
 
 
+def test_search_budget_iterate_cap():
+    assert SearchBudget(max_n=interval_maps.MAX_ITERATE).max_n == 256
+    with pytest.raises(ValueError, match="cap of 256"):
+        SearchBudget(max_n=interval_maps.MAX_ITERATE + 1)
+
+
 def test_search_node_cap_raises_after_the_records_before_it():
     # tent^4 has 17 nodes: the stream gives the records of n <= 3, then raises
     want = list(search_lower_bounds(tent_map(), SearchBudget(max_n=3)))
@@ -146,6 +152,53 @@ def test_pwl_candidates_are_certificates(f, n, max_p, grid_depth):
 PLATEAU = PWLMap(
     ((F(0), F(0)), (F(1, 4), F(1)), (F(1, 2), F(1)), (F(3, 4), F(1, 8)), (F(1), F(2, 3)))
 )
+
+
+def _capped_stream(f, cap):
+    """The records a search with max_n = 10 streams under a node cap, and
+    the n it stopped at (None when it ran to max_n)."""
+    got = []
+    try:
+        for record in search_lower_bounds(f, SearchBudget(max_n=10), node_cap=cap):
+            got.append(record)
+    except interval_maps.NodeCapExceeded as exc:
+        return got, int(str(exc).rsplit("n = ", 1)[1])
+    return got, None
+
+
+# (first cap, n): a search with max_n = 10 and a node cap in 2..300 stops at
+# the n of the last row whose first cap is at most the cap. f^(n-1)∘f cuts
+# 2^n + 1 times on the tent and the skew tent, so these tables are also the
+# ones f∘f^(n-1) gives. On PLATEAU the flat piece makes the two cut counts
+# differ: f∘f^(n-1) stopped at n = 5 at caps 70 and 157-159
+CAP_STOPS = {
+    "tent": (tent_map(), [(2, 2), (5, 3), (9, 4), (17, 5), (33, 6), (65, 7), (129, 8), (257, 9)]),
+    "zigzag": (
+        constant_slope_map(RatInterval.point(1)),
+        [(2, 2), (10, 3), (24, 4), (54, 5), (116, 6), (242, 7)],
+    ),
+    "skew": (
+        PWLMap(((F(0), F(0)), (F(1, 4), F(1)), (F(1), F(0)))),
+        [(2, 2), (5, 3), (9, 4), (17, 5), (33, 6), (65, 7), (129, 8), (257, 9)],
+    ),
+    "plateau": (PLATEAU, [(2, 2), (13, 3), (30, 4), (71, 5), (157, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAP_STOPS))
+def test_search_node_cap_stop_table(name):
+    # every record before a stop is one the uncapped stream gives first
+    f, stops = CAP_STOPS[name]
+    full = list(search_lower_bounds(f, SearchBudget(max_n=stops[-1][1] - 1)))
+    for cap in range(2, 301):
+        got, stop_n = _capped_stream(f, cap)
+        assert stop_n == max(n for first, n in stops if first <= cap), cap
+        assert got == full[: len(got)], cap
+
+
+def test_plateau_node_cap_158_stops_at_n_6():
+    got, stop_n = _capped_stream(PLATEAU, 158)
+    assert (stop_n, len(got)) == (6, 4)
 
 
 def _branches_reference(g):

@@ -152,6 +152,48 @@ def test_compose_matches_sort_and_eval_reference(f):
         g = want
 
 
+def _with_midpoints(g):
+    """g with the midpoint of every segment inserted: the same map, with
+    straight nodes that ``canonical()`` drops."""
+    nodes = [g.nodes[0]]
+    for (x1, y1), (x2, y2) in zip(g.nodes, g.nodes[1:]):
+        nodes += [((x1 + x2) / 2, (y1 + y2) / 2), (x2, y2)]
+    return PWLMap(tuple(nodes))
+
+
+def _check_against_reference(outer, inner):
+    # the walk gives the reference's nodes and raises NodeCapExceeded for
+    # exactly the caps the reference does. The reference compares its
+    # growing cut count with the cap at fixed points, so it raises exactly
+    # below one cap, found here by bisection; the walk is run at every cap
+    want = _compose_reference(outer, inner)
+    assert compose(outer, inner).nodes == want.nodes
+    lo, hi = 0, _cut_count(outer, inner) + 1  # raises at caps <= lo, if lo > 0; not at hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _outcome(_compose_reference, outer, inner, mid) is NodeCapExceeded:
+            lo = mid
+        else:
+            hi = mid
+    for cap in range(1, _cut_count(outer, inner) + 2):
+        assert _outcome(compose, outer, inner, cap) == (NodeCapExceeded if cap < hi else want.nodes)
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=pwl_maps())
+def test_compose_iterate_first_matches_reference(f):
+    # the orientation the search and compose_iterate use: f^k as the outer
+    # map, k <= 3, and f^3 with collinear midpoints as a long non-canonical
+    # outer map
+    g = f
+    for _ in range(3):
+        want = _check_against_reference(g, f)
+        assert want.nodes == _compose_reference(f, g).nodes
+        g = want
+    _check_against_reference(_with_midpoints(g), f)
+
+
 def test_compose_matches_reference_on_realized_maps():
     # non-canonical inner maps and an outer map with a straight node
     f = constant_slope_map(H_LOG32)
@@ -177,6 +219,27 @@ def test_compose_makes_no_eval_and_no_sort(monkeypatch):
     assert compose(f, g).nodes == want.nodes
 
 
+def test_compose_reduces_per_segment_not_per_node(monkeypatch):
+    # f^8 ∘ f on the tent emits 513 nodes; the walk reduces each inner
+    # segment's run/rise and left end once, and the result once per axis
+    f = tent_map()
+    g = compose_iterate(f, 8)
+    want = compose(g, f)
+    calls = {"gcd": 0, "_reduced": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(interval_maps, "gcd", counted("gcd", interval_maps.gcd))
+    monkeypatch.setattr(interval_maps, "_reduced", counted("_reduced", interval_maps._reduced))
+    assert compose(g, f) == want and len(want.X) == 513
+    assert calls["gcd"] + calls["_reduced"] <= 6 * len(f.X)
+
+
 def test_entropy_via_variation_certified():
     e = entropy_via_variation(identity_map(), 4)
     assert e.certified and e.lo == e.hi == 0
@@ -185,6 +248,20 @@ def test_entropy_via_variation_certified():
     e = entropy_via_variation(constant_slope_map(H_LOG32), 1)
     assert e.certified
     assert float(e.lo) <= math.log2(1.5) <= float(e.hi)
+
+
+# an increasing map: f^n has 2n + 2 nodes, far below any node cap, but its
+# bit lengths grow with n, so an uncapped n composed for minutes
+MONOTONE = PWLMap(((F(0), F(0)), (F(1, 3), F(1, 4)), (F(2, 3), F(3, 4)), (F(1), F(1))))
+
+
+def test_entropy_via_variation_iterate_cap():
+    # the cap holds for constant-slope maps too, which compose nothing
+    assert len(compose_iterate(MONOTONE, 16).X) == 34
+    for f in (tent_map(), MONOTONE):
+        assert entropy_via_variation(f, interval_maps.MAX_ITERATE).lo >= 0
+        with pytest.raises(ValueError, match="cap of 256"):
+            entropy_via_variation(f, interval_maps.MAX_ITERATE + 1)
 
 
 def test_entropy_power_law_constant_slope():
