@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import neg
 from typing import Iterator, Optional, Sequence
 
@@ -228,31 +228,41 @@ def _pwl_candidates(
 ) -> Iterator[tuple[int, tuple[RatInterval, ...]]]:
     """Yield (p, intervals) candidates, largest p first, deterministically.
 
-    The preimages of ``inner`` are ordered and disjoint: two picked branches
-    share at most a turning point x, and g(x), an extreme of both images,
-    lies outside ``inner``, which every image strictly contains.
+    Branches are the monotone runs of g's integer ordinates. The targets are
+    the distinct branch images (the 64 most frequent) and then the dyadic
+    grid, as integers over one denominator S = lcm(Dx, Dy, 2^depth) * 2^16,
+    so every shrink by 2^-8, 2^-12 or 2^-16 of a target's width is an exact
+    shift. A target selects the branches whose image contains it and whose
+    domain lies strictly inside it, the first ``max_p`` of them in domain
+    order. It takes the first shrink level at which at least two selected
+    domains lie strictly inside the shrunken target; those branches are
+    picked, and the candidate is their preimages of the shrunken target.
+    These are ordered and disjoint: two picked branches share at most a
+    turning point x, and g(x), an extreme of both images, lies outside the
+    shrunken target, which every image strictly contains.
 
-    Branches are the monotone runs of g's integer ordinates. Targets, the
-    dyadic grid and the shrunken targets are integers over one denominator
-    S = lcm(Dx, Dy, 2^depth) * 2^16, so every shrink by 2^-8, 2^-12 or 2^-16
-    of a target's width is an exact shift.
+    Each distinct image keeps the ascending list of its branch indices, and
+    only the images are scaled to S. Domains keep their raw ends X[first]
+    and X[last], both strictly increasing in the branch index, so the
+    domains strictly inside [lo, hi] are one index range, found by
+    bisection with exact floor and ceil divisions by sx = S/Dx: X*sx <= lo
+    exactly when X <= lo // sx, and X*sx < hi exactly when
+    X < -(-hi // sx). A target's selected and picked branches are then
+    counted by bisection in the lists of the images that cover it, and the
+    picked lists are built only for the p the generator reaches.
     """
     X, Y = g.X, g.Y
     runs = _runs(Y)
     depth = budget.grid_depth
     S = math.lcm(g.Dx, g.Dy, 1 << depth) << 16
     sx, sy = S // g.Dx, S // g.Dy
-    # each distinct branch image gets an id; candidate targets are the
-    # distinct images (most frequent first), then a coarse dyadic grid as a
-    # fallback
-    ids: dict[tuple[int, int], int] = {}
-    img_ids = [
-        ids.setdefault((Y[i], Y[j]) if rising else (Y[j], Y[i]), len(ids))
-        for i, j, rising in runs
-    ]
-    images = [(a * sy, b * sy) for a, b in ids]
-    freq = Counter(img_ids)
-    targets = [images[k] for k in sorted(freq, key=lambda k: (-freq[k], images[k]))[:64]]
+    # each distinct image with its branch indices ascending; the images,
+    # most frequent first, are the first 64 targets
+    branches: defaultdict[tuple[int, int], list[int]] = defaultdict(list)
+    for k, (i, j, rising) in enumerate(runs):
+        branches[(Y[i], Y[j]) if rising else (Y[j], Y[i])].append(k)
+    images = [(a * sy, b * sy, ks) for (a, b), ks in branches.items()]
+    targets = [(a, b) for a, b, ks in sorted(images, key=lambda im: (-len(im[2]), im[:2]))[:64]]
     if depth > 0:
         step = S >> depth
         denom = 1 << depth
@@ -260,32 +270,45 @@ def _pwl_candidates(
             for j in range(i + 1, denom + 1):
                 targets.append((i * step, j * step))
 
-    # each target takes the first shrink level that picks two branches, and
-    # candidates are grouped by p.
-    # Branch domains are ordered with both ends strictly increasing, so the
-    # domains strictly inside an interval form one run of indices, found by
-    # bisection; containment in the target is tested once per distinct image.
-    dom_los = [X[i] * sx for i, _, _ in runs]
-    dom_his = [X[j] * sx for _, j, _ in runs]
-    groups: dict[int, list[tuple[int, int, list[int]]]] = {}
+    def count(lists: list[list[int]], start: int, stop: int) -> int:
+        """The branches of ``lists`` with an index in [start, stop)."""
+        return sum(bisect_left(ks, stop) - bisect_left(ks, start) for ks in lists)
+
+    firsts = [X[i] for i, _, _ in runs]
+    lasts = [X[j] for _, j, _ in runs]
+    max_p = budget.max_p
+    groups: dict[int, list[tuple[int, int, list[list[int]], int, int]]] = {}
     for lo, hi in targets:
-        start, stop = bisect_right(dom_los, lo), bisect_left(dom_his, hi)
+        # the domains strictly inside [lo, hi]: indices in [start, stop)
+        start = bisect_right(firsts, lo // sx)
+        stop = bisect_left(lasts, -(-hi // sx))
         if stop - start < 2:
             continue
-        covers = [a <= lo and hi <= b for a, b in images]
-        selected = [k for k in range(start, stop) if covers[img_ids[k]]][: budget.max_p]
-        if len(selected) < 2:
+        lists = [ks for a, b, ks in images if a <= lo and hi <= b]
+        selected = count(lists, start, stop)
+        if selected < 2:
             continue
+        if selected > max_p:
+            # the cut keeps the first max_p selected branches: move stop to
+            # the least index whose prefix counts max_p of them
+            low, high = start, stop
+            while low < high:
+                mid = (low + high) // 2
+                if count(lists, start, mid) < max_p:
+                    low = mid + 1
+                else:
+                    high = mid
+            stop = low
         width = hi - lo
         for shrink_bits in (8, 12, 16):
             eta = width >> shrink_bits
             ilo, ihi = lo + eta, hi - eta
-            # the domains strictly inside [ilo, ihi]: indices in [lo_k, hi_k)
-            lo_k = bisect_right(dom_los, ilo, start, stop)
-            hi_k = bisect_left(dom_his, ihi, start, stop)
-            picked = selected[bisect_left(selected, lo_k) : bisect_left(selected, hi_k)]
-            if len(picked) >= 2:
-                groups.setdefault(len(picked), []).append((ilo, ihi, picked))
+            # the selected domains strictly inside [ilo, ihi]: indices in
+            # [lo_k, hi_k), which counts at most 0 when hi_k < lo_k
+            lo_k = bisect_right(firsts, ilo // sx, start, stop)
+            hi_k = bisect_left(lasts, -(-ihi // sx), start, stop)
+            if (p := count(lists, lo_k, hi_k)) >= 2:
+                groups.setdefault(p, []).append((ilo, ihi, lists, lo_k, hi_k))
                 break
     for p in sorted(groups, reverse=True):
         # candidates come in the order of their preimage tuples, read off the
@@ -296,7 +319,12 @@ def _pwl_candidates(
         # branch rises and against it where it falls. Equal first intervals
         # mean equal targets, and the branches then order the rest.
         found: dict[tuple[int, ...], tuple[int, int, list[int]]] = {}
-        for ilo, ihi, picked in groups[p]:
+        for ilo, ihi, lists, lo_k, hi_k in groups[p]:
+            picked = sorted(
+                chain.from_iterable(
+                    ks[bisect_left(ks, lo_k) : bisect_left(ks, hi_k)] for ks in lists
+                )
+            )
             k = picked[0]
             first = (ilo, ihi) if runs[k][2] else (-ihi, -ilo)
             found[(k, *first, *picked[1:])] = (ilo, ihi, picked)

@@ -2,7 +2,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrolab import horseshoe, interval_maps
@@ -302,15 +302,25 @@ def _pwl_candidates_full_scan(g, budget):
             yield p, js
 
 
+# constant-slope maps, slope 2^(k/16): their iterates up to n = 5 have at
+# most 115 branches, about 0.02 s for the full-scan reference
+SLOPE_MAPS = tuple(constant_slope_map(RatInterval.point(F(k, 16))) for k in range(1, 17))
+NINE_TENTHS = constant_slope_map(RatInterval.point(F(9, 10)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    f=pwl_maps(),
-    n=st.integers(min_value=1, max_value=3),
+    f=st.one_of(pwl_maps(), st.sampled_from(SLOPE_MAPS)),
+    n=st.integers(min_value=1, max_value=5),
     max_p=st.sampled_from((2, 3, 4096)),
     grid_depth=st.integers(min_value=0, max_value=3),
 )
 @example(f=tent_map(), n=2, max_p=2, grid_depth=0)
 @example(f=tent_map(), n=8, max_p=4096, grid_depth=0)
+@example(f=NINE_TENTHS, n=4, max_p=8, grid_depth=4)
+@example(f=NINE_TENTHS, n=5, max_p=3, grid_depth=3)
+@example(f=NINE_TENTHS, n=6, max_p=3, grid_depth=0)
+@example(f=PLATEAU, n=4, max_p=2, grid_depth=4)
 def test_pwl_candidates_match_full_scan(f, n, max_p, grid_depth):
     # the bisected run of branch domains inside each target selects exactly
     # the branches the full scan does, in the same order. On tent^2 the
@@ -320,7 +330,15 @@ def test_pwl_candidates_match_full_scan(f, n, max_p, grid_depth):
     # first, and the shrunken target never contains it.)
     # On tent^8 the branch [1/256, 2/256] starts where the target [0, 1]
     # shrunk by 2^-8 does, and [254/256, 255/256] ends where it ends.
+    # On the nine-tenths map at n = 4 and 6 and on PLATEAU at n = 4, the
+    # selected branches of some targets come from two or three images with
+    # interleaved indices, and the max_p cut falls inside them (9 cut to 8 on
+    # the n = 4 map): a cut made per image keeps too many. At n = 5 the
+    # nine-tenths map has no candidate, so that example pins an empty stream.
+    # Past n = 3 only iterates of at most 300 nodes are scanned, which every
+    # constant-slope map's are up to n = 5.
     g = compose_iterate(f, n)
+    assume(n <= 3 or len(g.X) <= 300)
     budget = SearchBudget(max_n=n, max_p=max_p, grid_depth=grid_depth)
     assert list(_pwl_candidates(g, budget)) == list(_pwl_candidates_full_scan(g, budget))
 
