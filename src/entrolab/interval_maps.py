@@ -478,18 +478,12 @@ def entropy_via_variation(
     if s is not None:
         if s <= 1:
             return EntropyBound(_ZERO, _ZERO, Provenance.VARIATION, certified=True)
+        # s > 1, so both ends are >= 0
         enc = log2_enclosure(RatInterval.point(s), BOUND_BITS)
-        return EntropyBound(
-            max(_ZERO, enc.lo), max(_ZERO, enc.hi), Provenance.VARIATION, certified=True
-        )
+        return EntropyBound(enc.lo, enc.hi, Provenance.VARIATION, certified=True)
     g = compose_iterate(f, n_max, node_cap)
     v = variation(g)
     if v <= 1:
         return EntropyBound(_ZERO, _ZERO, Provenance.VARIATION, certified=False)
-    enc = log2_enclosure(RatInterval.point(v), BOUND_BITS)
-    return EntropyBound(
-        max(_ZERO, enc.lo / n_max),
-        max(_ZERO, enc.hi / n_max),
-        Provenance.VARIATION,
-        certified=False,
-    )
+    enc = log2_enclosure(RatInterval.point(v), BOUND_BITS)  # v > 1: ends >= 0
+    return EntropyBound(enc.lo / n_max, enc.hi / n_max, Provenance.VARIATION, certified=False)

@@ -7,6 +7,10 @@ the essential states (those on bi-infinite allowed paths), the components
 that carry a cycle and the mixing test. All entropy computations run on
 those components, and every bracket is proved in exact integer
 arithmetic; floats only propose the vector it is proved on.
+
+The prefix code admits exactly the mixing binary subshifts of positive
+entropy: the full shift ((1,1),(1,1)) and the golden-mean shifts
+((1,1),(1,0)) and ((0,1),(1,1)); words are binary digit strings.
 """
 
 from __future__ import annotations
@@ -121,20 +125,13 @@ class SFT:
         return sft
 
 
-def word_to_str(word: Sequence[int], alphabet_size: int) -> str:
-    if alphabet_size <= 10:
-        return "".join(str(a) for a in word)
-    return ".".join(str(a) for a in word)
+def word_to_str(word: Sequence[int]) -> str:
+    return "".join(str(a) for a in word)
 
 
-def str_to_word(text: str, alphabet_size: int) -> tuple[int, ...]:
-    if text == "":
-        return ()
-    if alphabet_size <= 10:
-        letters = tuple(int(ch) for ch in text)
-    else:
-        letters = tuple(int(part) for part in text.split("."))
-    if any(not 0 <= a < alphabet_size for a in letters):
+def str_to_word(text: str) -> tuple[int, ...]:
+    letters = tuple(int(ch) for ch in text)
+    if any(not 0 <= a < 2 for a in letters):
         raise ValueError("letter outside alphabet")
     return letters
 
@@ -532,10 +529,9 @@ def sft_entropy(z: SFT, eps: Union[Fraction, str, int]) -> EntropyBound:
         lam_lo = max(lam_lo, lo)
         lam_hi = max(lam_hi, hi)
     bits = max(8, -floor_log2(eps) + 3)
+    # lam_lo, lam_hi >= 1, so both ends are >= 0
     enc = log2_enclosure(RatInterval(lam_lo, lam_hi), bits)
-    lo = max(_ZERO, enc.lo)
-    hi = max(_ZERO, enc.hi)
-    bound = EntropyBound(lo, hi, Provenance.SFT, certified=True)
+    bound = EntropyBound(enc.lo, enc.hi, Provenance.SFT, certified=True)
     if bound.width > eps:
         raise ArithmeticError("entropy enclosure wider than requested")
     return bound
@@ -547,6 +543,9 @@ def sft_entropy(z: SFT, eps: Union[Fraction, str, int]) -> EntropyBound:
 
 
 def _require_admissible(z: SFT) -> None:
+    """Admit the three subshifts of the module docstring. In each, both
+    letters are essential, and a letter with one successor is followed by
+    the letter with two, so a forced run is one letter long."""
     if z.alphabet_size != 2:
         raise ValueError("prefix recoding is defined for binary subshifts")
     if check_mixing(z) is not MixingVerdict.MIXING:
@@ -565,17 +564,14 @@ def prefix_encode(z: SFT, word: Union[str, Sequence[int]]) -> str:
     i.e. when the prefix is a genuine branch point.
     """
     _require_admissible(z)
-    letters = str_to_word(word, 2) if isinstance(word, str) else tuple(word)
+    letters = str_to_word(word) if isinstance(word, str) else tuple(word)
     if not language_contains(z, letters):
         raise ValueError("word is not in the language")
-    # the prefix before position k is a language word, so the flipped
-    # letter extends it iff it is essential and allowed after the previous
-    ess = essential_states(z)
-    out = []
-    for k, a in enumerate(letters):
-        if 1 - a in ess and (k == 0 or z.allowed[letters[k - 1]][1 - a]):
-            out.append(str(a))
-    return "".join(out)
+    # the prefix before position k is a language word and both letters are
+    # essential, so the flipped letter extends it iff it may follow the previous
+    return "".join(
+        str(a) for k, a in enumerate(letters) if k == 0 or z.allowed[letters[k - 1]][1 - a]
+    )
 
 
 def prefix_decode(z: SFT, bits: str) -> str:
@@ -583,63 +579,37 @@ def prefix_decode(z: SFT, bits: str) -> str:
 
     Greedy reconstruction: at a branch point the encoder emitted a symbol,
     so consume the next target bit; at a forced extension nothing was
-    emitted, so follow the single allowed letter.
+    emitted, so follow the single allowed letter, after which both letters
+    are allowed again.
     """
     _require_admissible(z)
     if any(ch not in "01" for ch in bits):
         raise ValueError("target must be a binary word")
-    ess = set(essential_states(z))
     word: list[int] = []
-    produced = 0
-    forced_run = 0
-    while produced < len(bits):
-        last = word[-1] if word else None
-        if last is None:
-            options = [a for a in (0, 1) if a in ess]
-        else:
-            options = [a for a in (0, 1) if a in ess and z.allowed[last][a]]
-        if len(options) == 2:
-            word.append(int(bits[produced]))
-            produced += 1
-            forced_run = 0
-        elif len(options) == 1:
-            word.append(options[0])
-            forced_run += 1
-            if forced_run > z.alphabet_size + 2:
-                raise ValueError("subshift is not admissible for decoding")
-        else:
-            raise ValueError("dead end in essential graph")
-    return word_to_str(tuple(word), 2)
+    for bit in bits:
+        if word and not all(z.allowed[word[-1]]):
+            word.append(z.allowed[word[-1]].index(1))
+        word.append(int(bit))
+    return word_to_str(word)
 
 
 def mixing_gap(z: SFT) -> int:
     """Smallest g such that any two language words can occur in one
-    configuration separated by exactly g symbols."""
+    configuration separated by exactly g symbols: the least g with
+    A^(g+1) > 0.
+
+    That is 0 for the full shift, whose A > 0. A golden-mean matrix has a
+    zero entry, so g >= 1, and A^2 > 0: the letter with two successors
+    reaches both letters in one step, and the other letter reaches it in one
+    step, so every letter reaches every letter in exactly two. So g = 1.
+    """
     _require_admissible(z)
-    ess = essential_states(z)
-    m = len(ess)
-    mat = [[z.allowed[a][b] for b in ess] for a in ess]
-    power = [row[:] for row in mat]
-    g = 0
-    limit = (m - 1) * (m - 1) + 2
-    while g <= limit:
-        if all(all(v for v in row) for row in power):
-            return g
-        power = [
-            [1 if any(power[i][k] and mat[k][j] for k in range(m)) else 0 for j in range(m)]
-            for i in range(m)
-        ]
-        g += 1
-    raise ArithmeticError("graph is not primitive")
+    return 0 if all(map(all, z.allowed)) else 1
 
 
 def prefix_modulus(z: SFT, k: int) -> int:
     """Input length guaranteeing >= k encoded output symbols."""
-    psi = mixing_gap(z)
-    t = 1
-    for _ in range(k):
-        t = t + psi + 1
-    return t
+    return 1 + k * (mixing_gap(z) + 1)
 
 
 @dataclass(frozen=True)

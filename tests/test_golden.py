@@ -31,6 +31,9 @@ FULL_LOGISTIC = {"r": "4/1"}
 # a flat segment between a rise and a fall, and slopes of different sizes
 PLATEAU = {"nodes": [["0", "0"], ["1/4", "1"], ["1/2", "1"], ["3/4", "1/8"], ["1", "2/3"]]}
 GOLDEN_MEAN = {"alphabet": 2, "allowed": [[1, 1], [1, 0]]}
+# with GOLDEN_MEAN, the three subshifts that sft kappa admits
+MIRRORED_GOLDEN_MEAN = {"alphabet": 2, "allowed": [[0, 1], [1, 1]]}
+FULL_SHIFT = {"alphabet": 2, "allowed": [[1, 1], [1, 1]]}
 # the 24-cycle with the chord 23 -> 15: a small spectral gap, 437 plain power
 # steps at eps 1e-9, so the Perron bracket leaves its exact prefix
 CHORD_24 = {
@@ -137,6 +140,21 @@ FILE_CALLS = [
      "942c3a4d662287a384ffb4e1c43b17de4d336866aab943dec254a91fe8d3e548"),
     ("dense-12-sft", DENSE_12, ["sft", "entropy", "--eps", "1e-6"],
      "679d0e273c9114983cd6165a76ca14def6e66474e834281c4a43e4e0da3224e0"),
+    # the prefix code each way on every subshift it admits
+    ("golden-mean-encode", GOLDEN_MEAN, ["sft", "kappa", "encode", "--word", "0100101"],
+     "7515cb90cf3186c07df01122148904b2774f1392a5184dbbfe9f9b3d96f6beac"),
+    ("golden-mean-decode", GOLDEN_MEAN, ["sft", "kappa", "decode", "--word", "10110"],
+     "81483b9a7f43bd820a3a64b96b612158364654337a4817ea8982f8106aee4575"),
+    ("mirrored-golden-mean-encode", MIRRORED_GOLDEN_MEAN,
+     ["sft", "kappa", "encode", "--word", "1011011"],
+     "5af29a435d116a0131b552d508ba0a6a0aae7974de30511e0e4f66018d795b84"),
+    ("mirrored-golden-mean-decode", MIRRORED_GOLDEN_MEAN,
+     ["sft", "kappa", "decode", "--word", "10110"],
+     "547b471ec76c09e94dae5e3cb87112617c6387d22f255146f807d05ddcf673ea"),
+    ("full-shift-encode", FULL_SHIFT, ["sft", "kappa", "encode", "--word", "0110"],
+     "d59aefe0c1125b6793bb2fde3bccbb548ea7c7de773fdba392c97a68e82f70df"),
+    ("full-shift-decode", FULL_SHIFT, ["sft", "kappa", "decode", "--word", "10110"],
+     "b1009ed6959a761ffae1451f8e430e37e7d669fba4721fc36fc1622d7404e935"),
     # few branches per target: pins the max_p cut before the shrink levels
     ("tent-horseshoe-max-p", TENT,
      ["entropy", "pwl", "--method", "horseshoe", "--max-p", "8", "--grid-depth", "0"],

@@ -35,13 +35,16 @@ from entrolab.symbolic import (
 
 GOLDEN = SFT.golden_mean()
 FULL2 = SFT.full_shift(2)
+MIRROR = SFT(((0, 1), (1, 1)))  # the golden mean with its letters swapped
+# the subshifts the prefix code admits
+PREFIX_CODED = (GOLDEN, MIRROR, FULL2)
 LOOP = SFT(((1,),))
 PERIOD3 = SFT(((1, 1, 0, 0), (0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 0, 0)))
 PHI = (1 + 5**0.5) / 2
 
 
-def golden_words(n):
-    return [w for w in product((0, 1), repeat=n) if language_contains(GOLDEN, w)]
+def language_words(z, n):
+    return [w for w in product((0, 1), repeat=n) if language_contains(z, w)]
 
 
 def test_sft_validation():
@@ -65,12 +68,10 @@ def test_sft_validation():
 
 
 def test_word_codecs():
-    assert word_to_str((0, 1, 0), 2) == "010"
-    assert str_to_word("010", 2) == (0, 1, 0)
-    assert word_to_str((10, 3), 12) == "10.3"
-    assert str_to_word("10.3", 12) == (10, 3)
+    assert word_to_str((0, 1, 0)) == "010"
+    assert str_to_word("010") == (0, 1, 0)
     with pytest.raises(ValueError):
-        str_to_word("5", 2)
+        str_to_word("5")
 
 
 def test_count_words():
@@ -81,7 +82,7 @@ def test_count_words():
 
 def test_count_words_matches_enumeration():
     for n in range(1, 9):
-        assert count_words(GOLDEN, n) == len(golden_words(n))
+        assert count_words(GOLDEN, n) == len(language_words(GOLDEN, n))
 
 
 def test_essential_excludes_transient():
@@ -491,46 +492,51 @@ def test_prefix_encode_rejects_non_language():
 
 
 def test_prefix_monotone():
-    for w in golden_words(9):
-        code = prefix_encode(GOLDEN, w)
-        assert prefix_encode(GOLDEN, w[:-1]) == code[: len(prefix_encode(GOLDEN, w[:-1]))]
-        assert code.startswith(prefix_encode(GOLDEN, w[:-1]))
-        assert len(code) <= len(w)
+    for z in PREFIX_CODED:
+        for w in language_words(z, 9):
+            code = prefix_encode(z, w)
+            assert prefix_encode(z, w[:-1]) == code[: len(prefix_encode(z, w[:-1]))]
+            assert code.startswith(prefix_encode(z, w[:-1]))
+            assert len(code) <= len(w)
 
 
 def test_decode_round_trip_depth_8():
-    for length in range(0, 9):
-        for bits in product("01", repeat=length):
-            b = "".join(bits)
-            w = prefix_decode(GOLDEN, b)
-            assert prefix_encode(GOLDEN, w) == b
+    for z in PREFIX_CODED:
+        for length in range(0, 9):
+            for bits in product("01", repeat=length):
+                b = "".join(bits)
+                w = prefix_decode(z, b)
+                assert prefix_encode(z, w) == b
 
 
 def test_decode_is_shortest_preimage():
-    for length in range(0, 7):
-        for bits in product("01", repeat=length):
-            b = "".join(bits)
-            w = prefix_decode(GOLDEN, b)
-            for shorter in range(len(w)):
-                prefix = w[:shorter]
-                assert prefix_encode(GOLDEN, prefix) != b or shorter == len(w)
+    for z in PREFIX_CODED:
+        for length in range(0, 7):
+            for bits in product("01", repeat=length):
+                b = "".join(bits)
+                w = prefix_decode(z, b)
+                for shorter in range(len(w)):
+                    prefix = w[:shorter]
+                    assert prefix_encode(z, prefix) != b or shorter == len(w)
 
 
 def test_encode_injective_on_fixed_length():
-    for n in range(1, 11):
-        words = golden_words(n)
-        codes = {prefix_encode(GOLDEN, w) for w in words}
-        assert len(codes) == len(words)
+    for z in PREFIX_CODED:
+        for n in range(1, 11):
+            words = language_words(z, n)
+            codes = {prefix_encode(z, w) for w in words}
+            assert len(codes) == len(words)
 
 
 def test_surjectivity_at_depth():
     # every binary word of length <= 8 is realized, within the modulus bound
-    for m in range(0, 9):
-        bound = prefix_modulus(GOLDEN, m)
-        for bits in product("01", repeat=m):
-            b = "".join(bits)
-            w = prefix_decode(GOLDEN, b)
-            assert len(w) <= bound
+    for z in PREFIX_CODED:
+        for m in range(0, 9):
+            bound = prefix_modulus(z, m)
+            for bits in product("01", repeat=m):
+                b = "".join(bits)
+                w = prefix_decode(z, b)
+                assert len(w) <= bound
 
 
 def test_mixing_gap_and_modulus():
@@ -539,23 +545,47 @@ def test_mixing_gap_and_modulus():
     assert prefix_modulus(GOLDEN, 3) > prefix_modulus(GOLDEN, 2)
 
 
+def test_prefix_code_admits_exactly_three_matrices():
+    # of the 16 binary 2x2 matrices the prefix code admits only these, and
+    # its mixing gap is the least g with A^(g+1) > 0, found here by matrix
+    # powers; a primitive 2x2 matrix has A^2 > 0 (Wielandt)
+    admitted = {FULL2.allowed: 0, GOLDEN.allowed: 1, MIRROR.allowed: 1}
+    for entries in product((0, 1), repeat=4):
+        mat = (entries[:2], entries[2:])
+        z = SFT(mat)
+        if mat in admitted:
+            gap = next(g for g in range(2) if all(map(all, _matpow(mat, g + 1))))
+            assert mixing_gap(z) == gap == admitted[mat]
+            continue
+        # the empty word is in every language, so only the matrix is refused
+        for call in (
+            lambda: prefix_encode(z, ""),
+            lambda: prefix_decode(z, ""),
+            lambda: mixing_gap(z),
+            lambda: shift_prefix_oracle(z),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_shift_oracle_prefix_monotone_and_surjective():
-    oracle = shift_prefix_oracle(GOLDEN)
-    for w in golden_words(10):
-        b = prefix_encode(GOLDEN, w)
-        out = oracle(b)
-        shorter = oracle(b[:-1]) if b else ""
-        assert out.startswith(shorter)
-    # mixing implies the transported shift hits every short prefix
-    seen = set()
-    for length in range(0, 11):
-        for bits in product("01", repeat=length):
-            out = oracle("".join(bits))
-            for m in range(1, min(4, len(out)) + 1):
-                seen.add(out[:m])
-    for m in range(1, 5):
-        for bits in product("01", repeat=m):
-            assert "".join(bits) in seen
+    for z in PREFIX_CODED:
+        oracle = shift_prefix_oracle(z)
+        for w in language_words(z, 10):
+            b = prefix_encode(z, w)
+            out = oracle(b)
+            shorter = oracle(b[:-1]) if b else ""
+            assert out.startswith(shorter)
+        # mixing implies the transported shift hits every short prefix
+        seen = set()
+        for length in range(0, 11):
+            for bits in product("01", repeat=length):
+                out = oracle("".join(bits))
+                for m in range(1, min(4, len(out)) + 1):
+                    seen.add(out[:m])
+        for m in range(1, 5):
+            for bits in product("01", repeat=m):
+                assert "".join(bits) in seen
 
 
 def test_glue_zeros_and_header():
@@ -593,7 +623,7 @@ def test_glued_orbit_complexity_tracks_golden():
     n = 8
     buffer = prefix_modulus(GOLDEN, 2)
     itineraries = set()
-    for w in golden_words(n + buffer):
+    for w in language_words(GOLDEN, n + buffer):
         word = "".join(str(a) for a in w)
         track = []
         for j in range(n):
