@@ -1,5 +1,10 @@
 """Command-line front end.
 
+The table ``COMMANDS`` is the single definition of the commands: their
+words, handlers, options, defaults and help text. ``parse_args`` reads argv
+against it in one pass, accepting and refusing what argparse did for the
+same commands, and the help and usage text are drawn from it.
+
 Exit codes: 0 on success, 2 on usage or input-file errors, 3 when a budget
 ran out (the best sound bound found so far is still printed). JSON output
 (--format json) is deterministic for identical inputs and cache state;
@@ -8,14 +13,14 @@ wall-clock timings appear only in the human-readable text output.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import re
 import sys
 import time
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 from .numkit import format_rational, parse_rational
@@ -121,7 +126,7 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_entropy_logistic(args: argparse.Namespace) -> int:
+def cmd_entropy_logistic(args: SimpleNamespace) -> int:
     r = _parse_fraction(args.r, "--r")
     eps = _parse_fraction(args.eps, "--eps")
     seconds = args.budget_seconds
@@ -159,7 +164,7 @@ def cmd_entropy_logistic(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_entropy_pwl(args: argparse.Namespace) -> int:
+def cmd_entropy_pwl(args: SimpleNamespace) -> int:
     f = _load_map(args.file)
     if args.node_cap is not None and args.node_cap <= 0:
         raise InputError("numeric options must be positive")
@@ -222,7 +227,7 @@ def cmd_entropy_pwl(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_realize(args: argparse.Namespace) -> int:
+def cmd_realize(args: SimpleNamespace) -> int:
     f = constant_slope_map(_parse_fraction(args.h, "--h"))
     out = Path(args.out)
     out.write_text(json.dumps(f.to_json(), sort_keys=True) + "\n", encoding="utf-8")
@@ -235,7 +240,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sft_entropy(args: argparse.Namespace) -> int:
+def cmd_sft_entropy(args: SimpleNamespace) -> int:
     z = _load_sft(args.file)
     eps = _parse_fraction(args.eps, "--eps")
     _check_precision(eps)
@@ -253,14 +258,14 @@ def cmd_sft_entropy(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_sft_mixing(args: argparse.Namespace) -> int:
+def cmd_sft_mixing(args: SimpleNamespace) -> int:
     z = _load_sft(args.file)
     verdict = check_mixing(z)
     _emit({"verdict": verdict.value}, args.format, [verdict.value])
     return EXIT_OK
 
 
-def cmd_sft_kappa(args: argparse.Namespace) -> int:
+def cmd_sft_kappa(args: SimpleNamespace) -> int:
     z = _load_sft(args.file)
     try:
         if args.direction == "encode":
@@ -273,7 +278,7 @@ def cmd_sft_kappa(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_centers(args: argparse.Namespace) -> int:
+def cmd_centers(args: SimpleNamespace) -> int:
     eps = _parse_fraction(args.eps, "--eps")
     _check_precision(eps)
     result = enumerate_centers(args.max_period, eps=eps, cache=args.cache_path)
@@ -297,80 +302,249 @@ def cmd_centers(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Command table and parser
 # ---------------------------------------------------------------------------
 
+# the default of an option that must be given
+REQUIRED = object()
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entrolab",
-        description="Certified topological-entropy bounds for one-dimensional maps. "
+# Command words -> (handler, help, options). A group of commands has no
+# handler, and () holds the global options, which go before the command
+# words. An option maps to (converter, default, help), the converter being
+# str, int, float or a tuple of choices; a name without dashes is positional.
+COMMANDS = {
+    (): (
+        None,
+        "Certified topological-entropy bounds for one-dimensional maps. "
         "TSV columns for horseshoe streams: p, n, bound_lo, bound_hi "
         "(rationals as p/q).",
-    )
-    parser.add_argument(
-        "--format", choices=("tsv", "json"), default="tsv", help="output format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+        {"--format": (("tsv", "json"), "tsv", "output format")},
+    ),
+    ("entropy",): (None, "entropy of a map", {}),
+    ("entropy", "logistic"): (cmd_entropy_logistic, "entropy of x -> r x (1-x)", {
+        "--r": (str, REQUIRED, "parameter in [0,4]; exact rational or decimal"),
+        "--eps": (str, REQUIRED, "target enclosure width"),
+        "--max-period": (int, DEFAULT_PERIOD_CAP, f"highest period searched, at most {DEFAULT_PERIOD_CAP}"),
+        "--budget-seconds": (float, None, "time budget; exit 3 with the best bound when it runs out"),
+        "--cache-path": (str, None, "center cache file"),
+    }),
+    ("entropy", "pwl"): (
+        cmd_entropy_pwl,
+        f"entropy bounds for a stored map, each from a log2 enclosure at most 2^-{BOUND_BITS} wide",
+        {
+            "--file": (str, REQUIRED, "map JSON file"),
+            "--method": (("horseshoe", "variation"), REQUIRED, "lower-bound stream or variation estimate"),
+            "--n-max": (int, 6, f"iterate for the variation estimate, at most {MAX_ITERATE}"),
+            "--max-n": (int, 8, f"horseshoe iterate budget, at most {MAX_ITERATE}"),
+            "--max-p": (int, 4096, "most intervals in a horseshoe candidate"),
+            "--grid-depth": (int, 3, "piecewise-linear maps only"),
+            "--node-cap": (int, None, f"default {DEFAULT_NODE_CAP} nodes, "
+                           f"or {QUAD_NODE_CAP} breakpoints for a quadratic map"),
+        },
+    ),
+    ("realize",): (cmd_realize, "construct a map with prescribed entropy", {
+        "--h": (str, REQUIRED, "entropy target in [0,1]"),
+        "--out": (str, REQUIRED, "output map JSON path"),
+    }),
+    ("sft",): (None, "subshift-of-finite-type operations", {}),
+    ("sft", "entropy"): (cmd_sft_entropy, "entropy of a subshift", {
+        "--file": (str, REQUIRED, "subshift JSON file"),
+        "--eps": (str, "1/1000000000", "target enclosure width"),
+    }),
+    ("sft", "mixing"): (cmd_sft_mixing, "whether a subshift is mixing", {
+        "--file": (str, REQUIRED, "subshift JSON file"),
+    }),
+    ("sft", "kappa"): (cmd_sft_kappa, "prefix recoding between a subshift word and a binary word", {
+        "direction": (("encode", "decode"), REQUIRED, "encode a subshift word or decode a binary one"),
+        "--file": (str, REQUIRED, "subshift JSON file"),
+        "--word": (str, REQUIRED, "word to recode"),
+    }),
+    ("centers",): (cmd_centers, "enumerate superattracting centers", {
+        "--max-period": (int, REQUIRED, f"highest period, at most {DEFAULT_PERIOD_CAP}"),
+        "--eps": (str, format_rational(DEFAULT_EPS), "entropy precision of each center"),
+        "--cache-path": (str, None, "center cache file"),
+    }),
+}
 
-    entropy = sub.add_parser("entropy", help="entropy of a map")
-    esub = entropy.add_subparsers(dest="target", required=True)
+_HELP = ("-h", "--help")
+# argparse's rule: a token that matches no option and looks like this is a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    logi = esub.add_parser("logistic", help="entropy of x -> r x (1-x)")
-    logi.add_argument("--r", required=True, help="parameter in [0,4]; exact rational or decimal")
-    logi.add_argument("--eps", required=True, help="target enclosure width")
-    logi.add_argument("--max-period", type=int, default=DEFAULT_PERIOD_CAP)
-    logi.add_argument("--budget-seconds", type=float, default=None)
-    logi.add_argument("--cache-path", default=None, help="center cache file")
-    logi.set_defaults(func=cmd_entropy_logistic)
 
-    pwl = esub.add_parser("pwl", help="entropy bounds for a stored map, "
-                          f"each from a log2 enclosure at most 2^-{BOUND_BITS} wide")
-    pwl.add_argument("--file", required=True, help="map JSON file")
-    pwl.add_argument("--method", choices=("horseshoe", "variation"), required=True)
-    pwl.add_argument("--n-max", type=int, default=6,
-                     help=f"iterate for the variation estimate, at most {MAX_ITERATE}")
-    pwl.add_argument("--max-n", type=int, default=8,
-                     help=f"horseshoe iterate budget, at most {MAX_ITERATE}")
-    pwl.add_argument("--max-p", type=int, default=4096)
-    pwl.add_argument("--grid-depth", type=int, default=3, help="piecewise-linear maps only")
-    pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "
-                     f"or {QUAD_NODE_CAP} breakpoints for a quadratic map")
-    pwl.set_defaults(func=cmd_entropy_pwl)
+def _subcommands(words: tuple) -> list[str]:
+    return [w[-1] for w in COMMANDS if w and w[:-1] == words]
 
-    realize = sub.add_parser("realize", help="construct a map with prescribed entropy")
-    realize.add_argument("--h", required=True, help="entropy target in [0,1]")
-    realize.add_argument("--out", required=True, help="output map JSON path")
-    realize.set_defaults(func=cmd_realize)
 
-    sft = sub.add_parser("sft", help="subshift-of-finite-type operations")
-    ssub = sft.add_subparsers(dest="op", required=True)
-    se = ssub.add_parser("entropy")
-    se.add_argument("--file", required=True)
-    se.add_argument("--eps", default="1/1000000000")
-    se.set_defaults(func=cmd_sft_entropy)
-    sm = ssub.add_parser("mixing")
-    sm.add_argument("--file", required=True)
-    sm.set_defaults(func=cmd_sft_mixing)
-    sk = ssub.add_parser("kappa")
-    sk.add_argument("direction", choices=("encode", "decode"))
-    sk.add_argument("--file", required=True)
-    sk.add_argument("--word", required=True)
-    sk.set_defaults(func=cmd_sft_kappa)
+def _free_positional(options: dict, given: dict):
+    return next((name for name in options if name[0] != "-" and name not in given), None)
 
-    centers = sub.add_parser("centers", help="enumerate superattracting centers")
-    centers.add_argument("--max-period", type=int, required=True)
-    centers.add_argument("--eps", default=format_rational(DEFAULT_EPS))
-    centers.add_argument("--cache-path", default=None)
-    centers.set_defaults(func=cmd_centers)
 
-    return parser
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _metavar(name: str, conv) -> str:
+    if isinstance(conv, tuple):
+        return "{" + ",".join(conv) + "}"
+    return _dest(name).upper()
+
+
+def _usage(words: tuple) -> str:
+    _, _, options = COMMANDS[words]
+    parts = ["usage:", " ".join(("entrolab",) + words), "[-h]"]
+    positionals = []
+    for name, (conv, default, _) in options.items():
+        if not name.startswith("-"):
+            positionals.append(_metavar(name, conv))
+        elif default is REQUIRED:
+            parts.append(f"{name} {_metavar(name, conv)}")
+        else:
+            parts.append(f"[{name} {_metavar(name, conv)}]")
+    if COMMANDS[words][0] is None:
+        positionals.append("{" + ",".join(_subcommands(words)) + "} ...")
+    return " ".join(parts + positionals)
+
+
+def _help(words: tuple) -> str:
+    _, text, options = COMMANDS[words]
+    commands = [(word, COMMANDS[words + (word,)][1]) for word in _subcommands(words)]
+    rows = [("-h, --help", "show this help message and exit")]
+    for name, (conv, default, note) in options.items():
+        left = _metavar(name, conv) if not name.startswith("-") else f"{name} {_metavar(name, conv)}"
+        if default is not REQUIRED and default is not None:
+            note = f"{note} (default: {default})".lstrip()
+        rows.append((left, note))
+    width = max(len(left) for left, _ in commands + rows) + 2
+    lines = [_usage(words), "", text]
+    for title, table in (("commands:", commands), ("options:", rows)):
+        if table:
+            lines += ["", title] + [f"  {left:<{width}}{note}".rstrip() for left, note in table]
+    return "\n".join(lines)
+
+
+def _usage_error(words: tuple, message: str):
+    prog = " ".join(("entrolab",) + words)
+    print(f"{_usage(words)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _option(words: tuple, options: dict, token: str):
+    """(name, attached value) of the option that ``token``, which starts with
+    a dash, spells at this command; name None when it spells no option, and
+    None when the token is a value (a negative number, say). The name is
+    matched as argparse matches it: exactly, before an '=', or as a prefix
+    of one option only."""
+    if token in options or token in _HELP:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, attached = token.partition("=")
+    if eq and (name in options or name in _HELP):
+        return name, attached
+    if token[1] == "-":
+        matches = [opt for opt in ("--help", *options) if opt.startswith(name)]
+        attached = attached if eq else None
+    else:
+        matches, attached = (["-h"], token[2:]) if token[:2] == "-h" else ([], None)
+    if len(matches) > 1:
+        _usage_error(words, f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], attached
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return None, None
+
+
+def _convert(words: tuple, name: str, conv, text: str):
+    if isinstance(conv, tuple):
+        if text not in conv:
+            choices = ", ".join(map(repr, conv))
+            _usage_error(words, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    try:
+        return conv(text)
+    except ValueError:
+        _usage_error(words, f"argument {name}: invalid {conv.__name__} value: {text!r}")
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Walk argv once against COMMANDS. Usage errors print a usage line and
+    the error to stderr and raise SystemExit(2); -h or --help prints the
+    help of the command reached so far and raises SystemExit(0)."""
+    words: tuple = ()
+    func, _, options = COMMANDS[words]
+    given: dict = {}
+    unknown: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and func is not None:
+            # every later token is a value, the first of which may fill a
+            # free positional; at a group "--" is an unknown command
+            rest = argv[i:]
+            slot = _free_positional(options, given)
+            if slot is not None and rest:
+                given[slot] = _convert(words, slot, options[slot][0], rest.pop(0))
+            else:
+                rest.insert(0, token)
+            unknown += rest
+            break
+        spec = _option(words, options, token) if token[:1] == "-" and token != "--" else None
+        if spec is None:  # a value: a command word or a positional
+            if func is None:
+                if words + (token,) not in COMMANDS:
+                    choices = ", ".join(map(repr, _subcommands(words)))
+                    _usage_error(words, f"argument command: invalid choice: {token!r} (choose from {choices})")
+                words += (token,)
+                func, _, options = COMMANDS[words]
+                continue
+            slot = _free_positional(options, given)
+            if slot is None:
+                unknown.append(token)
+            else:
+                given[slot] = _convert(words, slot, options[slot][0], token)
+            continue
+        name, attached = spec
+        if name is None:
+            unknown.append(token)
+            continue
+        if name in _HELP:
+            # -hh is -h twice, as a run of single-dash flags
+            if attached is not None and (name == "--help" or attached.strip("h") or not attached):
+                _usage_error(words, f"argument -h/--help: ignored explicit argument {attached!r}")
+            # argparse reads each token at each level as an option or a value
+            # before it acts on any, so an ambiguous token after -h still fails
+            rest = argv[i:]
+            for later in rest[: rest.index("--")] if "--" in rest else rest:
+                if later[:1] == "-":
+                    for k in range(len(words) + 1):
+                        _option(words[:k], COMMANDS[words[:k]][2], later)
+            print(_help(words))
+            raise SystemExit(EXIT_OK)
+        if attached is None:
+            value = argv[i] if i < len(argv) else "--"
+            if value == "--" or value[:1] == "-" and _option(words, options, value) is not None:
+                _usage_error(words, f"argument {name}: expected one argument")
+            attached = value
+            i += 1
+        given[name] = _convert(words, name, options[name][0], attached)
+    if func is None:
+        _usage_error(words, "the following arguments are required: command")
+    missing = [name for name, (_, default, _) in options.items()
+               if default is REQUIRED and name not in given]
+    if missing:
+        _usage_error(words, f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        _usage_error(words, f"unrecognized arguments: {' '.join(unknown)}")
+    args = SimpleNamespace(func=func)
+    for name, (_, default, _) in (*COMMANDS[()][2].items(), *options.items()):
+        setattr(args, _dest(name), given.get(name, default))
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (InputError, OSError, ValueError) as exc:

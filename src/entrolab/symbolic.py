@@ -634,10 +634,17 @@ def identity_prefix_oracle() -> PrefixMapOracle:
 
 def shift_prefix_oracle(z: SFT) -> PrefixMapOracle:
     """The shift of ``z`` transported to the full binary Cantor set via the
-    prefix recoding; surjective whenever ``z`` is mixing."""
+    prefix recoding; surjective whenever ``z`` is mixing.
+
+    Its modulus is m + 1: ``prefix_decode`` of n bits gives a word with n
+    branch positions, one per bit. Dropping the word's first letter keeps
+    every branch position but the first, since the test at a position k >= 1
+    reads only letters k - 1 and k, and position 0 always emits. So n input
+    bits give at least n - 1 output bits. n copies of the letter with two
+    successors decode with no forced letter and give exactly n - 1, so m
+    bits can fall short of m.
+    """
     _require_admissible(z)
-    psi = mixing_gap(z)
-    states = z.alphabet_size
 
     def fn(prefix: str) -> str:
         if prefix == "":
@@ -645,12 +652,7 @@ def shift_prefix_oracle(z: SFT) -> PrefixMapOracle:
         word = prefix_decode(z, prefix)
         return prefix_encode(z, word[1:])
 
-    def modulus(m: int) -> int:
-        # conservative: enough input bits that the decoded word, shifted,
-        # still crosses >= m branch points
-        return (m * (psi + 1) + 1) * (states + 1)
-
-    return PrefixMapOracle(fn=fn, modulus=modulus)
+    return PrefixMapOracle(fn=fn, modulus=lambda m: m + 1)
 
 
 class NeedMoreInput(ValueError):

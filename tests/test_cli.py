@@ -1,18 +1,44 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import entrolab.logistic as logistic
-from entrolab.cli import main
-from entrolab.interval_maps import BOUND_BITS, PWLMap, slope_detect, tent_map
-from entrolab.logistic import DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
+from entrolab.cli import (
+    COMMANDS,
+    REQUIRED,
+    cmd_centers,
+    cmd_entropy_logistic,
+    cmd_entropy_pwl,
+    cmd_realize,
+    cmd_sft_entropy,
+    cmd_sft_kappa,
+    cmd_sft_mixing,
+    main,
+    parse_args,
+)
+from entrolab.horseshoe import QUAD_NODE_CAP
+from entrolab.interval_maps import (
+    BOUND_BITS,
+    DEFAULT_NODE_CAP,
+    MAX_ITERATE,
+    PWLMap,
+    slope_detect,
+    tent_map,
+)
+from entrolab.logistic import DEFAULT_EPS, DEFAULT_PERIOD_CAP, CenterCache, enumerate_centers
 from entrolab.numkit import (
     RatInterval,
     critical_orbit_expr,
@@ -1106,13 +1132,15 @@ from entrolab.cli import main
 calls = json.loads(sys.argv[1])
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in calls]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "numpy")]))
+numpy = sorted(m for m in sys.modules if m.split(".")[0] == "numpy")
+print(json.dumps([codes, numpy, "argparse" in sys.modules]))
 """
 
 
-def test_certified_paths_never_import_numpy(tmp_path, tent_file, golden_file):
+def test_certified_paths_never_import_numpy_or_argparse(tmp_path, tent_file, golden_file):
     # numpy is no dependency: one call of each command, in a fresh
-    # interpreter, loads no numpy module
+    # interpreter, loads no numpy module. Nor does the command line need
+    # argparse, which cost about a third of a warm query
     m = 60
     chord = write_json(tmp_path / "chord.json", {
         "alphabet": m,
@@ -1135,4 +1163,221 @@ def test_certified_paths_never_import_numpy(tmp_path, tent_file, golden_file):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0] * len(calls), []]
+    assert json.loads(proc.stdout) == [[0] * len(calls), [], False]
+
+
+# ---------------------------------------------------------------------------
+# The command table against the argparse tree it replaced
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    # the argparse tree cli.main parsed with before the command table, kept
+    # as the reference the table's parser must agree with
+    parser = argparse.ArgumentParser(
+        prog="entrolab",
+        description="Certified topological-entropy bounds for one-dimensional maps. "
+        "TSV columns for horseshoe streams: p, n, bound_lo, bound_hi "
+        "(rationals as p/q).",
+    )
+    parser.add_argument(
+        "--format", choices=("tsv", "json"), default="tsv", help="output format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    entropy = sub.add_parser("entropy", help="entropy of a map")
+    esub = entropy.add_subparsers(dest="target", required=True)
+
+    logi = esub.add_parser("logistic", help="entropy of x -> r x (1-x)")
+    logi.add_argument("--r", required=True, help="parameter in [0,4]; exact rational or decimal")
+    logi.add_argument("--eps", required=True, help="target enclosure width")
+    logi.add_argument("--max-period", type=int, default=DEFAULT_PERIOD_CAP)
+    logi.add_argument("--budget-seconds", type=float, default=None)
+    logi.add_argument("--cache-path", default=None, help="center cache file")
+    logi.set_defaults(func=cmd_entropy_logistic)
+
+    pwl = esub.add_parser("pwl", help="entropy bounds for a stored map, "
+                          f"each from a log2 enclosure at most 2^-{BOUND_BITS} wide")
+    pwl.add_argument("--file", required=True, help="map JSON file")
+    pwl.add_argument("--method", choices=("horseshoe", "variation"), required=True)
+    pwl.add_argument("--n-max", type=int, default=6,
+                     help=f"iterate for the variation estimate, at most {MAX_ITERATE}")
+    pwl.add_argument("--max-n", type=int, default=8,
+                     help=f"horseshoe iterate budget, at most {MAX_ITERATE}")
+    pwl.add_argument("--max-p", type=int, default=4096)
+    pwl.add_argument("--grid-depth", type=int, default=3, help="piecewise-linear maps only")
+    pwl.add_argument("--node-cap", type=int, help=f"default {DEFAULT_NODE_CAP} nodes, "
+                     f"or {QUAD_NODE_CAP} breakpoints for a quadratic map")
+    pwl.set_defaults(func=cmd_entropy_pwl)
+
+    realize = sub.add_parser("realize", help="construct a map with prescribed entropy")
+    realize.add_argument("--h", required=True, help="entropy target in [0,1]")
+    realize.add_argument("--out", required=True, help="output map JSON path")
+    realize.set_defaults(func=cmd_realize)
+
+    sft = sub.add_parser("sft", help="subshift-of-finite-type operations")
+    ssub = sft.add_subparsers(dest="op", required=True)
+    se = ssub.add_parser("entropy")
+    se.add_argument("--file", required=True)
+    se.add_argument("--eps", default="1/1000000000")
+    se.set_defaults(func=cmd_sft_entropy)
+    sm = ssub.add_parser("mixing")
+    sm.add_argument("--file", required=True)
+    sm.set_defaults(func=cmd_sft_mixing)
+    sk = ssub.add_parser("kappa")
+    sk.add_argument("direction", choices=("encode", "decode"))
+    sk.add_argument("--file", required=True)
+    sk.add_argument("--word", required=True)
+    sk.set_defaults(func=cmd_sft_kappa)
+
+    centers = sub.add_parser("centers", help="enumerate superattracting centers")
+    centers.add_argument("--max-period", type=int, required=True)
+    centers.add_argument("--eps", default=format_rational(DEFAULT_EPS))
+    centers.add_argument("--cache-path", default=None)
+    centers.set_defaults(func=cmd_centers)
+
+    return parser
+
+
+def _parsed(parse, argv):
+    """The attributes a parse gives the handlers, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code
+    # argparse also records which subparser ran; no handler reads that
+    return {k: v for k, v in vars(args).items() if k not in ("command", "target", "op")}
+
+
+_LEAVES = [words for words, (func, _, _) in COMMANDS.items() if func is not None]
+# every value here reads as a value under each argparse rule for negative
+# numbers since Python 3.10
+_VALUES = {
+    str: ["3.5", "1/32", "-3", "-0.5", "-.25", "-", "", "encode", "x"],
+    int: ["0", "3", "12", "-3", "007", " 7 "],
+    float: ["0.5", "2", "-3", "-.25", "1e3", "inf"],
+}
+_BAD = {int: ["x", "1.5", ""], float: ["x", ""]}
+_BREAKS = ["unknown option", "missing value", "bad int", "bad choice", "missing required",
+           "unknown command"]
+
+
+def _spellings(name, options):
+    # the name and each prefix of it that no other option (nor --help) starts with
+    others = [o for o in ("--help", *options) if o != name]
+    return [name[:k] for k in range(3, len(name)) if not any(o.startswith(name[:k]) for o in others)] + [name]
+
+
+@st.composite
+def _argv(draw, break_kind=None):
+    """argv for one command with every required option given once and some
+    others, each in a random place; with a break_kind, broken in that way."""
+    words = draw(st.sampled_from(_LEAVES))
+    options = COMMANDS[words][2]
+
+    def spell(name, value, table):
+        if not name.startswith("-"):
+            return [value]
+        spelled = draw(st.sampled_from(_spellings(name, table)))
+        return [f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value]
+
+    def value_for(conv):
+        return draw(st.sampled_from(conv if isinstance(conv, tuple) else _VALUES[conv]))
+
+    head = [token for _ in range(draw(st.integers(0, 2)))
+            for token in spell("--format", value_for(("tsv", "json")), COMMANDS[()][2])]
+    required = [n for n, (_, default, _) in options.items() if default is REQUIRED]
+    repeatable = sorted(n for n in options if n.startswith("-"))
+    chosen = required + draw(st.lists(st.sampled_from(repeatable), max_size=4))
+    if break_kind == "missing required":
+        dropped = draw(st.sampled_from(required))
+        chosen = [n for n in chosen if n != dropped]
+    groups = [spell(name, value_for(options[name][0]), options)
+              for name in draw(st.permutations(chosen))]
+    if break_kind in ("bad int", "bad choice"):
+        wanted = (int, float) if break_kind == "bad int" else ()
+        names = [n for n, (conv, _, _) in options.items()
+                 if (conv in wanted if wanted else isinstance(conv, tuple))]
+        if not names:
+            return None
+        name = draw(st.sampled_from(names))
+        value = draw(st.sampled_from(_BAD[options[name][0]])) if wanted else "bogus"
+        groups.insert(draw(st.integers(0, len(groups))), spell(name, value, options))
+    if break_kind == "unknown option":
+        groups.insert(draw(st.integers(0, len(groups))), ["--bogus"])
+    if break_kind == "missing value":
+        groups.append([draw(st.sampled_from(repeatable))])
+    if break_kind == "unknown command":
+        words = words[:-1] + ("bogus",)
+    return head + list(words) + [token for group in groups for token in group]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_parser_matches_argparse(data):
+    # random subsets and orders of each command's options, each spelled in
+    # full or by a unique prefix, with its value after a space or an '=':
+    # the table's parser gives the handlers what argparse gave them
+    argv = data.draw(_argv())
+    expected = _parsed(build_parser().parse_args, argv)
+    assert isinstance(expected, dict), argv
+    assert _parsed(parse_args, argv) == expected, argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_table_parser_refuses_what_argparse_refused(data):
+    kind = data.draw(st.sampled_from(_BREAKS))
+    argv = data.draw(_argv(kind))
+    assume(argv is not None)
+    assert _parsed(build_parser().parse_args, argv) == 2, (kind, argv)
+    assert _parsed(parse_args, argv) == 2, (kind, argv)
+
+
+@pytest.mark.parametrize("words", list(COMMANDS), ids=lambda w: " ".join(w) or "entrolab")
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option(capsys, words, flag):
+    with pytest.raises(SystemExit) as err:
+        main([*words, flag])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(('entrolab', *words))} [-h]")
+    options = COMMANDS[words][2]
+    for name, (conv, _, _) in options.items():
+        assert (name if name.startswith("-") else "{" + ",".join(conv) + "}") in out, name
+    for sub in COMMANDS:
+        if sub[:-1] == words and sub:
+            assert f"  {sub[-1]} " in out, sub
+
+
+def test_ambiguous_prefix_exit_2(capsys, skew_file):
+    # --max is a prefix of both --max-n and --max-p
+    with pytest.raises(SystemExit) as err:
+        main(_fill(_PWL_VARIATION, skew_file, None) + ["--max", "3"])
+    assert err.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: entrolab entropy pwl [-h]")
+    assert "entrolab entropy pwl: error: ambiguous option: --max could match --max-n, --max-p\n" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["sft", "kappa", "--file", "f", "--word", "w", "--", "encode"], "encode"),
+        (["sft", "kappa", "encode", "--file", "f", "--word", "w", "--"], 2),
+        (["entropy", "logistic", "--r", "--", "--eps", "1"], 2),
+        (["entropy", "--", "logistic"], 2),
+        (["-hh"], 0),
+        (["-hx"], 2),
+        (["--help=x"], 2),
+        (["entropy", "pwl", "--help", "--max"], 2),
+        (["entropy", "--help", "--=x"], 2),
+    ],
+)
+def test_table_parser_edge_tokens(argv, expected):
+    # argparse's reading of "--", of a run of single-dash flags, and of an
+    # ambiguous token after -h, as on Python 3.11
+    parsed = _parsed(parse_args, argv)
+    assert (parsed["direction"] if isinstance(parsed, dict) else parsed) == expected

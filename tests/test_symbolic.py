@@ -588,6 +588,33 @@ def test_shift_oracle_prefix_monotone_and_surjective():
                 assert "".join(bits) in seen
 
 
+def _shortest_out(oracle, n):
+    return min(len(oracle("".join(bits))) for bits in product("01", repeat=n))
+
+
+def test_shift_modulus_is_least():
+    # every input of modulus(m) bits gives at least m output bits, and some
+    # input of m bits gives fewer, so no smaller modulus holds
+    for z in PREFIX_CODED:
+        oracle = shift_prefix_oracle(z)
+        for m in range(7):
+            assert oracle.modulus(m) == m + 1
+            assert _shortest_out(oracle, m + 1) >= m
+            if m:
+                assert _shortest_out(oracle, m) < m
+
+
+def test_glue_modulus_suffices():
+    # a glued input is a 0^k 1 header and the rest, which the shift
+    # component shortens by at most one bit, so m + 1 input bits suffice
+    for z in PREFIX_CODED:
+        for comps in ([shift_prefix_oracle(z)], [identity_prefix_oracle(), shift_prefix_oracle(z)]):
+            for m in range(7):
+                n = glue_modulus(comps, m)
+                assert n <= m + 1
+                assert _shortest_out(lambda word: glue_prefix_maps(comps, word), n) >= m
+
+
 def test_glue_zeros_and_header():
     comps = [identity_prefix_oracle(), shift_prefix_oracle(GOLDEN)]
     assert glue_prefix_maps(comps, "0" * 7) == "0" * 7
