@@ -159,7 +159,7 @@ def cmd_entropy_logistic(args: SimpleNamespace) -> int:
         f"  ~ [{float(bound.lo):.10f}, {float(bound.hi):.10f}]",
         f"  periods searched: up to {args.max_period}",
         f"  wall time: {elapsed:.2f}s",
-    ]
+    ] if args.format == "tsv" else []
     _emit(payload, args.format, lines)
     return code
 

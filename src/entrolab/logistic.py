@@ -240,23 +240,29 @@ class _Stored:
         return Center(self.r_enc, self.period, order, *_center_model(order, eps))
 
 
+_Index = dict[int, tuple[_Stored, ...]]  # period -> its centers, in file order
+
+
 # memoized on the file's exact bytes: a byte-identical file loaded again in
 # the process reuses the checks already run on it, and any changed byte is a
 # new key, parsed again; an error is raised every time, never memoized. The
-# _Stored records are shared between the loads of one key: their one mutable
-# field, _r_enc, is built from ends alone, and _line and _path come from the
-# key. Proofs are not memoized here: _prove runs on a center's first use
+# loads of one key share its _Stored records, whose one mutable field, _r_enc,
+# is built from ends alone (_line and _path come from the key), and its key
+# set and index, which add_center replaces and never changes. Proofs are not
+# memoized here: _prove runs on a center's first use
 @lru_cache(maxsize=16)
 def _parse_cache(
     path: Path, data: bytes
-) -> tuple[tuple[_Stored, ...], frozenset[tuple[int, ...]], Optional[tuple[int, str]]]:
+) -> tuple[tuple[_Stored, ...], frozenset[tuple[int, ...]], _Index, Optional[tuple[int, str]]]:
     """The centers of a cache file with contents ``data`` (``path`` only
-    names it in messages), the (period, *ends) key of each, and the torn
-    tail: None when the file ends in a complete line, else the offset just
-    past the last line that parsed and what the next append writes first.
-    Lines are split on b"\\n" only, as iterating the binary file splits them."""
+    names it in messages), the (period, *ends) key of each, the per-period
+    index (each period's centers, in file order), and the torn tail: None
+    when the file ends in a complete line, else the offset just past the
+    last line that parsed and what the next append writes first. Lines are
+    split on b"\\n" only, as iterating the binary file splits them."""
     centers: list[_Stored] = []
     keys: set[tuple[int, ...]] = set()
+    by_period: dict[int, list[_Stored]] = {}
     end = 0  # offset just past the last line that parsed
     raw = b"\n"
     for number, raw in enumerate(io.BytesIO(data)):
@@ -267,7 +273,8 @@ def _parse_cache(
             if raw.endswith(b"\n"):
                 raise _malformed(number + 1, path, exc) from exc
             # the torn tail of an interrupted append; the next append cuts it
-            return tuple(centers), frozenset(keys), (end, "")
+            tail = (end, "")
+            break
         end += len(raw)
         if number == 0:
             if not isinstance(record, dict) or record.get("schema") != CACHE_SCHEMA:
@@ -286,8 +293,11 @@ def _parse_cache(
             if key not in keys:
                 keys.add(key)
                 centers.append(_Stored(period, ends, None, number + 1, path))
-    tail = None if raw.endswith(b"\n") else (end, "\n")
-    return tuple(centers), frozenset(keys), tail
+                by_period.setdefault(period, []).append(centers[-1])
+    else:
+        tail = None if raw.endswith(b"\n") else (end, "\n")
+    index = {p: tuple(held) for p, held in by_period.items()}
+    return tuple(centers), frozenset(keys), index, tail
 
 
 class CenterCache:
@@ -314,14 +324,18 @@ class CenterCache:
     A second load of byte-identical contents in one process reuses the
     first load's checks (``_parse_cache``); any changed byte is parsed
     again. Proofs stay per process: a center is proved on its first use in
-    the process, whichever load read it.
+    the process, whichever load read it. Beside ``centers``, in file order,
+    the cache holds a per-period index of them, in the same order, which
+    ``_complete_period`` reads. The index and the key set are shared with
+    the load's memo: ``add_center`` replaces them and never changes them.
     """
 
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
         self.centers: list[_Stored] = []
         # (period, *ends) of every center held
-        self._keys: set[tuple[int, ...]] = set()
+        self._keys: frozenset[tuple[int, ...]] = frozenset()
+        self._by_period: _Index = {}
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
         self._tail: Optional[tuple[int, str]] = None
@@ -329,27 +343,28 @@ class CenterCache:
             self._load()
 
     def _load(self) -> None:
-        records, keys, self._tail = _parse_cache(self.path, self.path.read_bytes())
-        self.centers = list(records)
-        self._keys = set(keys)
+        loaded = _parse_cache(self.path, self.path.read_bytes())
+        self.centers = list(loaded[0])
+        self._keys, self._by_period, self._tail = loaded[1:]
 
     def add_center(self, period: int, cells: Sequence[_Ends]) -> None:
         """Add the centers of one period that the scan proved, each r_enc as
         reduced integer ends, skipping any already held; the new records are
         written with one append."""
+        fresh = [ends for ends in dict.fromkeys(cells) if (period, *ends) not in self._keys]
+        if not fresh:
+            return
+        added = tuple(_Stored(period, ends) for ends in fresh)
+        self.centers += added
+        self._keys = self._keys.union((period, *ends) for ends in fresh)
+        self._by_period = {**self._by_period, period: self._by_period.get(period, ()) + added}
+        if self.path is None:
+            return
         lines = []
-        for ends in cells:
-            key = (period, *ends)
-            if key in self._keys:
-                continue
-            self._keys.add(key)
-            self.centers.append(_Stored(period, ends))
-            lo_num, lo_den, hi_num, hi_den = ends
+        for lo_num, lo_den, hi_num, hi_den in fresh:
             r_enc = [f"{lo_num}/{lo_den}", f"{hi_num}/{hi_den}"]
             record = {"type": "center", "period": period, "r_enc": r_enc}
             lines.append(json.dumps(record, sort_keys=True) + "\n")
-        if self.path is None or not lines:
-            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             size = fh.tell()  # append mode opens at the end: the file's length
@@ -436,19 +451,19 @@ def _center_count(p: int) -> int:
 
 def _complete_period(
     p: int, cache: CenterCache
-) -> tuple[list[_Stored], list[RatInterval]]:
-    """The stored centers of period p, in cache order and unproved, and the
-    unresolved cells of period p. A cache that holds fewer than
-    ``_center_count(p)`` centers of period p has the period scanned, which
-    adds the missing ones to it; the cells the scan leaves unresolved are
-    returned while the period is still short. A count that is too high, or
-    still short after a scan that left no cell unresolved, raises
-    ValueError."""
+) -> tuple[tuple[_Stored, ...], list[RatInterval]]:
+    """The stored centers of period p, in cache order and unproved (the
+    cache's index), and the unresolved cells of period p. A cache that holds
+    fewer than ``_center_count(p)`` centers of period p has the period
+    scanned, which adds the missing ones to it; the cells the scan leaves
+    unresolved are returned while the period is still short. A count that is
+    too high, or still short after a scan that left no cell unresolved,
+    raises ValueError."""
     want = _center_count(p)
-    stored = [c for c in cache.centers if c.period == p]
+    stored = cache._by_period.get(p, ())
     if len(stored) < want:
         unresolved = _scan(p, cache)
-        stored = [c for c in cache.centers if c.period == p]
+        stored = cache._by_period.get(p, ())
         if len(stored) < want and unresolved:
             return stored, unresolved
     if len(stored) != want:
@@ -514,21 +529,13 @@ _EXACT_ZERO = EntropyBound(_ZERO, _ZERO, Provenance.EXACT, certified=True)
 _EXACT_ONE = EntropyBound(_ONE, _ONE, Provenance.EXACT, certified=True)
 
 
-def _sign(a_num: int, a_den: int, b_num: int, b_den: int) -> int:
-    """The sign of a_num/a_den - b_num/b_den, for positive denominators."""
-    diff = a_num * b_den - b_num * a_den
-    return (diff > 0) - (diff < 0)
-
-
-def _precedes(a: _Stored, b: _Stored, *, by_hi: bool) -> bool:
-    """Whether the center a goes before b as the nearest on its side: below
-    the query (``by_hi``) by the greatest hi, then the least lo, then the
-    least period; above it by the least lo, then the least period."""
-    a_lo_num, a_lo_den, a_hi_num, a_hi_den = a.ends
-    b_lo_num, b_lo_den, b_hi_num, b_hi_den = b.ends
-    order = _sign(b_hi_num, b_hi_den, a_hi_num, a_hi_den) if by_hi else 0
-    order = order or _sign(a_lo_num, a_lo_den, b_lo_num, b_lo_den)
-    return order < 0 if order else a.period < b.period
+def _precedes(a: _Stored, b: _Stored) -> bool:
+    """Whether the center a goes before b, of the same nearest end on its
+    side of the query: by the least lo, then the least period."""
+    a_lo_num, a_lo_den = a.ends[:2]
+    b_lo_num, b_lo_den = b.ends[:2]
+    diff = a_lo_num * b_lo_den - b_lo_num * a_lo_den
+    return diff < 0 if diff else a.period < b.period
 
 
 def collect_brackets(
@@ -542,21 +549,26 @@ def collect_brackets(
     (r_enc.lo, period), then to the first in ``centers``, so the choice does
     not depend on how ``centers`` is ordered otherwise. The search compares
     only each center's period and its r_enc ends, as integers by
-    cross-multiplication; it proves nothing and computes no entropy.
+    cross-multiplication; it proves nothing and computes no entropy. The
+    nearest end so far on each side is held as integers, and the tie rule
+    (``_precedes``) is read only on an equal end.
     """
-    if query.lo < 0 or query.hi > 4:
-        raise ValueError("query must lie within [0, 4]")
     q_lo_num, q_lo_den = query.lo.numerator, query.lo.denominator
     q_hi_num, q_hi_den = query.hi.numerator, query.hi.denominator
+    if q_lo_num < 0 or q_hi_num > 4 * q_hi_den:
+        raise ValueError("query must lie within [0, 4]")
     below = above = None  # the nearest center so far on each side
+    b_num = b_den = a_num = a_den = 0  # below's hi and above's lo
     for center in centers:
         lo_num, lo_den, hi_num, hi_den = center.ends
         if hi_num * q_lo_den < q_lo_num * hi_den:  # r_enc.hi < query.lo
-            if below is None or _precedes(center, below, by_hi=True):
-                below = center
+            diff = hi_num * b_den - b_num * hi_den
+            if below is None or diff > 0 or (diff == 0 and _precedes(center, below)):
+                below, b_num, b_den = center, hi_num, hi_den
         elif lo_num * q_hi_den > q_hi_num * lo_den:  # r_enc.lo > query.hi
-            if above is None or _precedes(center, above, by_hi=False):
-                above = center
+            diff = lo_num * a_den - a_num * lo_den
+            if above is None or diff < 0 or (diff == 0 and _precedes(center, above)):
+                above, a_num, a_den = center, lo_num, lo_den
     return below, above
 
 
@@ -591,7 +603,9 @@ def logistic_entropy(
     period p can be nearer than the held one. The pair is held as cache
     records, and only their entropies are read: the lower end below and the
     upper end above, computed to min(CENTER_EPS, eps/4) from the proved
-    orbit order (``_center_model``); no ``Center`` is built. When
+    orbit order (``_center_model``); no ``Center`` is built. Each end is
+    read again only when its side's center changes, and the width is tested
+    against 9/10 eps in integers, by one cross-multiplication. When
     max_period or the deadline is reached first, a BudgetExceeded carrying
     the best sound enclosure is raised. A budget with max_period beyond
     ``DEFAULT_PERIOD_CAP`` is refused at once.
@@ -612,14 +626,21 @@ def logistic_entropy(
     if not isinstance(cache, CenterCache):
         cache = CenterCache(cache)
     deadline = None if budget.seconds is None else time.monotonic() + budget.seconds
-    target = eps * Fraction(9, 10)
+    # hi - lo <= 9/10 eps, as (hi - lo) * t_den <= t_num
+    t_num, t_den = 9 * eps.numerator, 10 * eps.denominator
     below = above = None
+    lo, hi = _ZERO, _ONE
     for p in range(1, budget.max_period + 1):
-        held = [c for c in (below, above) if c is not None]
-        below, above = collect_brackets(query, held + _complete_period(p, cache)[0])
-        lo = _center_model(below.order(), center_eps)[1].lo if below else _ZERO
-        hi = _center_model(above.order(), center_eps)[1].hi if above else _ONE
-        if hi - lo <= target:
+        held = tuple(c for c in (below, above) if c is not None)
+        nearest = collect_brackets(query, held + _complete_period(p, cache)[0])
+        if nearest[0] is not below:
+            below = nearest[0]
+            lo = _center_model(below.order(), center_eps)[1].lo
+        if nearest[1] is not above:
+            above = nearest[1]
+            hi = _center_model(above.order(), center_eps)[1].hi
+        lo_den, hi_den = lo.denominator, hi.denominator
+        if (hi.numerator * lo_den - lo.numerator * hi_den) * t_den <= t_num * lo_den * hi_den:
             return EntropyBound(lo, hi, Provenance.SANDWICH, certified=True)
         if deadline is not None and time.monotonic() > deadline:
             break

@@ -219,14 +219,14 @@ def _log2_point(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         e = Fraction(num.bit_length() - den.bit_length())
         return e, e
     e = floor_log2(q)
-    m = q / Fraction(2) ** e  # mantissa in [1, 2)
+    # the mantissa q / 2^e in [1, 2), as m_num / m_den
+    m_num, m_den = (num, den << e) if e >= 0 else (num << -e, den)
     k = bits + 2
     w = k + bits + 8
-    scale = 1 << w
     # Directed-rounded mantissa brackets at w bits: lo path rounds down,
     # hi path rounds up, so the true value stays between them throughout.
-    mlo = m.numerator * scale // m.denominator
-    mhi = -((-m.numerator * scale) // m.denominator)
+    mlo = (m_num << w) // m_den
+    mhi = -((-m_num << w) // m_den)
     elo = ehi = 0
     top = 1 << (w + 1)
     for _ in range(k):
@@ -240,8 +240,7 @@ def _log2_point(q: Fraction, bits: int) -> tuple[Fraction, Fraction]:
         while mhi >= top:
             mhi = -((-mhi) >> 1)
             ehi += 1
-    denom = 1 << k
-    return Fraction(e) + Fraction(elo, denom), Fraction(e) + Fraction(ehi + 1, denom)
+    return Fraction((e << k) + elo, 1 << k), Fraction((e << k) + ehi + 1, 1 << k)
 
 
 def log2_enclosure(x: Union[RatInterval, Fraction], bits: int) -> RatInterval:

@@ -472,7 +472,116 @@ def test_collect_brackets_ties_follow_sorted_rule():
         assert got[1] is next(c for c in centers if c in above[1:3])
 
 
-_hand_end = st.sampled_from([1, 2, 4, 5, 8]).flatmap(
+def _reference_sandwich_loop(query, eps, max_period, centers):
+    """``logistic_entropy``'s period loop before it carried its ends: each
+    period brackets the query among the held pair and the centers of period
+    p, filtered from ``centers`` (``_reference_bracket``), reads both ends
+    again and tests the width in Fractions. Returns the bound, certified or
+    not."""
+    center_model = entrolab.logistic._center_model
+    center_eps = min(CENTER_EPS, eps / 4)
+    below = above = None
+    for p in range(1, max_period + 1):
+        held = [c for c in (below, above) if c is not None]
+        below, above = _reference_bracket(query, held + [c for c in centers if c.period == p])
+        lo = center_model(below.order(), center_eps)[1].lo if below else F(0)
+        hi = center_model(above.order(), center_eps)[1].hi if above else F(1)
+        if hi - lo <= eps * F(9, 10):
+            return EntropyBound(lo, hi, Provenance.SANDWICH, certified=True)
+    return EntropyBound(lo, hi, Provenance.SANDWICH, certified=False)
+
+
+def _counted_sandwich(query, eps, max_period, cache):
+    """The sandwich's bound (a BudgetExceeded's best), how often it entered
+    ``_center_model``, and how often its pair changed a side, counted from
+    what each ``collect_brackets`` call returned."""
+    entries, pairs = [], [(None, None)]
+    center_model = entrolab.logistic._center_model
+    brackets = entrolab.logistic.collect_brackets
+
+    def counted_center_model(*args):
+        entries.append(args)
+        return center_model(*args)
+
+    def counted_brackets(*args):
+        pairs.append(brackets(*args))
+        return pairs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(entrolab.logistic, "_center_model", counted_center_model)
+        mp.setattr(entrolab.logistic, "collect_brackets", counted_brackets)
+        try:
+            bound = logistic_entropy(query, eps, SandwichBudget(max_period=max_period), cache=cache)
+        except BudgetExceeded as exc:
+            assert not exc.best.certified
+            bound = exc.best
+        else:
+            assert bound.certified
+    changes = sum(a[side] is not b[side] for a, b in zip(pairs, pairs[1:]) for side in (0, 1))
+    return bound, len(entries), changes
+
+
+_LOOP_EPS = (F(1, 8), F(1, 32), F(1, 128), F(1, 512), F(1, 2**30))
+
+
+@pytest.fixture(scope="module")
+def period_9_session_cache(session_cache):
+    enumerate_centers(9, cache=session_cache)
+    return session_cache
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_period_loop_matches_reference(period_9_session_cache, data):
+    # the loop on the per-period index, with carried ends and the integer
+    # width test, gives the bound of the loop that read everything again
+    cache = period_9_session_cache
+    ends = sorted({F(e[0], e[1]) for c in cache.centers for e in (c.ends[:2], c.ends[2:])})
+    r = data.draw(st.one_of(
+        st.integers(2, 2**40).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: 3 + F(n, d))),
+        st.sampled_from([e for e in ends if 3 < e < 4]),  # on a center's end
+    ))
+    eps = data.draw(st.sampled_from(_LOOP_EPS))
+    max_period = data.draw(st.integers(1, 9))
+    want = _reference_sandwich_loop(RatInterval.point(r), eps, max_period, list(cache.centers))
+    got, entries, changes = _counted_sandwich(r, eps, max_period, cache)
+    assert got == want
+    assert entries <= changes
+
+
+def test_period_loop_ties_match_reference(monkeypatch):
+    # the hand-built centers of test_collect_brackets_ties_follow_sorted_rule,
+    # each with its own fixed entropy, so a tie broken another way than the
+    # reference breaks it moves the bound
+    hand = [
+        ("32/10", "34/10", 4), ("32/10", "34/10", 2), ("32/10", "34/10", 5),
+        ("33/10", "34/10", 3), ("30/10", "33/10", 1), ("36/10", "37/10", 6),
+        ("36/10", "365/100", 3), ("36/10", "39/10", 3), ("38/10", "39/10", 1),
+    ]
+    fixed = {}
+    for k, (lo, hi, period) in enumerate(hand):
+        key = (period, *_ends(F(lo), F(hi)))
+        fixed[key] = EntropyBound(F(k, 64), F(32 + k, 64), Provenance.SANDWICH, certified=True)
+    counts = {p: sum(period == p for *_, period in hand) for p in range(1, 7)}
+    monkeypatch.setattr(_Stored, "order", lambda self: (self.period, *self.ends))
+    monkeypatch.setattr(entrolab.logistic, "_center_model", lambda order, eps: (None, fixed[order]))
+    monkeypatch.setattr(entrolab.logistic, "_center_count", counts.__getitem__)
+    query, rng = RatInterval.point(F(7, 2)), random.Random(5)
+    for _ in range(40):
+        rng.shuffle(hand)
+        cache = CenterCache(None)
+        for p in range(1, 7):
+            cache.add_center(p, [_ends(F(lo), F(hi)) for lo, hi, period in hand if period == p])
+        for max_period in range(1, 7):
+            # 9/10 of 5/8 is 36/64, the width at period 1
+            for eps in (F(1, 2), F(5, 8), F(2, 3), F(1)):
+                want = _reference_sandwich_loop(query, eps, max_period, cache.centers)
+                got, entries, changes = _counted_sandwich(query, eps, max_period, cache)
+                assert got == want
+                assert entries <= changes
+
+
+_hand_end =st.sampled_from([1, 2, 4, 5, 8]).flatmap(
     lambda d: st.integers(0, 4 * d).map(lambda n: F(n, d))
 )
 _hand_style = st.sampled_from(["p/q", "2p/2q", "decimal", "int"])
@@ -757,3 +866,55 @@ def test_warm_load_after_edit_matches_cold_load(tmp_path_factory, period_5_bytes
     again = _loaded(path)
     entrolab.logistic._parse_cache.cache_clear()
     assert warm == again == _loaded(path)
+
+
+def _assert_index_matches(cache):
+    # each period's index entry is that period's centers in cache order
+    periods = {c.period for c in cache.centers}
+    assert set(cache._by_period) == periods
+    for p in periods:
+        assert cache._by_period[p] == tuple(c for c in cache.centers if c.period == p)
+
+
+def test_index_follows_load_add_and_torn_tail(tmp_path, period_5_bytes):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(period_5_bytes)
+    clean = _loaded(path)
+    cache = CenterCache(path)
+    _assert_index_matches(cache)
+    assert [len(cache._by_period[p]) for p in range(1, 6)] == [1, 1, 1, 2, 3]
+    held = cache._by_period[5]
+    cache.add_center(5, [held[0].ends, (15, 4, 31, 8), (15, 4, 31, 8)])
+    cache.add_center(6, [(7, 2, 29, 8)])
+    _assert_index_matches(cache)
+    assert cache._by_period[5][:3] == held and len(cache._by_period[5]) == 4
+    assert len(cache._by_period[6]) == 1
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(period_5_bytes + b'{"period": 6, "r_enc": ["7/2"')
+    cache = CenterCache(torn)
+    assert cache._tail is not None
+    assert [(c.period, c.ends, c._line) for c in cache.centers] == clean[0]
+    _assert_index_matches(cache)
+    cache.add_center(6, [(7, 2, 29, 8)])
+    _assert_index_matches(cache)
+
+
+def test_add_center_leaves_memoized_index_alone(tmp_path, period_5_bytes):
+    # an add to a loaded cache appends to the file, but the memo of the
+    # original bytes keeps only the file's records
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(period_5_bytes)
+    first = CenterCache(path)
+    index, keys, count = dict(first._by_period), first._keys, len(first.centers)
+    first.add_center(6, [(7, 2, 29, 8)])
+    first.add_center(5, [(15, 4, 31, 8)])
+    assert len(first._by_period[6]) == 1 and len(first._by_period[5]) == 4
+    assert path.read_bytes() != period_5_bytes
+    path.write_bytes(period_5_bytes)
+    hits = entrolab.logistic._parse_cache.cache_info().hits
+    second = CenterCache(path)
+    assert entrolab.logistic._parse_cache.cache_info().hits == hits + 1
+    assert second._by_period == index and 6 not in second._by_period
+    assert second._keys == keys and (6, 7, 2, 29, 8) not in second._keys
+    assert len(second.centers) == count
+    _assert_index_matches(second)

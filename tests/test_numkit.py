@@ -234,6 +234,64 @@ def test_log2_domain_error():
         log2_enclosure(RatInterval(0, 1), 10)
 
 
+def _reference_log2_point(q, bits):
+    """``numkit._log2_point`` as it was written in Fraction arithmetic: the
+    mantissa as q / 2^e and each end as e plus a dyadic Fraction."""
+    if q <= 0:
+        raise ValueError("log2 requires a positive argument")
+    num, den = q.numerator, q.denominator
+    if num & (num - 1) == 0 and den & (den - 1) == 0:
+        e = F(num.bit_length() - den.bit_length())
+        return e, e
+    e = floor_log2(q)
+    m = q / F(2) ** e
+    k = bits + 2
+    w = k + bits + 8
+    scale = 1 << w
+    mlo = m.numerator * scale // m.denominator
+    mhi = -((-m.numerator * scale) // m.denominator)
+    elo = ehi = 0
+    top = 1 << (w + 1)
+    for _ in range(k):
+        mlo = (mlo * mlo) >> w
+        mhi = -((-mhi * mhi) >> w)
+        elo <<= 1
+        ehi <<= 1
+        while mlo >= top:
+            mlo >>= 1
+            elo += 1
+        while mhi >= top:
+            mhi = -((-mhi) >> 1)
+            ehi += 1
+    denom = 1 << k
+    return F(e) + F(elo, denom), F(e) + F(ehi + 1, denom)
+
+
+# the mantissa 2 - 2^-100, just below the next power of two
+_NEAR_TWO = F((1 << 101) - 1, 1 << 100)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    q=st.one_of(
+        st.builds(F, st.integers(1, 1 << 120), st.integers(1, 1 << 120)),
+        st.integers(-130, 130).map(lambda e: F(2) ** e),  # powers of two
+        st.integers(-130, 130).map(lambda e: _NEAR_TWO * F(2) ** e),
+    ),
+    bits=st.integers(1, 40),
+)
+@example(q=F(3, 2), bits=1)
+@example(q=_NEAR_TWO, bits=40)
+@example(q=_NEAR_TWO / 1024, bits=1)
+@example(q=F(1, 1 << 100), bits=28)
+@example(q=F((1 << 100) + 1, 1 << 100), bits=40)
+def test_log2_point_matches_fraction_reference(q, bits):
+    got = numkit._log2_point(q, bits)
+    assert got == _reference_log2_point(q, bits)
+    assert all(type(end) is F for end in got)
+    assert got[1] - got[0] <= F(1, 1 << bits)
+
+
 def test_exp2_brackets_log2():
     # exp2 of the log2 endpoints must bracket the original value
     for q in (F(3, 2), F(7, 5), F(97, 13), F(1, 7)):
