@@ -14,7 +14,6 @@ wall-clock timings appear only in the human-readable text output.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 import time
@@ -129,14 +128,9 @@ def _emit(payload: dict, fmt: str, text_lines: list[str]) -> None:
 def cmd_entropy_logistic(args: SimpleNamespace) -> int:
     r = _parse_fraction(args.r, "--r")
     eps = _parse_fraction(args.eps, "--eps")
-    seconds = args.budget_seconds
-    if eps <= 0 or args.max_period <= 0:
-        raise InputError("numeric options must be positive")
-    if seconds is not None and not 0 < seconds < math.inf:
-        raise InputError("--budget-seconds must be positive and finite")
     _check_precision(eps)
+    budget = SandwichBudget(max_period=args.max_period, seconds=args.budget_seconds)
     cache = CenterCache(args.cache_path)
-    budget = SandwichBudget(max_period=args.max_period, seconds=seconds)
     start = time.monotonic()
     code = EXIT_OK
     try:
@@ -167,7 +161,7 @@ def cmd_entropy_logistic(args: SimpleNamespace) -> int:
 def cmd_entropy_pwl(args: SimpleNamespace) -> int:
     f = _load_map(args.file)
     if args.node_cap is not None and args.node_cap <= 0:
-        raise InputError("numeric options must be positive")
+        raise InputError("--node-cap must be positive")
     if args.method == "variation":
         if not isinstance(f, PWLMap):
             raise InputError("the variation method needs a piecewise-linear map")

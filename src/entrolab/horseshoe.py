@@ -120,8 +120,9 @@ class SearchBudget:
     grid_depth: int = 3
 
     def __post_init__(self) -> None:
-        if self.max_n < 1 or self.max_p < 2 or self.grid_depth < 0:
-            raise ValueError("budget out of range")
+        for name, least in (("max_n", 1), ("max_p", 2), ("grid_depth", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if self.grid_depth > MAX_GRID_DEPTH:
             raise ValueError(f"grid depth {self.grid_depth} exceeds the cap of {MAX_GRID_DEPTH}")
         if self.max_n > MAX_ITERATE:

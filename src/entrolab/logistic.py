@@ -247,21 +247,18 @@ _Index = dict[int, tuple[_Stored, ...]]  # period -> its centers, in file order
 # the process reuses the checks already run on it, and any changed byte is a
 # new key, parsed again; an error is raised every time, never memoized. The
 # loads of one key share its _Stored records, whose one mutable field, _r_enc,
-# is built from ends alone (_line and _path come from the key), and its key
-# set and index, which add_center replaces and never changes. Proofs are not
+# is built from ends alone (_line and _path come from the key), and its
+# index, which add_center replaces and never changes. Proofs are not
 # memoized here: _prove runs on a center's first use
 @lru_cache(maxsize=16)
-def _parse_cache(
-    path: Path, data: bytes
-) -> tuple[tuple[_Stored, ...], frozenset[tuple[int, ...]], _Index, Optional[tuple[int, str]]]:
-    """The centers of a cache file with contents ``data`` (``path`` only
-    names it in messages), the (period, *ends) key of each, the per-period
-    index (each period's centers, in file order), and the torn tail: None
-    when the file ends in a complete line, else the offset just past the
-    last line that parsed and what the next append writes first. Lines are
-    split on b"\\n" only, as iterating the binary file splits them."""
-    centers: list[_Stored] = []
-    keys: set[tuple[int, ...]] = set()
+def _parse_cache(path: Path, data: bytes) -> tuple[_Index, Optional[tuple[int, str]]]:
+    """The per-period index of a cache file with contents ``data`` (each
+    period's centers, in file order; ``path`` only names it in messages),
+    and the torn tail: None when the file ends in a complete line, else the
+    offset just past the last line that parsed and what the next append
+    writes first. Lines are split on b"\\n" only, as iterating the binary
+    file splits them."""
+    seen: set[tuple[int, _Ends]] = set()
     by_period: dict[int, list[_Stored]] = {}
     end = 0  # offset just past the last line that parsed
     raw = b"\n"
@@ -289,15 +286,12 @@ def _parse_cache(
                     raise ValueError(f"an r_enc denominator has more than {_MAX_END_BITS} bits")
             except _MALFORMED as exc:
                 raise _malformed(number + 1, path, exc) from exc
-            key = (period, *ends)
-            if key not in keys:
-                keys.add(key)
-                centers.append(_Stored(period, ends, None, number + 1, path))
-                by_period.setdefault(period, []).append(centers[-1])
+            if (period, ends) not in seen:
+                seen.add((period, ends))
+                by_period.setdefault(period, []).append(_Stored(period, ends, None, number + 1, path))
     else:
         tail = None if raw.endswith(b"\n") else (end, "\n")
-    index = {p: tuple(held) for p, held in by_period.items()}
-    return tuple(centers), frozenset(keys), index, tail
+    return {p: tuple(held) for p, held in by_period.items()}, tail
 
 
 class CenterCache:
@@ -324,17 +318,14 @@ class CenterCache:
     A second load of byte-identical contents in one process reuses the
     first load's checks (``_parse_cache``); any changed byte is parsed
     again. Proofs stay per process: a center is proved on its first use in
-    the process, whichever load read it. Beside ``centers``, in file order,
-    the cache holds a per-period index of them, in the same order, which
-    ``_complete_period`` reads. The index and the key set are shared with
-    the load's memo: ``add_center`` replaces them and never changes them.
+    the process, whichever load read it. The cache holds its centers as one
+    per-period index, each period's in file order, which
+    ``_complete_period`` reads. The index is shared with the load's memo:
+    ``add_center`` replaces it and never changes it.
     """
 
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path else None
-        self.centers: list[_Stored] = []
-        # (period, *ends) of every center held
-        self._keys: frozenset[tuple[int, ...]] = frozenset()
         self._by_period: _Index = {}
         # (offset, text): where the next append must start and what it
         # writes first, when the file does not end in a complete line
@@ -343,21 +334,19 @@ class CenterCache:
             self._load()
 
     def _load(self) -> None:
-        loaded = _parse_cache(self.path, self.path.read_bytes())
-        self.centers = list(loaded[0])
-        self._keys, self._by_period, self._tail = loaded[1:]
+        self._by_period, self._tail = _parse_cache(self.path, self.path.read_bytes())
 
     def add_center(self, period: int, cells: Sequence[_Ends]) -> None:
         """Add the centers of one period that the scan proved, each r_enc as
         reduced integer ends, skipping any already held; the new records are
         written with one append."""
-        fresh = [ends for ends in dict.fromkeys(cells) if (period, *ends) not in self._keys]
+        held = self._by_period.get(period, ())
+        ends_held = {c.ends for c in held}
+        fresh = [ends for ends in dict.fromkeys(cells) if ends not in ends_held]
         if not fresh:
             return
         added = tuple(_Stored(period, ends) for ends in fresh)
-        self.centers += added
-        self._keys = self._keys.union((period, *ends) for ends in fresh)
-        self._by_period = {**self._by_period, period: self._by_period.get(period, ()) + added}
+        self._by_period = {**self._by_period, period: held + added}
         if self.path is None:
             return
         lines = []
@@ -398,8 +387,8 @@ def _check_period_cap(p_max: int) -> None:
 # kneading sequence exactly at the two ends of each cell that holds a center
 # (a float guide picks the cell). numkit.root_isolate bisects the same grid
 # on [0, 4] once past its exact zero at r = 2, so both find the same cells
-# and write the same cache records. Every center of period >= 2 lies in
-# (3, 4).
+# (test_located_cells_are_the_interval_scan_cells checks this). Every center
+# of period >= 2 lies in (3, 4).
 _GRID = (2 + DEFAULT_ROOT_WIDTH / 4, Fraction(4))
 
 
@@ -555,8 +544,6 @@ def collect_brackets(
     """
     q_lo_num, q_lo_den = query.lo.numerator, query.lo.denominator
     q_hi_num, q_hi_den = query.hi.numerator, query.hi.denominator
-    if q_lo_num < 0 or q_hi_num > 4 * q_hi_den:
-        raise ValueError("query must lie within [0, 4]")
     below = above = None  # the nearest center so far on each side
     b_num = b_den = a_num = a_den = 0  # below's hi and above's lo
     for center in centers:
@@ -578,9 +565,12 @@ class SandwichBudget:
     seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if self.max_period < 1:
+            raise ValueError("max_period must be positive")
+        _check_period_cap(self.max_period)
         # a NaN deadline is never reached: monotonic() > nan is always false
-        if self.max_period < 1 or not (self.seconds is None or 0 < self.seconds < math.inf):
-            raise ValueError("budget out of range")
+        if not (self.seconds is None or 0 < self.seconds < math.inf):
+            raise ValueError("budget seconds must be positive and finite")
 
 
 def logistic_entropy(
@@ -607,10 +597,10 @@ def logistic_entropy(
     read again only when its side's center changes, and the width is tested
     against 9/10 eps in integers, by one cross-multiplication. When
     max_period or the deadline is reached first, a BudgetExceeded carrying
-    the best sound enclosure is raised. A budget with max_period beyond
-    ``DEFAULT_PERIOD_CAP`` is refused at once.
+    the best sound enclosure is raised. A query outside [0, 4] and a
+    nonpositive eps are refused here; the budget checks its own fields
+    (``SandwichBudget``).
     """
-    _check_period_cap(budget.max_period)
     if not isinstance(query, RatInterval):
         query = RatInterval.point(parse_rational(query))
     if query.lo < 0 or query.hi > 4:

@@ -47,6 +47,7 @@ from entrolab.numkit import (
     parse_rational,
     refine_root,
 )
+from test_logistic import _held
 
 
 def write_json(path, payload):
@@ -277,7 +278,7 @@ def test_logistic_torn_cache_tail(tmp_path, capsys, tail):
     assert outputs[0] == outputs[1]
     # the run appended period 2 after cutting the tail, so the files agree
     assert torn.read_bytes() == clean.read_bytes()
-    assert [c.period for c in CenterCache(torn).centers] == [1, 2]
+    assert [c.period for c in _held(CenterCache(torn))] == [1, 2]
 
 
 def test_empty_cache_file_gets_header(tmp_path, capsys):
@@ -574,7 +575,56 @@ def test_logistic_non_finite_budget_exit_2(tmp_path, capsys, value):
     argv = ["entropy", "logistic", "--r", "3.2", "--eps", "1/100", "--budget-seconds", value,
             "--cache-path", str(tmp_path / "c.jsonl")]
     assert main(argv) == 2
-    assert "--budget-seconds must be positive and finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: budget seconds must be positive and finite\n"
+
+
+# (--r, --eps, --max-period, --budget-seconds); None leaves the option out
+_SANDWICH_REFUSALS = {
+    "eps-0": ("7/2", "0", None, None),
+    "eps-negative": ("7/2", "-1", None, None),
+    "max-period-0": ("7/2", "1/32", "0", None),
+    "max-period-13": ("7/2", "1/32", "13", None),
+    "seconds-0": ("7/2", "1/32", None, "0"),
+    "seconds-negative": ("7/2", "1/32", None, "-1"),
+    "seconds-nan": ("7/2", "1/32", None, "nan"),
+    "seconds-inf": ("7/2", "1/32", None, "inf"),
+    "r-above-4": ("9/2", "1/32", None, None),
+    "r-negative": ("-1", "1/32", None, None),
+}
+
+
+@pytest.mark.parametrize("r, eps, max_period, seconds", _SANDWICH_REFUSALS.values(), ids=_SANDWICH_REFUSALS)
+def test_logistic_refusal_is_the_library_message(tmp_path, capsys, r, eps, max_period, seconds):
+    # the command line checks no sandwich input itself: what it prints is
+    # the message of the library check that refused the same values
+    argv = ["entropy", "logistic", "--r", r, "--eps", eps, "--cache-path", str(tmp_path / "c.jsonl")]
+    budget = {}
+    if max_period is not None:
+        argv += ["--max-period", max_period]
+        budget["max_period"] = int(max_period)
+    if seconds is not None:
+        argv += ["--budget-seconds", seconds]
+        budget["seconds"] = float(seconds)
+    with pytest.raises(ValueError) as refused:
+        logistic.logistic_entropy(F(r), F(eps), logistic.SandwichBudget(**budget))
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {refused.value}\n")
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--method", "horseshoe", "--max-n", "0"], "max_n must be >= 1"),
+        (["--method", "horseshoe", "--max-p", "1"], "max_p must be >= 2"),
+        (["--method", "horseshoe", "--grid-depth", "-1"], "grid_depth must be >= 0"),
+        (["--method", "horseshoe", "--node-cap", "0"], "--node-cap must be positive"),
+        (["--method", "variation", "--node-cap", "0"], "--node-cap must be positive"),
+    ],
+    ids=["max-n-0", "max-p-1", "grid-depth-negative", "horseshoe-node-cap-0", "variation-node-cap-0"],
+)
+def test_pwl_budget_refusal_names_the_option(tent_file, capsys, extra, message):
+    assert main(["entropy", "pwl", "--file", tent_file, *extra]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # MAP stands for a piecewise-linear map file, OUT for a path that must stay unwritten
@@ -791,7 +841,7 @@ def test_period_scan_reads_no_stored_center(tmp_path):
     cache = CenterCache(tmp_path / "c.jsonl")
     found, unresolved = logistic._complete_period(4, cache)
     assert unresolved == []
-    assert [c.period for c in cache.centers] == [4, 4]
+    assert [c.period for c in _held(cache)] == [4, 4]
     mids = [float((c.r_enc.lo + c.r_enc.hi) / 2) for c in found]
     assert mids == pytest.approx([3.4985616, 3.9602701], abs=1e-6)
 
@@ -1095,7 +1145,7 @@ def test_short_period_lists_its_unresolved_cell(tmp_path, capsys, monkeypatch):
         assert len(failed) == run
         assert payload["unresolved"] == [failed[0].to_json()]
         assert [c["period"] for c in payload["centers"]].count(5) == 2
-    assert [c.period for c in CenterCache(path).centers].count(5) == 2
+    assert [c.period for c in _held(CenterCache(path))].count(5) == 2
 
 
 @pytest.mark.parametrize(

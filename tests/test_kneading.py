@@ -12,6 +12,7 @@ import entrolab.numkit as numkit
 from entrolab.kneading import C, L, R, locate_centers, mss_words, read_symbols, unimodal_key
 from entrolab.logistic import DEFAULT_ROOT_WIDTH, CenterCache, _center_count, _ends, _prove, _scan
 from entrolab.numkit import RatInterval, critical_orbit_expr, root_isolate
+from test_logistic import _held
 from test_numkit import _NEAR_PERIOD_3
 
 rationals = st.fractions(min_value=2, max_value=4, max_denominator=1 << 40)
@@ -258,7 +259,7 @@ def test_scan_runs_no_interval_root_scan(monkeypatch):
     cache = CenterCache(None)
     for p in range(1, 10):
         assert _scan(p, cache) == []
-        assert [c.period for c in cache.centers].count(p) == _center_count(p)
+        assert [c.period for c in _held(cache)].count(p) == _center_count(p)
     assert calls == {"root_isolate": 0, "derivative_enclosure": 0}
 
 
@@ -276,7 +277,7 @@ def test_scan_builds_no_interval_for_a_proved_cell(tmp_path, monkeypatch):
     cache = CenterCache(tmp_path / "c.jsonl")
     for p in range(1, 10):
         assert _scan(p, cache) == []
-    assert len(cache.centers) == sum(map(_center_count, range(1, 10)))
+    assert len(_held(cache)) == sum(map(_center_count, range(1, 10)))
     assert built == []
 
 
@@ -297,5 +298,5 @@ def test_scan_leaves_an_unseparated_cell_unrefined(monkeypatch):
     monkeypatch.setattr(numkit, "refine_root", counted)
     cache = CenterCache(None)
     assert _scan(5, cache) == [cell]
-    assert cache.centers == []
+    assert _held(cache) == []
     assert calls == []

@@ -36,6 +36,13 @@ from test_numkit import from_mantissas, reference_orbit
 PHI_LOG = math.log2((1 + 5**0.5) / 2)
 
 
+def _held(cache):
+    """The records of the cache's per-period index in file order, those
+    added after the load last."""
+    records = (c for held in cache._by_period.values() for c in held)
+    return sorted(records, key=lambda c: c._line or math.inf)
+
+
 @pytest.fixture(scope="module")
 def centers3(session_cache):
     return enumerate_centers(3, cache=session_cache).centers
@@ -126,7 +133,7 @@ def test_collect_brackets_sides(session_cache, tmp_path):
     enumerate_centers(8, cache=session_cache)
     below, above = (
         c.center(DEFAULT_EPS)
-        for c in collect_brackets(RatInterval.point(F(7, 2)), session_cache.centers)
+        for c in collect_brackets(RatInterval.point(F(7, 2)), _held(session_cache))
     )
     assert below.period == 4 and below.entropy.hi == 0 and below.r_enc.hi < F(7, 2)
     assert above.period == 8 and above.entropy.hi == 0 and above.r_enc.lo > F(7, 2)
@@ -136,7 +143,7 @@ def test_collect_brackets_sides(session_cache, tmp_path):
     coarse = enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
     assert any(c.entropy.width > DEFAULT_EPS for c in coarse.centers)
     for r in (F(7, 2), F(383, 100)):
-        pair = collect_brackets(RatInterval.point(r), CenterCache(path).centers)
+        pair = collect_brackets(RatInterval.point(r), _held(CenterCache(path)))
         for c in pair:
             assert c is not None and c.center(DEFAULT_EPS).entropy.width <= DEFAULT_EPS
 
@@ -177,7 +184,7 @@ def test_stored_refinement_follows_eps(tmp_path):
     # before: it is sft_entropy of the SFT rebuilt from the proved order
     path = tmp_path / "c.jsonl"
     enumerate_centers(4, eps=F(1, 1000), cache=CenterCache(path))
-    stored = CenterCache(path).centers
+    stored = _held(CenterCache(path))
     for eps in (F(1, 2**20), F(1, 2**20), F(1, 2**40), F(1, 2**20)):
         for center in stored:
             got = center.center(eps)
@@ -371,7 +378,7 @@ def test_sandwich_matches_full_rescan_reference(period_9_cache_path, center_eps,
     # rescan per period; the centers are refined to min(2^-24, eps/4)
     assert all(min(CENTER_EPS, eps / 4) == center_eps for eps in eps_choices)
     cache = CenterCache(period_9_cache_path)
-    refined = [c.center(center_eps) for c in cache.centers]  # cache order
+    refined = [c.center(center_eps) for c in _held(cache)]  # cache order
     ends = sorted({e for c in refined if 3 < c.r_enc.lo for e in (c.r_enc.lo, c.r_enc.hi)})
     rng = random.Random(14)
     rationals = set()
@@ -536,14 +543,14 @@ def test_period_loop_matches_reference(period_9_session_cache, data):
     # the loop on the per-period index, with carried ends and the integer
     # width test, gives the bound of the loop that read everything again
     cache = period_9_session_cache
-    ends = sorted({F(e[0], e[1]) for c in cache.centers for e in (c.ends[:2], c.ends[2:])})
+    ends = sorted({F(e[0], e[1]) for c in _held(cache) for e in (c.ends[:2], c.ends[2:])})
     r = data.draw(st.one_of(
         st.integers(2, 2**40).flatmap(lambda d: st.integers(1, d - 1).map(lambda n: 3 + F(n, d))),
         st.sampled_from([e for e in ends if 3 < e < 4]),  # on a center's end
     ))
     eps = data.draw(st.sampled_from(_LOOP_EPS))
     max_period = data.draw(st.integers(1, 9))
-    want = _reference_sandwich_loop(RatInterval.point(r), eps, max_period, list(cache.centers))
+    want = _reference_sandwich_loop(RatInterval.point(r), eps, max_period, _held(cache))
     got, entries, changes = _counted_sandwich(r, eps, max_period, cache)
     assert got == want
     assert entries <= changes
@@ -575,7 +582,7 @@ def test_period_loop_ties_match_reference(monkeypatch):
         for max_period in range(1, 7):
             # 9/10 of 5/8 is 36/64, the width at period 1
             for eps in (F(1, 2), F(5, 8), F(2, 3), F(1)):
-                want = _reference_sandwich_loop(query, eps, max_period, cache.centers)
+                want = _reference_sandwich_loop(query, eps, max_period, _held(cache))
                 got, entries, changes = _counted_sandwich(query, eps, max_period, cache)
                 assert got == want
                 assert entries <= changes
@@ -633,7 +640,7 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
         if (record["period"], r_enc) not in keys:
             keys.add((record["period"], r_enc))
             kept.append(record)
-    stored = CenterCache(path).centers
+    stored = _held(CenterCache(path))
     assert len(stored) == len(kept)
     for center, record in zip(stored, kept):
         assert center.period == record["period"]
@@ -645,7 +652,7 @@ def test_integer_r_enc_matches_fraction_reference(tmp_path_factory, records, que
         query = RatInterval.point(a) if point else RatInterval(min(a, b), max(a, b))
         # a fresh load, its centers unread: the search compares only the
         # integer ends (no hand record is a center, and none is proved)
-        got = collect_brackets(query, CenterCache(path).centers)
+        got = collect_brackets(query, _held(CenterCache(path)))
         want = _reference_bracket(query, stored)
         assert [(c.period, c.r_enc) if c else None for c in got] == [
             (c.period, c.r_enc) if c else None for c in want
@@ -738,6 +745,11 @@ def test_sandwich_rejects_bad_inputs():
         logistic_entropy(F(9, 2), F(1, 10))
     with pytest.raises(ValueError):
         logistic_entropy(F(7, 2), F(0))
+    # an interval query is checked whole: collect_brackets checks no range
+    with pytest.raises(ValueError):
+        logistic_entropy(RatInterval(F(7, 2), F(9, 2)), F(1, 10))
+    with pytest.raises(ValueError):
+        logistic_entropy(RatInterval(F(-1, 2), F(1, 2)), F(1, 10))
 
 
 def test_enumeration_period_cap():
@@ -790,7 +802,7 @@ def _loaded(path):
         cache = CenterCache(path)
     except ValueError as exc:
         return str(exc)
-    return [(c.period, c.ends, c._line) for c in cache.centers], cache._tail
+    return [(c.period, c.ends, c._line) for c in _held(cache)], cache._tail
 
 
 def test_identical_bytes_decoded_once(tmp_path, monkeypatch, period_5_bytes):
@@ -804,8 +816,6 @@ def test_identical_bytes_decoded_once(tmp_path, monkeypatch, period_5_bytes):
     assert second == first
     assert len(first[0]) == 1 + 1 + 1 + 2 + 3
     assert len(decoded) == period_5_bytes.count(b"\n")
-    # each load holds its own lists: an append to one is not seen by the next
-    CenterCache(path).centers.clear()
     assert _loaded(path) == first
 
 
@@ -868,35 +878,23 @@ def test_warm_load_after_edit_matches_cold_load(tmp_path_factory, period_5_bytes
     assert warm == again == _loaded(path)
 
 
-def _assert_index_matches(cache):
-    # each period's index entry is that period's centers in cache order
-    periods = {c.period for c in cache.centers}
-    assert set(cache._by_period) == periods
-    for p in periods:
-        assert cache._by_period[p] == tuple(c for c in cache.centers if c.period == p)
-
-
 def test_index_follows_load_add_and_torn_tail(tmp_path, period_5_bytes):
     path = tmp_path / "c.jsonl"
     path.write_bytes(period_5_bytes)
     clean = _loaded(path)
     cache = CenterCache(path)
-    _assert_index_matches(cache)
     assert [len(cache._by_period[p]) for p in range(1, 6)] == [1, 1, 1, 2, 3]
     held = cache._by_period[5]
     cache.add_center(5, [held[0].ends, (15, 4, 31, 8), (15, 4, 31, 8)])
     cache.add_center(6, [(7, 2, 29, 8)])
-    _assert_index_matches(cache)
     assert cache._by_period[5][:3] == held and len(cache._by_period[5]) == 4
     assert len(cache._by_period[6]) == 1
     torn = tmp_path / "torn.jsonl"
     torn.write_bytes(period_5_bytes + b'{"period": 6, "r_enc": ["7/2"')
     cache = CenterCache(torn)
     assert cache._tail is not None
-    assert [(c.period, c.ends, c._line) for c in cache.centers] == clean[0]
-    _assert_index_matches(cache)
+    assert [(c.period, c.ends, c._line) for c in _held(cache)] == clean[0]
     cache.add_center(6, [(7, 2, 29, 8)])
-    _assert_index_matches(cache)
 
 
 def test_add_center_leaves_memoized_index_alone(tmp_path, period_5_bytes):
@@ -905,7 +903,7 @@ def test_add_center_leaves_memoized_index_alone(tmp_path, period_5_bytes):
     path = tmp_path / "c.jsonl"
     path.write_bytes(period_5_bytes)
     first = CenterCache(path)
-    index, keys, count = dict(first._by_period), first._keys, len(first.centers)
+    index, count = dict(first._by_period), len(_held(first))
     first.add_center(6, [(7, 2, 29, 8)])
     first.add_center(5, [(15, 4, 31, 8)])
     assert len(first._by_period[6]) == 1 and len(first._by_period[5]) == 4
@@ -915,6 +913,4 @@ def test_add_center_leaves_memoized_index_alone(tmp_path, period_5_bytes):
     second = CenterCache(path)
     assert entrolab.logistic._parse_cache.cache_info().hits == hits + 1
     assert second._by_period == index and 6 not in second._by_period
-    assert second._keys == keys and (6, 7, 2, 29, 8) not in second._keys
-    assert len(second.centers) == count
-    _assert_index_matches(second)
+    assert len(_held(second)) == count
