@@ -1,9 +1,13 @@
 """Command-line front end.
 
 The table ``COMMANDS`` is the single definition of the commands: their
-words, handlers, options, defaults and help text. ``parse_args`` reads argv
-against it in one pass, accepting and refusing what argparse did for the
-same commands, and the help and usage text are drawn from it.
+words, handlers, options, defaults and help text. ``parse_args`` reads a
+command line in exact spelling (command words, each option spelled in full
+with its value, a leaf's positional) by table lookup, without argparse.
+Every other command line, such as help, an abbreviated option, "--", a
+negative value or a usage error, goes to argparse itself, whose parser is
+built from the same table the first time it is needed; its rules decide
+each such case and print the help and usage text.
 
 Exit codes: 0 on success, 2 on usage or input-file errors, 3 when a budget
 ran out (the best sound bound found so far is still printed). JSON output
@@ -14,10 +18,10 @@ wall-clock timings appear only in the human-readable text output.
 from __future__ import annotations
 
 import json
-import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Optional
@@ -261,13 +265,8 @@ def cmd_sft_mixing(args: SimpleNamespace) -> int:
 
 def cmd_sft_kappa(args: SimpleNamespace) -> int:
     z = _load_sft(args.file)
-    try:
-        if args.direction == "encode":
-            out = prefix_encode(z, args.word)
-        else:
-            out = prefix_decode(z, args.word)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    recode = prefix_encode if args.direction == "encode" else prefix_decode
+    out = recode(z, args.word)
     _emit({"input": args.word, "output": out}, args.format, [out])
     return EXIT_OK
 
@@ -360,180 +359,100 @@ COMMANDS = {
     }),
 }
 
-_HELP = ("-h", "--help")
-# argparse's rule: a token that matches no option and looks like this is a value
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
-
-
-def _subcommands(words: tuple) -> list[str]:
-    return [w[-1] for w in COMMANDS if w and w[:-1] == words]
-
-
-def _free_positional(options: dict, given: dict):
-    return next((name for name in options if name[0] != "-" and name not in given), None)
-
 
 def _dest(name: str) -> str:
     return name.lstrip("-").replace("-", "_")
 
 
-def _metavar(name: str, conv) -> str:
-    if isinstance(conv, tuple):
-        return "{" + ",".join(conv) + "}"
-    return _dest(name).upper()
+@cache
+def _argparse_parser():
+    """The argparse tree of COMMANDS, built once, for the command lines
+    parse_args does not read itself."""
+    import argparse
+
+    def add(parser, words: tuple) -> None:
+        func, _, options = COMMANDS[words]
+        for name, (conv, default, note) in options.items():
+            spec = {"help": note}
+            if isinstance(conv, tuple):
+                spec["choices"] = conv
+            elif conv is not str:
+                spec["type"] = conv
+            if default is not REQUIRED:
+                spec["default"] = default
+                if default is not None:
+                    spec["help"] = f"{note} (default: {default})"
+            elif name[0] == "-":
+                spec["required"] = True
+            parser.add_argument(name, **spec)
+        if func is not None:
+            parser.set_defaults(func=func)
+            return
+        sub = parser.add_subparsers(dest="command", required=True)
+        for child, (_, text, _) in COMMANDS.items():
+            if child and child[:-1] == words:
+                add(sub.add_parser(child[-1], help=text, description=text), child)
+
+    parser = argparse.ArgumentParser(prog="entrolab", description=COMMANDS[()][1])
+    add(parser, ())
+    return parser
 
 
-def _usage(words: tuple) -> str:
-    _, _, options = COMMANDS[words]
-    parts = ["usage:", " ".join(("entrolab",) + words), "[-h]"]
-    positionals = []
-    for name, (conv, default, _) in options.items():
-        if not name.startswith("-"):
-            positionals.append(_metavar(name, conv))
-        elif default is REQUIRED:
-            parts.append(f"{name} {_metavar(name, conv)}")
-        else:
-            parts.append(f"[{name} {_metavar(name, conv)}]")
-    if COMMANDS[words][0] is None:
-        positionals.append("{" + ",".join(_subcommands(words)) + "} ...")
-    return " ".join(parts + positionals)
-
-
-def _help(words: tuple) -> str:
-    _, text, options = COMMANDS[words]
-    commands = [(word, COMMANDS[words + (word,)][1]) for word in _subcommands(words)]
-    rows = [("-h, --help", "show this help message and exit")]
-    for name, (conv, default, note) in options.items():
-        left = _metavar(name, conv) if not name.startswith("-") else f"{name} {_metavar(name, conv)}"
-        if default is not REQUIRED and default is not None:
-            note = f"{note} (default: {default})".lstrip()
-        rows.append((left, note))
-    width = max(len(left) for left, _ in commands + rows) + 2
-    lines = [_usage(words), "", text]
-    for title, table in (("commands:", commands), ("options:", rows)):
-        if table:
-            lines += ["", title] + [f"  {left:<{width}}{note}".rstrip() for left, note in table]
-    return "\n".join(lines)
-
-
-def _usage_error(words: tuple, message: str):
-    prog = " ".join(("entrolab",) + words)
-    print(f"{_usage(words)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
-def _option(words: tuple, options: dict, token: str):
-    """(name, attached value) of the option that ``token``, which starts with
-    a dash, spells at this command; name None when it spells no option, and
-    None when the token is a value (a negative number, say). The name is
-    matched as argparse matches it: exactly, before an '=', or as a prefix
-    of one option only."""
-    if token in options or token in _HELP:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, attached = token.partition("=")
-    if eq and (name in options or name in _HELP):
-        return name, attached
-    if token[1] == "-":
-        matches = [opt for opt in ("--help", *options) if opt.startswith(name)]
-        attached = attached if eq else None
-    else:
-        matches, attached = (["-h"], token[2:]) if token[:2] == "-h" else ([], None)
-    if len(matches) > 1:
-        _usage_error(words, f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], attached
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _convert(words: tuple, name: str, conv, text: str):
-    if isinstance(conv, tuple):
-        if text not in conv:
-            choices = ", ".join(map(repr, conv))
-            _usage_error(words, f"argument {name}: invalid choice: {text!r} (choose from {choices})")
-        return text
-    try:
-        return conv(text)
-    except ValueError:
-        _usage_error(words, f"argument {name}: invalid {conv.__name__} value: {text!r}")
-
-
-def parse_args(argv: list[str]) -> SimpleNamespace:
-    """Walk argv once against COMMANDS. Usage errors print a usage line and
-    the error to stderr and raise SystemExit(2); -h or --help prints the
-    help of the command reached so far and raises SystemExit(0)."""
+def parse_args(argv: list[str]):
+    """Read argv against COMMANDS. A command line in exact spelling is read
+    here by table lookup: command words, each option spelled in full as
+    ``--name value`` or ``--name=value`` with a value that does not start
+    with '-', and a leaf's one free positional. Every other command line
+    (help, an abbreviation, "--", a negative value, a usage error) goes to
+    argparse, which prints help or a usage error and raises SystemExit(0)
+    or SystemExit(2)."""
     words: tuple = ()
     func, _, options = COMMANDS[words]
     given: dict = {}
-    unknown: list[str] = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        if token == "--" and func is not None:
-            # every later token is a value, the first of which may fill a
-            # free positional; at a group "--" is an unknown command
-            rest = argv[i:]
-            slot = _free_positional(options, given)
-            if slot is not None and rest:
-                given[slot] = _convert(words, slot, options[slot][0], rest.pop(0))
-            else:
-                rest.insert(0, token)
-            unknown += rest
-            break
-        spec = _option(words, options, token) if token[:1] == "-" and token != "--" else None
-        if spec is None:  # a value: a command word or a positional
-            if func is None:
-                if words + (token,) not in COMMANDS:
-                    choices = ", ".join(map(repr, _subcommands(words)))
-                    _usage_error(words, f"argument command: invalid choice: {token!r} (choose from {choices})")
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            if func is None:  # a command word
                 words += (token,)
+                if words not in COMMANDS:
+                    break
                 func, _, options = COMMANDS[words]
                 continue
-            slot = _free_positional(options, given)
-            if slot is None:
-                unknown.append(token)
-            else:
-                given[slot] = _convert(words, slot, options[slot][0], token)
-            continue
-        name, attached = spec
-        if name is None:
-            unknown.append(token)
-            continue
-        if name in _HELP:
-            # -hh is -h twice, as a run of single-dash flags
-            if attached is not None and (name == "--help" or attached.strip("h") or not attached):
-                _usage_error(words, f"argument -h/--help: ignored explicit argument {attached!r}")
-            # argparse reads each token at each level as an option or a value
-            # before it acts on any, so an ambiguous token after -h still fails
-            rest = argv[i:]
-            for later in rest[: rest.index("--")] if "--" in rest else rest:
-                if later[:1] == "-":
-                    for k in range(len(words) + 1):
-                        _option(words[:k], COMMANDS[words[:k]][2], later)
-            print(_help(words))
-            raise SystemExit(EXIT_OK)
-        if attached is None:
-            value = argv[i] if i < len(argv) else "--"
-            if value == "--" or value[:1] == "-" and _option(words, options, value) is not None:
-                _usage_error(words, f"argument {name}: expected one argument")
-            attached = value
-            i += 1
-        given[name] = _convert(words, name, options[name][0], attached)
-    if func is None:
-        _usage_error(words, "the following arguments are required: command")
-    missing = [name for name, (_, default, _) in options.items()
-               if default is REQUIRED and name not in given]
-    if missing:
-        _usage_error(words, f"the following arguments are required: {', '.join(missing)}")
-    if unknown:
-        _usage_error(words, f"unrecognized arguments: {' '.join(unknown)}")
-    args = SimpleNamespace(func=func)
-    for name, (_, default, _) in (*COMMANDS[()][2].items(), *options.items()):
-        setattr(args, _dest(name), given.get(name, default))
+            name = next((n for n in options if n[0] != "-" and n not in given), None)
+            value = token
+        else:
+            name, eq, value = token.partition("=")
+            if not eq:
+                value = next(tokens, "-")
+            # a value starting with '-' is left to argparse, which before
+            # Python 3.13 reads "--name=--" as no value
+            if value[:1] == "-":
+                break
+        if name not in options:
+            break
+        conv = options[name][0]
+        if isinstance(conv, tuple):
+            if value not in conv:
+                break
+        else:
+            try:
+                value = conv(value)
+            except ValueError:
+                break
+        given[name] = value
+    else:
+        if func is not None and all(
+            name in given for name, (_, default, _) in options.items() if default is REQUIRED
+        ):
+            args = SimpleNamespace(func=func)
+            for name, (_, default, _) in (*COMMANDS[()][2].items(), *options.items()):
+                setattr(args, _dest(name), given.get(name, default))
+            return args
+    parser = _argparse_parser()
+    args = parser.parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:  # argparse before 3.13 reads "--name=--" as an empty list
+            parser.error(f"argument --{dest.replace('_', '-')}: expected one argument")
     return args
 
 
